@@ -68,13 +68,26 @@ impl GlobalClock {
         Timestamp(self.ts.fetch_add(1, Ordering::SeqCst))
     }
 
-    /// Current value of the timestamp counter without advancing it.
-    ///
-    /// Read-committed transactions use this as their logical read time so
-    /// they always observe the latest committed version (§3.4).
+    /// Current value of the timestamp counter — the *next* timestamp to be
+    /// issued — without advancing it. An upper bound on everything issued so
+    /// far (GC sweep floors, uniqueness probes); reads that want "the latest
+    /// committed version" (§3.4) use [`Self::last_issued`] instead.
     #[inline]
     pub fn now(&self) -> Timestamp {
         Timestamp(self.ts.load(Ordering::SeqCst))
+    }
+
+    /// The latest timestamp already handed out (`now() - 1`).
+    ///
+    /// Every transaction with an end timestamp at or below it has drawn that
+    /// timestamp, hence finished linking its versions, so a reader that takes
+    /// this as its read time and *then* walks an index finds every version
+    /// its snapshot contains. `now()` lacks that property: the next writer to
+    /// precommit is issued exactly `now()`, and may link its new version
+    /// after the reader staged its candidates.
+    #[inline]
+    pub fn last_issued(&self) -> Timestamp {
+        Timestamp(self.ts.load(Ordering::SeqCst) - 1)
     }
 
     /// Advance the timestamp counter so every future draw is strictly later
@@ -124,6 +137,16 @@ mod tests {
         let drawn = clock.next_timestamp();
         assert!(drawn >= t0);
         assert!(clock.now() > drawn);
+    }
+
+    #[test]
+    fn last_issued_trails_now_by_one() {
+        let clock = GlobalClock::new();
+        let drawn = clock.next_timestamp();
+        assert_eq!(clock.last_issued(), drawn);
+        assert_eq!(clock.last_issued().raw() + 1, clock.now().raw());
+        let read_time = clock.last_issued();
+        assert!(clock.next_timestamp() > read_time);
     }
 
     #[test]

@@ -47,18 +47,6 @@ impl IsolationLevel {
         matches!(self, IsolationLevel::Serializable)
     }
 
-    /// Does this level read as of the transaction begin time (snapshot) as
-    /// opposed to the current time?
-    ///
-    /// Per §3.1 and §4.3.1: serializable, repeatable-read and snapshot
-    /// transactions in the optimistic scheme use the begin time; in the
-    /// pessimistic scheme only snapshot isolation does (all other levels read
-    /// the latest version, which their locks then keep stable).
-    #[inline]
-    pub fn optimistic_reads_at_begin(self) -> bool {
-        !matches!(self, IsolationLevel::ReadCommitted)
-    }
-
     /// All isolation levels, weakest to strongest (useful for sweeps).
     pub const ALL: [IsolationLevel; 4] = [
         IsolationLevel::ReadCommitted,
@@ -115,13 +103,6 @@ mod tests {
 
         assert!(!RepeatableRead.requires_phantom_protection());
         assert!(Serializable.requires_phantom_protection());
-    }
-
-    #[test]
-    fn read_committed_reads_now() {
-        assert!(!IsolationLevel::ReadCommitted.optimistic_reads_at_begin());
-        assert!(IsolationLevel::Serializable.optimistic_reads_at_begin());
-        assert!(IsolationLevel::SnapshotIsolation.optimistic_reads_at_begin());
     }
 
     #[test]

@@ -54,6 +54,9 @@ impl MvTransaction {
         while let Some(ptr) = self.read_locks.pop() {
             self.release_read_lock(ptr);
         }
+        if self.bucket_locks.is_empty() && self.range_locks.is_empty() {
+            return;
+        }
         let guard = crossbeam::epoch::pin();
         while let Some(lock) = self.bucket_locks.pop() {
             if let Ok(table) = self.inner.store.table_in(lock.table, &guard) {
@@ -308,8 +311,9 @@ impl MvTransaction {
         // timestamp at or below its snapshot) and then reads the watermarks
         // is guaranteed to observe this bump, so `dirty_ts < parent_ts`
         // soundly proves the table has no committed change in the delta
-        // window.
-        {
+        // window. (A read-only transaction has nothing to raise, and so no
+        // table to look up under a guard.)
+        if !self.write_set.is_empty() {
             let guard = crossbeam::epoch::pin();
             for entry in &self.write_set {
                 if entry.new.is_some() || entry.delete_key.is_some() {

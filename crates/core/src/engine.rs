@@ -1,6 +1,7 @@
 //! The multiversion engine: public entry point tying the storage substrate
 //! and the two concurrency-control schemes together.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -33,13 +34,16 @@ pub(crate) struct MvInner {
     commits_since_gc: AtomicU64,
     /// Tells the background deadlock detector to stop.
     stop: AtomicBool,
-    /// Recycled transaction handles: a terminated transaction's handle goes
-    /// back here, and `begin` reuses it once its reference count has drained
-    /// to one (the epoch-deferred release of its transaction-table slot —
-    /// and any lingering `get` clone — keeps recycling safe: a handle still
-    /// borrowed by a lock-free lookup can never be reset). Together with
+    /// Recycled transaction handles, oldest first: a terminated
+    /// transaction's handle goes in at the back, and `begin` reuses the one
+    /// at the front once its reference count has drained to one (the
+    /// epoch-deferred release of its transaction-table slot — and any
+    /// lingering `get` clone — keeps recycling safe: a handle still borrowed
+    /// by a lock-free lookup can never be reset). The slot release runs a
+    /// couple of epochs after the transaction ended, so the queue settles at
+    /// that many handles and the front one is always ready. Together with
     /// `buffers` this makes a warmed begin→commit cycle allocation-free.
-    handles: parking_lot::Mutex<Vec<Arc<TxnHandle>>>,
+    handles: parking_lot::Mutex<VecDeque<Arc<TxnHandle>>>,
     /// Recycled per-transaction buffer sets (cleared, capacity retained).
     buffers: parking_lot::Mutex<Vec<TxnBuffers>>,
 }
@@ -67,21 +71,19 @@ impl MvInner {
         mode: ConcurrencyMode,
         isolation: IsolationLevel,
     ) -> Arc<TxnHandle> {
-        // NB: pop in its own scope — an `if let` on `lock().pop()` would
-        // extend the guard's lifetime across the body, and the fallback path
-        // below re-locks the pool (self-deadlock).
-        let recycled = self.handles.lock().pop();
-        if let Some(mut handle) = recycled {
-            if let Some(exclusive) = Arc::get_mut(&mut handle) {
-                exclusive.reset_for(id, begin_ts, mode, isolation);
-                return handle;
-            }
-            // Still referenced elsewhere (an epoch-deferred slot release, a
-            // deadlock-detector snapshot, ...): park it at the cold end of
-            // the pool and allocate fresh.
+        {
             let mut pool = self.handles.lock();
-            if pool.len() < TXN_POOL_CAP {
-                pool.insert(0, handle);
+            if let Some(mut handle) = pool.pop_front() {
+                if let Some(exclusive) = Arc::get_mut(&mut handle) {
+                    drop(pool);
+                    exclusive.reset_for(id, begin_ts, mode, isolation);
+                    return handle;
+                }
+                // Still referenced elsewhere (its epoch-deferred slot
+                // release has not run yet, a deadlock-detector snapshot,
+                // ...): back of the queue, and allocate fresh — the pool was
+                // one handle short of covering the reclamation lag.
+                pool.push_back(handle);
             }
         }
         TxnHandle::new(id, begin_ts, mode, isolation)
@@ -91,7 +93,7 @@ impl MvInner {
     pub(crate) fn return_handle(&self, handle: Arc<TxnHandle>) {
         let mut pool = self.handles.lock();
         if pool.len() < TXN_POOL_CAP {
-            pool.push(handle);
+            pool.push_back(handle);
         }
     }
 
@@ -178,7 +180,7 @@ impl MvEngine {
             config: config.clone(),
             commits_since_gc: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            handles: parking_lot::Mutex::new(Vec::new()),
+            handles: parking_lot::Mutex::new(VecDeque::new()),
             buffers: parking_lot::Mutex::new(Vec::new()),
         });
         if let CcPolicy::Adaptive {

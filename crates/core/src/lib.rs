@@ -45,6 +45,8 @@ pub mod deadlock;
 pub mod engine;
 #[cfg(test)]
 mod phantom_regression;
+#[cfg(test)]
+mod read_time_regression;
 pub mod txn;
 pub mod visibility;
 

@@ -272,23 +272,27 @@ impl MvTransaction {
     /// differ between the two schemes (the optimistic scheme reads as of the
     /// begin time and validates, the pessimistic scheme reads the latest
     /// version and locks it).
+    ///
+    /// "Now" is the latest timestamp *issued*, not the next one (see
+    /// [`mmdb_common::clock::GlobalClock::last_issued`]): nobody can still
+    /// commit at or before it, so what the candidate walk stages after this
+    /// call holds every version the read time can see (a locking read that
+    /// finds its version superseded meanwhile fails to lock it and aborts).
+    /// Pessimistic serializable reads are the exception and take the
+    /// next-to-be-issued timestamp: their scan lock, registered before
+    /// staging, already keeps writers of the key from precommitting under
+    /// them, and they must also see an insert that precommitted between this
+    /// call and that lock, or their repeat would (ROADMAP "Open bugs" has
+    /// the window either choice leaves open).
     pub(crate) fn read_time(&self) -> Timestamp {
-        let iso = self.handle.isolation();
-        match self.handle.mode() {
-            ConcurrencyMode::Optimistic => {
-                if iso.optimistic_reads_at_begin() {
-                    self.handle.begin_ts()
-                } else {
-                    self.inner.store.clock().now()
-                }
+        let clock = self.inner.store.clock();
+        match (self.handle.mode(), self.handle.isolation()) {
+            (_, IsolationLevel::ReadCommitted) => clock.last_issued(),
+            (_, IsolationLevel::SnapshotIsolation) | (ConcurrencyMode::Optimistic, _) => {
+                self.handle.begin_ts()
             }
-            ConcurrencyMode::Pessimistic => {
-                if iso == IsolationLevel::SnapshotIsolation {
-                    self.handle.begin_ts()
-                } else {
-                    self.inner.store.clock().now()
-                }
-            }
+            (ConcurrencyMode::Pessimistic, IsolationLevel::RepeatableRead) => clock.last_issued(),
+            (ConcurrencyMode::Pessimistic, IsolationLevel::Serializable) => clock.now(),
         }
     }
 
@@ -778,6 +782,8 @@ impl MvTransaction {
         candidates.clear();
         let result = (|| {
             candidates.extend(table.candidate_ptrs(index, key, &guard)?);
+            #[cfg(test)]
+            race_hooks::fire_stage_visit_gap();
             self.visit_candidates(&candidates, rt, single, &guard, visit)
         })();
         // Restore the buffer *empty*: the staged VersionPtrs were only valid
@@ -1383,6 +1389,7 @@ pub(crate) mod race_hooks {
 
     thread_local! {
         static LINK_HONOR_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
+        static STAGE_VISIT_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
     }
 
     /// Install `hook` on the current thread; it fires on every
@@ -1398,6 +1405,26 @@ pub(crate) mod race_hooks {
 
     pub(crate) fn fire_link_honor_gap() {
         LINK_HONOR_GAP.with(|h| {
+            if let Some(hook) = h.borrow_mut().as_mut() {
+                hook();
+            }
+        });
+    }
+
+    /// Install `hook` on the current thread; it fires in every point read
+    /// this thread performs, after the read time is drawn and the candidate
+    /// versions are staged but before any of them is judged, until cleared.
+    pub(crate) fn set_stage_visit_gap(hook: Box<dyn FnMut()>) {
+        STAGE_VISIT_GAP.with(|h| *h.borrow_mut() = Some(hook));
+    }
+
+    /// Remove the current thread's hook.
+    pub(crate) fn clear_stage_visit_gap() {
+        STAGE_VISIT_GAP.with(|h| *h.borrow_mut() = None);
+    }
+
+    pub(crate) fn fire_stage_visit_gap() {
+        STAGE_VISIT_GAP.with(|h| {
             if let Some(hook) = h.borrow_mut().as_mut() {
                 hook();
             }

@@ -32,8 +32,8 @@
 //! deadlock detector) cannot pollute the measurement; the detector is
 //! disabled anyway for determinism. The tests additionally serialize on one
 //! mutex: the write-path measurements depend on epoch-deferred recycling
-//! running promptly at zero-pin crossings, which a concurrently pinned
-//! sibling test would postpone.
+//! keeping its steady two-epoch lag, which a concurrently pinned sibling test
+//! would stretch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -264,22 +264,17 @@ fn write_engine(mode: ConcurrencyMode) -> (MvEngine, mmdb_common::ids::TableId) 
     (engine, table)
 }
 
-/// Drain the GC queue and flush the epoch-deferred recycling so the table's
-/// version pool holds at least `want` spare allocations. Single-threaded
-/// (and serialized against the sibling tests), so a pin/unpin cycle is a
-/// zero-pin crossing that runs every deferred recycle.
+/// Drain the GC queue and run *all* the epoch-deferred recycling it produced
+/// (not just `want` of it: a recycle that lands later, inside the measured
+/// region, could grow the pool's vector there), then check the table's
+/// version pool holds at least `want` spare allocations.
 fn drain_into_pool(engine: &MvEngine, table: mmdb_common::ids::TableId, want: usize) {
     while engine.collect_garbage() > 0 {}
-    let handle = engine.store().table(table).unwrap();
-    for _ in 0..1_000 {
-        drop(crossbeam::epoch::pin());
-        if handle.pooled_versions() >= want {
-            return;
-        }
-    }
-    panic!(
-        "version pool holds {} spares, wanted {want} — recycling broke",
-        handle.pooled_versions()
+    mmdb_index::test_support::flush_epochs_until(|| crossbeam::epoch::pending_deferred() == 0);
+    let pooled = engine.store().table(table).unwrap().pooled_versions();
+    assert!(
+        pooled >= want,
+        "version pool holds {pooled} spares, wanted {want} — recycling broke"
     );
 }
 
@@ -570,9 +565,10 @@ fn adaptive_policy_keeps_hot_paths_allocation_free() {
         .unwrap();
         txn.commit().unwrap();
     }
-    // A couple more whole transactions so every engine pool (handles,
-    // buffer sets, txn-table slots) is warm before counting.
-    for _ in 0..8 {
+    // More whole transactions so every engine pool (buffer sets, txn-table
+    // slots, and enough handles to cover the two-epoch lag of their slot
+    // releases) is warm before counting.
+    for _ in 0..256 {
         let mut txn = engine.begin(isolation);
         txn.read_with(table, IndexId(0), 2, &mut |row| {
             checksum += rowbuf::key_of(row)

@@ -41,3 +41,27 @@ pub use bucket_lock::BucketLockTable;
 pub use chain::{BucketIter, ChainNode, HashIndex};
 pub use ordered::{OrderedIndex, RangeIter};
 pub use range_lock::RangeLockTable;
+
+/// Support for this workspace's tests (unit tests here and in the crates
+/// layered on top); not part of the index API.
+#[doc(hidden)]
+pub mod test_support {
+    /// Run pin-and-flush rounds on the calling thread until `done` reports
+    /// that the epoch-deferred work being waited for (frees, version
+    /// recycling) has happened. Each round can move the global epoch one
+    /// step, and deferred calls run two steps after they were retired, so a
+    /// handful of rounds suffice unless another thread's guard holds the
+    /// epoch back — hence the yield. Returns `done()`'s final answer after a
+    /// bounded number of rounds, so a reclamation regression fails the
+    /// caller's assertion instead of hanging it.
+    pub fn flush_epochs_until(mut done: impl FnMut() -> bool) -> bool {
+        for _ in 0..100_000 {
+            if done() {
+                return true;
+            }
+            crossbeam::epoch::pin().flush();
+            std::thread::yield_now();
+        }
+        done()
+    }
+}

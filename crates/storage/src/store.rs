@@ -462,15 +462,8 @@ mod tests {
         }
         assert_eq!(store.collect_garbage(16), 8);
         drop(guard);
-        // Recycling is epoch-deferred; pin/unpin until a zero-pin crossing
-        // has drained it (concurrent tests may hold pins of their own).
-        for _ in 0..100_000 {
-            drop(epoch::pin());
-            if table.pooled_versions() == 8 {
-                break;
-            }
-            std::thread::yield_now();
-        }
+        // Recycling is epoch-deferred: it runs two epochs on.
+        mmdb_index::test_support::flush_epochs_until(|| table.pooled_versions() == 8);
         assert_eq!(
             table.pooled_versions(),
             8,

@@ -30,6 +30,11 @@ use crate::version::Version;
 /// guarantee no live transaction still holds an interest in the version, so
 /// dereferencing through a [`VersionPtr`] held by an active transaction is
 /// sound. See `gc.rs` for the watermark computation.
+///
+/// Note what is *not* protecting such a pointer: the epoch guard it was
+/// loaded under ended with the engine call that loaded it. Across calls the
+/// watermark alone keeps the pointee alive; the epoch grace period between
+/// unlink and recycling only covers readers that were mid-traversal.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct VersionPtr(*const Version);
 

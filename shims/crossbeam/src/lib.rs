@@ -3,199 +3,25 @@
 //! Implements the two submodules this workspace uses:
 //!
 //! * [`epoch`] — the `crossbeam_epoch` pointer API (`Atomic` / `Owned` /
-//!   `Shared` / `Guard` / `pin` / `defer_destroy`) over a *coarse* reclamation
-//!   scheme: deferred destructions go into one global bag that is emptied only
-//!   at moments when no guard is pinned anywhere (a global pin counter).
-//!   This is strictly more conservative than real epoch reclamation — memory
-//!   is never freed while any thread is pinned — so the safety contract the
-//!   callers rely on (unlink before defer; readers hold a guard) is upheld.
+//!   `Shared` / `Guard` / `pin` / `defer_destroy` / `defer_unchecked` /
+//!   `flush`) over classic three-epoch reclamation: a global epoch, one
+//!   padded participant record and a set of garbage bags per thread, frees
+//!   two epochs after retirement. Pinning writes only the thread's own
+//!   record and takes no lock.
 //! * [`queue`] — an unbounded MPMC [`queue::SegQueue`] backed by a mutexed
 //!   `VecDeque`.
 
 pub mod epoch {
-    //! Epoch-style protected pointers with coarse-grained reclamation.
+    //! Epoch-protected pointers; the reclamation scheme behind [`pin`] is
+    //! described in `epoch/reclaim.rs`.
 
     use std::marker::PhantomData;
-    use std::mem::{align_of, size_of, ManuallyDrop};
-    use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::mem::align_of;
+    use std::sync::atomic::{AtomicPtr, Ordering};
 
-    /// Words of inline closure storage in a [`Garbage`] entry. Mirrors real
-    /// `crossbeam-epoch`'s `Deferred`: small closures (a raw pointer, a raw
-    /// pointer plus an `Arc`, ...) are stored in place so deferring them
-    /// performs **no heap allocation** — this is what keeps the engines'
-    /// steady-state transaction termination (`TxnTable::remove`) and version
-    /// recycling allocation-free. Larger closures fall back to a box.
-    const INLINE_WORDS: usize = 3;
+    mod reclaim;
 
-    /// One deferred call: a type-erased `FnOnce()` stored inline when it
-    /// fits, boxed otherwise.
-    struct Garbage {
-        data: [usize; INLINE_WORDS],
-        call: unsafe fn(*mut usize),
-    }
-
-    // SAFETY: the closure is `Send` by the bound on [`Guard::defer_unchecked`]
-    // and is invoked exactly once, at a moment when no guard is pinned.
-    unsafe impl Send for Garbage {}
-
-    unsafe fn call_inline<F: FnOnce()>(data: *mut usize) {
-        unsafe { std::ptr::read(data as *mut F)() }
-    }
-
-    unsafe fn call_boxed<F: FnOnce()>(data: *mut usize) {
-        unsafe { Box::from_raw(*data as *mut F)() }
-    }
-
-    impl Garbage {
-        fn new<F: FnOnce() + Send>(f: F) -> Garbage {
-            let mut data = [0usize; INLINE_WORDS];
-            if size_of::<F>() <= size_of::<[usize; INLINE_WORDS]>()
-                && align_of::<F>() <= align_of::<usize>()
-            {
-                let f = ManuallyDrop::new(f);
-                // SAFETY: size/alignment checked above; `f` is forgotten so
-                // it is dropped exactly once, inside `call_inline`.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        &*f as *const F as *const u8,
-                        data.as_mut_ptr() as *mut u8,
-                        size_of::<F>(),
-                    );
-                }
-                Garbage {
-                    data,
-                    call: call_inline::<F>,
-                }
-            } else {
-                data[0] = Box::into_raw(Box::new(f)) as usize;
-                Garbage {
-                    data,
-                    call: call_boxed::<F>,
-                }
-            }
-        }
-
-        /// Invoke the deferred closure (consumes the entry).
-        unsafe fn run(mut self) {
-            unsafe { (self.call)(self.data.as_mut_ptr()) }
-        }
-    }
-
-    /// Number of currently pinned guards across all threads.
-    static ACTIVE_PINS: AtomicUsize = AtomicUsize::new(0);
-    /// Deferred calls awaiting a moment with zero pinned guards.
-    static GARBAGE: Mutex<Vec<Garbage>> = Mutex::new(Vec::new());
-
-    /// `Send` wrapper for a raw pointer captured by a deferred destructor.
-    struct SendPtr<T>(*mut T);
-    // SAFETY: the pointee is only touched once, by the deferred call, at a
-    // moment when no other thread can reach it.
-    unsafe impl<T> Send for SendPtr<T> {}
-
-    /// Pin the current thread, returning a guard that keeps deferred
-    /// destructions at bay while it lives.
-    pub fn pin() -> Guard {
-        ACTIVE_PINS.fetch_add(1, Ordering::AcqRel);
-        Guard {
-            _not_send: PhantomData,
-        }
-    }
-
-    /// A pinned-epoch guard. While any guard exists, nothing deferred is
-    /// freed.
-    pub struct Guard {
-        _not_send: PhantomData<*mut ()>,
-    }
-
-    impl Guard {
-        /// Defer destruction of the object `ptr` points to until no guard is
-        /// pinned anywhere.
-        ///
-        /// # Safety
-        /// `ptr` must point to a valid, uniquely-owned heap allocation
-        /// created via [`Owned::new`] (or `Box`), already unreachable to any
-        /// thread not currently pinned, and never deferred twice.
-        pub unsafe fn defer_destroy<T>(&self, ptr: Shared<'_, T>) {
-            if ptr.is_null() {
-                return;
-            }
-            let raw = SendPtr(ptr.as_raw() as *mut T);
-            // SAFETY: forwarded caller contract; the closure drops the boxed
-            // allocation exactly once.
-            unsafe {
-                self.defer_unchecked(move || {
-                    let raw = raw;
-                    drop(Box::from_raw(raw.0));
-                })
-            }
-        }
-
-        /// Defer an arbitrary call until no guard is pinned anywhere. Small
-        /// closures (up to three words) are stored inline — no allocation —
-        /// mirroring real `crossbeam-epoch`'s `Deferred`.
-        ///
-        /// # Safety
-        /// Whatever the closure touches must remain valid until it runs (the
-        /// usual epoch contract: unlink before defer; readers hold a guard),
-        /// and it must be safe to run on any thread.
-        pub unsafe fn defer_unchecked<F: FnOnce() + Send>(&self, f: F) {
-            GARBAGE
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(Garbage::new(f));
-        }
-
-        /// No-op on this implementation (kept for API parity).
-        pub fn flush(&self) {}
-    }
-
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            // Fast path: other guards are still pinned somewhere, so nothing
-            // can be freed yet — skip the bag lock entirely. Taking the
-            // global mutex on *every* unpin would serialize all reader
-            // threads once per operation, which is exactly the overhead the
-            // engines' lock-free read path avoids.
-            if ACTIVE_PINS.fetch_sub(1, Ordering::AcqRel) != 1 {
-                return;
-            }
-            // We observed the pin count drop to zero: try to collect. Frees
-            // happen outside the lock so a destructor may pin again.
-            let mut to_free = Vec::new();
-            {
-                let mut bag = GARBAGE.lock().unwrap_or_else(|p| p.into_inner());
-                // Re-check under the bag lock: a thread that pinned after our
-                // decrement may be mid-defer, and its garbage must survive.
-                // Deferral pushes under this same lock, so either we observe
-                // its pin here (and skip — that thread's own unpin collects
-                // later) or its push lands only after we release the lock.
-                if ACTIVE_PINS.load(Ordering::Acquire) == 0 {
-                    std::mem::swap(&mut *bag, &mut to_free);
-                }
-            }
-            for g in to_free.drain(..) {
-                // SAFETY: zero pins were observed under the bag lock, so
-                // every item in the taken bag was deferred by a thread that
-                // has since unpinned, no thread still holds a protected
-                // reference, and new pinners cannot reach the pointees
-                // (deferred objects are unlinked before being deferred).
-                unsafe { g.run() };
-            }
-            // Hand the drained capacity back to the bag: collection cycles
-            // are frequent under low concurrency (every unpin-to-zero), and
-            // re-growing the bag from scratch each cycle would make every
-            // steady-state `defer` allocate — exactly what the engines'
-            // allocation-free paths rely on not happening.
-            if to_free.capacity() > 0 {
-                let mut bag = GARBAGE.lock().unwrap_or_else(|p| p.into_inner());
-                if bag.capacity() < to_free.capacity() {
-                    std::mem::swap(&mut *bag, &mut to_free);
-                    bag.append(&mut to_free);
-                }
-            }
-        }
-    }
+    pub use reclaim::{pending_deferred, pin, Guard};
 
     /// An atomic pointer to `T` manipulated through guards.
     pub struct Atomic<T> {
@@ -564,62 +390,6 @@ mod tests {
             guard.defer_destroy(loaded);
             guard.defer_destroy(a.load(Ordering::Acquire, &guard));
         }
-    }
-
-    #[test]
-    fn deferred_destruction_runs_at_unpin() {
-        use std::sync::atomic::AtomicUsize;
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Tracker;
-        impl Drop for Tracker {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        {
-            let guard = epoch::pin();
-            let s = Owned::new(Tracker).into_shared(&guard);
-            unsafe { guard.defer_destroy(s) };
-            assert_eq!(DROPS.load(Ordering::SeqCst), 0, "not freed while pinned");
-        }
-        // Freed at the zero-pin crossing (single-threaded here, so exactly now
-        // unless a concurrent test holds a pin — run again to be sure).
-        let _ = epoch::pin();
-        assert!(DROPS.load(Ordering::SeqCst) <= 1);
-    }
-
-    #[test]
-    fn defer_unchecked_runs_inline_and_boxed_closures() {
-        use std::sync::atomic::AtomicUsize;
-        static RAN: AtomicUsize = AtomicUsize::new(0);
-        {
-            let guard = epoch::pin();
-            // Inline path: a closure of one word.
-            let small = 7usize;
-            unsafe {
-                guard.defer_unchecked(move || {
-                    RAN.fetch_add(small, Ordering::SeqCst);
-                })
-            };
-            // Boxed path: a closure larger than three words.
-            let big = [1usize, 2, 3, 4, 5];
-            unsafe {
-                guard.defer_unchecked(move || {
-                    RAN.fetch_add(big.iter().sum::<usize>(), Ordering::SeqCst);
-                })
-            };
-            assert_eq!(RAN.load(Ordering::SeqCst), 0, "not run while pinned");
-        }
-        // Concurrent tests may hold pins; spin until a zero-pin crossing has
-        // run both closures (bounded so a regression still fails fast).
-        for _ in 0..10_000 {
-            drop(epoch::pin());
-            if RAN.load(Ordering::SeqCst) == 22 {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(RAN.load(Ordering::SeqCst), 22);
     }
 
     #[test]

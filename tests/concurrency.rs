@@ -3,7 +3,7 @@
 //! stability during heavy updates, redo-log ordering and garbage collection
 //! behaviour under load.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -351,6 +351,105 @@ fn cooperative_gc_keeps_version_count_bounded_under_update_load() {
 
     // Statistics helper sanity.
     let _ = EngineStats::new();
+}
+
+/// ROADMAP north-star 3, "memory stays bounded under sustained load": two
+/// threads update a hot set back-to-back — their epoch pins overlap all the
+/// time, there is no quiet moment for anything to wait for — and neither the
+/// versions reachable from the table nor the calls parked in the epoch layer
+/// may grow with the number of transactions. Runs for `MMDB_GC_STRESS_MS`
+/// (default 600 ms) split over MV/O and MV/L, and in any case until enough
+/// transactions committed for the bounds to mean something. The bounds are
+/// on the *median* sample: a worker descheduled in the middle of an
+/// operation holds the GC watermark and the epoch back for its time slice,
+/// and what piles up meanwhile (a burst, gone a moment later) says nothing
+/// about growth.
+#[test]
+fn sustained_update_load_keeps_versions_and_epoch_garbage_bounded() {
+    const ROWS: u64 = 256;
+    /// Unreclaimed versions allowed on top of the live rows: the collector
+    /// runs every 128 commits and takes 256 items a step, so the backlog
+    /// hovers in the hundreds however long the run.
+    const VERSION_MARGIN: usize = 4_096;
+    /// Deferred calls allowed in the epoch layer, process-wide (the sibling
+    /// tests in this binary contribute a few thousand of their own).
+    const PENDING_BOUND: usize = 16_384;
+    /// Every commit retires a version and a handle reference; this many
+    /// commits would overshoot both bounds several times over if either
+    /// kind of garbage accumulated.
+    const MIN_COMMITS: u64 = 100_000;
+
+    let budget_ms: u64 = std::env::var("MMDB_GC_STRESS_MS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(600);
+    let per_engine = Duration::from_millis(budget_ms / 2);
+
+    for engine in [
+        MvEngine::optimistic(MvConfig::default()),
+        MvEngine::pessimistic(MvConfig::default()),
+    ] {
+        let table = engine
+            .create_table(TableSpec::keyed_u64("hot", 256))
+            .unwrap();
+        engine
+            .populate(table, (0..ROWS).map(|k| rowbuf::keyed_row(k, FILLER, 1)))
+            .unwrap();
+        let commits = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+        let (mut versions, mut pending) = (Vec::new(), Vec::new());
+
+        std::thread::scope(|scope| {
+            for w in 0..2u64 {
+                let (engine, commits, stop) = (&engine, &commits, &stop);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(w);
+                    while !stop.load(Ordering::Relaxed) {
+                        let k = rng.gen_range(0..ROWS);
+                        let mut txn = engine.begin(IsolationLevel::SnapshotIsolation);
+                        let row = rowbuf::keyed_row(k, FILLER, rng.gen());
+                        // Write-write conflicts on the hot set abort; the
+                        // loser simply moves on.
+                        if txn.update(table, IndexId(0), k, row).is_ok() && txn.commit().is_ok() {
+                            commits.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+            // Sample once the pools and the collector have reached their
+            // steady state, i.e. after the first tenth of the work.
+            let started = std::time::Instant::now();
+            loop {
+                std::thread::sleep(Duration::from_millis(5));
+                let done = commits.load(Ordering::Relaxed);
+                if done >= MIN_COMMITS / 10 {
+                    versions.push(engine.version_count(table).unwrap());
+                    pending.push(crossbeam::epoch::pending_deferred());
+                }
+                if done >= MIN_COMMITS && started.elapsed() >= per_engine {
+                    break;
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+
+        let committed = commits.load(Ordering::Relaxed);
+        let median = |samples: &mut Vec<usize>| {
+            samples.sort_unstable();
+            samples[samples.len() / 2]
+        };
+        let (versions, pending) = (median(&mut versions), median(&mut pending));
+        assert!(
+            versions <= ROWS as usize + VERSION_MARGIN,
+            "{versions} versions reachable for {ROWS} rows (median) over {committed} commits: \
+             version garbage grows with the load"
+        );
+        assert!(
+            pending <= PENDING_BOUND,
+            "{pending} deferred calls pending (median) over {committed} commits: \
+             epoch garbage grows with the load"
+        );
+    }
 }
 
 #[test]
