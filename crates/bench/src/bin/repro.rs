@@ -6,7 +6,7 @@
 //! experiments: fig4 fig5 table3 fig6 fig7 fig8 fig9 table4 ablation perf all
 //!              perf-read perf-write   (the two perf halves individually)
 //!              perf-range   (ordered-index range scans: skip list vs 1V)
-//!              perf-commit  (commit durability: group commit vs per-txn flush)
+//!              perf-commit  (commit durability: Sync vs Async, tickless vs ticked group commit)
 //!              perf-recovery  (restart: checkpoint + tail vs full log replay)
 //!              perf-adaptive  (MV/O vs MV/L vs adaptive MV/A along the
 //!                              fig4→fig5 contention axis)
@@ -211,14 +211,13 @@ fn recover_smoke(cfg: &ExpConfig) {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
-    use mmdb_common::engine::{Engine, EngineTxn};
-    use mmdb_common::error::Result;
+    use mmdb_common::engine::EngineTxn;
     use mmdb_common::ids::{IndexId, TableId};
     use mmdb_common::isolation::IsolationLevel;
     use mmdb_common::row::{rowbuf, IndexSpec, KeySpec, TableSpec};
-    use mmdb_storage::log::{
-        read_log_bytes, FileLogger, LogOp, NullLogger, RecoveryReport, RedoLogger,
-    };
+    use mmdb_storage::durable::Durable;
+    use mmdb_storage::group_commit::GroupCommitLog;
+    use mmdb_storage::log::{read_log_bytes, LogOp, NullLogger, RedoLogger};
 
     const PRIMARY: IndexId = IndexId(0);
     const FILLER: usize = 16;
@@ -233,18 +232,13 @@ fn recover_smoke(cfg: &ExpConfig) {
         })
     }
 
-    fn smoke<E: Engine>(
-        label: &str,
-        rows: u64,
-        make: &dyn Fn(Arc<dyn RedoLogger>) -> E,
-        recover: &dyn Fn(&E, &[u8]) -> Result<RecoveryReport>,
-    ) {
+    fn smoke<E: Durable>(label: &str, rows: u64, make: &dyn Fn(Arc<dyn RedoLogger>) -> E) {
         let path = std::env::temp_dir().join(format!(
             "mmdb-repro-recover-{}-{}.log",
             std::process::id(),
             label.replace('/', "_")
         ));
-        let logger = Arc::new(FileLogger::create(&path).expect("create log file"));
+        let logger = Arc::new(GroupCommitLog::create(&path).expect("create log file"));
         let engine = make(logger.clone());
         let table = engine.create_table(spec(rows)).expect("create table");
 
@@ -308,7 +302,7 @@ fn recover_smoke(cfg: &ExpConfig) {
 
             let fresh: E = make(Arc::new(NullLogger::new()));
             let fresh_table: TableId = fresh.create_table(spec(rows)).expect("create table");
-            let report = recover(&fresh, prefix).expect("recovery succeeds");
+            let report = fresh.recover_bytes(prefix).expect("recovery succeeds");
 
             let mut txn = fresh.begin(IsolationLevel::ReadCommitted);
             let mut recovered: BTreeMap<u64, u8> = BTreeMap::new();
@@ -336,17 +330,11 @@ fn recover_smoke(cfg: &ExpConfig) {
     let rows = cfg.hot_rows.clamp(64, 500);
     println!("## recover — crash/replay durability smoke ({rows} rows)");
     println!();
-    smoke(
-        "MV/O",
-        rows,
-        &|logger| mmdb_core::MvEngine::with_logger(mmdb_core::MvConfig::optimistic(), logger),
-        &|engine, bytes| engine.recover_bytes(bytes),
-    );
-    smoke(
-        "1V",
-        rows,
-        &|logger| mmdb_onev::SvEngine::with_logger(mmdb_onev::SvConfig::default(), logger),
-        &|engine, bytes| engine.recover_bytes(bytes),
-    );
+    smoke("MV/O", rows, &|logger| {
+        mmdb_core::MvEngine::with_logger(mmdb_core::MvConfig::optimistic(), logger)
+    });
+    smoke("1V", rows, &|logger| {
+        mmdb_onev::SvEngine::with_logger(mmdb_onev::SvConfig::default(), logger)
+    });
     println!();
 }

@@ -6,17 +6,13 @@
 //! second** with a real redo log underneath: `threads` workers update
 //! disjoint key ranges of a warmed MV/O table (no concurrency-control
 //! conflicts — the log is the only shared resource under test) while every
-//! commit runs at the requested [`Durability`]. The logger is the swept
-//! variable:
-//!
-//! * a plain [`FileLogger`](mmdb_storage::log::FileLogger), whose default
-//!   `wait_durable` is a full per-transaction `write`+sync — the
-//!   conventional synchronous-commit baseline;
-//! * a [`GroupCommitLog`](mmdb_storage::group_commit::GroupCommitLog),
-//!   tickless (leader-elected inline flush) or with a background tick,
-//!   where concurrent Sync committers share one `write`+sync per batch.
+//! commit runs at the requested [`Durability`]. The swept variable is how
+//! the [`GroupCommitLog`] is
+//! flushed: tickless (a lone Sync committer pays one `write`+sync per
+//! transaction; concurrent ones elect a leader and share it) or with a
+//! background tick.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -26,6 +22,7 @@ use mmdb_common::engine::{Engine as _, EngineTxn as _};
 use mmdb_common::ids::IndexId;
 use mmdb_common::row::rowbuf::{grouped_row, grouped_spec};
 use mmdb_core::{MvConfig, MvEngine};
+use mmdb_storage::group_commit::GroupCommitLog;
 use mmdb_storage::log::RedoLogger;
 
 /// Transactions each worker commits before the measured window opens:
@@ -38,24 +35,26 @@ pub fn scratch_log(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mmdb-perf-commit-{}-{tag}.log", std::process::id()))
 }
 
-/// A logger factory the experiment sweeps: builds the redo logger under
-/// test at the given scratch path.
-pub type MakeLogger<'a> = &'a dyn Fn(&Path) -> Arc<dyn RedoLogger>;
-
 /// Committed-transactions-per-second of `threads` workers updating disjoint
-/// key ranges at the given durability, on a fresh MV/O engine wired to the
-/// logger `make_logger` builds at a scratch path. The scratch log file is
-/// removed afterwards.
+/// key ranges at the given durability, on a fresh MV/O engine wired to a
+/// group-commit log at a scratch path — tickless for `tick == None`. The
+/// scratch log file is removed afterwards.
 pub fn commit_throughput(
     tag: &str,
     rows: u64,
     threads: usize,
     duration: Duration,
     durability: Durability,
-    make_logger: MakeLogger<'_>,
+    tick: Option<Duration>,
 ) -> f64 {
     let path = scratch_log(tag);
-    let logger = make_logger(&path);
+    let logger = Arc::new(
+        match tick {
+            None => GroupCommitLog::create(&path),
+            Some(tick) => GroupCommitLog::with_tick(&path, tick),
+        }
+        .expect("create group-commit log"),
+    );
     let engine = MvEngine::with_logger(
         MvConfig::optimistic().with_deadlock_detector(false),
         logger.clone(),
@@ -123,32 +122,19 @@ pub fn commit_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_storage::group_commit::GroupCommitLog;
-    use mmdb_storage::log::FileLogger;
 
     #[test]
     fn throughput_is_positive_for_every_logger_shape() {
-        let cases: [(&str, Durability, MakeLogger<'_>); 3] = [
-            ("test-file-sync", Durability::Sync, &|p: &Path| -> Arc<
-                dyn RedoLogger,
-            > {
-                Arc::new(FileLogger::create(p).expect("file logger"))
-            }),
-            ("test-gc-sync", Durability::Sync, &|p: &Path| -> Arc<
-                dyn RedoLogger,
-            > {
-                Arc::new(GroupCommitLog::create(p).expect("gc logger"))
-            }),
-            ("test-gc-async", Durability::Async, &|p: &Path| -> Arc<
-                dyn RedoLogger,
-            > {
-                Arc::new(
-                    GroupCommitLog::with_tick(p, Duration::from_micros(200)).expect("gc logger"),
-                )
-            }),
+        let cases = [
+            ("test-gc-sync", Durability::Sync, None),
+            (
+                "test-gc-async",
+                Durability::Async,
+                Some(Duration::from_micros(200)),
+            ),
         ];
-        for (tag, durability, make) in cases {
-            let tps = commit_throughput(tag, 512, 2, Duration::from_millis(40), durability, make);
+        for (tag, durability, tick) in cases {
+            let tps = commit_throughput(tag, 512, 2, Duration::from_millis(40), durability, tick);
             assert!(tps > 0.0, "{tag}: no transactions committed");
         }
     }

@@ -659,9 +659,8 @@ fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
 ///   `Option<Row>` / `Vec<Row>`) and the visitor API (`read_with` /
 ///   `scan_key_with`, allocation-free steady state);
 /// * the 1V point read for comparison (lock-coupled, inherently allocating);
-/// * the transaction-table lookup both ways (`get` clones an `Arc`,
-///   `get_in` borrows under an epoch guard) — the per-version visibility
-///   cost of §2.5.
+/// * the transaction-table lookup (`get_in` borrows under an epoch guard) —
+///   the per-version visibility cost of §2.5.
 pub fn readpath_perf(cfg: &ExpConfig) -> SeriesTable {
     use mmdb_common::engine::EngineTxn as _;
     use mmdb_common::ids::{IndexId, TxnId};
@@ -734,11 +733,6 @@ pub fn readpath_perf(cfg: &ExpConfig) -> SeriesTable {
 
     // --- TxnTable lookups (the §2.5 per-version visibility cost) ---
     let txns = registered_txn_table();
-    let mut id = 1u64;
-    let get_arc = ns_per_op(lookup_iters, || {
-        id = id % TXN_TABLE_ENTRIES + 1;
-        std::hint::black_box(txns.get(TxnId(id)).expect("registered").id());
-    });
     let guard = crossbeam::epoch::pin();
     let mut id = 1u64;
     let get_borrow = ns_per_op(lookup_iters, || {
@@ -753,7 +747,6 @@ pub fn readpath_perf(cfg: &ExpConfig) -> SeriesTable {
         ("MV/O scan x8 (materializing `scan_key`)", scan_mat),
         ("MV/O scan x8 (visitor `scan_key_with`)", scan_vis),
         ("1V point read (visitor `read_with`)", sv_read_vis),
-        ("TxnTable lookup (`get`, Arc clone)", get_arc),
         ("TxnTable lookup (`get_in`, guard borrow)", get_borrow),
     ] {
         table.rows.push((label.to_string(), vec![value]));
@@ -984,29 +977,24 @@ pub fn writepath_perf(cfg: &ExpConfig) -> SeriesTable {
 /// second on a warmed MV/O engine with a real redo log underneath, workers
 /// on disjoint key ranges (the log is the only shared resource under test):
 ///
-/// * **Sync, per-txn flush** — a plain `FileLogger`, whose default
-///   `wait_durable` is one `write`+sync per committing transaction: the
-///   conventional synchronous-commit baseline group commit is measured
-///   against (the ≥2× acceptance bar of the multi-threaded column).
-/// * **Sync, group commit** — a `GroupCommitLog`, tickless (the first
-///   waiter becomes the leader and flushes for everyone queued) and with a
-///   background tick (committers wait at most one tick; the flusher
-///   hardens whole batches);
+/// * **Sync, tickless** — the first waiter becomes the leader and flushes
+///   for everyone queued. The single-threaded column is the conventional
+///   one-`write`+sync-per-transaction baseline (a lone committer is always
+///   its own leader); the multi-threaded column is what batching buys.
+/// * **Sync, 200 µs tick** — committers wait at most one tick; the
+///   background flusher hardens whole batches.
 /// * **Async** — the paper's model (§5: transactions never wait for log
-///   I/O) on both loggers, for the headline contrast.
+///   I/O), tickless (hardened when the buffer fills and at the end) and
+///   ticked, for the headline contrast.
 pub fn commitpath_perf(cfg: &ExpConfig) -> SeriesTable {
-    use std::sync::Arc;
-
     use mmdb_common::durability::Durability;
-    use mmdb_storage::group_commit::GroupCommitLog;
-    use mmdb_storage::log::FileLogger;
 
-    use crate::commitpath::{commit_throughput, MakeLogger};
+    use crate::commitpath::commit_throughput;
 
     // The contended resource is the log, not the table: a modest table keeps
     // populate time out of the measurement without changing what is measured.
     let rows = cfg.rows.clamp(4_096, 65_536);
-    let tick = Duration::from_micros(200);
+    let tick = Some(Duration::from_micros(200));
     // One single-threaded column (batching cannot help a lone Sync
     // committer — kept honest) and one at a group-commit-friendly
     // multiprogramming level.
@@ -1023,37 +1011,21 @@ pub fn commitpath_perf(cfg: &ExpConfig) -> SeriesTable {
         unit: "committed transactions per second".into(),
     };
 
-    let file_logger: MakeLogger<'_> =
-        &|p| Arc::new(FileLogger::create(p).expect("create file logger"));
-    let tickless: MakeLogger<'_> =
-        &|p| Arc::new(GroupCommitLog::create(p).expect("create group-commit logger"));
-    let ticked: MakeLogger<'_> =
-        &|p| Arc::new(GroupCommitLog::with_tick(p, tick).expect("create group-commit logger"));
-
-    let series: [(&str, Durability, MakeLogger<'_>); 5] = [
-        (
-            "Sync, per-txn flush (FileLogger)",
-            Durability::Sync,
-            file_logger,
-        ),
+    let series = [
         (
             "Sync, group commit (tickless leader)",
             Durability::Sync,
-            tickless,
+            None,
         ),
-        ("Sync, group commit (200us tick)", Durability::Sync, ticked),
+        ("Sync, group commit (200us tick)", Durability::Sync, tick),
         (
-            "Async, FileLogger (flush at end)",
+            "Async, group commit (tickless, flush at end)",
             Durability::Async,
-            file_logger,
+            None,
         ),
-        (
-            "Async, group commit (200us tick)",
-            Durability::Async,
-            ticked,
-        ),
+        ("Async, group commit (200us tick)", Durability::Async, tick),
     ];
-    for (i, (label, durability, make)) in series.into_iter().enumerate() {
+    for (i, (label, durability, tick)) in series.into_iter().enumerate() {
         let mut values = Vec::with_capacity(thread_counts.len());
         for &threads in &thread_counts {
             values.push(commit_throughput(
@@ -1062,7 +1034,7 @@ pub fn commitpath_perf(cfg: &ExpConfig) -> SeriesTable {
                 threads,
                 cfg.duration,
                 durability,
-                make,
+                tick,
             ));
         }
         table.rows.push((label.to_string(), values));
@@ -1101,6 +1073,7 @@ pub fn recovery_perf(cfg: &ExpConfig) -> SeriesTable {
     use mmdb_common::ids::IndexId;
     use mmdb_common::row::{rowbuf, TableSpec};
     use mmdb_storage::checkpoint::CheckpointStore;
+    use mmdb_storage::durable::Durable as _;
     use mmdb_storage::log::{NullLogger, RedoLogger as _};
 
     const FILLER: usize = 16;
@@ -1530,7 +1503,7 @@ mod tests {
     fn readpath_perf_reports_every_series() {
         let t = readpath_perf(&tiny());
         assert_eq!(t.xs, vec!["ns/op".to_string()]);
-        assert_eq!(t.rows.len(), 7);
+        assert_eq!(t.rows.len(), 6);
         for (label, series) in &t.rows {
             assert_eq!(series.len(), 1);
             assert!(
@@ -1538,13 +1511,6 @@ mod tests {
                 "{label}: ns/op must be positive: {t:?}"
             );
         }
-        // The lock-free borrow can never be slower than clone-the-Arc by an
-        // order of magnitude (sanity, not a perf assertion).
-        let arc = t.value("TxnTable lookup (`get`, Arc clone)", 0).unwrap();
-        let borrow = t
-            .value("TxnTable lookup (`get_in`, guard borrow)", 0)
-            .unwrap();
-        assert!(borrow < arc * 10.0, "get_in {borrow} vs get {arc}");
     }
 
     #[test]
@@ -1597,7 +1563,7 @@ mod tests {
     #[test]
     fn commitpath_perf_reports_every_series() {
         let t = commitpath_perf(&tiny());
-        assert_eq!(t.rows.len(), 5);
+        assert_eq!(t.rows.len(), 4);
         assert_eq!(t.xs.len(), 2);
         for (label, series) in &t.rows {
             assert_eq!(series.len(), 2);
@@ -1611,7 +1577,7 @@ mod tests {
         // Sanity, not a perf assertion: an Async commit never syncs, so it
         // cannot be slower than the per-transaction-flush Sync baseline by
         // an order of magnitude.
-        let sync_per_txn = t.value("Sync, per-txn flush (FileLogger)", 0).unwrap();
+        let sync_per_txn = t.value("Sync, group commit (tickless leader)", 0).unwrap();
         let async_gc = t.value("Async, group commit (200us tick)", 0).unwrap();
         assert!(
             async_gc * 10.0 > sync_per_txn,

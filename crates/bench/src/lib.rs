@@ -2,8 +2,7 @@
 //!
 //! Experiment harness reproducing every table and figure of the paper's
 //! evaluation (§5). The `repro` binary drives the functions in
-//! [`experiments`]; the Criterion benchmarks under `benches/` exercise the
-//! same code paths at micro scale.
+//! [`experiments`].
 //!
 //! All experiments compare the three concurrency-control schemes the paper
 //! evaluates: single-version locking (**1V**), pessimistic multiversioning

@@ -1,8 +1,7 @@
-//! Shared fixture for the read-path measurements: the `repro perf`
-//! experiment ([`crate::experiments::readpath_perf`], recorded into
-//! `BENCH_readpath.json`) and the criterion bench
-//! (`benches/readpath.rs`) measure *the same operations*, so the row
-//! layout, table spec, warmed engines and key strides live here once.
+//! Fixture for the read-path measurements of the `repro perf` experiment
+//! ([`crate::experiments::readpath_perf`], recorded into
+//! `BENCH_readpath.json`): row layout, table spec, warmed engines and key
+//! strides.
 
 use std::time::Duration;
 

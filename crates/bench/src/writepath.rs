@@ -1,9 +1,7 @@
-//! Shared fixture for the write-path measurements: the `repro perf`
-//! experiment ([`crate::experiments::writepath_perf`], recorded into
-//! `BENCH_writepath.json`) and the criterion bench
-//! (`benches/writepath.rs`) measure *the same transactions*, so the warmed
-//! engines and key strides live here once (row layout shared with the read
-//! path via `rowbuf::grouped_row`).
+//! Fixture for the write-path measurements of the `repro perf` experiment
+//! ([`crate::experiments::writepath_perf`], recorded into
+//! `BENCH_writepath.json`): warmed engines and key strides (row layout
+//! shared with the read path via `rowbuf::grouped_row`).
 //!
 //! The measured unit is a whole warmed write transaction —
 //! begin → update → commit (or an insert-then-delete pair) — because that is

@@ -45,22 +45,15 @@ pub trait EngineTxn: Send {
     /// Insert a new row. The row must satisfy every index's key extractor.
     fn insert(&mut self, table: TableId, row: Row) -> Result<()>;
 
-    /// Point lookup through an index: returns the (at most one, for unique
-    /// indexes) visible row with the given key.
-    fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>>;
-
-    /// Equality scan through an index: returns every visible row whose index
-    /// key equals `key` (non-unique indexes may return several).
-    fn scan_key(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Vec<Row>>;
-
     /// Visitor-style point lookup: invoke `visit` on the visible row with the
     /// given key (at most once) without materializing it. Returns whether a
     /// row was found.
     ///
-    /// This is the allocation-free read path: engines override it to hand the
-    /// caller a borrow of the stored payload instead of building an
-    /// `Option<Row>`. The default implementation delegates to [`EngineTxn::read`]
-    /// for engines that have not opted in.
+    /// This and the two scans below are the read primitives every engine
+    /// implements: they hand the caller a borrow of the stored payload, so
+    /// the steady-state read path allocates nothing. [`EngineTxn::read`],
+    /// [`EngineTxn::scan_key`] and [`EngineTxn::scan_range`] materialize
+    /// through them.
     ///
     /// **The visitor must not call back into the engine** (no reads, writes
     /// or transaction control from inside `visit`): engines are free to run
@@ -74,61 +67,27 @@ pub trait EngineTxn: Send {
         index: IndexId,
         key: Key,
         visit: &mut dyn FnMut(&Row),
-    ) -> Result<bool> {
-        match self.read(table, index, key)? {
-            Some(row) => {
-                visit(&row);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
+    ) -> Result<bool>;
 
     /// Visitor-style equality scan: invoke `visit` on every visible row whose
-    /// index key equals `key`, in index-chain order, without materializing a
-    /// `Vec`. Returns the number of rows visited.
-    ///
-    /// Like [`EngineTxn::read_with`], this is the allocation-free path;
-    /// engines override it, and the default delegates to
-    /// [`EngineTxn::scan_key`]. The same reentrancy rule applies: the
-    /// visitor must not call back into the engine.
+    /// index key equals `key` (non-unique indexes may yield several), in
+    /// index-chain order, without materializing a `Vec`. Returns the number
+    /// of rows visited. The [`EngineTxn::read_with`] reentrancy rule applies.
     fn scan_key_with(
         &mut self,
         table: TableId,
         index: IndexId,
         key: Key,
         visit: &mut dyn FnMut(&Row),
-    ) -> Result<usize> {
-        let rows = self.scan_key(table, index, key)?;
-        for row in &rows {
-            visit(row);
-        }
-        Ok(rows.len())
-    }
+    ) -> Result<usize>;
 
-    /// Range scan through an *ordered* index: returns every visible row whose
-    /// index key falls in the inclusive range `[lo, hi]`, in ascending key
-    /// order. Hash indexes cannot serve range predicates; scanning one (or an
-    /// engine without ordered-index support) fails with
+    /// Visitor-style range scan through an *ordered* index: invoke `visit` on
+    /// every visible row whose index key falls in the inclusive range
+    /// `[lo, hi]`, in ascending key order. Returns the number of rows
+    /// visited. Hash indexes cannot serve range predicates; scanning one
+    /// fails with
     /// [`MmdbError::IndexNotOrdered`](crate::error::MmdbError::IndexNotOrdered).
-    fn scan_range(&mut self, table: TableId, index: IndexId, lo: Key, hi: Key) -> Result<Vec<Row>> {
-        let mut rows = Vec::new();
-        self.scan_range_with(table, index, lo, hi, &mut |row| {
-            rows.push(Row::copy_from_slice(row))
-        })?;
-        Ok(rows)
-    }
-
-    /// Visitor-style range scan: invoke `visit` on every visible row whose
-    /// index key falls in `[lo, hi]`, in ascending key order, without
-    /// materializing a `Vec`. Returns the number of rows visited.
-    ///
-    /// This is the primitive the engines override ([`EngineTxn::scan_range`]
-    /// materializes through it). The default rejects the scan with
-    /// [`MmdbError::IndexNotOrdered`](crate::error::MmdbError::IndexNotOrdered):
-    /// an engine that has not wired up an ordered index has nothing to range
-    /// over. The [`EngineTxn::read_with`] reentrancy rule applies — the
-    /// visitor must not call back into the engine.
+    /// The [`EngineTxn::read_with`] reentrancy rule applies.
     fn scan_range_with(
         &mut self,
         table: TableId,
@@ -136,9 +95,30 @@ pub trait EngineTxn: Send {
         lo: Key,
         hi: Key,
         visit: &mut dyn FnMut(&Row),
-    ) -> Result<usize> {
-        let _ = (lo, hi, visit);
-        Err(crate::error::MmdbError::IndexNotOrdered(table, index))
+    ) -> Result<usize>;
+
+    /// Point lookup returning an owned copy of the row
+    /// ([`EngineTxn::read_with`] plus a clone).
+    fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>> {
+        let mut out = None;
+        self.read_with(table, index, key, &mut |row| out = Some(row.clone()))?;
+        Ok(out)
+    }
+
+    /// Equality scan returning owned copies of the rows
+    /// ([`EngineTxn::scan_key_with`] plus a clone per row).
+    fn scan_key(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        self.scan_key_with(table, index, key, &mut |row| rows.push(row.clone()))?;
+        Ok(rows)
+    }
+
+    /// Range scan returning owned copies of the rows
+    /// ([`EngineTxn::scan_range_with`] plus a clone per row).
+    fn scan_range(&mut self, table: TableId, index: IndexId, lo: Key, hi: Key) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        self.scan_range_with(table, index, lo, hi, &mut |row| rows.push(row.clone()))?;
+        Ok(rows)
     }
 
     /// Replace the visible row with key `key` (located through `index`) by
@@ -325,16 +305,36 @@ mod tests {
             }
             Ok(())
         }
-        fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>> {
-            Ok(self.scan_key(table, index, key)?.into_iter().next())
+        fn read_with(
+            &mut self,
+            table: TableId,
+            index: IndexId,
+            key: Key,
+            visit: &mut dyn FnMut(&Row),
+        ) -> Result<bool> {
+            let mut first = true;
+            self.scan_key_with(table, index, key, &mut |row| {
+                if std::mem::take(&mut first) {
+                    visit(row);
+                }
+            })
+            .map(|n| n > 0)
         }
-        fn scan_key(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Vec<Row>> {
+        fn scan_key_with(
+            &mut self,
+            table: TableId,
+            index: IndexId,
+            key: Key,
+            visit: &mut dyn FnMut(&Row),
+        ) -> Result<usize> {
             let g = self.inner.lock().unwrap();
             let (_, data) = g
                 .tables
                 .get(table.0 as usize)
                 .ok_or(MmdbError::TableNotFound(table))?;
-            Ok(data.get(&(index.0, key)).cloned().unwrap_or_default())
+            let rows = data.get(&(index.0, key)).map_or(&[][..], Vec::as_slice);
+            rows.iter().for_each(visit);
+            Ok(rows.len())
         }
         fn scan_range_with(
             &mut self,
@@ -457,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn default_visitor_reads_delegate_to_materializing_reads() {
+    fn materializing_reads_agree_with_the_visitors() {
         let engine = TrivialEngine::new();
         let spec = TableSpec::keyed_u64("t", 16).with_index(crate::row::IndexSpec {
             name: "fill".into(),
@@ -493,6 +493,19 @@ mod tests {
         keys.sort_unstable();
         assert_eq!(n, 2);
         assert_eq!(keys, vec![1, 2]);
+
+        // The provided wrappers clone exactly what the visitors see.
+        assert_eq!(
+            txn.read(t, IndexId(0), 1)
+                .unwrap()
+                .map(|r| rowbuf::key_of(&r)),
+            Some(1)
+        );
+        assert_eq!(txn.read(t, IndexId(0), 99).unwrap(), None);
+        let rows = txn
+            .scan_key(t, IndexId(1), crate::hash::hash_bytes(&[0xAA]))
+            .unwrap();
+        assert_eq!(rows.len(), 2);
         txn.commit().unwrap();
     }
 

@@ -206,12 +206,6 @@ impl KeyScratch {
         }
         Ok(())
     }
-
-    /// Consume the scratch, returning the keys as an owned `Vec` (compat
-    /// shim for the legacy `keys_of` API).
-    pub fn into_vec(self) -> Vec<Key> {
-        self.keys
-    }
 }
 
 /// Declaration of a table: a name plus one or more indexes. Index 0 is the
@@ -259,9 +253,9 @@ pub mod rowbuf {
 
     /// Build a 24-byte row `[pk: u64][group: u64][8 filler bytes]`, where
     /// `group` buckets [`GROUP_SIZE`] consecutive keys. This is the shared
-    /// read-path fixture: the `repro perf` experiment, the `readpath`
-    /// criterion bench and the zero-allocation regression test all measure
-    /// exactly this shape, so it lives here once.
+    /// read-path fixture: the `repro perf` experiment and the zero-allocation
+    /// regression test both measure exactly this shape, so it lives here
+    /// once.
     pub fn grouped_row(key: u64) -> Row {
         let mut bytes = Vec::with_capacity(24);
         bytes.extend_from_slice(&key.to_le_bytes());

@@ -28,7 +28,7 @@
 
 use mmdb_common::durability::Durability;
 use mmdb_common::error::{MmdbError, Result};
-use mmdb_common::ids::{IndexId, Timestamp};
+use mmdb_common::ids::Timestamp;
 use mmdb_common::isolation::ConcurrencyMode;
 use mmdb_common::row::SearchPred;
 use mmdb_common::stats::EngineStats;
@@ -51,21 +51,21 @@ impl MvTransaction {
     /// transaction. Drains by popping so the vectors keep their capacity for
     /// the next transaction that recycles these buffers.
     pub(crate) fn release_locks(&mut self) {
-        while let Some(ptr) = self.read_locks.pop() {
+        while let Some(ptr) = self.bufs.read_locks.pop() {
             self.release_read_lock(ptr);
         }
-        if self.bucket_locks.is_empty() && self.range_locks.is_empty() {
+        if self.bufs.bucket_locks.is_empty() && self.bufs.range_locks.is_empty() {
             return;
         }
         let guard = crossbeam::epoch::pin();
-        while let Some(lock) = self.bucket_locks.pop() {
+        while let Some(lock) = self.bufs.bucket_locks.pop() {
             if let Ok(table) = self.inner.store.table_in(lock.table, &guard) {
                 if let Ok(locks) = table.bucket_locks(lock.index) {
                     locks.unlock(lock.bucket, self.handle.id());
                 }
             }
         }
-        while let Some(lock) = self.range_locks.pop() {
+        while let Some(lock) = self.bufs.range_locks.pop() {
             if let Ok(table) = self.inner.store.table_in(lock.table, &guard) {
                 if let Ok(locks) = table.range_locks(lock.index) {
                     locks.unlock(lock.lo, lock.hi, self.handle.id());
@@ -110,7 +110,8 @@ impl MvTransaction {
     /// (§4.2.2).
     fn release_outgoing_wait_fors(&self) {
         for waiter in self.handle.take_waiting_txns() {
-            if let Some(w) = self.inner.store.txns().get(waiter) {
+            let guard = crossbeam::epoch::pin();
+            if let Some(w) = self.inner.store.txns().get_in(waiter, &guard) {
                 w.release_wait_for();
             }
         }
@@ -125,7 +126,7 @@ impl MvTransaction {
     /// (our own writes cannot invalidate our reads).
     fn validate_reads(&mut self, end_ts: Timestamp) -> Result<()> {
         let guard = crossbeam::epoch::pin();
-        let entries = std::mem::take(&mut self.read_set);
+        let entries = std::mem::take(&mut self.bufs.read_set);
         for entry in &entries {
             let version = entry.version.get();
             if version.end_word().writer() == Some(self.handle.id()) {
@@ -141,11 +142,11 @@ impl MvTransaction {
             let visible = self.resolve_visibility(version, vis, end_ts)?;
             if !visible {
                 EngineStats::bump(&self.stats().validation_failures);
-                self.read_set = entries;
+                self.bufs.read_set = entries;
                 return Err(MmdbError::ReadValidationFailed);
             }
         }
-        self.read_set = entries;
+        self.bufs.read_set = entries;
         Ok(())
     }
 
@@ -154,8 +155,8 @@ impl MvTransaction {
     /// timestamp (Figure 3, case V4).
     fn validate_scans(&mut self, end_ts: Timestamp) -> Result<()> {
         let begin_ts = self.handle.begin_ts();
-        let scans = std::mem::take(&mut self.scan_set);
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
+        let scans = std::mem::take(&mut self.bufs.scan_set);
+        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
         let me = self.handle.id();
         let result = (|| {
             for scan in &scans {
@@ -196,8 +197,8 @@ impl MvTransaction {
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.scratch.candidates = candidates;
-        self.scan_set = scans;
+        self.bufs.scratch.candidates = candidates;
+        self.bufs.scan_set = scans;
         result
     }
 
@@ -295,7 +296,7 @@ impl MvTransaction {
         // reports the log's sticky I/O error, the transaction rolls back in
         // memory — its in-memory effects never become visible, matching the
         // durable log, which is only trusted up to the first error anyway.
-        if !self.write_set.is_empty() && !self.inner.store.log_suppressed() {
+        if !self.bufs.write_set.is_empty() {
             let ticket = self.append_log_frame(end_ts);
             if self.durability == Durability::Sync {
                 if let Err(err) = self.inner.store.logger().wait_durable(ticket) {
@@ -313,9 +314,9 @@ impl MvTransaction {
         // soundly proves the table has no committed change in the delta
         // window. (A read-only transaction has nothing to raise, and so no
         // table to look up under a guard.)
-        if !self.write_set.is_empty() {
+        if !self.bufs.write_set.is_empty() {
             let guard = crossbeam::epoch::pin();
-            for entry in &self.write_set {
+            for entry in &self.bufs.write_set {
                 if entry.new.is_some() || entry.delete_key.is_some() {
                     if let Ok(table) = self.inner.store.table_in(entry.table, &guard) {
                         table.note_write(end_ts);
@@ -325,7 +326,7 @@ impl MvTransaction {
         }
         self.handle.set_state(TxnState::Committed);
         EngineStats::bump(&self.stats().commits);
-        self.stats().contention.record(&self.touched, false);
+        self.stats().contention.record(&self.bufs.touched, false);
 
         // Step 7: postprocessing — propagate the end timestamp, retire old
         // versions, resolve dependents, leave the transaction table.
@@ -349,6 +350,7 @@ impl MvTransaction {
         // The paper's I/O estimate (payload + 8 bytes of metadata per op,
         // + 8 per record) — same accounting `LogRecord::byte_size` reports.
         let approx: u64 = self
+            .bufs
             .write_set
             .iter()
             .map(|entry| match (&entry.new, entry.delete_key) {
@@ -358,12 +360,13 @@ impl MvTransaction {
             })
             .sum::<u64>()
             + 8;
-        let mut buf = std::mem::take(&mut self.scratch.log_buf);
+        let mut buf = std::mem::take(&mut self.bufs.scratch.log_buf);
         buf.clear();
         encode_frame_into(
             &mut buf,
             end_ts,
-            self.write_set
+            self.bufs
+                .write_set
                 .iter()
                 .filter_map(|entry| match (&entry.new, entry.delete_key) {
                     (Some(new), _) => Some(LogOpRef::Write {
@@ -380,12 +383,12 @@ impl MvTransaction {
         EngineStats::bump(&self.stats().log_records);
         EngineStats::add(&self.stats().log_bytes, approx);
         let ticket = self.inner.store.logger().append_frame_ticketed(&buf);
-        self.scratch.log_buf = buf;
+        self.bufs.scratch.log_buf = buf;
         ticket
     }
 
     fn postprocess_commit(&mut self, end_ts: Timestamp) {
-        for entry in &self.write_set {
+        for entry in &self.bufs.write_set {
             if let Some(new) = &entry.new {
                 new.get().set_begin(BeginWord::Timestamp(end_ts));
             }
@@ -403,7 +406,8 @@ impl MvTransaction {
     /// Inform every transaction in our CommitDepSet of our outcome (§2.7).
     fn resolve_dependents(&self, committed: bool) {
         for dependent in self.handle.resolve_commit_dependents(committed) {
-            if let Some(d) = self.inner.store.txns().get(dependent) {
+            let guard = crossbeam::epoch::pin();
+            if let Some(d) = self.inner.store.txns().get_in(dependent, &guard) {
                 d.resolve_incoming_commit_dep(committed);
                 if !committed {
                     EngineStats::bump(&self.stats().cascaded_aborts);
@@ -440,7 +444,7 @@ impl MvTransaction {
         EngineStats::bump(&self.stats().aborts);
         self.stats()
             .contention
-            .record(&self.touched, reason.is_contention());
+            .record(&self.bufs.touched, reason.is_contention());
         if matches!(reason, MmdbError::CommitDependencyFailed) {
             EngineStats::bump(&self.stats().cascaded_aborts);
         }
@@ -451,7 +455,7 @@ impl MvTransaction {
         // already noticed the abort and re-locked them.
         let retire_at = self.inner.store.clock().next_timestamp();
         let me = self.handle.id();
-        for entry in &self.write_set {
+        for entry in &self.bufs.write_set {
             if let Some(new) = &entry.new {
                 new.get().set_begin(BeginWord::Timestamp(INFINITY_TS));
                 new.get().set_end(EndWord::Timestamp(INFINITY_TS));
@@ -488,11 +492,5 @@ impl MvTransaction {
         self.inner.store.txns().remove(self.handle.id());
         self.finished = true;
         self.recycle();
-    }
-
-    /// Primary-index id used when logging deletes.
-    #[allow(dead_code)]
-    pub(crate) fn primary_index() -> IndexId {
-        IndexId(0)
     }
 }

@@ -8,12 +8,14 @@ use std::thread::JoinHandle;
 
 use mmdb_common::engine::Engine;
 use mmdb_common::error::Result;
-use mmdb_common::ids::TableId;
+use mmdb_common::ids::{IndexId, Key, TableId, Timestamp};
 use mmdb_common::isolation::{ConcurrencyMode, IsolationLevel};
 use mmdb_common::row::{Row, TableSpec};
 use mmdb_common::stats::EngineStats;
 
-use mmdb_storage::log::RedoLogger;
+use mmdb_storage::checkpoint::{CheckpointRef, CheckpointStore, RecoveryPlan};
+use mmdb_storage::durable::Durable;
+use mmdb_storage::log::{RecoveryReport, RedoLogger};
 use mmdb_storage::store::MvStore;
 use mmdb_storage::txn_table::{TxnHandle, TxnState};
 
@@ -230,7 +232,7 @@ impl MvEngine {
     /// and whose [`CheckpointPolicy`](mmdb_common::durability::CheckpointPolicy)
     /// (from `config.checkpoint`) actually drives checkpoints: a background
     /// tick consults [`CheckpointStore::checkpoint_due`] and runs
-    /// [`MvEngine::checkpoint_auto`] — delta images while the chain has
+    /// [`Durable::checkpoint_auto`] — delta images while the chain has
     /// room under `policy.max_chain`, a full base image (compaction)
     /// otherwise — automatically once the configured log growth accrues.
     /// Under
@@ -353,52 +355,62 @@ impl MvEngine {
     /// Number of versions currently reachable in `table`'s primary index
     /// (diagnostic).
     pub fn version_count(&self, table: TableId) -> Result<usize> {
-        Ok(self.inner.store.table(table)?.version_count())
+        let guard = crossbeam::epoch::pin();
+        Ok(self.inner.store.table_in(table, &guard)?.version_count())
     }
 
-    /// Replay redo-log records into this (freshly created) engine.
-    ///
-    /// The paper's engines log each committed transaction's new versions and
-    /// deleted keys together with its end timestamp, and note that "commit
-    /// ordering is determined by transaction end timestamps" (§3.2). Recovery
-    /// therefore sorts the records by end timestamp and re-applies them in
-    /// that order: a `Write` op upserts the row by primary key, a `Delete` op
-    /// removes it. Tables must have been re-created (same IDs) before
-    /// replaying.
-    ///
-    /// Returns the number of log records applied.
-    pub fn replay_log<I>(&self, records: I) -> Result<usize>
-    where
-        I: IntoIterator<Item = mmdb_storage::log::LogRecord>,
-    {
-        use mmdb_common::engine::{Engine as _, EngineTxn as _};
-        use mmdb_common::ids::IndexId;
-        use mmdb_storage::log::LogOp;
+    /// [`Durable::checkpoint`]; an inherent forwarder kept only because
+    /// `benchmark/` calls it without importing the trait.
+    pub fn checkpoint(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
+        Durable::checkpoint(self, store)
+    }
 
-        let mut records: Vec<_> = records.into_iter().collect();
-        records.sort_by_key(|r| r.end_ts);
-        let mut applied = 0;
-        for record in records {
-            let mut txn = self.begin(IsolationLevel::ReadCommitted);
-            for op in record.ops {
-                match op {
-                    LogOp::Write { table, row } => {
-                        let key = self.inner.store.table(table)?.key_of(IndexId(0), &row)?;
-                        if !txn.update(table, IndexId(0), key, row.clone())? {
-                            txn.insert(table, row)?;
+    /// [`Durable::checkpoint_delta`]; an inherent forwarder kept only because
+    /// `benchmark/` calls it without importing the trait.
+    pub fn checkpoint_delta(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
+        Durable::checkpoint_delta(self, store)
+    }
+
+    /// [`Durable::recover_from_checkpoint`]; an inherent forwarder kept only
+    /// because `benchmark/` calls it without importing the trait.
+    pub fn recover_from_checkpoint(&self, plan: &RecoveryPlan) -> Result<RecoveryReport> {
+        Durable::recover_from_checkpoint(self, plan)
+    }
+
+    /// Wait until every registered transaction that holds — or may still
+    /// claim — an end timestamp at or below `read_ts` has finished
+    /// postprocessing (reached `Terminated`).
+    ///
+    /// `read_ts` must already be drawn: a transaction observed without an
+    /// end timestamp can only draw one *after* this point, and the monotone
+    /// clock puts that draw above `read_ts`. The shard sweep misses only
+    /// transactions registering concurrently, whose end timestamps are
+    /// likewise above `read_ts`. Waits are short (a precommit's fate
+    /// resolves within its validation + log append) and resolve among the
+    /// waited-on transactions themselves, never on this thread.
+    fn quiesce_precommits(&self, read_ts: Timestamp) {
+        use mmdb_storage::txn_table::EndTs;
+        for handle in self.inner.store.txns().snapshot() {
+            loop {
+                match handle.end_ts_state() {
+                    // Any future end timestamp postdates `read_ts`.
+                    EndTs::None => break,
+                    EndTs::At(end) if end > read_ts => break,
+                    // Pending, or committed/aborting inside the window:
+                    // wait for postprocessing to publish its words.
+                    _ => {
+                        if handle.state() == TxnState::Terminated {
+                            break;
                         }
-                    }
-                    LogOp::Delete { table, key } => {
-                        txn.delete(table, IndexId(0), key)?;
+                        std::thread::yield_now();
                     }
                 }
             }
-            txn.commit()?;
-            applied += 1;
         }
-        Ok(applied)
     }
+}
 
+impl Durable for MvEngine {
     /// Take a checkpoint into `store` and truncate the redo log below it.
     ///
     /// The engine must have been created with `store`'s group-commit log as
@@ -416,12 +428,8 @@ impl MvEngine {
     /// every frame wholly below the LSN commits inside the snapshot.
     /// Recovery replays the tail above the LSN, skipping records at or
     /// below the snapshot timestamp.
-    pub fn checkpoint(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-    ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
+    fn checkpoint(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
         use mmdb_common::engine::EngineTxn as _;
-        use mmdb_common::ids::IndexId;
 
         // Order matters (see above): log high-water mark first, snapshot
         // timestamp second.
@@ -477,7 +485,7 @@ impl MvEngine {
     /// rows and deletions whose commit timestamps moved past the previous
     /// chain element's snapshot, appended to the chain instead of rewriting
     /// the full database. Requires an installed chain
-    /// ([`MvEngine::checkpoint`] first).
+    /// ([`Durable::checkpoint`] first).
     ///
     /// Like the base walk this never blocks writers. Three mechanisms make
     /// the *incremental* part sound; `P` is the parent snapshot and `R` the
@@ -505,12 +513,8 @@ impl MvEngine {
     ///   a commit appends its frame before its garbage is enqueued, so any
     ///   such version's frame sits wholly below the LSN). Tombstones for
     ///   keys the delta also writes are dropped.
-    pub fn checkpoint_delta(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-    ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
+    fn checkpoint_delta(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
         use mmdb_common::engine::EngineTxn as _;
-        use mmdb_common::ids::IndexId;
         use mmdb_common::word::{BeginWord, EndWord};
 
         let parent =
@@ -649,127 +653,20 @@ impl MvEngine {
         Ok(installed)
     }
 
-    /// Take whichever checkpoint `policy` calls for next: a delta while the
-    /// chain is still below `policy.max_chain` files, a full base image
-    /// otherwise (the first checkpoint, deltas disabled, or a compaction
-    /// once the chain is full). This is what the automatic tick spawned by
-    /// [`MvEngine::with_checkpoint_store`] runs.
-    pub fn checkpoint_auto(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-        policy: &mmdb_common::durability::CheckpointPolicy,
-    ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
-        if store.delta_due(policy) {
-            self.checkpoint_delta(store)
-        } else {
-            self.checkpoint(store)
-        }
+    fn primary_key_of(&self, table: TableId, row: &Row) -> Result<Key> {
+        let guard = crossbeam::epoch::pin();
+        self.inner
+            .store
+            .table_in(table, &guard)?
+            .key_of(IndexId(0), row)
     }
 
-    /// Wait until every registered transaction that holds — or may still
-    /// claim — an end timestamp at or below `read_ts` has finished
-    /// postprocessing (reached `Terminated`).
-    ///
-    /// `read_ts` must already be drawn: a transaction observed without an
-    /// end timestamp can only draw one *after* this point, and the monotone
-    /// clock puts that draw above `read_ts`. The shard sweep misses only
-    /// transactions registering concurrently, whose end timestamps are
-    /// likewise above `read_ts`. Waits are short (a precommit's fate
-    /// resolves within its validation + log append) and resolve among the
-    /// waited-on transactions themselves, never on this thread.
-    fn quiesce_precommits(&self, read_ts: mmdb_common::ids::Timestamp) {
-        use mmdb_storage::txn_table::EndTs;
-        for handle in self.inner.store.txns().snapshot() {
-            loop {
-                match handle.end_ts_state() {
-                    // Any future end timestamp postdates `read_ts`.
-                    EndTs::None => break,
-                    EndTs::At(end) if end > read_ts => break,
-                    // Pending, or committed/aborting inside the window:
-                    // wait for postprocessing to publish its words.
-                    _ => {
-                        if handle.state() == TxnState::Terminated {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
+    fn populate(&self, table: TableId, rows: Vec<Row>) -> Result<usize> {
+        self.inner.store.populate(table, rows)
     }
 
-    /// Recover this (freshly created, tables re-created) engine from a
-    /// [`RecoveryPlan`](mmdb_storage::checkpoint::RecoveryPlan): bulk-load
-    /// the checkpoint chain (base image plus deltas, if any), then replay
-    /// the log tail above the last chain element's LSN, skipping records
-    /// already inside the chain (`end_ts <= read_ts`).
-    ///
-    /// The load is partitioned: tables are sharded across a worker pool
-    /// (`MMDB_RECOVERY_WORKERS`, defaulting to the machine's parallelism
-    /// capped at 8) and every op — chain rows, chain tombstones, tail
-    /// writes and deletes — is collapsed into one `populate` per table.
-    /// The result is identical for any worker count. `populate` bypasses
-    /// the redo logger, so replaying a log the engine is attached to never
-    /// re-appends the tail.
-    ///
-    /// The report's `valid_bytes` is the *physical* clean prefix of the
-    /// live log segment — exactly what
-    /// `CheckpointStore::open` takes to resume appending.
-    pub fn recover_from_checkpoint(
-        &self,
-        plan: &mmdb_storage::checkpoint::RecoveryPlan,
-    ) -> Result<mmdb_storage::log::RecoveryReport> {
-        self.recover_from_checkpoint_with(plan, mmdb_storage::recovery::default_workers())
-    }
-
-    /// [`MvEngine::recover_from_checkpoint`] with an explicit worker count
-    /// (tests pin determinism by comparing worker counts; 1 degenerates to
-    /// the serial load).
-    pub fn recover_from_checkpoint_with(
-        &self,
-        plan: &mmdb_storage::checkpoint::RecoveryPlan,
-        workers: usize,
-    ) -> Result<mmdb_storage::log::RecoveryReport> {
-        use mmdb_common::ids::IndexId;
-
-        let mvstore = &self.inner.store;
-        let key_of = |table: TableId, row: &Row| mvstore.table(table)?.key_of(IndexId(0), row);
-        let apply = |table: TableId, rows: Vec<Row>| self.populate(table, rows).map(|_| ());
-        let image = mmdb_storage::recovery::recover_partitioned(plan, workers, &key_of, &apply)?;
-        // The recovered timestamps came from the previous process's clock;
-        // everything this engine draws from now on (snapshots, commit
-        // timestamps, delta-checkpoint windows) must postdate them.
-        mvstore.clock().advance_past(image.max_end_ts);
-        Ok(mmdb_storage::log::RecoveryReport {
-            records_applied: image.tail_records,
-            valid_bytes: image.valid_bytes,
-            torn_bytes: image.torn_bytes,
-        })
-    }
-
-    /// Recover from the framed bytes of a redo log: decode every complete
-    /// record — tolerating a torn tail left by a crash mid-append — and
-    /// replay them through [`MvEngine::replay_log`]. Tables must have been
-    /// re-created (same IDs) on this fresh engine first.
-    pub fn recover_bytes(&self, bytes: &[u8]) -> Result<mmdb_storage::log::RecoveryReport> {
-        let outcome = mmdb_storage::log::read_log_bytes(bytes)?;
-        let records_applied = self.replay_log(outcome.records)?;
-        Ok(mmdb_storage::log::RecoveryReport {
-            records_applied,
-            valid_bytes: outcome.valid_bytes,
-            torn_bytes: outcome.torn_bytes,
-        })
-    }
-
-    /// Recover from the redo-log file at `path` (see
-    /// [`MvEngine::recover_bytes`]).
-    pub fn recover_file(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<mmdb_storage::log::RecoveryReport> {
-        let bytes =
-            std::fs::read(path).map_err(|e| mmdb_common::error::MmdbError::LogIo(e.to_string()))?;
-        self.recover_bytes(&bytes)
+    fn advance_clock_past(&self, ts: Timestamp) {
+        self.inner.store.clock().advance_past(ts);
     }
 }
 

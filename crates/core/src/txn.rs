@@ -117,10 +117,18 @@ pub(crate) struct TxnBuffers {
     pub(crate) read_set: Vec<ReadEntry>,
     pub(crate) scan_set: Vec<ScanEntry>,
     pub(crate) write_set: Vec<WriteEntry>,
+    /// Versions read-locked by this (pessimistic) transaction.
     pub(crate) read_locks: Vec<VersionPtr>,
+    /// Buckets locked by this (serializable pessimistic) transaction.
     pub(crate) bucket_locks: Vec<BucketLockRef>,
+    /// Ordered-index ranges locked by this (serializable pessimistic)
+    /// transaction.
     pub(crate) range_locks: Vec<RangeLockRef>,
+    /// Distinct tables this transaction has touched, for contention
+    /// telemetry at commit/abort. A handful of entries at most, so a linear
+    /// `contains` beats any set.
     pub(crate) touched: Vec<TableId>,
+    /// Reusable scan staging buffers (cleared, never freed, per operation).
     pub(crate) scratch: TxnScratch,
 }
 
@@ -150,28 +158,15 @@ impl TxnBuffers {
 pub struct MvTransaction {
     pub(crate) inner: Arc<MvInner>,
     pub(crate) handle: Arc<TxnHandle>,
-    pub(crate) read_set: Vec<ReadEntry>,
-    pub(crate) scan_set: Vec<ScanEntry>,
-    pub(crate) write_set: Vec<WriteEntry>,
-    /// Versions read-locked by this (pessimistic) transaction.
-    pub(crate) read_locks: Vec<VersionPtr>,
-    /// Buckets locked by this (serializable pessimistic) transaction.
-    pub(crate) bucket_locks: Vec<BucketLockRef>,
-    /// Ordered-index ranges locked by this (serializable pessimistic)
-    /// transaction.
-    pub(crate) range_locks: Vec<RangeLockRef>,
-    /// Distinct tables this transaction has touched, for contention
-    /// telemetry at commit/abort. A handful of entries at most, so a linear
-    /// `contains` beats any set; capacity is recycled with the buffers.
-    pub(crate) touched: Vec<TableId>,
+    /// Read/scan/write sets, lock lists and scratch: one pooled set, taken
+    /// from the engine at `begin` and returned whole by [`Self::recycle`].
+    pub(crate) bufs: TxnBuffers,
     /// Set when an operation failed in a way that forces an abort
     /// (first-writer-wins conflicts, failed dependencies, ...). `commit`
     /// refuses to proceed once set.
     pub(crate) must_abort: Option<MmdbError>,
     /// True once commit/abort processing has run.
     pub(crate) finished: bool,
-    /// Reusable scan staging buffers (cleared, never freed, per operation).
-    pub(crate) scratch: TxnScratch,
     /// When `commit()` may return relative to log durability (§5: the
     /// paper's transactions run `Async` and never wait for log I/O).
     pub(crate) durability: Durability,
@@ -187,16 +182,9 @@ impl MvTransaction {
         MvTransaction {
             inner,
             handle,
-            read_set: bufs.read_set,
-            scan_set: bufs.scan_set,
-            write_set: bufs.write_set,
-            read_locks: bufs.read_locks,
-            bucket_locks: bufs.bucket_locks,
-            range_locks: bufs.range_locks,
-            touched: bufs.touched,
+            bufs,
             must_abort: None,
             finished: false,
-            scratch: bufs.scratch,
             durability,
         }
     }
@@ -204,16 +192,7 @@ impl MvTransaction {
     /// Return the transaction's buffers and handle to the engine pools
     /// (called exactly once, at the end of commit or abort processing).
     pub(crate) fn recycle(&mut self) {
-        let mut bufs = TxnBuffers {
-            read_set: std::mem::take(&mut self.read_set),
-            scan_set: std::mem::take(&mut self.scan_set),
-            write_set: std::mem::take(&mut self.write_set),
-            read_locks: std::mem::take(&mut self.read_locks),
-            bucket_locks: std::mem::take(&mut self.bucket_locks),
-            range_locks: std::mem::take(&mut self.range_locks),
-            touched: std::mem::take(&mut self.touched),
-            scratch: std::mem::take(&mut self.scratch),
-        };
+        let mut bufs = std::mem::take(&mut self.bufs);
         bufs.clear();
         self.inner.return_buffers(bufs);
         self.inner.return_handle(Arc::clone(&self.handle));
@@ -239,10 +218,9 @@ impl MvTransaction {
     /// [`Durability::Sync`] makes `commit()` block until this transaction's
     /// redo bytes are on durable storage — under a
     /// [`GroupCommitLog`](mmdb_storage::group_commit::GroupCommitLog) many
-    /// Sync committers share one flush; under a plain
-    /// [`FileLogger`](mmdb_storage::log::FileLogger) each one pays a full
-    /// per-transaction flush. If the wait reports the log's sticky I/O
-    /// error, the commit is rolled back in memory and the error returned.
+    /// Sync committers share one flush. If the wait reports the log's
+    /// sticky I/O error, the commit is rolled back in memory and the error
+    /// returned.
     pub fn set_durability(&mut self, durability: Durability) {
         self.durability = durability;
     }
@@ -261,8 +239,8 @@ impl MvTransaction {
     /// the right contention-monitor cells.
     #[inline]
     pub(crate) fn note_table(&mut self, table: TableId) {
-        if !self.touched.contains(&table) {
-            self.touched.push(table);
+        if !self.bufs.touched.contains(&table) {
+            self.bufs.touched.push(table);
         }
     }
 
@@ -330,7 +308,8 @@ impl MvTransaction {
     ) -> Result<()> {
         EngineStats::bump(&self.stats().commit_dependencies);
         self.handle.add_incoming_commit_dep();
-        match self.inner.store.txns().get(target) {
+        let guard = epoch::pin();
+        match self.inner.store.txns().get_in(target, &guard) {
             Some(t) => match t.add_commit_dependent(self.me()) {
                 DepRegistration::Registered => Ok(()),
                 DepRegistration::AlreadyCommitted => {
@@ -429,7 +408,7 @@ impl MvTransaction {
                         }
                     }
                 }
-                self.read_locks.push(ptr);
+                self.bufs.read_locks.push(ptr);
                 self.handle.record_read_lock(ptr);
                 Ok(())
             }
@@ -480,7 +459,8 @@ impl MvTransaction {
         if let Ok((EndWord::Lock(before), EndWord::Lock(after))) = outcome {
             if before.read_lock_count == 1 && after.read_lock_count == 0 {
                 if let Some(writer) = before.writer {
-                    if let Some(w) = self.inner.store.txns().get(writer) {
+                    let guard = epoch::pin();
+                    if let Some(w) = self.inner.store.txns().get_in(writer, &guard) {
                         w.release_wait_for();
                     }
                 }
@@ -509,7 +489,8 @@ impl MvTransaction {
             // the target has closed its wait-fors for its own precommit wait.
             return true;
         }
-        let Some(t) = self.inner.store.txns().get(target) else {
+        let guard = epoch::pin();
+        let Some(t) = self.inner.store.txns().get_in(target, &guard) else {
             // Target already terminated: nothing to delay.
             return true;
         };
@@ -528,7 +509,8 @@ impl MvTransaction {
         if holder == self.me() {
             return Ok(());
         }
-        let Some(h) = self.inner.store.txns().get(holder) else {
+        let guard = epoch::pin();
+        let Some(h) = self.inner.store.txns().get_in(holder, &guard) else {
             return Ok(());
         };
         if !self.handle.try_add_wait_for() {
@@ -547,7 +529,8 @@ impl MvTransaction {
     /// read lock. The release happens through the lock word (last reader
     /// decrements), so the writer is *not* added to our WaitingTxnList.
     fn install_wait_for_on(&mut self, writer: TxnId) -> bool {
-        let Some(w) = self.inner.store.txns().get(writer) else {
+        let guard = epoch::pin();
+        let Some(w) = self.inner.store.txns().get_in(writer, &guard) else {
             // Writer terminated; it has already precommitted, nothing to delay.
             return true;
         };
@@ -591,7 +574,7 @@ impl MvTransaction {
             }));
         }
         if let EndWord::Lock(lock) = observed {
-            let own = self.read_locks.iter().filter(|p| **p == ptr).count() as u8;
+            let own = self.bufs.read_locks.iter().filter(|p| **p == ptr).count() as u8;
             let others = lock.read_lock_count.saturating_sub(own);
             if others > 0 {
                 // Eager update of a version read-locked by others: we cannot
@@ -608,7 +591,7 @@ impl MvTransaction {
                 // Upgrade: drop our own read locks — the write lock now
                 // guarantees the read's stability, and waiting on our own
                 // read lock would deadlock us with ourselves.
-                self.read_locks.retain(|p| *p != ptr);
+                self.bufs.read_locks.retain(|p| *p != ptr);
                 for _ in 0..own {
                     self.handle.forget_read_lock(ptr);
                 }
@@ -690,8 +673,8 @@ impl MvTransaction {
                     index,
                     pred,
                 };
-                if !self.scan_set.contains(&entry) {
-                    self.scan_set.push(entry);
+                if !self.bufs.scan_set.contains(&entry) {
+                    self.bufs.scan_set.push(entry);
                 }
             }
             ConcurrencyMode::Pessimistic => {
@@ -699,7 +682,7 @@ impl MvTransaction {
                     SearchPred::Eq(key) if !table.is_ordered(index)? => {
                         let bucket = table.bucket_of(index, key)?;
                         if table.bucket_locks(index)?.lock(bucket, self.me()) {
-                            self.bucket_locks.push(BucketLockRef {
+                            self.bufs.bucket_locks.push(BucketLockRef {
                                 table: table.id(),
                                 index,
                                 bucket,
@@ -711,7 +694,7 @@ impl MvTransaction {
                     SearchPred::Range { lo, hi } => (lo, hi),
                 };
                 if table.range_locks(index)?.lock(lo, hi, self.me()) {
-                    self.range_locks.push(RangeLockRef {
+                    self.bufs.range_locks.push(RangeLockRef {
                         table: table.id(),
                         index,
                         lo,
@@ -778,7 +761,7 @@ impl MvTransaction {
         // borrow of the table is held while taking dependencies (which needs
         // `&mut self`). Taken out and restored around the walk; an error in
         // between only costs the buffer's capacity.
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
+        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
         candidates.clear();
         let result = (|| {
             candidates.extend(table.candidate_ptrs(index, key, &guard)?);
@@ -790,7 +773,7 @@ impl MvTransaction {
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.scratch.candidates = candidates;
+        self.bufs.scratch.candidates = candidates;
         result
     }
 
@@ -839,7 +822,9 @@ impl MvTransaction {
             // Reads at repeatable-read or serializable need read stability.
             if iso.requires_read_stability() {
                 match mode {
-                    ConcurrencyMode::Optimistic => self.read_set.push(ReadEntry { version: ptr }),
+                    ConcurrencyMode::Optimistic => {
+                        self.bufs.read_set.push(ReadEntry { version: ptr })
+                    }
                     ConcurrencyMode::Pessimistic => {
                         // Updates and deletes only ever touch latest versions,
                         // so only latest versions need read locks. A visible
@@ -888,7 +873,7 @@ impl MvTransaction {
         self.register_scan(table, index, SearchPred::Range { lo, hi })?;
         self.scan_lock_fence();
 
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
+        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
         candidates.clear();
         let result = (|| {
             candidates.extend(table.range_candidate_ptrs(index, lo, hi, &guard)?);
@@ -898,7 +883,7 @@ impl MvTransaction {
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.scratch.candidates = candidates;
+        self.bufs.scratch.candidates = candidates;
         result
     }
 
@@ -913,13 +898,13 @@ impl MvTransaction {
         key: Key,
     ) -> Result<Option<VersionPtr>> {
         self.ensure_open()?;
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
+        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
         let result = self.find_update_target_staged(table, index, key, &mut candidates);
         // Restore the buffer *empty*: the staged VersionPtrs were only valid
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.scratch.candidates = candidates;
+        self.bufs.scratch.candidates = candidates;
         result
     }
 
@@ -1004,7 +989,7 @@ impl MvTransaction {
         EngineStats::bump(&self.stats().versions_created);
         // Record the write *before* honoring scan locks: if the wait below
         // fails, abort processing must find the linked version to retire it.
-        self.write_set.push(WriteEntry {
+        self.bufs.write_set.push(WriteEntry {
             table: table.id(),
             old,
             new: Some(ptr),
@@ -1034,13 +1019,13 @@ impl MvTransaction {
 
     /// Enforce uniqueness for `insert` on every unique index of the table.
     fn check_unique(&mut self, table: &Table, keys: &[Key]) -> Result<()> {
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
+        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
         let result = self.check_unique_staged(table, keys, &mut candidates);
         // Restore the buffer *empty*: the staged VersionPtrs were only valid
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.scratch.candidates = candidates;
+        self.bufs.scratch.candidates = candidates;
         result
     }
 
@@ -1070,7 +1055,7 @@ impl MvTransaction {
                         index,
                     });
                 }
-                if let Some(holder) = self.pending_unique_conflict(version) {
+                if let Some(holder) = self.pending_unique_conflict(version, &guard) {
                     // A racing inserter that has not committed yet: the
                     // outcome is unresolved (it may still abort), so report a
                     // retryable conflict rather than a permanent duplicate.
@@ -1092,7 +1077,7 @@ impl MvTransaction {
     /// and we must not proceed (a visibility-only check would let two
     /// concurrent inserters of one key both commit, which the differential
     /// tests catch as a non-serializable outcome).
-    fn pending_unique_conflict(&self, version: &Version) -> Option<TxnId> {
+    fn pending_unique_conflict(&self, version: &Version, guard: &epoch::Guard) -> Option<TxnId> {
         let mut rereads = 0;
         loop {
             match version.begin_word() {
@@ -1100,7 +1085,7 @@ impl MvTransaction {
                 // committed / aborted version: visibility already judged it.
                 BeginWord::Timestamp(_) => return None,
                 BeginWord::Txn(tb) if tb == self.me() => return None,
-                BeginWord::Txn(tb) => match self.inner.store.txns().get(tb) {
+                BeginWord::Txn(tb) => match self.inner.store.txns().get_in(tb, guard) {
                     Some(h) => {
                         return (!matches!(h.state(), TxnState::Aborted | TxnState::Terminated))
                             .then_some(tb)
@@ -1132,13 +1117,13 @@ impl MvTransaction {
         keys: &[Key],
         mine: VersionPtr,
     ) -> Result<()> {
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
+        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
         let result = self.verify_unique_after_link_staged(table, keys, mine, &mut candidates);
         // Restore the buffer *empty*: the staged VersionPtrs were only valid
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.scratch.candidates = candidates;
+        self.bufs.scratch.candidates = candidates;
         result
     }
 
@@ -1176,7 +1161,7 @@ impl MvTransaction {
                         index,
                     }));
                 }
-                if let Some(holder) = self.pending_unique_conflict(version) {
+                if let Some(holder) = self.pending_unique_conflict(version, &guard) {
                     // A racing inserter: both of us may land here and both
                     // give way (symmetric, safe — no tie-break can let one
                     // side proceed soundly, because the winner may already
@@ -1215,7 +1200,7 @@ impl EngineTxn for MvTransaction {
         let table = self.inner.store.table_in(table_id, &guard)?;
         // Extract the index keys once into the reusable scratch; taken out
         // and restored around the operation (same protocol as `candidates`).
-        let mut keys = std::mem::take(&mut self.scratch.keys);
+        let mut keys = std::mem::take(&mut self.bufs.scratch.keys);
         let result = (|| {
             table.keys_into(&row, &mut keys)?;
             self.check_unique(table, keys.keys())?;
@@ -1225,20 +1210,8 @@ impl EngineTxn for MvTransaction {
             self.verify_unique_after_link(table, keys.keys(), new_ptr)
         })();
         keys.clear();
-        self.scratch.keys = keys;
+        self.bufs.scratch.keys = keys;
         result
-    }
-
-    fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>> {
-        let mut out = None;
-        self.scan_visible_with(table, index, key, true, &mut |row| out = Some(row.clone()))?;
-        Ok(out)
-    }
-
-    fn scan_key(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        self.scan_visible_with(table, index, key, false, &mut |row| out.push(row.clone()))?;
-        Ok(out)
     }
 
     fn read_with(
@@ -1300,13 +1273,13 @@ impl EngineTxn for MvTransaction {
                 }));
             }
         }
-        let mut keys = std::mem::take(&mut self.scratch.keys);
+        let mut keys = std::mem::take(&mut self.bufs.scratch.keys);
         let result = (|| {
             table.keys_into(&new_row, &mut keys)?;
             self.add_new_version(table, new_row, keys.keys(), Some(old_ptr), None)
         })();
         keys.clear();
-        self.scratch.keys = keys;
+        self.bufs.scratch.keys = keys;
         result?;
         Ok(true)
     }
@@ -1333,7 +1306,7 @@ impl EngineTxn for MvTransaction {
             }
         }
         let delete_key = table.key_of(IndexId(0), old.data())?;
-        self.write_set.push(WriteEntry {
+        self.bufs.write_set.push(WriteEntry {
             table: table.id(),
             old: Some(old_ptr),
             new: None,
@@ -1366,8 +1339,8 @@ impl std::fmt::Debug for MvTransaction {
             .field("mode", &self.handle.mode())
             .field("isolation", &self.handle.isolation())
             .field("begin_ts", &self.handle.begin_ts())
-            .field("reads", &self.read_set.len())
-            .field("writes", &self.write_set.len())
+            .field("reads", &self.bufs.read_set.len())
+            .field("writes", &self.bufs.write_set.len())
             .finish()
     }
 }

@@ -12,6 +12,7 @@ use mmdb_common::ids::IndexId;
 use mmdb_common::isolation::{ConcurrencyMode, IsolationLevel};
 use mmdb_common::row::{rowbuf, TableSpec};
 use mmdb_core::{MvConfig, MvEngine};
+use mmdb_storage::durable::Durable;
 
 const FILLER: usize = 16;
 
@@ -238,7 +239,12 @@ fn abort_now_flag_cascades_into_commit_failure() {
     txn.update(t, IndexId(0), 1, rowbuf::keyed_row(1, FILLER, 9))
         .unwrap();
     // Simulate a dependency abort: another party sets our AbortNow flag.
-    engine.store().txns().get(txn.id()).unwrap().request_abort();
+    engine
+        .store()
+        .txns()
+        .get_in(txn.id(), &crossbeam::epoch::pin())
+        .unwrap()
+        .request_abort();
     let err = txn.commit().unwrap_err();
     assert_eq!(err, MmdbError::CommitDependencyFailed);
     // The write is rolled back.
@@ -427,7 +433,7 @@ fn replaying_the_redo_log_rebuilds_the_database() {
         .unwrap();
     assert_eq!(t2, t, "table ids must match for replay");
     let applied = logger
-        .with_records(|records| recovered.replay_log(records.iter().cloned()))
+        .with_records(|records| recovered.replay_log(records.to_vec()))
         .unwrap();
     assert_eq!(applied, 3, "only committed transactions are in the log");
 
@@ -473,7 +479,8 @@ fn random_forced_aborts_leave_the_database_consistent() {
                     if rng.gen_bool(0.3) {
                         // Forced abort, sometimes even via the AbortNow flag.
                         if rng.gen_bool(0.5) {
-                            if let Some(h) = engine.store().txns().get(txn.id()) {
+                            let guard = crossbeam::epoch::pin();
+                            if let Some(h) = engine.store().txns().get_in(txn.id(), &guard) {
                                 h.request_abort()
                             }
                         }
@@ -563,7 +570,7 @@ fn sync_commit_is_durable_on_return_while_async_commit_is_not_yet() {
 #[test]
 fn sync_commit_on_a_failed_log_rolls_back_and_reports_log_io() {
     use mmdb_common::durability::Durability;
-    use mmdb_storage::log::FileLogger;
+    use mmdb_storage::group_commit::GroupCommitLog;
 
     if !std::path::Path::new("/dev/full").exists() {
         return;
@@ -571,7 +578,7 @@ fn sync_commit_on_a_failed_log_rolls_back_and_reports_log_io() {
     // /dev/full fails every write with ENOSPC: durability can never be
     // confirmed, so the Sync commit must fail — and roll back in memory, so
     // the reported outcome matches the (empty) durable log.
-    let logger = Arc::new(FileLogger::create("/dev/full").unwrap());
+    let logger = Arc::new(GroupCommitLog::create("/dev/full").unwrap());
     let engine =
         MvEngine::with_logger(MvConfig::optimistic().with_deadlock_detector(false), logger);
     let t = engine.create_table(TableSpec::keyed_u64("t", 16)).unwrap();

@@ -16,12 +16,12 @@
 //!   offer; it is treated as RepeatableRead (this limitation is exactly what
 //!   motivates the multiversion schemes).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use mmdb_common::clock::GlobalClock;
-use mmdb_common::durability::{CheckpointPolicy, Durability};
+use mmdb_common::durability::Durability;
 use mmdb_common::engine::{Engine, EngineTxn};
 use mmdb_common::error::{MmdbError, Result};
 use mmdb_common::ids::{IndexId, Key, TableId, Timestamp, TxnId};
@@ -30,6 +30,8 @@ use mmdb_common::row::{KeyScratch, Row, TableSpec};
 use mmdb_common::stats::EngineStats;
 
 use mmdb_storage::catalog::Catalog;
+use mmdb_storage::checkpoint::{CheckpointRef, CheckpointStore, FinishedCheckpoint};
+use mmdb_storage::durable::Durable;
 use mmdb_storage::log::{encode_record, LogOp, LogRecord, NullLogger, RedoLogger};
 
 use crate::lock::{LockGrant, LockMode};
@@ -45,10 +47,6 @@ pub struct SvConfig {
     /// for log I/O, matching the paper's setup). Individual transactions
     /// override it via [`SvTransaction::set_durability`].
     pub durability: Durability,
-    /// When checkpoints should be taken (consulted by whoever drives
-    /// maintenance through `CheckpointStore::checkpoint_due`; the default is
-    /// manual-only). [`SvEngine::checkpoint`] is an explicit entry point.
-    pub checkpoint: CheckpointPolicy,
 }
 
 impl Default for SvConfig {
@@ -56,7 +54,6 @@ impl Default for SvConfig {
         SvConfig {
             lock_timeout: Duration::from_millis(500),
             durability: Durability::Async,
-            checkpoint: CheckpointPolicy::MANUAL,
         }
     }
 }
@@ -73,12 +70,6 @@ impl SvConfig {
         self.durability = durability;
         self
     }
-
-    /// Builder-style override of the checkpoint policy.
-    pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = policy;
-        self
-    }
 }
 
 struct SvInner {
@@ -91,10 +82,6 @@ struct SvInner {
     stats: EngineStats,
     config: SvConfig,
     next_txn: AtomicU64,
-    /// When set, committing transactions skip the redo-log append (recovery
-    /// replay only — replaying a tail into an engine attached to that same
-    /// log must not re-append every record).
-    log_suppressed: AtomicBool,
 }
 
 /// The single-version locking engine ("1V").
@@ -119,7 +106,6 @@ impl SvEngine {
                 stats: EngineStats::new(),
                 config,
                 next_txn: AtomicU64::new(1),
-                log_suppressed: AtomicBool::new(false),
             }),
         }
     }
@@ -153,183 +139,6 @@ impl SvEngine {
     /// Number of rows in `table` (diagnostic).
     pub fn row_count(&self, table: TableId) -> Result<usize> {
         Ok(self.table(table)?.row_count())
-    }
-
-    /// Replay redo-log records into this (freshly created) engine.
-    ///
-    /// Mirrors the multiversion engine's `replay_log`:
-    /// records are sorted by end timestamp — the commit order the paper
-    /// derives durability from (§3.2) — and re-applied one transaction per
-    /// record: a `Write` op upserts the row by primary key, a `Delete` op
-    /// removes it. Tables must have been re-created (same IDs) first.
-    ///
-    /// Returns the number of log records applied.
-    pub fn replay_log<I>(&self, records: I) -> Result<usize>
-    where
-        I: IntoIterator<Item = LogRecord>,
-    {
-        let mut records: Vec<_> = records.into_iter().collect();
-        records.sort_by_key(|r| r.end_ts);
-        let mut applied = 0;
-        for record in records {
-            let mut txn = self.begin(IsolationLevel::ReadCommitted);
-            for op in record.ops {
-                match op {
-                    LogOp::Write { table, row } => {
-                        let key = self.table(table)?.key_of(IndexId(0), &row)?;
-                        if !txn.update(table, IndexId(0), key, row.clone())? {
-                            txn.insert(table, row)?;
-                        }
-                    }
-                    LogOp::Delete { table, key } => {
-                        txn.delete(table, IndexId(0), key)?;
-                    }
-                }
-            }
-            txn.commit()?;
-            applied += 1;
-        }
-        Ok(applied)
-    }
-
-    /// Suppress (or re-enable) redo logging. Recovery replay wraps its
-    /// transactions in a suppressed window; see
-    /// [`SvEngine::recover_from_checkpoint`].
-    pub fn set_log_suppressed(&self, suppressed: bool) {
-        self.inner
-            .log_suppressed
-            .store(suppressed, Ordering::Relaxed);
-    }
-
-    /// Take a checkpoint into `store` and truncate the redo log below it.
-    ///
-    /// The engine must route its redo stream through `store`'s group-commit
-    /// log ([`SvEngine::with_logger`] of `CheckpointStore::logger`).
-    ///
-    /// Unlike the multiversion engines, the single-version walk **blocks
-    /// writers**: with one version per row the only consistent image is the
-    /// current one, so the walk takes a shared lock on every primary bucket
-    /// of every table (canonical order; lock timeouts break deadlocks with
-    /// concurrent writers, surfacing as a retryable
-    /// [`MmdbError::LockTimeout`]). This is the paper's single-version
-    /// trade-off showing up in checkpointing, deliberately preserved as the
-    /// 1V contrast. The ordering contract is *stronger* than MV's: the
-    /// checkpoint LSN and the snapshot timestamp are both captured while
-    /// every primary bucket is locked — writers are fully drained (a
-    /// committer holds its exclusive locks across frame append), so the
-    /// frames below the LSN are exactly the commits below the timestamp.
-    pub fn checkpoint(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-    ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
-        // The walk needs a lock owner of its own.
-        let me = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
-        let mut held: Vec<(TableId, usize)> = Vec::new();
-        let result = self.checkpoint_walk(store, me, &mut held);
-        self.release_held(me, &held);
-        let installed = store.install_checkpoint(result?)?;
-        store.truncate_log()?;
-        Ok(installed)
-    }
-
-    /// Take a *delta* checkpoint into `store`: an image holding only what
-    /// changed since the previous chain element, appended to the chain
-    /// instead of rewriting every table. Requires an installed chain
-    /// ([`SvEngine::checkpoint`] first).
-    ///
-    /// Where the base image must hold its locks for the whole table walk,
-    /// the delta only needs them for an instant: with every primary bucket
-    /// locked it captures the log high-water mark and a timestamp, then
-    /// releases — the log prefix below that LSN is immutable, and the delta
-    /// is computed *from the log* by collapsing the window's `Write` /
-    /// `Delete` ops per primary key (latest end timestamp wins). Writers
-    /// are blocked only for the capture, turning the 1V checkpoint stall
-    /// from O(database) into O(lock count).
-    pub fn checkpoint_delta(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-    ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
-        use std::collections::btree_map::Entry;
-
-        let parent = store
-            .last_checkpoint()
-            .ok_or(MmdbError::CheckpointInvalid {
-                reason: "no checkpoint installed to delta against",
-            })?;
-        let parent_ts = parent.read_ts;
-        let me = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
-        let mut held: Vec<(TableId, usize)> = Vec::new();
-        let barrier = self.acquire_all_primary(me, &mut held).map(|()| {
-            (
-                store.logger().appended_lsn(),
-                self.inner.clock.next_timestamp(),
-            )
-        });
-        self.release_held(me, &held);
-        let (ckpt_lsn, read_ts) = barrier?;
-
-        // Writers have resumed; everything below `ckpt_lsn` is immutable.
-        // Flush so the prefix is readable from the file, then collapse the
-        // window `(parent_ts, read_ts]` newest-wins per primary key. Frames
-        // below the *parent's* LSN were captured under the same barrier, so
-        // `end_ts > parent_ts` alone selects the window exactly.
-        store.logger().flush()?;
-        let limit = ckpt_lsn.0.saturating_sub(store.logger().base_lsn().0);
-        let mut latest: std::collections::BTreeMap<(TableId, Key), (Timestamp, Option<Row>)> =
-            std::collections::BTreeMap::new();
-        if limit > 0 {
-            let prefix = mmdb_storage::log::read_log_prefix(store.log_path(), limit)?;
-            for record in prefix.records {
-                if record.end_ts <= parent_ts {
-                    continue;
-                }
-                for op in record.ops {
-                    let (table, key, value) = match op {
-                        LogOp::Write { table, row } => {
-                            let key = self.table(table)?.key_of(IndexId(0), &row)?;
-                            (table, key, Some(row))
-                        }
-                        LogOp::Delete { table, key } => (table, key, None),
-                    };
-                    match latest.entry((table, key)) {
-                        Entry::Vacant(slot) => {
-                            slot.insert((record.end_ts, value));
-                        }
-                        Entry::Occupied(mut slot) => {
-                            if record.end_ts >= slot.get().0 {
-                                slot.insert((record.end_ts, value));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut writer = store.begin_delta(ckpt_lsn, read_ts)?;
-        for ((table, key), (_, value)) in latest {
-            match value {
-                Some(row) => writer.write_row(table, &row)?,
-                None => writer.write_delete(table, key)?,
-            }
-        }
-        let installed = store.install_delta(writer.finish()?)?;
-        store.truncate_log()?;
-        Ok(installed)
-    }
-
-    /// Take whichever checkpoint `policy` calls for next: a delta while the
-    /// chain is below `policy.max_chain` files, a full base image otherwise
-    /// (the first checkpoint, deltas disabled, or a compaction once the
-    /// chain is full).
-    pub fn checkpoint_auto(
-        &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
-        policy: &CheckpointPolicy,
-    ) -> Result<mmdb_storage::checkpoint::CheckpointRef> {
-        if store.delta_due(policy) {
-            self.checkpoint_delta(store)
-        } else {
-            self.checkpoint(store)
-        }
     }
 
     /// Shared-lock every primary bucket of every table in canonical order;
@@ -368,13 +177,13 @@ impl SvEngine {
         }
     }
 
-    /// Lock-acquire + walk phase of [`SvEngine::checkpoint`].
+    /// Lock-acquire + walk phase of the base checkpoint.
     fn checkpoint_walk(
         &self,
-        store: &mmdb_storage::checkpoint::CheckpointStore,
+        store: &CheckpointStore,
         me: TxnId,
         held: &mut Vec<(TableId, usize)>,
-    ) -> Result<mmdb_storage::checkpoint::FinishedCheckpoint> {
+    ) -> Result<FinishedCheckpoint> {
         self.acquire_all_primary(me, held)?;
         // All writers are drained (strict 2PL: anyone mid-commit still held
         // exclusive primary locks across its log append); the LSN and
@@ -399,70 +208,127 @@ impl SvEngine {
         }
         writer.finish()
     }
+}
 
-    /// Recover this (freshly created, tables re-created) engine from a
-    /// [`RecoveryPlan`](mmdb_storage::checkpoint::RecoveryPlan): bulk-load
-    /// the checkpoint chain (base image plus deltas, if any), then replay
-    /// the log tail above the last chain element's LSN, skipping records
-    /// already inside the chain (`end_ts <= read_ts`).
+impl Durable for SvEngine {
+    /// Take a checkpoint into `store` and truncate the redo log below it.
     ///
-    /// The load is partitioned across a worker pool sharded by table
-    /// (`MMDB_RECOVERY_WORKERS`, defaulting to the machine's parallelism
-    /// capped at 8); chain rows, chain tombstones and tail ops collapse
-    /// into one `populate` per table, identical for any worker count and
-    /// bypassing the redo logger entirely.
+    /// The engine must route its redo stream through `store`'s group-commit
+    /// log ([`SvEngine::with_logger`] of `CheckpointStore::logger`).
     ///
-    /// The report's `valid_bytes` is the *physical* clean prefix of the
-    /// live log segment — what `CheckpointStore::open` takes to resume
-    /// appending.
-    pub fn recover_from_checkpoint(
-        &self,
-        plan: &mmdb_storage::checkpoint::RecoveryPlan,
-    ) -> Result<mmdb_storage::log::RecoveryReport> {
-        self.recover_from_checkpoint_with(plan, mmdb_storage::recovery::default_workers())
+    /// Unlike the multiversion engines, the single-version walk **blocks
+    /// writers**: with one version per row the only consistent image is the
+    /// current one, so the walk takes a shared lock on every primary bucket
+    /// of every table (canonical order; lock timeouts break deadlocks with
+    /// concurrent writers, surfacing as a retryable
+    /// [`MmdbError::LockTimeout`]). This is the paper's single-version
+    /// trade-off showing up in checkpointing, deliberately preserved as the
+    /// 1V contrast. The ordering contract is *stronger* than MV's: the
+    /// checkpoint LSN and the snapshot timestamp are both captured while
+    /// every primary bucket is locked — writers are fully drained (a
+    /// committer holds its exclusive locks across frame append), so the
+    /// frames below the LSN are exactly the commits below the timestamp.
+    fn checkpoint(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
+        // The walk needs a lock owner of its own.
+        let me = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
+        let mut held: Vec<(TableId, usize)> = Vec::new();
+        let result = self.checkpoint_walk(store, me, &mut held);
+        self.release_held(me, &held);
+        let installed = store.install_checkpoint(result?)?;
+        store.truncate_log()?;
+        Ok(installed)
     }
 
-    /// [`SvEngine::recover_from_checkpoint`] with an explicit worker count
-    /// (1 degenerates to the serial load).
-    pub fn recover_from_checkpoint_with(
-        &self,
-        plan: &mmdb_storage::checkpoint::RecoveryPlan,
-        workers: usize,
-    ) -> Result<mmdb_storage::log::RecoveryReport> {
-        let key_of = |table: TableId, row: &Row| self.table(table)?.key_of(IndexId(0), row);
-        let apply = |table: TableId, rows: Vec<Row>| self.populate(table, rows).map(|_| ());
-        let image = mmdb_storage::recovery::recover_partitioned(plan, workers, &key_of, &apply)?;
-        // Recovered timestamps came from the previous process's clock; the
-        // delta-checkpoint window comparisons need every future draw to
-        // postdate them.
-        self.inner.clock.advance_past(image.max_end_ts);
-        Ok(mmdb_storage::log::RecoveryReport {
-            records_applied: image.tail_records,
-            valid_bytes: image.valid_bytes,
-            torn_bytes: image.torn_bytes,
-        })
+    /// Take a *delta* checkpoint into `store`: an image holding only what
+    /// changed since the previous chain element, appended to the chain
+    /// instead of rewriting every table. Requires an installed chain
+    /// ([`Durable::checkpoint`] first).
+    ///
+    /// Where the base image must hold its locks for the whole table walk,
+    /// the delta only needs them for an instant: with every primary bucket
+    /// locked it captures the log high-water mark and a timestamp, then
+    /// releases — the log prefix below that LSN is immutable, and the delta
+    /// is computed *from the log* by collapsing the window's `Write` /
+    /// `Delete` ops per primary key (latest end timestamp wins). Writers
+    /// are blocked only for the capture, turning the 1V checkpoint stall
+    /// from O(database) into O(lock count).
+    fn checkpoint_delta(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
+        use std::collections::btree_map::Entry;
+
+        let parent = store
+            .last_checkpoint()
+            .ok_or(MmdbError::CheckpointInvalid {
+                reason: "no checkpoint installed to delta against",
+            })?;
+        let parent_ts = parent.read_ts;
+        let me = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
+        let mut held: Vec<(TableId, usize)> = Vec::new();
+        let barrier = self.acquire_all_primary(me, &mut held).map(|()| {
+            (
+                store.logger().appended_lsn(),
+                self.inner.clock.next_timestamp(),
+            )
+        });
+        self.release_held(me, &held);
+        let (ckpt_lsn, read_ts) = barrier?;
+
+        // Writers have resumed; everything below `ckpt_lsn` is immutable.
+        // Flush so the prefix is readable from the file, then collapse the
+        // window `(parent_ts, read_ts]` newest-wins per primary key. Frames
+        // below the *parent's* LSN were captured under the same barrier, so
+        // `end_ts > parent_ts` alone selects the window exactly.
+        store.logger().flush()?;
+        let limit = ckpt_lsn.0.saturating_sub(store.logger().base_lsn().0);
+        let mut latest: std::collections::BTreeMap<(TableId, Key), (Timestamp, Option<Row>)> =
+            std::collections::BTreeMap::new();
+        if limit > 0 {
+            let prefix = mmdb_storage::log::read_log_prefix(store.log_path(), limit)?;
+            for record in prefix.records {
+                if record.end_ts <= parent_ts {
+                    continue;
+                }
+                for op in record.ops {
+                    let (table, key, value) = match op {
+                        LogOp::Write { table, row } => {
+                            (table, self.primary_key_of(table, &row)?, Some(row))
+                        }
+                        LogOp::Delete { table, key } => (table, key, None),
+                    };
+                    match latest.entry((table, key)) {
+                        Entry::Vacant(slot) => {
+                            slot.insert((record.end_ts, value));
+                        }
+                        Entry::Occupied(mut slot) => {
+                            if record.end_ts >= slot.get().0 {
+                                slot.insert((record.end_ts, value));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut writer = store.begin_delta(ckpt_lsn, read_ts)?;
+        for ((table, key), (_, value)) in latest {
+            match value {
+                Some(row) => writer.write_row(table, &row)?,
+                None => writer.write_delete(table, key)?,
+            }
+        }
+        let installed = store.install_delta(writer.finish()?)?;
+        store.truncate_log()?;
+        Ok(installed)
     }
 
-    /// Recover from the framed bytes of a redo log, tolerating a torn tail
-    /// left by a crash mid-append (see [`SvEngine::replay_log`]).
-    pub fn recover_bytes(&self, bytes: &[u8]) -> Result<mmdb_storage::log::RecoveryReport> {
-        let outcome = mmdb_storage::log::read_log_bytes(bytes)?;
-        let records_applied = self.replay_log(outcome.records)?;
-        Ok(mmdb_storage::log::RecoveryReport {
-            records_applied,
-            valid_bytes: outcome.valid_bytes,
-            torn_bytes: outcome.torn_bytes,
-        })
+    fn primary_key_of(&self, table: TableId, row: &Row) -> Result<Key> {
+        self.table(table)?.key_of(IndexId(0), row)
     }
 
-    /// Recover from the redo-log file at `path` (see
-    /// [`SvEngine::recover_bytes`]).
-    pub fn recover_file(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<mmdb_storage::log::RecoveryReport> {
-        let bytes = std::fs::read(path).map_err(|e| MmdbError::LogIo(e.to_string()))?;
-        self.recover_bytes(&bytes)
+    fn populate(&self, table: TableId, rows: Vec<Row>) -> Result<usize> {
+        SvEngine::populate(self, table, rows)
+    }
+
+    fn advance_clock_past(&self, ts: Timestamp) {
+        self.inner.clock.advance_past(ts);
     }
 }
 
@@ -799,22 +665,6 @@ impl EngineTxn for SvTransaction {
         result
     }
 
-    fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>> {
-        let mut out = None;
-        self.scan_key_core(table, index, key, &mut |row| {
-            if out.is_none() {
-                out = Some(row.clone());
-            }
-        })?;
-        Ok(out)
-    }
-
-    fn scan_key(&mut self, table_id: TableId, index: IndexId, key: Key) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        self.scan_key_core(table_id, index, key, &mut |row| out.push(row.clone()))?;
-        Ok(out)
-    }
-
     fn read_with(
         &mut self,
         table: TableId,
@@ -938,7 +788,7 @@ impl EngineTxn for SvTransaction {
             return Err(MmdbError::Aborted);
         }
         let ts = self.inner.clock.next_timestamp();
-        if !self.log_ops.is_empty() && !self.inner.log_suppressed.load(Ordering::Relaxed) {
+        if !self.log_ops.is_empty() {
             let record = LogRecord {
                 end_ts: ts,
                 ops: std::mem::take(&mut self.log_ops),

@@ -105,16 +105,6 @@ impl SvTable {
         self.spec.keys_into(row, scratch)
     }
 
-    /// Keys of `row` under every index. Thin compat wrapper over
-    /// [`SvTable::keys_into`] (allocates a fresh `Vec` per call — the
-    /// single-version engine's physical row operations still use it, part of
-    /// the documented 1V allocation contrast).
-    pub fn keys_of(&self, row: &[u8]) -> Result<Vec<Key>> {
-        let mut scratch = KeyScratch::new();
-        self.keys_into(row, &mut scratch)?;
-        Ok(scratch.into_vec())
-    }
-
     /// Whether `index` was declared unique.
     pub fn is_unique(&self, index: IndexId) -> Result<bool> {
         Ok(self
@@ -323,7 +313,9 @@ impl SvTable {
     /// Insert a new row (physically). The caller has already checked
     /// uniqueness under the appropriate locks.
     pub fn insert_row(&self, row: Row) -> Result<()> {
-        let keys = self.keys_of(&row)?;
+        let mut keys = KeyScratch::new();
+        self.keys_into(&row, &mut keys)?;
+        let keys = keys.keys();
         let pk = keys[0];
         let bucket = self.bucket_of_key(IndexId(0), pk)?;
         self.primary[bucket].write().push(row);
@@ -340,7 +332,9 @@ impl SvTable {
     /// different secondary keys, but must keep the same primary key).
     /// Returns the old row, or `None` if `pk` was not present.
     pub fn update_row(&self, pk: Key, new_row: Row) -> Result<Option<Row>> {
-        let new_keys = self.keys_of(&new_row)?;
+        let mut new_keys = KeyScratch::new();
+        self.keys_into(&new_row, &mut new_keys)?;
+        let new_keys = new_keys.keys();
         if new_keys[0] != pk {
             return Err(MmdbError::Internal(
                 "update_row must preserve the primary key",
@@ -360,7 +354,9 @@ impl SvTable {
         };
         let Some(old_row) = old else { return Ok(None) };
         // Fix secondary entries whose key changed.
-        let old_keys = self.keys_of(&old_row)?;
+        let mut old_keys = KeyScratch::new();
+        self.keys_into(&old_row, &mut old_keys)?;
+        let old_keys = old_keys.keys();
         for slot in 1..self.spec.indexes.len() {
             if old_keys[slot] == new_keys[slot] {
                 continue;
@@ -398,8 +394,9 @@ impl SvTable {
             found.map(|i| rows.swap_remove(i))
         };
         let Some(old_row) = old else { return Ok(None) };
-        let old_keys = self.keys_of(&old_row)?;
-        for (slot, old_key) in old_keys.iter().enumerate().skip(1) {
+        let mut old_keys = KeyScratch::new();
+        self.keys_into(&old_row, &mut old_keys)?;
+        for (slot, old_key) in old_keys.keys().iter().enumerate().skip(1) {
             let sec_bucket = self.bucket_of_key(IndexId(slot as u32), *old_key)?;
             let mut entries = self.secondaries[slot - 1][sec_bucket].write();
             if let Some(pos) = entries.iter().position(|(k, p)| k == old_key && *p == pk) {

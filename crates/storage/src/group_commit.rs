@@ -21,7 +21,9 @@
 //!     inline flush**: the first [`wait_durable`] caller that finds the
 //!     flush lock free hardens the batch for everyone queued behind it —
 //!     followers just block on the ticket condvar and are covered by the
-//!     leader's single sync.
+//!     leader's single sync. When nobody waits or flushes at all, the
+//!     appender that fills the shared buffer hardens it, so fire-and-forget
+//!     appends stay memory-bounded.
 //! * [`wait_durable`] blocks until the durable watermark covers the ticket.
 //!   Because the buffer is appended in ticket order and batches are stolen
 //!   and written whole, **a ticket is never reported durable before every
@@ -29,14 +31,14 @@
 //!   below).
 //!
 //! Batch boundaries are **invisible on the wire**: the file is the exact
-//! concatenation of the appended frames, byte-identical to what a
-//! [`FileLogger`](crate::log::FileLogger) produces for the same appends.
-//! [`LogReader`](crate::log::LogReader) and recovery are therefore
-//! unaffected — a crash mid-batch is just a torn tail at some frame-interior
-//! offset, which the recovery suite exercises explicitly.
+//! concatenation of the appended frames
+//! ([`MemoryLogger::encoded_bytes`](crate::log::MemoryLogger::encoded_bytes)
+//! of the same appends). [`LogReader`](crate::log::LogReader) and recovery
+//! are therefore unaffected — a crash mid-batch is just a torn tail at some
+//! frame-interior offset, which the recovery suite exercises explicitly.
 //!
-//! I/O errors are sticky, as in [`FileLogger`](crate::log::FileLogger): the
-//! first failure poisons
+//! I/O errors are sticky: appends are fire-and-forget, so an error cannot be
+//! returned to the committing transaction. Instead the first failure poisons
 //! the log, every later [`wait_durable`]/[`flush`] reports it, and the
 //! durable watermark never advances past the last confirmed batch. A ticket
 //! confirmed durable **before** the failure still succeeds — its bytes are
@@ -59,9 +61,10 @@ use mmdb_common::error::{MmdbError, Result};
 
 use crate::log::{encode_record, LogRecord, Lsn, RedoLogger, StickyError};
 
-/// Initial capacity of the shared append buffer and its flush twin. Sized
-/// like `FileLogger`'s internal buffer so steady-state batches never grow
-/// the allocation (the zero-allocation commit path depends on this).
+/// Initial capacity of the shared append buffer and its flush twin, sized so
+/// steady-state batches never grow the allocation (the zero-allocation
+/// commit path depends on this). Also the fill level at which an appender to
+/// a tickless log hardens the buffer itself.
 const BUFFER_CAPACITY: usize = 1 << 20;
 
 /// How long a durability waiter sleeps before re-checking the watermark.
@@ -481,7 +484,7 @@ impl RedoLogger for GroupCommitLog {
     }
 
     fn append_frame_ticketed(&self, frame: &[u8]) -> Lsn {
-        let lsn = {
+        let (lsn, full) = {
             let mut st = self.shared.state.lock();
             // A torn log buffers no further bytes — they could never be
             // hardened (the flusher is gated on the sticky error), so
@@ -492,9 +495,18 @@ impl RedoLogger for GroupCommitLog {
                 st.buf.extend_from_slice(frame);
             }
             st.appended += frame.len() as u64;
-            Lsn(st.appended)
+            (Lsn(st.appended), st.buf.len() >= BUFFER_CAPACITY)
         };
         self.shared.records.fetch_add(1, Ordering::Relaxed);
+        if full && self.tick.is_none() {
+            // No ticker will come for these bytes, and Async committers
+            // never call `wait_durable`: whoever fills the buffer hardens
+            // it. `try_lock` as in the leader election — if a flush is
+            // already running, the next appender past the mark retries.
+            if let Some(mut flush) = self.shared.flush.try_lock() {
+                let _ = self.shared.harden_locked(&mut flush);
+            }
+        }
         lsn
     }
 
@@ -571,7 +583,7 @@ impl std::fmt::Debug for GroupCommitLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{read_log_bytes, read_log_file, FileLogger, LogOp};
+    use crate::log::{read_log_bytes, read_log_file, LogOp, MemoryLogger};
     use mmdb_common::error::MmdbError;
     use mmdb_common::ids::{TableId, Timestamp};
     use mmdb_common::row::Row;
@@ -609,23 +621,54 @@ mod tests {
             assert_eq!(log.durable_lsn(), log.appended_lsn());
         }
         // The wire stream is the plain concatenation of the frames — batch
-        // boundaries left no trace, and a FileLogger produces the identical
-        // bytes for the same appends.
+        // boundaries left no trace.
         let bytes = std::fs::read(&path).unwrap();
         let outcome = read_log_bytes(&bytes).unwrap();
         assert!(outcome.is_clean());
         assert_eq!(outcome.records, records);
-        let file_path = scratch("roundtrip-file");
-        {
-            let file_log = FileLogger::create(&file_path).unwrap();
-            for r in &records {
-                file_log.append(r.clone());
-            }
-            file_log.flush().unwrap();
+        let memory = MemoryLogger::new();
+        for r in &records {
+            memory.append(r.clone());
         }
-        assert_eq!(bytes, std::fs::read(&file_path).unwrap());
+        assert_eq!(bytes, memory.encoded_bytes());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&file_path);
+    }
+
+    /// Fire-and-forget appends to a tickless log — no `flush`, no
+    /// `wait_durable`, the Async commit path with nobody driving group
+    /// commit — must not grow the shared buffer without bound: the appender
+    /// that fills it hardens it.
+    #[test]
+    fn tickless_appends_without_any_flush_stay_memory_bounded() {
+        let path = scratch("overflow");
+        let log = GroupCommitLog::create(&path).unwrap();
+        let frame = encode_record(&LogRecord {
+            end_ts: Timestamp(1),
+            ops: vec![LogOp::Write {
+                table: TableId(0),
+                row: Row::from(vec![7u8; 4096]),
+            }],
+        });
+        let appends = 3 * BUFFER_CAPACITY / frame.len() + 1;
+        for _ in 0..appends {
+            log.append_frame(&frame);
+            let buffered = log.appended_lsn().0 - log.durable_lsn().0;
+            assert!(
+                buffered < (BUFFER_CAPACITY + frame.len()) as u64,
+                "{buffered} bytes buffered with nobody flushing"
+            );
+        }
+        let on_disk = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(on_disk, log.durable_lsn().0);
+        assert!(
+            on_disk >= 2 * BUFFER_CAPACITY as u64,
+            "only {on_disk} bytes reached the file"
+        );
+        drop(log);
+        let outcome = read_log_file(&path).unwrap();
+        assert!(outcome.is_clean());
+        assert_eq!(outcome.records.len(), appends);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -18,17 +18,21 @@
 //! * [`txn_table`] — transaction handles (state machine, commit-dependency
 //!   and wait-for-dependency bookkeeping) and the global transaction table.
 //! * [`gc`] — the garbage queue feeding cooperative collection.
-//! * [`log`] — non-blocking redo logging (null / in-memory / file) and the
+//! * [`log`] — the redo-log wire format, its readers, the [`RedoLogger`]
+//!   trait with its null / in-memory implementations and the
 //!   durability-ticket surface ([`log::Lsn`]).
-//! * [`group_commit`] — the shared-buffer batched log writer
-//!   ([`GroupCommitLog`]): one `write`+sync per batch, per-transaction
-//!   durability tickets, background-tick or leader-elected flushing.
+//! * [`group_commit`] — the file-backed logger ([`GroupCommitLog`]): a
+//!   shared-buffer batched writer, one `write`+sync per batch,
+//!   per-transaction durability tickets, background-tick or leader-elected
+//!   flushing.
 //! * [`checkpoint`] — checkpointing and log truncation
 //!   ([`CheckpointStore`]): consistent snapshot images, the torn-tolerant
 //!   `MANIFEST`, and crash-atomic write → install → truncate, turning
 //!   recovery into load-checkpoint + replay-tail.
 //! * [`recovery`] — partitioned parallel recovery: one decode pass over the
 //!   checkpoint chain + log tail, table-sharded apply workers.
+//! * [`durable`] — the [`Durable`] trait: the checkpoint / recover / replay
+//!   lifecycle written once over the few primitives engines differ in.
 //! * [`store`] — [`MvStore`], the bundle shared by all transactions.
 
 #![warn(missing_docs)]
@@ -36,6 +40,7 @@
 
 pub mod catalog;
 pub mod checkpoint;
+pub mod durable;
 pub mod gc;
 pub mod group_commit;
 pub mod log;
@@ -49,9 +54,10 @@ pub use checkpoint::{
     read_checkpoint, CheckpointContents, CheckpointRef, CheckpointStore, CheckpointWriter,
     FinishedCheckpoint, RecoveryPlan,
 };
+pub use durable::Durable;
 pub use gc::{GcItem, GcQueue};
 pub use group_commit::GroupCommitLog;
-pub use log::{FileLogger, LogOp, LogRecord, Lsn, MemoryLogger, NullLogger, RedoLogger};
+pub use log::{LogOp, LogRecord, Lsn, MemoryLogger, NullLogger, RedoLogger};
 pub use recovery::{recover_partitioned, RecoveredImage};
 pub use store::MvStore;
 pub use table::{Table, VersionPtr};

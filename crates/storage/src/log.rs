@@ -12,10 +12,10 @@
 //! * [`NullLogger`] — drops records (pure concurrency-control measurements).
 //! * [`MemoryLogger`] — keeps records in memory; used by tests to assert
 //!   ordering and content.
-//! * [`FileLogger`] — appends framed binary records to a file through an
-//!   internal buffer; `flush` is explicit (group commit) and never on the
-//!   transaction's commit path. I/O errors are sticky and surfaced by
-//!   [`RedoLogger::flush`].
+//! * [`GroupCommitLog`](crate::group_commit::GroupCommitLog) — the one
+//!   file-backed logger: appends framed binary records to a shared buffer
+//!   that is hardened in batches, never on the transaction's commit path.
+//!   I/O errors are sticky and surfaced by [`RedoLogger::flush`].
 //!
 //! ## Wire format
 //!
@@ -38,7 +38,7 @@
 //! [`MmdbError::LogCorrupt`]).
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use parking_lot::Mutex;
@@ -117,8 +117,8 @@ pub enum LogOpRef<'a> {
 
 /// Serialize one record into `buf` as a framed wire record (appended; the
 /// caller clears and reuses the buffer — after warmup this allocates
-/// nothing). Byte-identical to [`encode_record`] for the same ops, which is
-/// what keeps `FileLogger` streams written through either path comparable.
+/// nothing). Byte-identical to [`encode_record`] for the same ops, so log
+/// streams written through either path are comparable.
 pub fn encode_frame_into<'a>(
     buf: &mut Vec<u8>,
     end_ts: Timestamp,
@@ -574,8 +574,9 @@ pub trait RedoLogger: Send + Sync + 'static {
     /// Append one pre-encoded record frame (the exact bytes
     /// [`encode_frame_into`] produces). This is the hot commit path: the
     /// transaction encodes into a reusable buffer and hands the borrow over,
-    /// so byte-sink loggers ([`FileLogger`], [`NullLogger`]) append without
-    /// any allocation. Implementations must not retain the borrow.
+    /// so byte-sink loggers ([`crate::group_commit::GroupCommitLog`],
+    /// [`NullLogger`]) append without any allocation. Implementations must
+    /// not retain the borrow.
     ///
     /// The default decodes the frame and delegates to
     /// [`RedoLogger::append`], so record-keeping loggers (and any external
@@ -611,10 +612,8 @@ pub trait RedoLogger: Send + Sync + 'static {
     /// bytes of **every** lower ticket have reached the file — the log is a
     /// single ordered stream and flushes cover prefixes.
     ///
-    /// The default preserves the pre-ticket behavior: it simply
-    /// [`flush`](RedoLogger::flush)es, which for a [`FileLogger`] means one
-    /// write-and-sync per waiting transaction (the per-transaction-flush
-    /// baseline the `perf-commit` experiment measures group commit against).
+    /// The default, for loggers that issue no real tickets, simply
+    /// [`flush`](RedoLogger::flush)es.
     ///
     /// Errors are the logger's sticky I/O errors; once the underlying file
     /// has failed, every subsequent wait fails. A ticket whose bytes were
@@ -692,8 +691,8 @@ impl MemoryLogger {
         self.records.lock().iter().map(LogRecord::byte_size).sum()
     }
 
-    /// The exact bytes a [`FileLogger`] would have produced for the same
-    /// append sequence (byte-exact comparison in tests).
+    /// The exact bytes a file-backed logger would have produced for the
+    /// same append sequence (byte-exact comparison in tests).
     pub fn encoded_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for record in self.records.lock().iter() {
@@ -712,10 +711,10 @@ impl RedoLogger for MemoryLogger {
     }
 }
 
-/// First-error-wins sticky I/O error slot, shared by the file-backed
-/// loggers ([`FileLogger`], [`crate::group_commit::GroupCommitLog`]): the
-/// log is torn at the *earliest* failure point, so only the first error is
-/// retained and every later flush/wait reports it.
+/// First-error-wins sticky I/O error slot of
+/// [`crate::group_commit::GroupCommitLog`]: the log is torn at the
+/// *earliest* failure point, so only the first error is retained and every
+/// later flush/wait reports it.
 #[derive(Debug, Default)]
 pub(crate) struct StickyError(Mutex<Option<String>>);
 
@@ -744,168 +743,6 @@ impl StickyError {
             Some(err) => Err(err),
             None => Ok(()),
         }
-    }
-}
-
-/// Logger appending framed binary records to a file through a buffer.
-/// Appends go to an in-memory buffer under a mutex; actual file writes (and
-/// the sync that makes them durable) happen on `flush` (called by a
-/// background ticker or at shutdown), so the commit path never waits for
-/// I/O — matching the paper's asynchronous group commit. For a logger whose
-/// flush cadence is owned by the logger itself — a shared batch buffer, a
-/// background flusher tick, per-transaction durability tickets — see
-/// [`crate::group_commit::GroupCommitLog`].
-///
-/// Because appends are fire-and-forget, an I/O error cannot be returned to
-/// the committing transaction. Instead the first error is recorded and every
-/// subsequent [`flush`](RedoLogger::flush) fails with it, so the process
-/// driving group commit learns the log is torn. A torn log accepts and
-/// writes nothing further (dropping the logger discards, never retries, the
-/// buffered tail), and the file is cut back to the last *synced* offset —
-/// bytes past the tear must not surface after a crash, because recovery
-/// would replay them even though their transactions were never confirmed.
-pub struct FileLogger {
-    inner: Mutex<FileBuf>,
-    /// First I/O error seen by any append/flush; sticky once set.
-    error: StickyError,
-    count: std::sync::atomic::AtomicU64,
-}
-
-/// The buffered file behind a [`FileLogger`]. Hand-rolled rather than a
-/// `BufWriter` because `BufWriter::drop` retries writing residual buffered
-/// bytes — exactly what a torn log must never do.
-struct FileBuf {
-    file: File,
-    /// Frames appended since the last write to the OS.
-    buf: Vec<u8>,
-    /// File offset up to which bytes are confirmed synced (the truncation
-    /// target if a later write fails).
-    confirmed: u64,
-    /// File offset of everything handed to the OS (synced or not).
-    written: u64,
-}
-
-/// `FileLogger` spills its buffer to the OS (without syncing) past this
-/// size, bounding memory like `BufWriter` did.
-const FILE_LOGGER_SPILL: usize = 1 << 20;
-
-impl FileBuf {
-    /// Hand the buffered bytes to the OS (no sync). On failure the buffer
-    /// is discarded — the log is torn at its earliest unwritten byte and
-    /// nothing after the tear may ever reach the file.
-    fn write_buffered(&mut self, error: &StickyError) {
-        let result = self.file.write_all(&self.buf);
-        match result {
-            Ok(()) => self.written += self.buf.len() as u64,
-            Err(e) => {
-                error.record(e);
-                // Best effort: cut the file back to the synced prefix so the
-                // failing write's partial progress cannot outlive a crash.
-                let _ = self.file.set_len(self.confirmed);
-            }
-        }
-        self.buf.clear();
-    }
-}
-
-impl FileLogger {
-    /// Create (truncate) a log file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<FileLogger> {
-        let file = File::create(path)?;
-        Ok(FileLogger {
-            inner: Mutex::new(FileBuf {
-                file,
-                buf: Vec::with_capacity(FILE_LOGGER_SPILL),
-                confirmed: 0,
-                written: 0,
-            }),
-            error: StickyError::default(),
-            count: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-
-    /// Reopen an existing log file for appending after recovery.
-    ///
-    /// `valid_bytes` is what recovery reported
-    /// ([`LogReadOutcome::valid_bytes`]): the file is first cut back to that
-    /// offset — naively appending after a torn tail would bury the partial
-    /// frame mid-stream and corrupt every later record — and the cut is
-    /// synced before any new append can land. New frames continue the same
-    /// stream, so a second recovery reads old and new records alike.
-    pub fn open_append(path: impl AsRef<Path>, valid_bytes: u64) -> std::io::Result<FileLogger> {
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)?;
-        file.set_len(valid_bytes)?;
-        file.sync_all()?;
-        file.seek(SeekFrom::Start(valid_bytes))?;
-        Ok(FileLogger {
-            inner: Mutex::new(FileBuf {
-                file,
-                buf: Vec::with_capacity(FILE_LOGGER_SPILL),
-                confirmed: valid_bytes,
-                written: valid_bytes,
-            }),
-            error: StickyError::default(),
-            count: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-}
-
-impl RedoLogger for FileLogger {
-    fn append(&self, record: LogRecord) {
-        self.append_frame(&encode_record(&record));
-    }
-
-    fn append_frame(&self, frame: &[u8]) {
-        let mut g = self.inner.lock();
-        // A torn log accepts no further bytes (they could only land after
-        // the partial frame at the tear, where recovery must not read
-        // them); the append stays fire-and-forget — the error surfaces at
-        // the next flush.
-        if !self.error.is_set() {
-            g.buf.extend_from_slice(frame);
-            if g.buf.len() >= FILE_LOGGER_SPILL {
-                g.write_buffered(&self.error);
-            }
-        }
-        drop(g);
-        self.count
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn flush(&self) -> Result<()> {
-        let mut g = self.inner.lock();
-        // Write the buffered bytes, then sync them to the device: flush
-        // without sync would leave "durable" records in the page cache,
-        // where a machine crash still loses them. Once the log is torn
-        // (sticky error) nothing more is written — and the file is kept cut
-        // back to the confirmed prefix (idempotent, best effort), so
-        // unconfirmed bytes cannot resurface after a crash.
-        if self.error.is_set() {
-            let confirmed = g.confirmed;
-            let _ = g.file.set_len(confirmed);
-            drop(g);
-            return self.error.check();
-        }
-        g.write_buffered(&self.error);
-        if !self.error.is_set() {
-            match g.file.sync_data() {
-                Ok(()) => g.confirmed = g.written,
-                Err(e) => {
-                    self.error.record(e);
-                    let confirmed = g.confirmed;
-                    let _ = g.file.set_len(confirmed);
-                }
-            }
-        }
-        drop(g);
-        self.error.check()
-    }
-
-    fn records_written(&self) -> u64 {
-        self.count.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -1123,90 +960,10 @@ mod tests {
     }
 
     #[test]
-    fn null_and_file_loggers_count_frames() {
+    fn null_logger_counts_frames() {
         let null = NullLogger::new();
         null.append_frame(&encode_record(&record(1, 1)));
         assert_eq!(null.records_written(), 1);
-
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mmdb-log-frame-test-{}.bin", std::process::id()));
-        let rec = mixed_record(8);
-        {
-            let log = FileLogger::create(&path).unwrap();
-            log.append_frame(&encode_record(&rec));
-            log.flush().unwrap();
-            assert_eq!(log.records_written(), 1);
-        }
-        let outcome = read_log_file(&path).unwrap();
-        assert_eq!(outcome.records, vec![rec]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn file_logger_round_trips_through_the_reader() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mmdb-log-test-{}.bin", std::process::id()));
-        let records = vec![record(7, 3), mixed_record(8), record(9, 1)];
-        {
-            let log = FileLogger::create(&path).unwrap();
-            for r in &records {
-                log.append(r.clone());
-            }
-            log.flush().unwrap();
-            assert_eq!(log.records_written(), 3);
-        }
-        let outcome = read_log_file(&path).unwrap();
-        assert!(outcome.is_clean());
-        assert_eq!(outcome.records, records);
-        // Byte-exact parity with the in-memory logger.
-        let memory = MemoryLogger::new();
-        for r in &records {
-            memory.append(r.clone());
-        }
-        assert_eq!(std::fs::read(&path).unwrap(), memory.encoded_bytes());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// The torn-log contract: once the sticky error is set, the logger
-    /// writes nothing further (including on drop — no `BufWriter`-style
-    /// retry of buffered bytes) and keeps the file cut back to the last
-    /// synced offset, so unconfirmed bytes can never surface in recovery.
-    #[test]
-    fn torn_file_logger_discards_its_tail_and_truncates_to_the_synced_prefix() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mmdb-log-torn-test-{}.bin", std::process::id()));
-        let confirmed_len;
-        {
-            let log = FileLogger::create(&path).unwrap();
-            log.append(record(1, 2));
-            log.flush().unwrap(); // confirmed prefix
-            confirmed_len = std::fs::metadata(&path).unwrap().len();
-
-            // Simulate a failed later flush whose write partially reached
-            // the file before the error stuck.
-            log.error.record(std::io::Error::other("simulated tear"));
-            {
-                let mut f = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .unwrap();
-                f.write_all(b"unconfirmed partial write").unwrap();
-            }
-            // Appends after the tear are dropped, the gated flush truncates,
-            // and the drop at the end of this scope must not write either.
-            log.append(record(2, 1));
-            assert!(log.flush().is_err());
-            assert_eq!(log.records_written(), 2);
-        }
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            confirmed_len,
-            "the file must be cut back to the synced prefix"
-        );
-        let outcome = read_log_file(&path).unwrap();
-        assert!(outcome.is_clean());
-        assert_eq!(outcome.records, vec![record(1, 2)]);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Satellite regression: the streaming reader must agree byte-for-byte
@@ -1303,63 +1060,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Satellite regression: `open_append` cuts the torn tail first, so
-    /// continuing the log after a crash never buries garbage mid-stream.
-    #[test]
-    fn open_append_truncates_the_torn_tail_and_continues_the_stream() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("mmdb-log-reopen-test-{}.bin", std::process::id()));
-        {
-            let log = FileLogger::create(&path).unwrap();
-            log.append(record(1, 2));
-            log.append(record(2, 1));
-            log.flush().unwrap();
-        }
-        // Crash: a partial frame at the tail.
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
-        let recovered = read_log_file(&path).unwrap();
-        assert_eq!(recovered.records, vec![record(1, 2)]);
-        assert!(!recovered.is_clean());
-        {
-            let log = FileLogger::open_append(&path, recovered.valid_bytes).unwrap();
-            log.append(record(3, 1));
-            log.flush().unwrap();
-        }
-        let outcome = read_log_file(&path).unwrap();
-        assert!(outcome.is_clean());
-        assert_eq!(outcome.records, vec![record(1, 2), record(3, 1)]);
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn missing_log_file_is_a_log_io_error() {
         let err = read_log_file("/nonexistent/mmdb-no-such-log.bin").unwrap_err();
         assert!(matches!(err, MmdbError::LogIo(_)));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn file_logger_io_errors_are_sticky_and_surface_in_flush() {
-        // /dev/full accepts the open but fails every write with ENOSPC,
-        // which is exactly the torn-write scenario flush must report.
-        if !std::path::Path::new("/dev/full").exists() {
-            return;
-        }
-        let log = FileLogger::create("/dev/full").unwrap();
-        log.append(record(1, 2));
-        let first = log.flush();
-        assert!(
-            matches!(first, Err(MmdbError::LogIo(_))),
-            "flush should surface the write failure, got {first:?}"
-        );
-        // The error is sticky: later flushes keep failing with the first
-        // error even if nothing new is buffered.
-        let second = log.flush();
-        assert_eq!(first, second);
-        // Appends never panic or block on the broken file.
-        log.append(record(2, 1));
-        assert_eq!(log.records_written(), 2);
-        assert!(log.flush().is_err());
     }
 }

@@ -31,11 +31,6 @@ pub struct MvStore {
     txns: TxnTable,
     gc: GcQueue,
     logger: Arc<dyn RedoLogger>,
-    /// When set, committing transactions skip the redo-log append. Only
-    /// recovery replay uses this: replayed records drive ordinary
-    /// transactions, and re-appending them to the very log being replayed
-    /// would duplicate every tail record.
-    log_suppressed: std::sync::atomic::AtomicBool,
     stats: EngineStats,
 }
 
@@ -54,7 +49,6 @@ impl MvStore {
             txns: TxnTable::new(),
             gc: GcQueue::new(),
             logger,
-            log_suppressed: std::sync::atomic::AtomicBool::new(false),
             stats: EngineStats::new(),
         }
     }
@@ -89,21 +83,6 @@ impl MvStore {
         &self.gc
     }
 
-    /// Is redo logging currently suppressed (recovery replay in progress)?
-    #[inline]
-    pub fn log_suppressed(&self) -> bool {
-        self.log_suppressed
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Suppress (or re-enable) redo logging. Recovery replay wraps its
-    /// transactions in a suppressed window so replaying a log tail into an
-    /// engine attached to that same log does not re-append every record.
-    pub fn set_log_suppressed(&self, suppressed: bool) {
-        self.log_suppressed
-            .store(suppressed, std::sync::atomic::Ordering::Relaxed);
-    }
-
     /// Create a table. Publication is a single atomic swap of the catalog
     /// slice; concurrent lookups never block on it.
     pub fn create_table(&self, spec: TableSpec) -> Result<TableId> {
@@ -125,8 +104,9 @@ impl MvStore {
     }
 
     /// Look up a table, returning an owned handle (an `Arc` clone; still
-    /// lock-free). Cold-path variant for callers that need to hold the table
-    /// across epoch boundaries (GC recycling, diagnostics).
+    /// lock-free). For the one caller that must hold the table past its
+    /// epoch guard: garbage collection's deferred version recycling.
+    /// Everything else resolves tables through [`MvStore::table_in`].
     pub fn table(&self, id: TableId) -> Result<Arc<Table>> {
         self.tables
             .get(id.0 as usize)
@@ -145,9 +125,9 @@ impl MvStore {
     where
         I: IntoIterator<Item = Row>,
     {
-        let table = self.table(table_id)?;
-        let ts = self.clock.next_timestamp();
         let guard = epoch::pin();
+        let table = self.table_in(table_id, &guard)?;
+        let ts = self.clock.next_timestamp();
         let mut n = 0;
         for row in rows {
             let version = table.make_committed_version(ts, row)?;
@@ -381,7 +361,7 @@ mod tests {
         assert_eq!(store.table_in(t2, &guard).unwrap().id(), t2);
     }
 
-    /// Acceptance criterion of the lock-free catalog: `create_table` racing
+    /// What the lock-free catalog must guarantee: `create_table` racing
     /// readers must never make an already-published table unreachable, and
     /// readers never block (they run under nothing but an epoch pin).
     #[test]
@@ -470,9 +450,8 @@ mod tests {
             "reclaimed versions feed the table's pool instead of the allocator"
         );
         // And the pool is consumed by new version creation.
-        let keys = table.keys_of(&rowbuf::keyed_row(100, 16, 1)).unwrap();
         let v = table
-            .make_version_with(TxnId(77), rowbuf::keyed_row(100, 16, 1), &keys)
+            .make_version_with(TxnId(77), rowbuf::keyed_row(100, 16, 1), &[100])
             .unwrap();
         assert_eq!(table.pooled_versions(), 7);
         assert_eq!(v.begin_word().as_txn(), Some(TxnId(77)));

@@ -358,16 +358,6 @@ impl Table {
         self.spec.keys_into(row, scratch)
     }
 
-    /// Extract the key of `row` under every index of this table (index
-    /// order). Thin test/compat wrapper over [`Table::keys_into`] — it
-    /// allocates a fresh `Vec` per call, which is exactly what the hot write
-    /// path avoids.
-    pub fn keys_of(&self, row: &[u8]) -> Result<Vec<Key>> {
-        let mut scratch = KeyScratch::new();
-        self.keys_into(row, &mut scratch)?;
-        Ok(scratch.into_vec())
-    }
-
     /// Extract the key of `row` under one index.
     pub fn key_of(&self, index: IndexId, row: &[u8]) -> Result<Key> {
         self.spec
@@ -427,26 +417,15 @@ impl Table {
         }
     }
 
-    /// Allocate a version for `row` (keys extracted per the spec). Compat
-    /// wrapper over [`Table::make_version_with`] for callers without a key
-    /// scratch.
-    pub fn make_version(
-        &self,
-        creator: mmdb_common::ids::TxnId,
-        row: Row,
-    ) -> Result<Owned<Version>> {
-        let keys = self.keys_of(&row)?;
-        self.make_version_with(creator, row, &keys)
-    }
-
     /// Allocate an already-committed version for `row` (bulk loading).
     pub fn make_committed_version(
         &self,
         begin: mmdb_common::ids::Timestamp,
         row: Row,
     ) -> Result<Owned<Version>> {
-        let keys = self.keys_of(&row)?;
-        Ok(Owned::new(Version::new_committed(begin, row, &keys)))
+        let mut keys = KeyScratch::new();
+        self.keys_into(&row, &mut keys)?;
+        Ok(Owned::new(Version::new_committed(begin, row, keys.keys())))
     }
 
     /// Return a reclaimed version allocation to the pool (or free it when
@@ -679,12 +658,12 @@ mod tests {
     }
 
     #[test]
-    fn keys_of_matches_spec_order() {
+    fn keys_into_matches_spec_order() {
         let table = Table::new(TableId(3), two_index_spec()).unwrap();
         let row = rowbuf::keyed_row(9, 16, 7);
-        let keys = table.keys_of(&row).unwrap();
-        assert_eq!(keys[0], 9);
-        assert_eq!(keys[1], mmdb_common::hash::hash_bytes(&[7u8]));
+        let mut keys = KeyScratch::new();
+        table.keys_into(&row, &mut keys).unwrap();
+        assert_eq!(keys.keys(), [9, mmdb_common::hash::hash_bytes(&[7u8])]);
         assert_eq!(table.key_of(IndexId(0), &row).unwrap(), 9);
         assert!(table.key_of(IndexId(5), &row).is_err());
         assert!(table.is_unique(IndexId(0)).unwrap());
@@ -806,7 +785,7 @@ mod tests {
         let guard = epoch::pin();
         let ptr = table.link_version(
             table
-                .make_version(TxnId(1), rowbuf::keyed_row(1, 16, 0))
+                .make_version_with(TxnId(1), rowbuf::keyed_row(1, 16, 0), &[1])
                 .unwrap(),
             &guard,
         );
@@ -828,9 +807,9 @@ mod tests {
         let table = Table::new(TableId(0), TableSpec::keyed_u64("t", 8)).unwrap();
         let short = Row::from(vec![1u8, 2, 3]);
         assert!(matches!(
-            table.keys_of(&short),
+            table.keys_into(&short, &mut KeyScratch::new()),
             Err(MmdbError::RowTooShort { .. })
         ));
-        assert!(table.make_version(TxnId(1), short).is_err());
+        assert!(table.make_committed_version(Timestamp(1), short).is_err());
     }
 }

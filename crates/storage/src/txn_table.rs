@@ -596,7 +596,7 @@ struct HandleRef(*const TxnHandle);
 unsafe impl Send for HandleRef {}
 
 /// One shard: a write lock serializing register/remove/rebuild, plus the
-/// epoch-protected slot array that `get` traverses without any lock.
+/// epoch-protected slot array that `get_in` traverses without any lock.
 struct Shard {
     writer: Mutex<ShardWriter>,
     slots: Atomic<SlotArray>,
@@ -610,9 +610,9 @@ struct ShardWriter {
 
 /// The global transaction table: transaction ID → handle.
 ///
-/// Lookups ([`TxnTable::get_in`] / [`TxnTable::get`]) are **lock-free**: they
-/// probe an open-addressed slot array under an epoch guard — no reader/writer
-/// lock, no `Arc` clone on the `get_in` path. This matters because the
+/// Lookups ([`TxnTable::get_in`]) are **lock-free**: they probe an
+/// open-addressed slot array under an epoch guard — no reader/writer lock,
+/// no `Arc` clone. This matters because the
 /// visibility check of §2.5 performs a lookup for every version whose Begin
 /// or End field holds a transaction id, i.e. on the hottest read path in the
 /// system. Mutations (`register`/`remove`) take a per-shard mutex; they
@@ -750,21 +750,6 @@ impl TxnTable {
             idx = (idx + 1) & mask;
         }
         None
-    }
-
-    /// Look a transaction up, returning an owned handle (an `Arc` clone).
-    /// Use [`TxnTable::get_in`] on hot paths that only inspect the handle.
-    pub fn get(&self, id: TxnId) -> Option<Arc<TxnHandle>> {
-        let guard = epoch::pin();
-        let borrowed = self.get_in(id, &guard)?;
-        let raw = borrowed as *const TxnHandle;
-        // SAFETY: `raw` is a strong reference held by the slot, which cannot
-        // be released while we are pinned; incrementing the count and
-        // reconstructing from it yields an independent clone.
-        unsafe {
-            Arc::increment_strong_count(raw);
-            Some(Arc::from_raw(raw))
-        }
     }
 
     /// Remove a terminated transaction. The slot's strong reference is
@@ -926,8 +911,10 @@ impl TxnTable {
         let mut out = Vec::new();
         self.for_each_handle(|handle| {
             let raw = handle as *const TxnHandle;
-            // SAFETY: as in `get`: the slot's strong reference pins the
-            // handle while we are inside `for_each_handle`'s epoch pin.
+            // SAFETY: `raw` is a strong reference held by the slot, which
+            // cannot be released while `for_each_handle` keeps us pinned;
+            // incrementing the count and reconstructing from it yields an
+            // independent clone.
             unsafe {
                 Arc::increment_strong_count(raw);
                 out.push(Arc::from_raw(raw));
@@ -1107,8 +1094,9 @@ mod tests {
             table.register(handle(i, i + 1000));
         }
         assert_eq!(table.len(), 100);
-        assert_eq!(table.get(TxnId(37)).unwrap().id(), TxnId(37));
-        assert!(table.get(TxnId(999)).is_none());
+        let guard = crossbeam::epoch::pin();
+        assert_eq!(table.get_in(TxnId(37), &guard).unwrap().id(), TxnId(37));
+        assert!(table.get_in(TxnId(999), &guard).is_none());
         assert_eq!(table.min_active_begin(), Some(Timestamp(1001)));
         table.remove(TxnId(1));
         assert_eq!(table.len(), 99);
@@ -1151,14 +1139,16 @@ mod tests {
         for round in 0..10_000u64 {
             let id = 64 * (round + 100);
             table.register(handle(id, id));
-            assert_eq!(table.get(TxnId(id)).unwrap().id(), TxnId(id));
+            let guard = crossbeam::epoch::pin();
+            assert_eq!(table.get_in(TxnId(id), &guard).unwrap().id(), TxnId(id));
             table.remove(TxnId(id));
-            assert!(table.get(TxnId(id)).is_none());
+            assert!(table.get_in(TxnId(id), &guard).is_none());
         }
         assert_eq!(table.len(), pinned.len());
+        let guard = crossbeam::epoch::pin();
         for &id in &pinned {
             assert_eq!(
-                table.get(TxnId(id)).unwrap().begin_ts(),
+                table.get_in(TxnId(id), &guard).unwrap().begin_ts(),
                 Timestamp(id),
                 "long-lived entry survived churn"
             );

@@ -135,11 +135,6 @@ impl EngineTxn for RecordingTxn {
         self.inner.insert(table, row)
     }
 
-    fn read(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Option<Row>> {
-        self.touch(table, false);
-        self.inner.read(table, index, key)
-    }
-
     fn read_with(
         &mut self,
         table: TableId,
@@ -151,11 +146,6 @@ impl EngineTxn for RecordingTxn {
         self.inner.read_with(table, index, key, visit)
     }
 
-    fn scan_key(&mut self, table: TableId, index: IndexId, key: Key) -> Result<Vec<Row>> {
-        self.touch(table, false);
-        self.inner.scan_key(table, index, key)
-    }
-
     fn scan_key_with(
         &mut self,
         table: TableId,
@@ -165,11 +155,6 @@ impl EngineTxn for RecordingTxn {
     ) -> Result<usize> {
         self.touch(table, false);
         self.inner.scan_key_with(table, index, key, visit)
-    }
-
-    fn scan_range(&mut self, table: TableId, index: IndexId, lo: Key, hi: Key) -> Result<Vec<Row>> {
-        self.touch(table, false);
-        self.inner.scan_range(table, index, lo, hi)
     }
 
     fn scan_range_with(

@@ -465,13 +465,21 @@ fn reader_writer_wait_for_dependencies_resolve_without_deadlock() {
         .populate(table, (0..2u64).map(|k| rowbuf::keyed_row(k, FILLER, 1)))
         .unwrap();
 
+    // Each worker keeps going until it has committed its quota. A loser backs
+    // off before retrying: a peer descheduled mid-commit holds
+    // `NoMoreReadLocks` for its whole time slice, and without the pause the
+    // other worker burns every attempt it has on `ReadLockUnavailable`
+    // inside that slice.
+    const QUOTA: u64 = 25;
+    const MAX_ATTEMPTS: u64 = 2_000;
     let committed = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
         for w in 0..2u64 {
             let engine = engine.clone();
             let committed = Arc::clone(&committed);
             scope.spawn(move || {
-                for i in 0..50u64 {
+                let mut mine = 0;
+                for i in 0..MAX_ATTEMPTS {
                     let (read_key, write_key) = if w == 0 { (0, 1) } else { (1, 0) };
                     let mut txn = engine.begin(IsolationLevel::RepeatableRead);
                     let result: Result<()> = (|| {
@@ -484,22 +492,30 @@ fn reader_writer_wait_for_dependencies_resolve_without_deadlock() {
                         )?;
                         Ok(())
                     })();
-                    match result {
-                        Ok(()) => {
-                            if txn.commit().is_ok() {
-                                committed.fetch_add(1, Ordering::Relaxed);
-                            }
+                    let ok = match result {
+                        Ok(()) => txn.commit().is_ok(),
+                        Err(_) => {
+                            txn.abort();
+                            false
                         }
-                        Err(_) => txn.abort(),
+                    };
+                    if !ok {
+                        std::thread::sleep(Duration::from_micros(50));
+                        continue;
+                    }
+                    mine += 1;
+                    if mine == QUOTA {
+                        break;
                     }
                 }
+                committed.fetch_add(mine, Ordering::Relaxed);
             });
         }
     });
-    assert!(
-        committed.load(Ordering::Relaxed) >= 50,
-        "the system must keep committing: {}",
-        committed.load(Ordering::Relaxed)
+    assert_eq!(
+        committed.load(Ordering::Relaxed),
+        2 * QUOTA,
+        "the system must keep committing: a worker ran out of attempts"
     );
 }
 
