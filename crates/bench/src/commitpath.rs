@@ -26,7 +26,7 @@ use mmdb_storage::group_commit::GroupCommitLog;
 use mmdb_storage::log::RedoLogger;
 
 /// Transactions each worker commits before the measured window opens:
-/// enough to warm the engine pools, the log file and (for the group-commit
+/// enough to warm the thread's context pool, the log file and (for the group-commit
 /// loggers) the shared batch buffer.
 pub const WARMUP_TXNS: u64 = 64;
 

@@ -51,24 +51,24 @@ impl MvTransaction {
     /// transaction. Drains by popping so the vectors keep their capacity for
     /// the next transaction that recycles these buffers.
     pub(crate) fn release_locks(&mut self) {
-        while let Some(ptr) = self.bufs.read_locks.pop() {
+        while let Some(ptr) = self.ctx.bufs.read_locks.pop() {
             self.release_read_lock(ptr);
         }
-        if self.bufs.bucket_locks.is_empty() && self.bufs.range_locks.is_empty() {
+        if self.ctx.bufs.bucket_locks.is_empty() && self.ctx.bufs.range_locks.is_empty() {
             return;
         }
         let guard = crossbeam::epoch::pin();
-        while let Some(lock) = self.bufs.bucket_locks.pop() {
+        while let Some(lock) = self.ctx.bufs.bucket_locks.pop() {
             if let Ok(table) = self.inner.store.table_in(lock.table, &guard) {
                 if let Ok(locks) = table.bucket_locks(lock.index) {
-                    locks.unlock(lock.bucket, self.handle.id());
+                    locks.unlock(lock.bucket, self.ctx.handle.id());
                 }
             }
         }
-        while let Some(lock) = self.bufs.range_locks.pop() {
+        while let Some(lock) = self.ctx.bufs.range_locks.pop() {
             if let Ok(table) = self.inner.store.table_in(lock.table, &guard) {
                 if let Ok(locks) = table.range_locks(lock.index) {
-                    locks.unlock(lock.lo, lock.hi, self.handle.id());
+                    locks.unlock(lock.lo, lock.hi, self.ctx.handle.id());
                 }
             }
         }
@@ -86,15 +86,15 @@ impl MvTransaction {
     fn end_normal_processing(&mut self) -> Result<()> {
         // No further incoming wait-for dependencies may be added: otherwise a
         // stream of new readers could postpone the precommit forever.
-        self.handle.close_wait_fors();
-        if self.handle.wait_for_count() > 0 {
+        self.ctx.handle.close_wait_fors();
+        if self.ctx.handle.wait_for_count() > 0 {
             EngineStats::bump(&self.stats().commit_waits);
-            let handle = &self.handle;
+            let handle = &self.ctx.handle;
             let done = handle.wait_until(
                 || handle.wait_for_count() <= 0 || handle.abort_requested(),
                 self.inner.config.wait_timeout,
             );
-            if self.handle.abort_requested() {
+            if self.ctx.handle.abort_requested() {
                 return Err(MmdbError::Aborted);
             }
             if !done {
@@ -108,13 +108,18 @@ impl MvTransaction {
     /// Release outgoing wait-for dependencies: every transaction in our
     /// WaitingTxnList gets one of its wait-for dependencies released
     /// (§4.2.2).
-    fn release_outgoing_wait_fors(&self) {
-        for waiter in self.handle.take_waiting_txns() {
+    fn release_outgoing_wait_fors(&mut self) {
+        let mut waiters = std::mem::take(&mut self.ctx.bufs.scratch.txn_ids);
+        self.ctx.handle.take_waiting_txns(&mut waiters);
+        if !waiters.is_empty() {
             let guard = crossbeam::epoch::pin();
-            if let Some(w) = self.inner.store.txns().get_in(waiter, &guard) {
-                w.release_wait_for();
+            for waiter in waiters.drain(..) {
+                if let Some(w) = self.inner.store.txns().get_in(waiter, &guard) {
+                    w.release_wait_for();
+                }
             }
         }
+        self.ctx.bufs.scratch.txn_ids = waiters;
     }
 
     // ------------------------------------------------------------------
@@ -126,27 +131,27 @@ impl MvTransaction {
     /// (our own writes cannot invalidate our reads).
     fn validate_reads(&mut self, end_ts: Timestamp) -> Result<()> {
         let guard = crossbeam::epoch::pin();
-        let entries = std::mem::take(&mut self.bufs.read_set);
+        let entries = std::mem::take(&mut self.ctx.bufs.read_set);
         for entry in &entries {
             let version = entry.version.get();
-            if version.end_word().writer() == Some(self.handle.id()) {
+            if version.end_word().writer() == Some(self.ctx.handle.id()) {
                 continue;
             }
             let vis = check_visibility(
                 version,
                 end_ts,
-                self.handle.id(),
+                self.ctx.handle.id(),
                 self.inner.store.txns(),
                 &guard,
             );
             let visible = self.resolve_visibility(version, vis, end_ts)?;
             if !visible {
                 EngineStats::bump(&self.stats().validation_failures);
-                self.bufs.read_set = entries;
+                self.ctx.bufs.read_set = entries;
                 return Err(MmdbError::ReadValidationFailed);
             }
         }
-        self.bufs.read_set = entries;
+        self.ctx.bufs.read_set = entries;
         Ok(())
     }
 
@@ -154,10 +159,10 @@ impl MvTransaction {
     /// that came into existence during our lifetime is visible at the end
     /// timestamp (Figure 3, case V4).
     fn validate_scans(&mut self, end_ts: Timestamp) -> Result<()> {
-        let begin_ts = self.handle.begin_ts();
-        let scans = std::mem::take(&mut self.bufs.scan_set);
-        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
-        let me = self.handle.id();
+        let begin_ts = self.ctx.handle.begin_ts();
+        let scans = std::mem::take(&mut self.ctx.bufs.scan_set);
+        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
+        let me = self.ctx.handle.id();
         let result = (|| {
             for scan in &scans {
                 let guard = crossbeam::epoch::pin();
@@ -197,8 +202,8 @@ impl MvTransaction {
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.bufs.scratch.candidates = candidates;
-        self.bufs.scan_set = scans;
+        self.ctx.bufs.scratch.candidates = candidates;
+        self.ctx.bufs.scan_set = scans;
         result
     }
 
@@ -214,7 +219,7 @@ impl MvTransaction {
             self.finish_abort(&err);
             return Err(err);
         }
-        if self.handle.abort_requested() {
+        if self.ctx.handle.abort_requested() {
             let err = MmdbError::CommitDependencyFailed;
             self.finish_abort(&err);
             return Err(err);
@@ -231,10 +236,10 @@ impl MvTransaction {
         // one atomic step: without it, a thread preempted between the two
         // looks like a plain Active transaction while its timestamp is
         // already ordered in the past (see `TxnHandle::begin_precommit`).
-        self.handle.begin_precommit();
+        self.ctx.handle.begin_precommit();
         let end_ts = self.inner.store.clock().next_timestamp();
-        self.handle.set_end_ts(end_ts);
-        self.handle.set_state(TxnState::Preparing);
+        self.ctx.handle.set_end_ts(end_ts);
+        self.ctx.handle.set_state(TxnState::Preparing);
         // Only now release read/bucket locks and outgoing wait-for
         // dependencies: every transaction we delayed obtains an end timestamp
         // later than ours, so its position in the serial order is after us.
@@ -243,8 +248,8 @@ impl MvTransaction {
 
         // Step 3: validation (optimistic only; locks make it unnecessary for
         // pessimistic transactions, §4.3.2).
-        if self.handle.mode() == ConcurrencyMode::Optimistic {
-            let iso = self.handle.isolation();
+        if self.ctx.handle.mode() == ConcurrencyMode::Optimistic {
+            let iso = self.ctx.handle.isolation();
             if iso.requires_read_stability() {
                 if let Err(err) = self.validate_reads(end_ts) {
                     self.finish_abort(&err);
@@ -260,14 +265,14 @@ impl MvTransaction {
         }
 
         // Step 4: wait for outstanding commit dependencies (§2.7).
-        if self.handle.commit_dep_count() > 0 {
+        if self.ctx.handle.commit_dep_count() > 0 {
             EngineStats::bump(&self.stats().commit_waits);
-            let handle = &self.handle;
+            let handle = &self.ctx.handle;
             let done = handle.wait_until(
                 || handle.commit_dep_count() <= 0 || handle.abort_requested(),
                 self.inner.config.wait_timeout,
             );
-            if self.handle.abort_requested() {
+            if self.ctx.handle.abort_requested() {
                 let err = MmdbError::CommitDependencyFailed;
                 self.finish_abort(&err);
                 return Err(err);
@@ -279,7 +284,7 @@ impl MvTransaction {
                 return Err(err);
             }
         }
-        if self.handle.abort_requested() {
+        if self.ctx.handle.abort_requested() {
             let err = MmdbError::CommitDependencyFailed;
             self.finish_abort(&err);
             return Err(err);
@@ -296,7 +301,7 @@ impl MvTransaction {
         // reports the log's sticky I/O error, the transaction rolls back in
         // memory — its in-memory effects never become visible, matching the
         // durable log, which is only trusted up to the first error anyway.
-        if !self.bufs.write_set.is_empty() {
+        if !self.ctx.bufs.write_set.is_empty() {
             let ticket = self.append_log_frame(end_ts);
             if self.durability == Durability::Sync {
                 if let Err(err) = self.inner.store.logger().wait_durable(ticket) {
@@ -314,9 +319,9 @@ impl MvTransaction {
         // soundly proves the table has no committed change in the delta
         // window. (A read-only transaction has nothing to raise, and so no
         // table to look up under a guard.)
-        if !self.bufs.write_set.is_empty() {
+        if !self.ctx.bufs.write_set.is_empty() {
             let guard = crossbeam::epoch::pin();
-            for entry in &self.bufs.write_set {
+            for entry in &self.ctx.bufs.write_set {
                 if entry.new.is_some() || entry.delete_key.is_some() {
                     if let Ok(table) = self.inner.store.table_in(entry.table, &guard) {
                         table.note_write(end_ts);
@@ -324,18 +329,20 @@ impl MvTransaction {
                 }
             }
         }
-        self.handle.set_state(TxnState::Committed);
+        self.ctx.handle.set_state(TxnState::Committed);
         EngineStats::bump(&self.stats().commits);
-        self.stats().contention.record(&self.bufs.touched, false);
+        self.stats()
+            .contention
+            .record(&self.ctx.bufs.touched, false);
 
         // Step 7: postprocessing — propagate the end timestamp, retire old
         // versions, resolve dependents, leave the transaction table.
         self.postprocess_commit(end_ts);
         self.resolve_dependents(true);
-        self.handle.set_state(TxnState::Terminated);
-        self.inner.store.txns().remove(self.handle.id());
+        self.ctx.handle.set_state(TxnState::Terminated);
+        self.inner.store.txns().remove(self.ctx.handle.id());
         self.finished = true;
-        self.recycle();
+        self.ctx.recycle();
 
         self.inner.after_commit();
         Ok(end_ts)
@@ -350,6 +357,7 @@ impl MvTransaction {
         // The paper's I/O estimate (payload + 8 bytes of metadata per op,
         // + 8 per record) — same accounting `LogRecord::byte_size` reports.
         let approx: u64 = self
+            .ctx
             .bufs
             .write_set
             .iter()
@@ -360,15 +368,13 @@ impl MvTransaction {
             })
             .sum::<u64>()
             + 8;
-        let mut buf = std::mem::take(&mut self.bufs.scratch.log_buf);
+        let mut buf = std::mem::take(&mut self.ctx.bufs.scratch.log_buf);
         buf.clear();
         encode_frame_into(
             &mut buf,
             end_ts,
-            self.bufs
-                .write_set
-                .iter()
-                .filter_map(|entry| match (&entry.new, entry.delete_key) {
+            self.ctx.bufs.write_set.iter().filter_map(|entry| {
+                match (&entry.new, entry.delete_key) {
                     (Some(new), _) => Some(LogOpRef::Write {
                         table: entry.table,
                         row: new.get().data(),
@@ -378,17 +384,18 @@ impl MvTransaction {
                         key,
                     }),
                     (None, None) => None,
-                }),
+                }
+            }),
         );
         EngineStats::bump(&self.stats().log_records);
         EngineStats::add(&self.stats().log_bytes, approx);
         let ticket = self.inner.store.logger().append_frame_ticketed(&buf);
-        self.bufs.scratch.log_buf = buf;
+        self.ctx.bufs.scratch.log_buf = buf;
         ticket
     }
 
     fn postprocess_commit(&mut self, end_ts: Timestamp) {
-        for entry in &self.bufs.write_set {
+        for entry in &self.ctx.bufs.write_set {
             if let Some(new) = &entry.new {
                 new.get().set_begin(BeginWord::Timestamp(end_ts));
             }
@@ -404,16 +411,23 @@ impl MvTransaction {
     }
 
     /// Inform every transaction in our CommitDepSet of our outcome (§2.7).
-    fn resolve_dependents(&self, committed: bool) {
-        for dependent in self.handle.resolve_commit_dependents(committed) {
+    fn resolve_dependents(&mut self, committed: bool) {
+        let mut dependents = std::mem::take(&mut self.ctx.bufs.scratch.txn_ids);
+        self.ctx
+            .handle
+            .resolve_commit_dependents(committed, &mut dependents);
+        if !dependents.is_empty() {
             let guard = crossbeam::epoch::pin();
-            if let Some(d) = self.inner.store.txns().get_in(dependent, &guard) {
-                d.resolve_incoming_commit_dep(committed);
-                if !committed {
-                    EngineStats::bump(&self.stats().cascaded_aborts);
+            for dependent in dependents.drain(..) {
+                if let Some(d) = self.inner.store.txns().get_in(dependent, &guard) {
+                    d.resolve_incoming_commit_dep(committed);
+                    if !committed {
+                        EngineStats::bump(&self.stats().cascaded_aborts);
+                    }
                 }
             }
         }
+        self.ctx.bufs.scratch.txn_ids = dependents;
     }
 
     // ------------------------------------------------------------------
@@ -440,11 +454,11 @@ impl MvTransaction {
         if self.finished {
             return;
         }
-        self.handle.set_state(TxnState::Aborted);
+        self.ctx.handle.set_state(TxnState::Aborted);
         EngineStats::bump(&self.stats().aborts);
         self.stats()
             .contention
-            .record(&self.bufs.touched, reason.is_contention());
+            .record(&self.ctx.bufs.touched, reason.is_contention());
         if matches!(reason, MmdbError::CommitDependencyFailed) {
             EngineStats::bump(&self.stats().cascaded_aborts);
         }
@@ -454,8 +468,8 @@ impl MvTransaction {
         // their End field reset to infinity unless another transaction has
         // already noticed the abort and re-locked them.
         let retire_at = self.inner.store.clock().next_timestamp();
-        let me = self.handle.id();
-        for entry in &self.bufs.write_set {
+        let me = self.ctx.handle.id();
+        for entry in &self.ctx.bufs.write_set {
             if let Some(new) = &entry.new {
                 new.get().set_begin(BeginWord::Timestamp(INFINITY_TS));
                 new.get().set_end(EndWord::Timestamp(INFINITY_TS));
@@ -488,9 +502,9 @@ impl MvTransaction {
         self.release_outgoing_wait_fors();
         self.resolve_dependents(false);
 
-        self.handle.set_state(TxnState::Terminated);
-        self.inner.store.txns().remove(self.handle.id());
+        self.ctx.handle.set_state(TxnState::Terminated);
+        self.inner.store.txns().remove(self.ctx.handle.id());
         self.finished = true;
-        self.recycle();
+        self.ctx.recycle();
     }
 }

@@ -1,7 +1,6 @@
 //! The multiversion engine: public entry point tying the storage substrate
 //! and the two concurrency-control schemes together.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -20,13 +19,9 @@ use mmdb_storage::store::MvStore;
 use mmdb_storage::txn_table::{TxnHandle, TxnState};
 
 use crate::config::{CcPolicy, MvConfig};
+use crate::context::TxnContext;
 use crate::deadlock;
-use crate::txn::{MvTransaction, TxnBuffers};
-
-/// Upper bound on pooled transaction handles / buffer sets. Bounds idle
-/// memory; under higher concurrency the pools simply miss and `begin` falls
-/// back to a fresh allocation.
-const TXN_POOL_CAP: usize = 256;
+use crate::txn::MvTransaction;
 
 /// Shared engine internals (store + configuration + background machinery).
 pub(crate) struct MvInner {
@@ -36,18 +31,6 @@ pub(crate) struct MvInner {
     commits_since_gc: AtomicU64,
     /// Tells the background deadlock detector to stop.
     stop: AtomicBool,
-    /// Recycled transaction handles, oldest first: a terminated
-    /// transaction's handle goes in at the back, and `begin` reuses the one
-    /// at the front once its reference count has drained to one (the
-    /// epoch-deferred release of its transaction-table slot — and any
-    /// lingering `get` clone — keeps recycling safe: a handle still borrowed
-    /// by a lock-free lookup can never be reset). The slot release runs a
-    /// couple of epochs after the transaction ended, so the queue settles at
-    /// that many handles and the front one is always ready. Together with
-    /// `buffers` this makes a warmed begin→commit cycle allocation-free.
-    handles: parking_lot::Mutex<VecDeque<Arc<TxnHandle>>>,
-    /// Recycled per-transaction buffer sets (cleared, capacity retained).
-    buffers: parking_lot::Mutex<Vec<TxnBuffers>>,
 }
 
 impl MvInner {
@@ -61,54 +44,6 @@ impl MvInner {
         let n = self.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(every) {
             self.store.collect_garbage(self.config.gc_batch);
-        }
-    }
-
-    /// Obtain a handle for a new transaction, recycling a pooled one when it
-    /// is exclusively ours (steady state: no allocation).
-    fn take_handle(
-        &self,
-        id: mmdb_common::ids::TxnId,
-        begin_ts: mmdb_common::ids::Timestamp,
-        mode: ConcurrencyMode,
-        isolation: IsolationLevel,
-    ) -> Arc<TxnHandle> {
-        {
-            let mut pool = self.handles.lock();
-            if let Some(mut handle) = pool.pop_front() {
-                if let Some(exclusive) = Arc::get_mut(&mut handle) {
-                    drop(pool);
-                    exclusive.reset_for(id, begin_ts, mode, isolation);
-                    return handle;
-                }
-                // Still referenced elsewhere (its epoch-deferred slot
-                // release has not run yet, a deadlock-detector snapshot,
-                // ...): back of the queue, and allocate fresh — the pool was
-                // one handle short of covering the reclamation lag.
-                pool.push_back(handle);
-            }
-        }
-        TxnHandle::new(id, begin_ts, mode, isolation)
-    }
-
-    /// Return a terminated transaction's handle to the pool.
-    pub(crate) fn return_handle(&self, handle: Arc<TxnHandle>) {
-        let mut pool = self.handles.lock();
-        if pool.len() < TXN_POOL_CAP {
-            pool.push_back(handle);
-        }
-    }
-
-    /// Obtain a (cleared, warmed) buffer set for a new transaction.
-    fn take_buffers(&self) -> TxnBuffers {
-        self.buffers.lock().pop().unwrap_or_default()
-    }
-
-    /// Return a cleared buffer set to the pool.
-    pub(crate) fn return_buffers(&self, bufs: TxnBuffers) {
-        let mut pool = self.buffers.lock();
-        if pool.len() < TXN_POOL_CAP {
-            pool.push(bufs);
         }
     }
 }
@@ -182,8 +117,6 @@ impl MvEngine {
             config: config.clone(),
             commits_since_gc: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            handles: parking_lot::Mutex::new(VecDeque::new()),
-            buffers: parking_lot::Mutex::new(Vec::new()),
         });
         if let CcPolicy::Adaptive {
             window,
@@ -306,10 +239,10 @@ impl MvEngine {
         let pending = store.txns().pending_begin();
         let id = store.clock().next_txn_id();
         let begin_ts = store.clock().next_timestamp();
-        let handle = self.inner.take_handle(id, begin_ts, mode, isolation);
-        store.txns().register(Arc::clone(&handle));
+        let ctx = TxnContext::take(id, begin_ts, mode, isolation);
+        store.txns().register(Arc::clone(&ctx.handle));
         drop(pending);
-        MvTransaction::new(Arc::clone(&self.inner), handle, self.inner.take_buffers())
+        MvTransaction::new(Arc::clone(&self.inner), ctx)
     }
 
     /// Begin a transaction whose concurrency mode is chosen by the engine's
@@ -410,6 +343,60 @@ impl MvEngine {
     }
 }
 
+impl MvEngine {
+    /// Walk every version of `table_id` reachable through its primary index
+    /// and hand each, with its visibility to the registered snapshot
+    /// transaction `snapshot`, to `visit`. `wanted` is asked before each
+    /// piece of the walk; `false` ends the table.
+    ///
+    /// One epoch pin per piece (`Table::scan_versions_chunk`), not per
+    /// table: a pin held for a whole table walk stalls epoch advancement for
+    /// every thread, and until it ends each transaction allocates its handle
+    /// and its versions afresh. The snapshot transaction, not the guard, is
+    /// what keeps the walk consistent from piece to piece.
+    fn walk_snapshot(
+        &self,
+        table_id: TableId,
+        snapshot: &MvTransaction,
+        wanted: impl Fn(&mmdb_storage::table::Table) -> bool,
+        mut visit: impl FnMut(&mmdb_storage::version::Version, bool) -> Result<()>,
+    ) -> Result<()> {
+        let mvstore = &self.inner.store;
+        let (read_ts, me) = (snapshot.begin_ts(), snapshot.me());
+        for chunk in 0.. {
+            let guard = crossbeam::epoch::pin();
+            let table = mvstore.table_in(table_id, &guard)?;
+            if !wanted(table) {
+                break;
+            }
+            let Some(versions) = table.scan_versions_chunk(IndexId(0), chunk, &guard)? else {
+                break;
+            };
+            for version in versions {
+                let vis = loop {
+                    let vis = crate::visibility::check_visibility(
+                        version,
+                        read_ts,
+                        me,
+                        mvstore.txns(),
+                        &guard,
+                    );
+                    if vis.dependency.is_none() {
+                        break vis;
+                    }
+                    // The owning transaction is mid-commit; its fate is
+                    // decided within a few instructions. A checkpoint has no
+                    // abort path to cascade, so wait it out instead of
+                    // taking a commit dependency.
+                    std::thread::yield_now();
+                };
+                visit(version, vis.visible)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Durable for MvEngine {
     /// Take a checkpoint into `store` and truncate the redo log below it.
     ///
@@ -439,39 +426,21 @@ impl Durable for MvEngine {
             IsolationLevel::SnapshotIsolation,
         );
         let read_ts = txn.begin_ts();
-        let me = txn.me();
         let mut writer = store.begin_checkpoint(ckpt_lsn, read_ts)?;
         let mvstore = &self.inner.store;
         for idx in 0..mvstore.table_count() {
             let table_id = TableId(idx as u32);
-            // One epoch pin per table: long enough to keep lookups cheap,
-            // short enough not to stall epoch advancement for the whole
-            // walk.
-            let guard = crossbeam::epoch::pin();
-            let table = mvstore.table_in(table_id, &guard)?;
-            for version in table.scan_versions(IndexId(0), &guard)? {
-                loop {
-                    let vis = crate::visibility::check_visibility(
-                        version,
-                        read_ts,
-                        me,
-                        mvstore.txns(),
-                        &guard,
-                    );
-                    if vis.dependency.is_some() {
-                        // The owning transaction is mid-commit; its fate is
-                        // decided within a few instructions. A checkpoint
-                        // has no abort path to cascade, so wait it out
-                        // instead of taking a commit dependency.
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    if vis.visible {
+            self.walk_snapshot(
+                table_id,
+                &txn,
+                |_| true,
+                |version, visible| {
+                    if visible {
                         writer.write_row(table_id, version.data())?;
                     }
-                    break;
-                }
-            }
+                    Ok(())
+                },
+            )?;
         }
         // The walk is read-only; committing just deregisters the snapshot
         // (releasing the GC watermark).
@@ -561,7 +530,6 @@ impl Durable for MvEngine {
             IsolationLevel::SnapshotIsolation,
         );
         let read_ts = txn.begin_ts();
-        let me = txn.me();
         self.quiesce_precommits(read_ts);
         let mut writer = store.begin_delta(ckpt_lsn, read_ts)?;
 
@@ -570,54 +538,36 @@ impl Durable for MvEngine {
         let mut tombstones: Vec<(TableId, u64)> = Vec::new();
         for idx in 0..mvstore.table_count() {
             let table_id = TableId(idx as u32);
-            let guard = crossbeam::epoch::pin();
-            let table = mvstore.table_in(table_id, &guard)?;
             // Strictly below `P` means no commit touched the table in the
             // window (the watermark was raised before any such commit
             // published, and quiescing ordered those raises before this
             // read): the whole table contributes nothing.
-            if table.dirty_ts() < parent_ts {
-                continue;
-            }
-            for version in table.scan_versions(IndexId(0), &guard)? {
-                loop {
-                    let vis = crate::visibility::check_visibility(
-                        version,
-                        read_ts,
-                        me,
-                        mvstore.txns(),
-                        &guard,
-                    );
-                    if vis.dependency.is_some() {
-                        std::thread::yield_now();
-                        continue;
+            let dirty = |table: &mmdb_storage::table::Table| table.dirty_ts() >= parent_ts;
+            self.walk_snapshot(table_id, &txn, dirty, |version, visible| {
+                if visible {
+                    // Committed at or below `P` ⇒ already in the parent
+                    // image. An unpublished begin word can only belong to a
+                    // post-`R` writer's in-flight version (which is never
+                    // visible at `R`), but stay conservative: a duplicate
+                    // row costs bytes, not correctness.
+                    let include = match version.begin_word() {
+                        BeginWord::Timestamp(begin) => begin > parent_ts,
+                        _ => true,
+                    };
+                    if include {
+                        writer.write_row(table_id, version.data())?;
+                        written.insert((table_id, version.index_key(0)));
                     }
-                    if vis.visible {
-                        // Committed at or below `P` ⇒ already in the parent
-                        // image. An unpublished begin word can only belong
-                        // to a post-`R` writer's in-flight version (which is
-                        // never visible at `R`), but stay conservative: a
-                        // duplicate row costs bytes, not correctness.
-                        let include = match version.begin_word() {
-                            BeginWord::Timestamp(begin) => begin > parent_ts,
-                            _ => true,
-                        };
-                        if include {
-                            writer.write_row(table_id, version.data())?;
-                            written.insert((table_id, version.index_key(0)));
-                        }
-                    } else if let EndWord::Timestamp(end) = version.end_word() {
-                        // A version that died inside the window and was not
-                        // superseded by a visible successor marks a delete;
-                        // supersessions are deduplicated against `written`
-                        // below.
-                        if end > parent_ts && end <= read_ts {
-                            tombstones.push((table_id, version.index_key(0)));
-                        }
+                } else if let EndWord::Timestamp(end) = version.end_word() {
+                    // A version that died inside the window and was not
+                    // superseded by a visible successor marks a delete;
+                    // supersessions are deduplicated against `written` below.
+                    if end > parent_ts && end <= read_ts {
+                        tombstones.push((table_id, version.index_key(0)));
                     }
-                    break;
                 }
-            }
+                Ok(())
+            })?;
         }
         txn.commit()?;
 

@@ -41,6 +41,7 @@
 
 pub mod commit;
 pub mod config;
+mod context;
 pub mod deadlock;
 pub mod engine;
 #[cfg(test)]

@@ -130,7 +130,7 @@ fn pinned_insert_scan_interleaving(shape: ScanShape) {
     // §4.3.1: the scanner saw the linked-but-uncommitted version and must
     // have delayed its creator's precommit.
     assert!(
-        scanner.handle.waiting_txns_contain(inserter_id),
+        scanner.ctx.handle.waiting_txns_contain(inserter_id),
         "scanner must have imposed a wait-for on the pending inserter"
     );
 

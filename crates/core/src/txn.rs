@@ -29,9 +29,10 @@ use mmdb_common::stats::EngineStats;
 use mmdb_common::word::{BeginWord, EndWord, LockWord};
 
 use mmdb_storage::table::{Table, VersionPtr};
-use mmdb_storage::txn_table::{DepRegistration, TxnHandle, TxnState};
+use mmdb_storage::txn_table::{DepRegistration, TxnState};
 use mmdb_storage::version::Version;
 
+use crate::context::TxnContext;
 use crate::engine::MvInner;
 use crate::visibility::{check_updatable, check_visibility, Updatability, Visibility};
 
@@ -104,10 +105,13 @@ pub(crate) struct TxnScratch {
     /// Redo-record encode buffer: commit frames the transaction's write set
     /// in place and hands `RedoLogger::append_frame` a borrow.
     pub(crate) log_buf: Vec<u8>,
+    /// Drain target for the handle's WaitingTxnList and CommitDepSet at
+    /// precommit / termination, so neither list gives up its capacity.
+    pub(crate) txn_ids: Vec<TxnId>,
 }
 
-/// The complete recyclable buffer set of a transaction. `MvEngine` keeps a
-/// pool of these: `begin` takes a warmed set, commit/abort clears and
+/// The complete recyclable buffer set of a transaction, pooled as half of a
+/// [`TxnContext`]: `begin` takes a warmed set, commit/abort clears and
 /// returns it, so a steady-state transaction performs **no allocation for
 /// its private state** — the paper's "normal processing never allocates
 /// beyond the version chain itself" engineering goal, pinned by
@@ -146,6 +150,7 @@ impl TxnBuffers {
         self.scratch.candidates.clear();
         self.scratch.keys.clear();
         self.scratch.log_buf.clear();
+        self.scratch.txn_ids.clear();
     }
 }
 
@@ -157,10 +162,11 @@ impl TxnBuffers {
 /// transaction aborts it.
 pub struct MvTransaction {
     pub(crate) inner: Arc<MvInner>,
-    pub(crate) handle: Arc<TxnHandle>,
-    /// Read/scan/write sets, lock lists and scratch: one pooled set, taken
-    /// from the engine at `begin` and returned whole by [`Self::recycle`].
-    pub(crate) bufs: TxnBuffers,
+    /// The shared handle plus the read/scan/write sets, lock lists and
+    /// scratch: one pooled piece, taken from the beginning thread's pool and
+    /// returned whole to the finishing thread's at the end of commit or
+    /// abort processing.
+    pub(crate) ctx: TxnContext,
     /// Set when an operation failed in a way that forces an abort
     /// (first-writer-wins conflicts, failed dependencies, ...). `commit`
     /// refuses to proceed once set.
@@ -173,39 +179,25 @@ pub struct MvTransaction {
 }
 
 impl MvTransaction {
-    pub(crate) fn new(
-        inner: Arc<MvInner>,
-        handle: Arc<TxnHandle>,
-        bufs: TxnBuffers,
-    ) -> MvTransaction {
+    pub(crate) fn new(inner: Arc<MvInner>, ctx: TxnContext) -> MvTransaction {
         let durability = inner.config.durability;
         MvTransaction {
             inner,
-            handle,
-            bufs,
+            ctx,
             must_abort: None,
             finished: false,
             durability,
         }
     }
 
-    /// Return the transaction's buffers and handle to the engine pools
-    /// (called exactly once, at the end of commit or abort processing).
-    pub(crate) fn recycle(&mut self) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        bufs.clear();
-        self.inner.return_buffers(bufs);
-        self.inner.return_handle(Arc::clone(&self.handle));
-    }
-
     /// The transaction's concurrency mode (optimistic or pessimistic).
     pub fn mode(&self) -> ConcurrencyMode {
-        self.handle.mode()
+        self.ctx.handle.mode()
     }
 
     /// The transaction's begin timestamp.
     pub fn begin_ts(&self) -> Timestamp {
-        self.handle.begin_ts()
+        self.ctx.handle.begin_ts()
     }
 
     /// The commit durability this transaction will use (defaults to the
@@ -227,7 +219,7 @@ impl MvTransaction {
 
     #[inline]
     pub(crate) fn me(&self) -> TxnId {
-        self.handle.id()
+        self.ctx.handle.id()
     }
 
     #[inline]
@@ -239,8 +231,8 @@ impl MvTransaction {
     /// the right contention-monitor cells.
     #[inline]
     pub(crate) fn note_table(&mut self, table: TableId) {
-        if !self.bufs.touched.contains(&table) {
-            self.bufs.touched.push(table);
+        if !self.ctx.bufs.touched.contains(&table) {
+            self.ctx.bufs.touched.push(table);
         }
     }
 
@@ -264,10 +256,10 @@ impl MvTransaction {
     /// the window either choice leaves open).
     pub(crate) fn read_time(&self) -> Timestamp {
         let clock = self.inner.store.clock();
-        match (self.handle.mode(), self.handle.isolation()) {
+        match (self.ctx.handle.mode(), self.ctx.handle.isolation()) {
             (_, IsolationLevel::ReadCommitted) => clock.last_issued(),
             (_, IsolationLevel::SnapshotIsolation) | (ConcurrencyMode::Optimistic, _) => {
-                self.handle.begin_ts()
+                self.ctx.handle.begin_ts()
             }
             (ConcurrencyMode::Pessimistic, IsolationLevel::RepeatableRead) => clock.last_issued(),
             (ConcurrencyMode::Pessimistic, IsolationLevel::Serializable) => clock.now(),
@@ -286,7 +278,7 @@ impl MvTransaction {
         if self.finished {
             return Err(MmdbError::TransactionClosed);
         }
-        if self.handle.abort_requested() {
+        if self.ctx.handle.abort_requested() {
             return Err(MmdbError::Aborted);
         }
         Ok(())
@@ -307,18 +299,18 @@ impl MvTransaction {
         rt: Timestamp,
     ) -> Result<()> {
         EngineStats::bump(&self.stats().commit_dependencies);
-        self.handle.add_incoming_commit_dep();
+        self.ctx.handle.add_incoming_commit_dep();
         let guard = epoch::pin();
         match self.inner.store.txns().get_in(target, &guard) {
             Some(t) => match t.add_commit_dependent(self.me()) {
                 DepRegistration::Registered => Ok(()),
                 DepRegistration::AlreadyCommitted => {
-                    self.handle.resolve_incoming_commit_dep(true);
+                    self.ctx.handle.resolve_incoming_commit_dep(true);
                     Ok(())
                 }
                 DepRegistration::AlreadyAborted => {
-                    self.handle.resolve_incoming_commit_dep(true); // rebalance the counter...
-                    self.handle.request_abort(); // ...but the speculation failed
+                    self.ctx.handle.resolve_incoming_commit_dep(true); // rebalance the counter...
+                    self.ctx.handle.request_abort(); // ...but the speculation failed
                     Err(self.fail(MmdbError::CommitDependencyFailed))
                 }
             },
@@ -336,11 +328,11 @@ impl MvTransaction {
                         None => false,
                     }
                 };
-                self.handle.resolve_incoming_commit_dep(true);
+                self.ctx.handle.resolve_incoming_commit_dep(true);
                 if ok {
                     Ok(())
                 } else {
-                    self.handle.request_abort();
+                    self.ctx.handle.request_abort();
                     Err(self.fail(MmdbError::CommitDependencyFailed))
                 }
             }
@@ -408,8 +400,8 @@ impl MvTransaction {
                         }
                     }
                 }
-                self.bufs.read_locks.push(ptr);
-                self.handle.record_read_lock(ptr);
+                self.ctx.bufs.read_locks.push(ptr);
+                self.ctx.handle.record_read_lock(ptr);
                 Ok(())
             }
             Err(_observed) => {
@@ -466,7 +458,7 @@ impl MvTransaction {
                 }
             }
         }
-        self.handle.forget_read_lock(ptr);
+        self.ctx.handle.forget_read_lock(ptr);
     }
 
     /// Install a wait-for dependency *on ourselves* held by `holder`: we may
@@ -475,14 +467,14 @@ impl MvTransaction {
     /// (see callers). Returns false if our own counter may no longer grow.
     pub(crate) fn self_wait_on_version(&mut self) -> bool {
         EngineStats::bump(&self.stats().wait_for_dependencies);
-        self.handle.try_add_wait_for()
+        self.ctx.handle.try_add_wait_for()
     }
 
     /// Make `target` wait for us: increments `target`'s WaitForCounter and
     /// remembers it in our WaitingTxnList so our precommit releases it.
     /// Returns false if `target` no longer accepts wait-for dependencies.
     pub(crate) fn impose_wait_for_on(&mut self, target: TxnId) -> bool {
-        if self.handle.waiting_txns_contain(target) {
+        if self.ctx.handle.waiting_txns_contain(target) {
             // Already delayed by us (e.g. it waits on our bucket lock, or a
             // previous scan found the same pending version). One wait-for
             // suffices, and re-registering could be refused spuriously once
@@ -498,7 +490,7 @@ impl MvTransaction {
             return false;
         }
         EngineStats::bump(&self.stats().wait_for_dependencies);
-        self.handle.add_waiting_txn(target);
+        self.ctx.handle.add_waiting_txn(target);
         true
     }
 
@@ -513,13 +505,13 @@ impl MvTransaction {
         let Some(h) = self.inner.store.txns().get_in(holder, &guard) else {
             return Ok(());
         };
-        if !self.handle.try_add_wait_for() {
+        if !self.ctx.handle.try_add_wait_for() {
             return Err(self.fail(MmdbError::WaitForRefused));
         }
         EngineStats::bump(&self.stats().wait_for_dependencies);
         if !h.add_waiting_txn(self.me()) {
             // Holder already completed; no need to wait after all.
-            self.handle.release_wait_for();
+            self.ctx.handle.release_wait_for();
         }
         Ok(())
     }
@@ -574,7 +566,13 @@ impl MvTransaction {
             }));
         }
         if let EndWord::Lock(lock) = observed {
-            let own = self.bufs.read_locks.iter().filter(|p| **p == ptr).count() as u8;
+            let own = self
+                .ctx
+                .bufs
+                .read_locks
+                .iter()
+                .filter(|p| **p == ptr)
+                .count() as u8;
             let others = lock.read_lock_count.saturating_sub(own);
             if others > 0 {
                 // Eager update of a version read-locked by others: we cannot
@@ -591,9 +589,9 @@ impl MvTransaction {
                 // Upgrade: drop our own read locks — the write lock now
                 // guarantees the read's stability, and waiting on our own
                 // read lock would deadlock us with ourselves.
-                self.bufs.read_locks.retain(|p| *p != ptr);
+                self.ctx.bufs.read_locks.retain(|p| *p != ptr);
                 for _ in 0..own {
-                    self.handle.forget_read_lock(ptr);
+                    self.ctx.handle.forget_read_lock(ptr);
                 }
                 let removed = version.update_end(|word| match word {
                     EndWord::Lock(l) if l.read_lock_count >= own => {
@@ -610,7 +608,7 @@ impl MvTransaction {
                             // Our own removal (not a reader's release) brought
                             // the count to zero, so the drain-to-zero wake-up
                             // never fires: undo the registration ourselves.
-                            self.handle.release_wait_for();
+                            self.ctx.handle.release_wait_for();
                         }
                     }
                 }
@@ -630,26 +628,31 @@ impl MvTransaction {
     /// window in which a scanner can lock the bucket/range and finish its
     /// chain walk without either side noticing the other.
     pub(crate) fn honor_scan_locks(&mut self, table: &Table, keys: &[Key]) -> Result<()> {
-        for (slot, key) in keys.iter().enumerate() {
-            let index = IndexId(slot as u32);
-            if table.is_ordered(index)? {
-                let locks = table.range_locks(index)?;
-                if locks.is_locked() {
-                    for holder in locks.holders_of(*key) {
-                        self.wait_for_holder(holder)?;
+        let mut holders = std::mem::take(&mut self.ctx.bufs.scratch.txn_ids);
+        let result = (|| {
+            for (slot, key) in keys.iter().enumerate() {
+                let index = IndexId(slot as u32);
+                if table.is_ordered(index)? {
+                    let locks = table.range_locks(index)?;
+                    if locks.is_locked() {
+                        locks.holders_of_into(*key, &mut holders);
                     }
-                }
-            } else {
-                let locks = table.bucket_locks(index)?;
-                let bucket = table.bucket_of(index, *key)?;
-                if locks.is_locked(bucket) {
-                    for holder in locks.holders(bucket) {
-                        self.wait_for_holder(holder)?;
+                } else {
+                    let locks = table.bucket_locks(index)?;
+                    let bucket = table.bucket_of(index, *key)?;
+                    if locks.is_locked(bucket) {
+                        locks.holders_into(bucket, &mut holders);
                     }
                 }
             }
-        }
-        Ok(())
+            for holder in holders.iter() {
+                self.wait_for_holder(*holder)?;
+            }
+            Ok(())
+        })();
+        holders.clear();
+        self.ctx.bufs.scratch.txn_ids = holders;
+        result
     }
 
     /// Register a serializable scan for later validation (optimistic) or take
@@ -663,18 +666,18 @@ impl MvTransaction {
         index: IndexId,
         pred: SearchPred,
     ) -> Result<()> {
-        if !self.handle.isolation().requires_phantom_protection() {
+        if !self.ctx.handle.isolation().requires_phantom_protection() {
             return Ok(());
         }
-        match self.handle.mode() {
+        match self.ctx.handle.mode() {
             ConcurrencyMode::Optimistic => {
                 let entry = ScanEntry {
                     table: table.id(),
                     index,
                     pred,
                 };
-                if !self.bufs.scan_set.contains(&entry) {
-                    self.bufs.scan_set.push(entry);
+                if !self.ctx.bufs.scan_set.contains(&entry) {
+                    self.ctx.bufs.scan_set.push(entry);
                 }
             }
             ConcurrencyMode::Pessimistic => {
@@ -682,7 +685,7 @@ impl MvTransaction {
                     SearchPred::Eq(key) if !table.is_ordered(index)? => {
                         let bucket = table.bucket_of(index, key)?;
                         if table.bucket_locks(index)?.lock(bucket, self.me()) {
-                            self.bufs.bucket_locks.push(BucketLockRef {
+                            self.ctx.bufs.bucket_locks.push(BucketLockRef {
                                 table: table.id(),
                                 index,
                                 bucket,
@@ -694,7 +697,7 @@ impl MvTransaction {
                     SearchPred::Range { lo, hi } => (lo, hi),
                 };
                 if table.range_locks(index)?.lock(lo, hi, self.me()) {
-                    self.bufs.range_locks.push(RangeLockRef {
+                    self.ctx.bufs.range_locks.push(RangeLockRef {
                         table: table.id(),
                         index,
                         lo,
@@ -717,8 +720,8 @@ impl MvTransaction {
     /// hot read path below serializable never pays the full barrier.
     #[inline]
     fn scan_lock_fence(&self) {
-        if self.handle.mode() == ConcurrencyMode::Pessimistic
-            && self.handle.isolation().requires_phantom_protection()
+        if self.ctx.handle.mode() == ConcurrencyMode::Pessimistic
+            && self.ctx.handle.isolation().requires_phantom_protection()
         {
             std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
         }
@@ -761,7 +764,7 @@ impl MvTransaction {
         // borrow of the table is held while taking dependencies (which needs
         // `&mut self`). Taken out and restored around the walk; an error in
         // between only costs the buffer's capacity.
-        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
+        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
         candidates.clear();
         let result = (|| {
             candidates.extend(table.candidate_ptrs(index, key, &guard)?);
@@ -773,7 +776,7 @@ impl MvTransaction {
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.bufs.scratch.candidates = candidates;
+        self.ctx.bufs.scratch.candidates = candidates;
         result
     }
 
@@ -786,8 +789,8 @@ impl MvTransaction {
         guard: &epoch::Guard,
         visit: &mut dyn FnMut(&Row),
     ) -> Result<usize> {
-        let iso = self.handle.isolation();
-        let mode = self.handle.mode();
+        let iso = self.ctx.handle.isolation();
+        let mode = self.ctx.handle.mode();
         let mut visited = 0usize;
         for &ptr in candidates {
             let version = ptr.get();
@@ -823,7 +826,7 @@ impl MvTransaction {
             if iso.requires_read_stability() {
                 match mode {
                     ConcurrencyMode::Optimistic => {
-                        self.bufs.read_set.push(ReadEntry { version: ptr })
+                        self.ctx.bufs.read_set.push(ReadEntry { version: ptr })
                     }
                     ConcurrencyMode::Pessimistic => {
                         // Updates and deletes only ever touch latest versions,
@@ -873,7 +876,7 @@ impl MvTransaction {
         self.register_scan(table, index, SearchPred::Range { lo, hi })?;
         self.scan_lock_fence();
 
-        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
+        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
         candidates.clear();
         let result = (|| {
             candidates.extend(table.range_candidate_ptrs(index, lo, hi, &guard)?);
@@ -883,7 +886,7 @@ impl MvTransaction {
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.bufs.scratch.candidates = candidates;
+        self.ctx.bufs.scratch.candidates = candidates;
         result
     }
 
@@ -898,13 +901,13 @@ impl MvTransaction {
         key: Key,
     ) -> Result<Option<VersionPtr>> {
         self.ensure_open()?;
-        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
+        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
         let result = self.find_update_target_staged(table, index, key, &mut candidates);
         // Restore the buffer *empty*: the staged VersionPtrs were only valid
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.bufs.scratch.candidates = candidates;
+        self.ctx.bufs.scratch.candidates = candidates;
         result
     }
 
@@ -926,8 +929,8 @@ impl MvTransaction {
         // for no reason (each waits on the other's bucket lock), turning
         // routine disjoint-key updates into deadlock-victim aborts.
         let rt = self.read_time();
-        let iso = self.handle.isolation();
-        let mode = self.handle.mode();
+        let iso = self.ctx.handle.isolation();
+        let mode = self.ctx.handle.mode();
         let mut registered = false;
         loop {
             // Candidates are re-staged each pass: a version may have been
@@ -989,7 +992,7 @@ impl MvTransaction {
         EngineStats::bump(&self.stats().versions_created);
         // Record the write *before* honoring scan locks: if the wait below
         // fails, abort processing must find the linked version to retire it.
-        self.bufs.write_set.push(WriteEntry {
+        self.ctx.bufs.write_set.push(WriteEntry {
             table: table.id(),
             old,
             new: Some(ptr),
@@ -1019,13 +1022,13 @@ impl MvTransaction {
 
     /// Enforce uniqueness for `insert` on every unique index of the table.
     fn check_unique(&mut self, table: &Table, keys: &[Key]) -> Result<()> {
-        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
+        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
         let result = self.check_unique_staged(table, keys, &mut candidates);
         // Restore the buffer *empty*: the staged VersionPtrs were only valid
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.bufs.scratch.candidates = candidates;
+        self.ctx.bufs.scratch.candidates = candidates;
         result
     }
 
@@ -1117,13 +1120,13 @@ impl MvTransaction {
         keys: &[Key],
         mine: VersionPtr,
     ) -> Result<()> {
-        let mut candidates = std::mem::take(&mut self.bufs.scratch.candidates);
+        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
         let result = self.verify_unique_after_link_staged(table, keys, mine, &mut candidates);
         // Restore the buffer *empty*: the staged VersionPtrs were only valid
         // under the epoch guard above, and a retained pointer would be a
         // dangling foot-gun for any future reader (capacity is what we keep).
         candidates.clear();
-        self.bufs.scratch.candidates = candidates;
+        self.ctx.bufs.scratch.candidates = candidates;
         result
     }
 
@@ -1182,11 +1185,11 @@ impl MvTransaction {
 
 impl EngineTxn for MvTransaction {
     fn id(&self) -> TxnId {
-        self.handle.id()
+        self.ctx.handle.id()
     }
 
     fn isolation(&self) -> IsolationLevel {
-        self.handle.isolation()
+        self.ctx.handle.isolation()
     }
 
     fn set_durability(&mut self, durability: Durability) {
@@ -1200,7 +1203,7 @@ impl EngineTxn for MvTransaction {
         let table = self.inner.store.table_in(table_id, &guard)?;
         // Extract the index keys once into the reusable scratch; taken out
         // and restored around the operation (same protocol as `candidates`).
-        let mut keys = std::mem::take(&mut self.bufs.scratch.keys);
+        let mut keys = std::mem::take(&mut self.ctx.bufs.scratch.keys);
         let result = (|| {
             table.keys_into(&row, &mut keys)?;
             self.check_unique(table, keys.keys())?;
@@ -1210,7 +1213,7 @@ impl EngineTxn for MvTransaction {
             self.verify_unique_after_link(table, keys.keys(), new_ptr)
         })();
         keys.clear();
-        self.bufs.scratch.keys = keys;
+        self.ctx.bufs.scratch.keys = keys;
         result
     }
 
@@ -1273,13 +1276,13 @@ impl EngineTxn for MvTransaction {
                 }));
             }
         }
-        let mut keys = std::mem::take(&mut self.bufs.scratch.keys);
+        let mut keys = std::mem::take(&mut self.ctx.bufs.scratch.keys);
         let result = (|| {
             table.keys_into(&new_row, &mut keys)?;
             self.add_new_version(table, new_row, keys.keys(), Some(old_ptr), None)
         })();
         keys.clear();
-        self.bufs.scratch.keys = keys;
+        self.ctx.bufs.scratch.keys = keys;
         result?;
         Ok(true)
     }
@@ -1306,7 +1309,7 @@ impl EngineTxn for MvTransaction {
             }
         }
         let delete_key = table.key_of(IndexId(0), old.data())?;
-        self.bufs.write_set.push(WriteEntry {
+        self.ctx.bufs.write_set.push(WriteEntry {
             table: table.id(),
             old: Some(old_ptr),
             new: None,
@@ -1335,12 +1338,12 @@ impl Drop for MvTransaction {
 impl std::fmt::Debug for MvTransaction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MvTransaction")
-            .field("id", &self.handle.id())
-            .field("mode", &self.handle.mode())
-            .field("isolation", &self.handle.isolation())
-            .field("begin_ts", &self.handle.begin_ts())
-            .field("reads", &self.bufs.read_set.len())
-            .field("writes", &self.bufs.write_set.len())
+            .field("id", &self.ctx.handle.id())
+            .field("mode", &self.ctx.handle.mode())
+            .field("isolation", &self.ctx.handle.isolation())
+            .field("begin_ts", &self.ctx.handle.begin_ts())
+            .field("reads", &self.ctx.bufs.read_set.len())
+            .field("writes", &self.ctx.bufs.write_set.len())
             .finish()
     }
 }

@@ -18,7 +18,8 @@
 //! * warmed **write transactions** — a whole begin → update → commit, and
 //!   insert-then-delete pairs — perform **zero heap allocations** on both MV
 //!   schemes at read committed and snapshot isolation: the transaction
-//!   handle and its buffer set come from the engine pools, key extraction
+//!   handle and its buffer set come, as one context, from the thread's pool
+//!   (warmed per thread — a spawned thread is measured too), key extraction
 //!   fills a reusable `KeyScratch`, the new version is recycled from the
 //!   table's GC-fed pool, the redo record is framed into a reusable encode
 //!   buffer, and the transaction-table slot holds a raw strong reference
@@ -339,6 +340,123 @@ fn warmed_mv_update_txns_allocate_nothing() {
             );
         }
     }
+}
+
+/// The thread-local context pool is warmed per thread: a freshly spawned
+/// thread starts with an empty pool, and after *its own* warm-up — enough
+/// transactions for the pool to cover the reclamation lag and for every
+/// context in rotation to have sized its buffers — its whole begin → update →
+/// commit cycles allocate nothing, exactly like the first thread's.
+#[test]
+fn a_fresh_thread_is_allocation_free_after_its_own_warm_up() {
+    let _serial = serial();
+    for mode in [ConcurrencyMode::Optimistic, ConcurrencyMode::Pessimistic] {
+        let (engine, table) = write_engine(mode);
+        let isolation = IsolationLevel::SnapshotIsolation;
+        // Warm the *engine* (version pool, GC queue, txn-table slots) here,
+        // so that what the spawned thread still has to warm is its own pool.
+        for i in 0..WARM_TXNS {
+            let key = (i * 31) % ROWS;
+            let mut txn = engine.begin(isolation);
+            assert!(txn
+                .update(table, IndexId(0), key, grouped_row(key))
+                .unwrap());
+            txn.commit().unwrap();
+        }
+        let (cold, warmed) = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let keys: Vec<u64> = (0..MEASURED_TXNS).map(|i| (i * 37) % ROWS).collect();
+                    let rows: Vec<Row> = keys.iter().map(|&k| grouped_row(k)).collect();
+                    let run = |n: u64| {
+                        for i in 0..n as usize {
+                            let at = i % keys.len();
+                            let mut txn = engine.begin(isolation);
+                            assert!(txn
+                                .update(table, IndexId(0), keys[at], rows[at].clone())
+                                .unwrap());
+                            txn.commit().unwrap();
+                        }
+                    };
+                    // The thread's first transaction finds its pool empty.
+                    let cold = count_allocations(|| run(1));
+                    run(WARM_TXNS);
+                    drain_into_pool(&engine, table, MEASURED_TXNS as usize + 1);
+                    let warmed = count_allocations(|| run(MEASURED_TXNS));
+                    (cold, warmed)
+                })
+                .join()
+                .unwrap()
+        });
+        assert!(
+            cold > 0,
+            "a new thread's first transaction allocates its context on {mode:?}; \
+             zero would mean the pool is not per thread any more"
+        );
+        assert_eq!(
+            warmed, 0,
+            "after its own warm-up a spawned thread's update transactions on \
+             {mode:?} must not allocate"
+        );
+    }
+}
+
+/// Wait-for registration rides on recycled capacity too: a serializable
+/// MV/L scanner probes an absent key (taking the bucket lock), an inserter
+/// of that key finds the lock and registers in the scanner's
+/// `WaitingTxnList`, the scanner commits (draining the list and releasing
+/// the inserter), the inserter commits, a third transaction deletes the row
+/// again. Warmed, the whole round allocates nothing: the handle's list is
+/// drained into the context's reusable buffer instead of being taken (which
+/// dropped its capacity at every drain), the bucket-lock table recycles its
+/// lock lists, and the lock holders are snapshotted into that same buffer.
+#[test]
+fn warmed_mvl_wait_for_registration_allocates_nothing() {
+    let _serial = serial();
+    let (engine, table) = write_engine(ConcurrencyMode::Pessimistic);
+    let mut next_key = ROWS;
+    let round = |engine: &MvEngine, row: Row, key: u64| {
+        let mut scanner = engine.begin(IsolationLevel::Serializable);
+        assert!(scanner.read(table, IndexId(0), key).unwrap().is_none());
+        let mut inserter = engine.begin(IsolationLevel::ReadCommitted);
+        inserter.insert(table, row).unwrap();
+        scanner.commit().unwrap();
+        inserter.commit().unwrap();
+        let mut deleter = engine.begin(IsolationLevel::ReadCommitted);
+        assert!(deleter.delete(table, IndexId(0), key).unwrap());
+        deleter.commit().unwrap();
+    };
+    let waits_before = engine.stats().snapshot().wait_for_dependencies;
+    for i in 0..WARM_TXNS {
+        // Shift which pooled context plays the scanner from round to round,
+        // so that every context in rotation has held a waiter once.
+        for _ in 0..i % 3 {
+            engine
+                .begin(IsolationLevel::ReadCommitted)
+                .commit()
+                .unwrap();
+        }
+        next_key += 1;
+        round(&engine, grouped_row(next_key), next_key);
+    }
+    assert_eq!(
+        engine.stats().snapshot().wait_for_dependencies - waits_before,
+        WARM_TXNS,
+        "every inserter registered a wait-for dependency on its scanner"
+    );
+    drain_into_pool(&engine, table, MEASURED_TXNS as usize + 1);
+
+    let base = next_key;
+    let rows: Vec<Row> = (1..=MEASURED_TXNS).map(|i| grouped_row(base + i)).collect();
+    let allocs = count_allocations(|| {
+        for (i, row) in rows.iter().enumerate() {
+            round(&engine, row.clone(), base + 1 + i as u64);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "warmed scanner / waiting inserter rounds on MV/L must not allocate"
+    );
 }
 
 /// Insert-then-delete churn: a warmed insert transaction followed by a

@@ -22,8 +22,19 @@ use mmdb_common::ids::TxnId;
 /// Number of shards for the lock-list side table.
 const LIST_SHARDS: usize = 32;
 
-/// One shard of the `LockList` map: bucket number → lock-holding transactions.
-type LockListShard = Mutex<HashMap<usize, Vec<TxnId>>>;
+/// Emptied lock lists a shard keeps for reuse.
+const SPARE_LISTS: usize = 4;
+
+/// One shard of the `LockList` map.
+#[derive(Default)]
+struct LockLists {
+    /// Bucket number → lock-holding transactions.
+    held: HashMap<usize, Vec<TxnId>>,
+    /// Storage of lists whose bucket became unlocked, so that locking the
+    /// next bucket allocates nothing (a serializable scan locks and unlocks
+    /// a bucket per lookup).
+    spare: Vec<Vec<TxnId>>,
+}
 
 /// Bucket-lock table for one hash index.
 pub struct BucketLockTable {
@@ -31,7 +42,7 @@ pub struct BucketLockTable {
     /// holding a lock on the bucket.
     counts: Box<[AtomicU32]>,
     /// `LockList` per locked bucket, sharded by bucket number.
-    lists: Box<[LockListShard]>,
+    lists: Box<[Mutex<LockLists>]>,
 }
 
 impl BucketLockTable {
@@ -42,14 +53,14 @@ impl BucketLockTable {
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let lists = (0..LIST_SHARDS)
-            .map(|_| Mutex::new(HashMap::new()))
+            .map(|_| Mutex::new(LockLists::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         BucketLockTable { counts, lists }
     }
 
     #[inline]
-    fn shard(&self, bucket: usize) -> &Mutex<HashMap<usize, Vec<TxnId>>> {
+    fn shard(&self, bucket: usize) -> &Mutex<LockLists> {
         &self.lists[bucket % LIST_SHARDS]
     }
 
@@ -67,7 +78,10 @@ impl BucketLockTable {
     /// lock list (i.e. it did not already hold the bucket).
     pub fn lock(&self, bucket: usize, txn: TxnId) -> bool {
         let mut shard = self.shard(bucket).lock();
-        let list = shard.entry(bucket).or_default();
+        let LockLists { held, spare } = &mut *shard;
+        let list = held
+            .entry(bucket)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
         if list.contains(&txn) {
             return false;
         }
@@ -81,12 +95,16 @@ impl BucketLockTable {
     /// release).
     pub fn unlock(&self, bucket: usize, txn: TxnId) {
         let mut shard = self.shard(bucket).lock();
-        if let Some(list) = shard.get_mut(&bucket) {
+        let LockLists { held, spare } = &mut *shard;
+        if let Some(list) = held.get_mut(&bucket) {
             if let Some(pos) = list.iter().position(|t| *t == txn) {
                 list.swap_remove(pos);
                 self.counts[bucket].fetch_sub(1, Ordering::Release);
                 if list.is_empty() {
-                    shard.remove(&bucket);
+                    let list = held.remove(&bucket).expect("present above");
+                    if spare.len() < SPARE_LISTS {
+                        spare.push(list);
+                    }
                 }
             }
         }
@@ -104,14 +122,18 @@ impl BucketLockTable {
         self.counts[bucket].load(Ordering::Acquire)
     }
 
-    /// Snapshot of the transactions holding a lock on `bucket`.
+    /// Append a snapshot of the transactions holding a lock on `bucket` to
+    /// `out` (the caller's reusable buffer: the inserter's hot path
+    /// allocates nothing).
     ///
     /// An inserter uses this to take wait-for dependencies on every holder
     /// (§4.2.2). The snapshot may be slightly stale by the time the caller
     /// uses it; the wait-for installation re-checks each holder's state.
-    pub fn holders(&self, bucket: usize) -> Vec<TxnId> {
+    pub fn holders_into(&self, bucket: usize, out: &mut Vec<TxnId>) {
         let shard = self.shard(bucket).lock();
-        shard.get(&bucket).cloned().unwrap_or_default()
+        if let Some(list) = shard.held.get(&bucket) {
+            out.extend_from_slice(list);
+        }
     }
 }
 
@@ -131,6 +153,14 @@ impl std::fmt::Debug for BucketLockTable {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    impl BucketLockTable {
+        fn holders(&self, bucket: usize) -> Vec<TxnId> {
+            let mut out = Vec::new();
+            self.holders_into(bucket, &mut out);
+            out
+        }
+    }
 
     #[test]
     fn lock_unlock_roundtrip() {

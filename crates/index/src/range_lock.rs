@@ -99,21 +99,19 @@ impl RangeLockTable {
         self.count.load(Ordering::Acquire)
     }
 
-    /// Snapshot of the transactions whose locked range contains `key`,
-    /// deduplicated. An inserter uses this to take wait-for dependencies on
-    /// every holder (§4.2.2 generalized); as with bucket locks the snapshot
-    /// may be slightly stale, and the wait-for installation re-checks each
-    /// holder's state.
-    pub fn holders_of(&self, key: Key) -> Vec<TxnId> {
+    /// Append a snapshot of the transactions whose locked range contains
+    /// `key` to `out` (the caller's reusable buffer), each once. An inserter
+    /// uses this to take wait-for dependencies on every holder (§4.2.2
+    /// generalized); as with bucket locks the snapshot may be slightly
+    /// stale, and the wait-for installation re-checks each holder's state.
+    pub fn holders_of_into(&self, key: Key, out: &mut Vec<TxnId>) {
+        let start = out.len();
         let ranges = self.ranges.lock();
-        let mut holders: Vec<TxnId> = ranges
-            .iter()
-            .filter(|r| r.lo <= key && key <= r.hi)
-            .map(|r| r.txn)
-            .collect();
-        holders.sort_unstable_by_key(|t| t.0);
-        holders.dedup();
-        holders
+        for range in ranges.iter().filter(|r| r.lo <= key && key <= r.hi) {
+            if !out[start..].contains(&range.txn) {
+                out.push(range.txn);
+            }
+        }
     }
 }
 
@@ -135,6 +133,15 @@ impl std::fmt::Debug for RangeLockTable {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    impl RangeLockTable {
+        fn holders_of(&self, key: Key) -> Vec<TxnId> {
+            let mut out = Vec::new();
+            self.holders_of_into(key, &mut out);
+            out.sort_unstable_by_key(|t| t.0);
+            out
+        }
+    }
 
     #[test]
     fn lock_unlock_roundtrip() {

@@ -124,13 +124,26 @@ impl TableIndex {
 
     fn iter_all<'a, 'g: 'a>(&'a self, guard: &'g Guard) -> ScanIter<'a, 'g> {
         match self {
-            TableIndex::Hash(h) => ScanIter::Hash {
-                index: h,
-                next_bucket: 1,
-                inner: h.iter_bucket(0, guard),
-                guard,
-            },
+            TableIndex::Hash(h) => ScanIter::hash(h, 0..h.bucket_count(), guard),
             TableIndex::Ordered(o) => ScanIter::Ordered(o.iter_all(guard)),
+        }
+    }
+
+    /// The `chunk`-th piece of a full scan, or `None` past the last one: a
+    /// hash index is cut into runs of [`SCAN_CHUNK_BUCKETS`] buckets; an
+    /// ordered index is one piece.
+    fn iter_chunk<'a, 'g: 'a>(
+        &'a self,
+        chunk: usize,
+        guard: &'g Guard,
+    ) -> Option<ScanIter<'a, 'g>> {
+        match self {
+            TableIndex::Hash(h) => {
+                let start = chunk.checked_mul(SCAN_CHUNK_BUCKETS)?;
+                let end = (start + SCAN_CHUNK_BUCKETS).min(h.bucket_count());
+                (start < end).then(|| ScanIter::hash(h, start..end, guard))
+            }
+            TableIndex::Ordered(o) => (chunk == 0).then(|| ScanIter::Ordered(o.iter_all(guard))),
         }
     }
 
@@ -160,15 +173,41 @@ impl<'g> Iterator for KeyIter<'g> {
     }
 }
 
-/// Iterator over every version of an index (either kind).
+/// Buckets of a hash index that [`Table::scan_versions_chunk`] walks under one
+/// epoch guard. A full-table walk under a single guard (a checkpoint of a
+/// 100 000-row table takes milliseconds) stalls epoch advancement for every
+/// thread: nothing retired meanwhile is reclaimed, so each transaction
+/// allocates a fresh handle and fresh versions until the walk unpins.
+const SCAN_CHUNK_BUCKETS: usize = 4096;
+
+/// Iterator over the versions of an index (either kind): a run of buckets of
+/// a hash index, or all of an ordered one.
 enum ScanIter<'a, 'g> {
     Hash {
         index: &'a HashIndex<Version>,
         next_bucket: usize,
+        end_bucket: usize,
         inner: BucketIter<'g, Version>,
         guard: &'g Guard,
     },
     Ordered(RangeIter<'g, Version>),
+}
+
+impl<'a, 'g> ScanIter<'a, 'g> {
+    /// Walk the non-empty bucket range `buckets` of `index`.
+    fn hash(
+        index: &'a HashIndex<Version>,
+        buckets: std::ops::Range<usize>,
+        guard: &'g Guard,
+    ) -> ScanIter<'a, 'g> {
+        ScanIter::Hash {
+            index,
+            next_bucket: buckets.start + 1,
+            end_bucket: buckets.end,
+            inner: index.iter_bucket(buckets.start, guard),
+            guard,
+        }
+    }
 }
 
 impl<'a, 'g> Iterator for ScanIter<'a, 'g> {
@@ -179,13 +218,14 @@ impl<'a, 'g> Iterator for ScanIter<'a, 'g> {
             ScanIter::Hash {
                 index,
                 next_bucket,
+                end_bucket,
                 inner,
                 guard,
             } => loop {
                 if let Some(item) = inner.next() {
                     return Some(item);
                 }
-                if *next_bucket >= index.bucket_count() {
+                if *next_bucket >= *end_bucket {
                     return None;
                 }
                 *inner = index.iter_bucket(*next_bucket, guard);
@@ -523,14 +563,20 @@ impl Table {
             .map(VersionPtr::from_shared))
     }
 
-    /// Iterate over every version in the table via `index` (full scan).
-    pub fn scan_versions<'a, 'g: 'a>(
+    /// One piece of a full scan of the table via `index`: call with `chunk`
+    /// = 0, 1, 2, … — each under a guard of its own — until it returns
+    /// `None`. The pieces partition the index, so a version linked for the
+    /// whole scan is met exactly once; what keeps the scan *logically*
+    /// consistent across guards is the caller's registered snapshot
+    /// transaction (the GC watermark), as for any pointer kept across calls.
+    pub fn scan_versions_chunk<'a, 'g: 'a>(
         &'a self,
         index: IndexId,
+        chunk: usize,
         guard: &'g Guard,
-    ) -> Result<impl Iterator<Item = &'g Version> + 'a> {
-        let idx = self.index(index)?;
-        Ok(idx.iter_all(guard).map(|shared| unsafe { shared.deref() }))
+    ) -> Result<Option<impl Iterator<Item = &'g Version> + 'a>> {
+        let pieces = self.index(index)?.iter_chunk(chunk, guard);
+        Ok(pieces.map(|it| it.map(|shared| unsafe { shared.deref() })))
     }
 
     /// Unlink `version` from every index. Must only be called by the garbage
@@ -607,6 +653,43 @@ mod tests {
         })
     }
 
+    /// Primary keys met by a full scan via `index`, piece by piece, each
+    /// piece under its own guard (the way the checkpoint walks scan).
+    fn scan_all(table: &Table, index: IndexId) -> Vec<u64> {
+        let mut keys = Vec::new();
+        for chunk in 0.. {
+            let guard = epoch::pin();
+            let Some(versions) = table.scan_versions_chunk(index, chunk, &guard).unwrap() else {
+                break;
+            };
+            keys.extend(versions.map(|v| rowbuf::key_of(v.data())));
+        }
+        keys
+    }
+
+    #[test]
+    fn a_chunked_scan_meets_every_version_exactly_once() {
+        // More buckets than two chunks, and not a multiple of the chunk.
+        let buckets = 2 * SCAN_CHUNK_BUCKETS + 17;
+        let table = Table::new(TableId(0), TableSpec::keyed_u64("wide", buckets)).unwrap();
+        let guard = epoch::pin();
+        for k in 0..5_000u64 {
+            let v = table
+                .make_committed_version(Timestamp(1), rowbuf::keyed_row(k, 16, 1))
+                .unwrap();
+            table.link_version(v, &guard);
+        }
+        drop(guard);
+        let mut keys = scan_all(&table, IndexId(0));
+        keys.sort_unstable();
+        assert_eq!(keys, (0..5_000u64).collect::<Vec<_>>());
+        let guard = epoch::pin();
+        assert!(table
+            .scan_versions_chunk(IndexId(0), 3, &guard)
+            .unwrap()
+            .is_none());
+    }
+
     #[test]
     fn link_and_lookup_through_both_indexes() {
         let table = Table::new(TableId(0), two_index_spec()).unwrap();
@@ -630,7 +713,7 @@ mod tests {
             .collect();
         assert_eq!(hits.len(), 5);
         // Full scan sees everything.
-        assert_eq!(table.scan_versions(IndexId(0), &guard).unwrap().count(), 20);
+        assert_eq!(scan_all(&table, IndexId(0)).len(), 20);
         assert_eq!(table.version_count(), 20);
     }
 
@@ -732,12 +815,7 @@ mod tests {
         // Equality probes work through the same dispatch.
         assert_eq!(table.candidates(IndexId(1), 30, &guard).unwrap().count(), 1);
         // Full scans via the ordered index see everything, sorted.
-        let all: Vec<u64> = table
-            .scan_versions(IndexId(1), &guard)
-            .unwrap()
-            .map(|v| rowbuf::key_of(v.data()))
-            .collect();
-        assert_eq!(all, vec![10, 20, 30, 40, 50]);
+        assert_eq!(scan_all(&table, IndexId(1)), vec![10, 20, 30, 40, 50]);
 
         // Hash indexes refuse range predicates; ordered indexes have no
         // buckets or bucket locks, but do have range locks.

@@ -16,7 +16,9 @@
 //!
 //! The handle also owns a condition variable so a transaction can sleep while
 //! it waits for its outstanding dependencies to resolve — the only place the
-//! paper allows a transaction to wait (never during normal processing).
+//! paper allows a transaction to wait (never during normal processing). Only
+//! the transitions a sleeper waits for wake it (see [`TxnHandle::set_state`]),
+//! so a transaction that meets no other transaction makes no system call.
 
 use std::sync::atomic::{
     AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering,
@@ -215,10 +217,30 @@ impl TxnHandle {
         TxnState::from_u8(self.state.load(Ordering::Acquire))
     }
 
-    /// Transition to a new state and wake anyone sleeping on this handle.
+    /// Transition to a new state: a release store and nothing else.
+    ///
+    /// **No wake-up, on purpose.** The only thread that ever sleeps on a
+    /// handle is the transaction's own, inside [`TxnHandle::wait_until`], and
+    /// the only predicates it sleeps on are [`wait_for_count`] (before
+    /// precommit), [`commit_dep_count`] (before commit) and
+    /// [`abort_requested`] (both). Those are changed by
+    /// [`release_wait_for`], [`resolve_incoming_commit_dep`] and
+    /// [`request_abort`], which do notify. Nobody sleeps on `state`:
+    /// observers of another transaction's state (visibility checks, the
+    /// checkpoint walk, `quiesce_precommits`) re-read or yield. A `notify()`
+    /// here costs a mutex round trip and, on a `std` condition variable, a
+    /// `futex` system call per transition — three per commit — to wake
+    /// nobody.
+    ///
+    /// [`wait_for_count`]: TxnHandle::wait_for_count
+    /// [`commit_dep_count`]: TxnHandle::commit_dep_count
+    /// [`abort_requested`]: TxnHandle::abort_requested
+    /// [`release_wait_for`]: TxnHandle::release_wait_for
+    /// [`resolve_incoming_commit_dep`]: TxnHandle::resolve_incoming_commit_dep
+    /// [`request_abort`]: TxnHandle::request_abort
+    #[inline]
     pub fn set_state(&self, state: TxnState) {
         self.state.store(state as u8, Ordering::Release);
-        self.notify();
     }
 
     /// End timestamp, if the transaction has precommitted (and the
@@ -334,12 +356,13 @@ impl TxnHandle {
     }
 
     /// Resolve this transaction's CommitDepSet with the final outcome,
-    /// returning the dependents that must now be informed. Subsequent
-    /// registrations are answered directly from the recorded outcome.
-    pub fn resolve_commit_dependents(&self, committed: bool) -> Vec<TxnId> {
+    /// moving the dependents that must now be informed to the end of `into`.
+    /// Subsequent registrations are answered directly from the recorded
+    /// outcome. The set keeps its capacity (see [`TxnHandle::reset_for`]).
+    pub fn resolve_commit_dependents(&self, committed: bool, into: &mut Vec<TxnId>) {
         let mut set = self.commit_dep_set.lock();
         set.resolved = Some(committed);
-        std::mem::take(&mut set.waiters)
+        into.append(&mut set.waiters);
     }
 
     // ------------------------------------------------------------------
@@ -403,12 +426,14 @@ impl TxnHandle {
         true
     }
 
-    /// Drain the WaitingTxnList (at precommit or abort); the caller must
-    /// release one wait-for dependency of every returned transaction.
-    pub fn take_waiting_txns(&self) -> Vec<TxnId> {
+    /// Drain the WaitingTxnList (at precommit or abort) to the end of
+    /// `into`; the caller must release one wait-for dependency of every
+    /// drained transaction. The list keeps its capacity (see
+    /// [`TxnHandle::reset_for`]).
+    pub fn take_waiting_txns(&self, into: &mut Vec<TxnId>) {
         let mut list = self.waiting_txn_list.lock();
         list.released = true;
-        std::mem::take(&mut list.waiters)
+        into.append(&mut list.waiters);
     }
 
     /// Snapshot of the WaitingTxnList (deadlock detection reads the explicit
@@ -447,7 +472,9 @@ impl TxnHandle {
     // Sleeping
     // ------------------------------------------------------------------
 
-    /// Wake any thread sleeping on this handle.
+    /// Wake the transaction if it sleeps on this handle. Taking `wait_lock`
+    /// orders this against a sleeper that checked its predicate and is about
+    /// to wait; with nobody waiting the notification itself is one load.
     pub fn notify(&self) {
         let _guard = self.wait_lock.lock();
         self.wait_cv.notify_all();
@@ -493,6 +520,17 @@ impl TxnHandle {
     /// dependencies before precommit" and "wait for outstanding commit
     /// dependencies before commit".
     pub fn wait_until<F: Fn() -> bool>(&self, done: F, timeout: Duration) -> bool {
+        self.wait_until_chunked(done, timeout, WAIT_CHUNK)
+    }
+
+    /// [`TxnHandle::wait_until`] with the bounded sleep as a parameter, so
+    /// tests can make a lost wake-up visible instead of papered over.
+    fn wait_until_chunked<F: Fn() -> bool>(
+        &self,
+        done: F,
+        timeout: Duration,
+        chunk: Duration,
+    ) -> bool {
         if done() {
             return true;
         }
@@ -506,12 +544,15 @@ impl TxnHandle {
             if now >= deadline {
                 return done();
             }
-            // Bounded sleep so a missed notification can never hang a thread.
-            let chunk = (deadline - now).min(Duration::from_millis(2));
-            self.wait_cv.wait_for(&mut guard, chunk);
+            self.wait_cv
+                .wait_for(&mut guard, (deadline - now).min(chunk));
         }
     }
 }
+
+/// Longest single sleep inside [`TxnHandle::wait_until`]: a missed
+/// notification can never hang a thread, it costs at most this.
+const WAIT_CHUNK: Duration = Duration::from_millis(2);
 
 /// Number of shards in the transaction table.
 const TXN_SHARDS: usize = 64;
@@ -999,7 +1040,8 @@ mod tests {
         );
         assert_eq!(dependent.commit_dep_count(), 1);
 
-        let waiters = target.resolve_commit_dependents(true);
+        let mut waiters = Vec::new();
+        target.resolve_commit_dependents(true, &mut waiters);
         assert_eq!(waiters, vec![TxnId(2)]);
         dependent.resolve_incoming_commit_dep(true);
         assert_eq!(dependent.commit_dep_count(), 0);
@@ -1009,14 +1051,14 @@ mod tests {
     #[test]
     fn commit_dep_after_resolution_is_answered_directly() {
         let target = handle(1, 10);
-        target.resolve_commit_dependents(true);
+        target.resolve_commit_dependents(true, &mut Vec::new());
         assert_eq!(
             target.add_commit_dependent(TxnId(9)),
             DepRegistration::AlreadyCommitted
         );
 
         let aborted = handle(3, 12);
-        aborted.resolve_commit_dependents(false);
+        aborted.resolve_commit_dependents(false, &mut Vec::new());
         assert_eq!(
             aborted.add_commit_dependent(TxnId(9)),
             DepRegistration::AlreadyAborted
@@ -1055,13 +1097,15 @@ mod tests {
         assert!(t.add_waiting_txn(TxnId(8)));
         assert!(t.add_waiting_txn(TxnId(9)));
         assert_eq!(t.peek_waiting_txns().len(), 2);
-        let drained = t.take_waiting_txns();
+        let mut drained = Vec::new();
+        t.take_waiting_txns(&mut drained);
         assert_eq!(drained, vec![TxnId(8), TxnId(9)]);
         assert!(
             !t.add_waiting_txn(TxnId(10)),
             "registrations after release are refused"
         );
-        assert!(t.take_waiting_txns().is_empty());
+        t.take_waiting_txns(&mut drained);
+        assert_eq!(drained.len(), 2, "a second drain finds nothing");
     }
 
     #[test]
@@ -1076,6 +1120,67 @@ mod tests {
         let ok = t.wait_until(|| t.commit_dep_count() == 0, Duration::from_secs(5));
         waker.join().unwrap();
         assert!(ok);
+    }
+
+    /// Each transition a sleeper waits for must wake it. The production
+    /// 2 ms bounded sleep would hide a missing `notify()`, so the waiter here
+    /// sleeps in one unbounded chunk: a lost wake-up runs into the deadline.
+    #[test]
+    fn each_awaited_transition_wakes_a_parked_waiter() {
+        type Step = fn(&TxnHandle);
+        // (name, what makes the transaction wait, what must wake it)
+        let cases: [(&str, Step, Step); 3] = [
+            (
+                "release_wait_for",
+                |t| assert!(t.try_add_wait_for()),
+                |t| t.release_wait_for(),
+            ),
+            (
+                "resolve_incoming_commit_dep(true)",
+                |t| t.add_incoming_commit_dep(),
+                |t| t.resolve_incoming_commit_dep(true),
+            ),
+            (
+                "request_abort",
+                |t| t.add_incoming_commit_dep(),
+                |t| t.request_abort(),
+            ),
+        ];
+        let lost = Duration::from_secs(20);
+        for (name, arm, wake) in cases {
+            let t = handle(1, 1);
+            arm(&t);
+            let checks = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| {
+                    let started = Instant::now();
+                    let done = t.wait_until_chunked(
+                        || {
+                            checks.fetch_add(1, Ordering::SeqCst);
+                            (t.wait_for_count() <= 0 && t.commit_dep_count() <= 0)
+                                || t.abort_requested()
+                        },
+                        lost,
+                        lost,
+                    );
+                    (done, started.elapsed())
+                });
+                // The second check runs under `wait_lock`, which the waiter
+                // gives up only inside the condition variable's wait — and
+                // `notify()` takes that lock, so the wake-up below finds the
+                // waiter parked.
+                while checks.load(Ordering::SeqCst) < 2 {
+                    std::thread::yield_now();
+                }
+                wake(&t);
+                let (done, waited) = waiter.join().unwrap();
+                assert!(done, "{name}: the waiter gave up");
+                assert!(
+                    waited < lost / 2,
+                    "{name} did not wake the waiter (it slept {waited:?})"
+                );
+            });
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use mmdb_common::engine::{Engine, EngineTxn};
-use mmdb_common::error::Result;
+use mmdb_common::error::{MmdbError, Result};
 use mmdb_common::ids::{IndexId, TableId, Timestamp};
 use mmdb_common::isolation::IsolationLevel;
 use mmdb_common::row::{Row, TableSpec};
@@ -265,7 +265,9 @@ impl SmallBank {
         }
     }
 
-    /// Execute one pre-drawn transaction. `Err` means the engine aborted it.
+    /// Execute one pre-drawn transaction. `Err` means the engine aborted it
+    /// — or, as [`MmdbError::Internal`], that a point read missed a live row,
+    /// which callers checking correctness must not count as an abort.
     pub fn exec<E: Engine>(
         &self,
         engine: &E,
@@ -291,7 +293,8 @@ impl SmallBank {
     fn read_balance<T: EngineTxn>(txn: &mut T, table: TableId, customer: u64) -> Result<i64> {
         let row = txn
             .read(table, IndexId(0), customer)?
-            .expect("SmallBank accounts are created at setup and never deleted");
+            // Accounts are created at setup and never deleted.
+            .ok_or(MmdbError::Internal("smallbank: live account row not found"))?;
         Ok(balance_of(&row))
     }
 

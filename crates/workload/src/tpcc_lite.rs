@@ -31,12 +31,19 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use mmdb_common::engine::{Engine, EngineTxn};
-use mmdb_common::error::Result;
+use mmdb_common::error::{MmdbError, Result};
 use mmdb_common::ids::{IndexId, TableId, Timestamp};
 use mmdb_common::isolation::IsolationLevel;
 use mmdb_common::row::{IndexSpec, Row, TableSpec};
 
 use crate::driver::{TxnKind, TxnOutcome};
+
+/// A point read of a row that setup created and nothing ever deletes came up
+/// empty. That is an engine bug (ROADMAP "Open bugs", P0), reported as an
+/// error — not a panic — so a harness can name it on its `MMDB-REPRO:` line.
+const NO_WAREHOUSE: MmdbError = MmdbError::Internal("tpcc-lite: live warehouse row not found");
+const NO_DISTRICT: MmdbError = MmdbError::Internal("tpcc-lite: live district row not found");
+const NO_CUSTOMER: MmdbError = MmdbError::Internal("tpcc-lite: live customer row not found");
 
 /// Fixed binary layouts of the five tables.
 pub mod layout {
@@ -468,7 +475,9 @@ impl TpccLite {
         }
     }
 
-    /// Execute one pre-drawn transaction. `Err` means the engine aborted it.
+    /// Execute one pre-drawn transaction. `Err` means the engine aborted it
+    /// — or, as [`MmdbError::Internal`], that a point read missed a live row,
+    /// which callers checking correctness must not count as an abort.
     pub fn exec<E: Engine>(
         &self,
         engine: &E,
@@ -505,13 +514,13 @@ impl TpccLite {
         );
         let _w = txn
             .read(tables.warehouse, IndexId(0), params.w)?
-            .expect("warehouse exists");
+            .ok_or(NO_WAREHOUSE)?;
         let _c = txn
             .read(tables.customer, IndexId(0), ck)?
-            .expect("customer exists");
+            .ok_or(NO_CUSTOMER)?;
         let d_row = txn
             .read(tables.district, IndexId(0), dk)?
-            .expect("district exists");
+            .ok_or(NO_DISTRICT)?;
         let o_id = next_o_id_of(&d_row);
         txn.update(tables.district, IndexId(0), dk, district_row(dk, o_id + 1))?;
         let ok = o_pk(dk, o_id);
@@ -558,13 +567,13 @@ impl TpccLite {
         );
         let w_row = txn
             .read(tables.warehouse, IndexId(0), params.w)?
-            .expect("warehouse exists");
+            .ok_or(NO_WAREHOUSE)?;
         let _d = txn
             .read(tables.district, IndexId(0), dk)?
-            .expect("district exists");
+            .ok_or(NO_DISTRICT)?;
         let c_row = txn
             .read(tables.customer, IndexId(0), ck)?
-            .expect("customer exists");
+            .ok_or(NO_CUSTOMER)?;
         let w_ytd = warehouse_ytd_of(&w_row) + params.amount;
         txn.update(
             tables.warehouse,
@@ -609,7 +618,7 @@ impl TpccLite {
         );
         let d_row = txn
             .read(tables.district, IndexId(0), dk)?
-            .expect("district exists");
+            .ok_or(NO_DISTRICT)?;
         let next = next_o_id_of(&d_row);
         let lo = o_pk(dk, next.saturating_sub(RECENT));
         let hi = o_pk(dk, next.saturating_sub(1));

@@ -7,7 +7,7 @@
 //! matches `parking_lot` semantics).
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A mutual-exclusion primitive. `lock()` returns the guard directly.
@@ -183,14 +183,39 @@ impl WaitTimeoutResult {
     }
 }
 
+/// Notifications that reached `std::sync::Condvar` (a `futex` wake system
+/// call each, whether or not anyone sleeps) since the process started.
+static STD_NOTIFICATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// How many [`Condvar::notify_one`] / [`Condvar::notify_all`] calls found a
+/// registered waiter and went on to the underlying `std::sync::Condvar`, in
+/// the whole process. Diagnostic for tests that pin "this path wakes nobody,
+/// so it makes no system call"; not part of the real `parking_lot` API.
+#[doc(hidden)]
+pub fn std_notifications() -> u64 {
+    STD_NOTIFICATIONS.load(Ordering::Relaxed)
+}
+
 /// A condition variable usable with this crate's [`Mutex`].
+///
+/// Like the real `parking_lot` one it knows whether anyone is waiting:
+/// `notify_one` / `notify_all` return after one load when nobody is, where
+/// `std::sync::Condvar` alone would issue a `futex` wake system call per
+/// notification regardless.
 #[derive(Default, Debug)]
 pub struct Condvar {
     inner: std::sync::Condvar,
-    /// Tracks whether a notification happened; lets `notify_*` work even when
-    /// called without the paired mutex held (std allows this too, this is
-    /// just bookkeeping parity with parking_lot).
-    _notified: AtomicBool,
+    /// Threads inside `wait` / `wait_for`. Raised while the waiter still
+    /// holds the mutex and lowered once it holds it again after waking. A
+    /// notifier must have held that mutex when or after it changed the
+    /// awaited state and before it notifies (any condition variable loses
+    /// wake-ups otherwise); the mutex then orders the two sides: either the
+    /// waiter's increment happens-before the notifier's load, or the waiter
+    /// locks after the notifier and sees the new state without sleeping. A
+    /// non-zero count may be stale (a woken or timed-out waiter that has not
+    /// re-acquired the mutex yet); that costs one spurious `std`
+    /// notification, never a lost one.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -198,29 +223,45 @@ impl Condvar {
     pub const fn new() -> Condvar {
         Condvar {
             inner: std::sync::Condvar::new(),
-            _notified: AtomicBool::new(false),
+            waiters: AtomicUsize::new(0),
         }
     }
 
+    /// Does a notification have to go to `std` (and be counted as such)?
+    #[inline]
+    fn reaches_std(&self) -> bool {
+        if self.waiters.load(Ordering::SeqCst) == 0 {
+            return false;
+        }
+        STD_NOTIFICATIONS.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
     /// Wake one waiter.
+    #[inline]
     pub fn notify_one(&self) {
-        self._notified.store(true, Ordering::Release);
-        self.inner.notify_one();
+        if self.reaches_std() {
+            self.inner.notify_one();
+        }
     }
 
     /// Wake all waiters.
+    #[inline]
     pub fn notify_all(&self) {
-        self._notified.store(true, Ordering::Release);
-        self.inner.notify_all();
+        if self.reaches_std() {
+            self.inner.notify_all();
+        }
     }
 
     /// Block until notified, releasing the mutex while asleep.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let inner = match self.inner.wait(inner) {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 
@@ -231,13 +272,12 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.inner.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
             Ok((g, r)) => (g, r),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, r)
-            }
+            Err(p) => p.into_inner(),
         };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         WaitTimeoutResult(result.timed_out())
     }

@@ -58,6 +58,18 @@ fn tpcc(iso: IsolationLevel) -> TpccLite {
     }
 }
 
+/// A transaction that did not commit must have been aborted by concurrency
+/// control (or, on TPC-C-lite at the weaker levels, have drawn an order id a
+/// racing NEW_ORDER already inserted). Anything else — in particular the
+/// drivers' "live row not found" — is an engine fault: fail the case here,
+/// inside the repro wrapper, instead of counting it as one more abort.
+fn expect_abort(label: &str, err: &MmdbError) {
+    assert!(
+        err.is_retryable() || matches!(err, MmdbError::DuplicateKey { .. }),
+        "[{label}] a transaction failed with a non-abort error: {err}"
+    );
+}
+
 /// Run one engine's SmallBank case and check the invariant oracle. Returns
 /// `(committed, attempted, final balances)` for cross-engine comparison.
 fn smallbank_case<E: Engine>(
@@ -68,12 +80,14 @@ fn smallbank_case<E: Engine>(
 ) -> (Vec<SbExec>, u64, Vec<(i64, i64)>) {
     let sb = smallbank(iso);
     let tables = sb.setup(engine).expect("setup must succeed");
+    let label = format!("{} iso={iso:?} seed={seed:#x}", engine.label());
     let committed = Mutex::new(Vec::new());
     let attempted = if concurrent {
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for worker in 0..WORKERS {
                 let sb = &sb;
+                let label = &label;
                 let committed = &committed;
                 handles.push(scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(
@@ -81,8 +95,9 @@ fn smallbank_case<E: Engine>(
                     );
                     for _ in 0..CONC_TXNS_PER_WORKER {
                         let params = sb.draw(&mut rng);
-                        if let Ok(exec) = sb.exec(engine, tables, &params) {
-                            committed.lock().unwrap().push(exec);
+                        match sb.exec(engine, tables, &params) {
+                            Ok(exec) => committed.lock().unwrap().push(exec),
+                            Err(err) => expect_abort(label, &err),
                         }
                     }
                     CONC_TXNS_PER_WORKER as u64
@@ -94,14 +109,14 @@ fn smallbank_case<E: Engine>(
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..SEQ_TXNS {
             let params = sb.draw(&mut rng);
-            if let Ok(exec) = sb.exec(engine, tables, &params) {
-                committed.lock().unwrap().push(exec);
+            match sb.exec(engine, tables, &params) {
+                Ok(exec) => committed.lock().unwrap().push(exec),
+                Err(err) => expect_abort(&label, &err),
             }
         }
         SEQ_TXNS as u64
     };
     let committed = committed.into_inner().unwrap();
-    let label = format!("{} iso={iso:?} seed={seed:#x}", engine.label());
     check_smallbank(&label, engine, &sb, tables, iso, !concurrent, &committed);
     // Degenerate runs (everything aborted) would vacuously pass the oracle.
     assert!(
@@ -135,9 +150,12 @@ fn tpcc_case<E: Engine>(engine: &E, iso: IsolationLevel, seed: u64, concurrent: 
                     );
                     for _ in 0..CONC_TXNS_PER_WORKER {
                         let params = t.draw(&mut rng);
-                        if let Ok(exec) = t.exec(engine, tables, &params) {
-                            tally.lock().unwrap().record(label, &exec.detail);
-                            *committed.lock().unwrap() += 1;
+                        match t.exec(engine, tables, &params) {
+                            Ok(exec) => {
+                                tally.lock().unwrap().record(label, &exec.detail);
+                                *committed.lock().unwrap() += 1;
+                            }
+                            Err(err) => expect_abort(label, &err),
                         }
                     }
                     CONC_TXNS_PER_WORKER as u64
@@ -149,9 +167,12 @@ fn tpcc_case<E: Engine>(engine: &E, iso: IsolationLevel, seed: u64, concurrent: 
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..SEQ_TXNS {
             let params = t.draw(&mut rng);
-            if let Ok(exec) = t.exec(engine, tables, &params) {
-                tally.lock().unwrap().record(&label, &exec.detail);
-                *committed.lock().unwrap() += 1;
+            match t.exec(engine, tables, &params) {
+                Ok(exec) => {
+                    tally.lock().unwrap().record(&label, &exec.detail);
+                    *committed.lock().unwrap() += 1;
+                }
+                Err(err) => expect_abort(&label, &err),
             }
         }
         SEQ_TXNS as u64
