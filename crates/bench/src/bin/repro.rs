@@ -3,15 +3,9 @@
 //! ```text
 //! cargo run -p mmdb-bench --release --bin repro -- [options] <experiment>...
 //!
-//! experiments: fig4 fig5 table3 fig6 fig7 fig8 fig9 table4 ablation perf all
-//!              perf-read perf-write   (the two perf halves individually)
-//!              perf-range   (ordered-index range scans: skip list vs 1V)
-//!              perf-commit  (commit durability: Sync vs Async, tickless vs ticked group commit)
-//!              perf-recovery  (restart: checkpoint + tail vs full log replay)
-//!              perf-adaptive  (MV/O vs MV/L vs adaptive MV/A along the
-//!                              fig4→fig5 contention axis)
-//!              perf-smallbank (SmallBank mix per scheme, uniform vs hotspot)
-//!              perf-tpcc      (TPC-C-lite new-order/payment/order-status mix)
+//! experiments: fig4 fig5 table3 fig6 fig7 fig8 fig9 table4 ablation
+//!              all       (the ten tables above; fig8 and fig9 are one
+//!                         experiment and each prints both tables)
 //!              recover   (crash/replay durability smoke — not part of `all`)
 //!
 //! options:
@@ -22,37 +16,27 @@
 //!   --threads a,b,c      thread counts for fig4/fig5      [default 1,2,4,6,8,12,16,20,24]
 //!   --duration-ms MS     measurement interval per point   [default 1000]
 //!   --subscribers N      TATP subscribers                 [default 200000]
-//!   --json PATH          also write every produced table as machine-readable
-//!                        JSON (schema mmdb-bench/series-tables/v1) — the
-//!                        format behind the committed BENCH_*.json trajectory
 //! ```
+//!
+//! Every cell is the median of three passes over the experiment's whole
+//! sweep. Numbers that gate changes come from `benchmark/` (see its README).
 
 use std::time::Duration;
 
-use mmdb_bench::experiments::{self, ExpConfig, SeriesTable};
-use mmdb_bench::json;
+use mmdb_bench::experiments::{self, ExpConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--quick] [--rows N] [--hot-rows N] [--mpl N] [--threads a,b,c] \
-         [--duration-ms MS] [--subscribers N] [--json PATH] \
-         <fig4|fig5|table3|fig6|fig7|fig8|fig9|table4|ablation|perf|perf-read|perf-write\
-         |perf-range|perf-commit|perf-recovery|perf-adaptive|perf-smallbank|perf-tpcc\
-         |recover|all>..."
+         [--duration-ms MS] [--subscribers N] \
+         <fig4|fig5|table3|fig6|fig7|fig8|fig9|table4|ablation|recover|all>..."
     );
     std::process::exit(2);
 }
 
-struct Options {
-    cfg: ExpConfig,
-    experiments: Vec<String>,
-    json_path: Option<std::path::PathBuf>,
-}
-
-fn parse_args() -> Options {
+fn parse_args() -> (ExpConfig, Vec<String>) {
     let mut cfg = ExpConfig::standard();
     let mut experiments = Vec::new();
-    let mut json_path = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -98,11 +82,6 @@ fn parse_args() -> Options {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--json" => {
-                json_path = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                    usage();
-                })))
-            }
             "--help" | "-h" => usage(),
             name if !name.starts_with('-') => experiments.push(name.to_string()),
             _ => usage(),
@@ -111,92 +90,51 @@ fn parse_args() -> Options {
     if experiments.is_empty() {
         usage();
     }
-    Options {
-        cfg,
-        experiments,
-        json_path,
-    }
+    (cfg, experiments)
 }
 
 fn main() {
-    let Options {
-        cfg,
-        experiments: requested,
-        json_path,
-    } = parse_args();
+    let (cfg, requested) = parse_args();
     println!("# mmdb experiment reproduction");
     println!();
     println!(
-        "configuration: rows={} hot_rows={} mpl={} duration={:?} subscribers={} threads={:?}",
-        cfg.rows, cfg.hot_rows, cfg.mpl, cfg.duration, cfg.subscribers, cfg.threads
+        "configuration: rows={} hot_rows={} mpl={} duration={:?} subscribers={} threads={:?} \
+         passes={}",
+        cfg.rows,
+        cfg.hot_rows,
+        cfg.mpl,
+        cfg.duration,
+        cfg.subscribers,
+        cfg.threads,
+        experiments::PASSES
     );
     println!();
 
-    let mut produced: Vec<SeriesTable> = Vec::new();
-    let emit = |produced: &mut Vec<SeriesTable>, tables: Vec<SeriesTable>| {
-        for table in tables {
-            print!("{}", table.to_markdown());
-            produced.push(table);
-        }
-    };
-
     for name in requested {
-        match name.as_str() {
-            "fig4" => emit(&mut produced, vec![experiments::fig4(&cfg)]),
-            "fig5" => emit(&mut produced, vec![experiments::fig5(&cfg)]),
-            "table3" => emit(&mut produced, vec![experiments::table3(&cfg)]),
-            "fig6" => emit(&mut produced, vec![experiments::fig6(&cfg)]),
-            "fig7" => emit(&mut produced, vec![experiments::fig7(&cfg)]),
-            "fig8" => emit(&mut produced, vec![experiments::fig8(&cfg)]),
-            "fig9" => emit(&mut produced, vec![experiments::fig9(&cfg)]),
-            "fig8+9" | "longreaders" => {
-                let (f8, f9) = experiments::fig8_and_fig9(&cfg);
-                emit(&mut produced, vec![f8, f9]);
+        let tables = match name.as_str() {
+            "fig4" => vec![experiments::fig4(&cfg)],
+            "fig5" => vec![experiments::fig5(&cfg)],
+            "table3" => vec![experiments::table3(&cfg)],
+            "fig6" => vec![experiments::fig6(&cfg)],
+            "fig7" => vec![experiments::fig7(&cfg)],
+            "fig8" | "fig9" => experiments::long_readers(&cfg).into(),
+            "table4" => vec![experiments::table4(&cfg)],
+            "ablation" => vec![
+                experiments::ablation_validation_cost(&cfg),
+                experiments::ablation_gc(&cfg),
+            ],
+            "all" => experiments::run_all(&cfg),
+            "recover" => {
+                recover_smoke(&cfg);
+                Vec::new()
             }
-            "table4" => emit(&mut produced, vec![experiments::table4(&cfg)]),
-            "perf" => emit(
-                &mut produced,
-                vec![
-                    experiments::readpath_perf(&cfg),
-                    experiments::writepath_perf(&cfg),
-                ],
-            ),
-            "perf-read" => emit(&mut produced, vec![experiments::readpath_perf(&cfg)]),
-            "perf-write" => emit(&mut produced, vec![experiments::writepath_perf(&cfg)]),
-            "perf-range" => emit(&mut produced, vec![experiments::rangescan_perf(&cfg)]),
-            "perf-commit" => emit(&mut produced, vec![experiments::commitpath_perf(&cfg)]),
-            "perf-recovery" => emit(&mut produced, vec![experiments::recovery_perf(&cfg)]),
-            "perf-adaptive" => emit(&mut produced, vec![experiments::adaptive_perf(&cfg)]),
-            "perf-smallbank" => emit(&mut produced, vec![experiments::smallbank_perf(&cfg)]),
-            "perf-tpcc" => emit(&mut produced, vec![experiments::tpcc_perf(&cfg)]),
-            "recover" => recover_smoke(&cfg),
-            "ablation" => emit(
-                &mut produced,
-                vec![
-                    experiments::ablation_validation_cost(&cfg),
-                    experiments::ablation_gc(&cfg),
-                ],
-            ),
-            "all" => emit(&mut produced, experiments::run_all(&cfg)),
             other => {
                 eprintln!("unknown experiment: {other}");
                 usage();
             }
-        }
-    }
-
-    if let Some(path) = json_path {
-        let document = json::tables_to_json(&cfg, &produced);
-        match std::fs::write(&path, document) {
-            Ok(()) => println!(
-                "wrote {} tables as JSON to {}",
-                produced.len(),
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("failed to write JSON to {}: {e}", path.display());
-                std::process::exit(1);
-            }
+        };
+        for table in tables {
+            print!("{}", table.to_markdown());
         }
     }
 }

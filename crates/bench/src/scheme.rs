@@ -1,12 +1,8 @@
 //! The concurrency-control schemes under comparison — the paper's three
-//! static ones plus this reproduction's contention-adaptive mode — and a
-//! small dispatch helper so experiments can be written once against the
-//! generic [`Engine`](mmdb_common::engine::Engine) trait.
-
-use std::time::Duration;
-
-use mmdb_core::{MvConfig, MvEngine};
-use mmdb_onev::{SvConfig, SvEngine};
+//! static ones plus this reproduction's contention-adaptive mode — and the
+//! one dispatch construct, [`with_engine!`](crate::with_engine), that lets
+//! an experiment body be written once against the generic
+//! [`Engine`](mmdb_common::engine::Engine) trait.
 
 /// One of the paper's three concurrency-control schemes, or the adaptive
 /// mode that picks MV/O vs MV/L per transaction from live conflict
@@ -39,38 +35,6 @@ impl Scheme {
             Scheme::Adaptive => "MV/A",
         }
     }
-
-    /// Run `f` with a freshly constructed engine of this scheme.
-    ///
-    /// Engines are created per measurement point so that every data point
-    /// starts from an identical, unfragmented database.
-    pub fn with_engine<R>(
-        self,
-        lock_timeout: Duration,
-        f: impl FnOnce(&dyn ErasedFactory) -> R,
-    ) -> R {
-        match self {
-            Scheme::OneV => {
-                let engine = SvEngine::new(SvConfig::default().with_lock_timeout(lock_timeout));
-                f(&SvFactory(engine))
-            }
-            Scheme::MvL => {
-                let engine =
-                    MvEngine::pessimistic(MvConfig::default().with_wait_timeout(lock_timeout));
-                f(&MvFactory(engine))
-            }
-            Scheme::MvO => {
-                let engine =
-                    MvEngine::optimistic(MvConfig::default().with_wait_timeout(lock_timeout));
-                f(&MvFactory(engine))
-            }
-            Scheme::Adaptive => {
-                let engine =
-                    MvEngine::adaptive(MvConfig::default().with_wait_timeout(lock_timeout));
-                f(&MvFactory(engine))
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for Scheme {
@@ -79,48 +43,40 @@ impl std::fmt::Display for Scheme {
     }
 }
 
-/// Object-safe access to a concrete engine. Experiments downcast to the
-/// concrete type through the two accessors; exactly one of them returns
-/// `Some`.
-pub trait ErasedFactory {
-    /// The multiversion engine, if this scheme is MV/O or MV/L.
-    fn mv(&self) -> Option<&MvEngine>;
-    /// The single-version engine, if this scheme is 1V.
-    fn sv(&self) -> Option<&SvEngine>;
-}
-
-struct MvFactory(MvEngine);
-struct SvFactory(SvEngine);
-
-impl ErasedFactory for MvFactory {
-    fn mv(&self) -> Option<&MvEngine> {
-        Some(&self.0)
-    }
-    fn sv(&self) -> Option<&SvEngine> {
-        None
-    }
-}
-
-impl ErasedFactory for SvFactory {
-    fn mv(&self) -> Option<&MvEngine> {
-        None
-    }
-    fn sv(&self) -> Option<&SvEngine> {
-        Some(&self.0)
-    }
-}
-
-/// Dispatch a generic experiment body over whichever engine the factory
-/// holds. `body` is written once, generically over `Engine`.
+/// Build a fresh engine of `$scheme` (lock / wait timeout `$timeout`), bind
+/// a reference to it as `$engine` and evaluate `$body`, which is written
+/// once, generically over `Engine`.
+///
+/// Engines are created per measurement point so that every data point
+/// starts from an identical, unfragmented database.
 #[macro_export]
-macro_rules! dispatch_engine {
-    ($factory:expr, |$engine:ident| $body:expr) => {
-        if let Some($engine) = $factory.mv() {
-            $body
-        } else if let Some($engine) = $factory.sv() {
-            $body
-        } else {
-            unreachable!("factory holds exactly one engine")
+macro_rules! with_engine {
+    ($scheme:expr, $timeout:expr, |$engine:ident| $body:expr) => {
+        match $scheme {
+            $crate::Scheme::OneV => {
+                let $engine = &::mmdb_onev::SvEngine::new(
+                    ::mmdb_onev::SvConfig::default().with_lock_timeout($timeout),
+                );
+                $body
+            }
+            $crate::Scheme::MvL => {
+                let $engine = &::mmdb_core::MvEngine::pessimistic(
+                    ::mmdb_core::MvConfig::default().with_wait_timeout($timeout),
+                );
+                $body
+            }
+            $crate::Scheme::MvO => {
+                let $engine = &::mmdb_core::MvEngine::optimistic(
+                    ::mmdb_core::MvConfig::default().with_wait_timeout($timeout),
+                );
+                $body
+            }
+            $crate::Scheme::Adaptive => {
+                let $engine = &::mmdb_core::MvEngine::adaptive(
+                    ::mmdb_core::MvConfig::default().with_wait_timeout($timeout),
+                );
+                $body
+            }
         }
     };
 }
@@ -129,28 +85,17 @@ macro_rules! dispatch_engine {
 mod tests {
     use super::*;
     use mmdb_common::engine::Engine;
+    use std::time::Duration;
 
     #[test]
-    fn labels_match_paper() {
-        assert_eq!(Scheme::OneV.label(), "1V");
-        assert_eq!(Scheme::MvL.label(), "MV/L");
-        assert_eq!(Scheme::MvO.label(), "MV/O");
-        assert_eq!(Scheme::Adaptive.label(), "MV/A");
-        assert_eq!(Scheme::ALL.len(), 4);
-    }
-
-    #[test]
-    fn with_engine_builds_the_right_kind() {
+    fn with_engine_builds_the_scheme_the_label_names() {
+        assert_eq!(
+            Scheme::ALL.map(Scheme::label),
+            ["1V", "MV/L", "MV/O", "MV/A"]
+        );
         for scheme in Scheme::ALL {
-            scheme.with_engine(Duration::from_millis(100), |factory| {
-                let label = dispatch_engine!(factory, |engine| engine.label());
-                match scheme {
-                    Scheme::OneV => assert_eq!(label, "1V"),
-                    Scheme::MvL => assert_eq!(label, "MV/L"),
-                    Scheme::MvO => assert_eq!(label, "MV/O"),
-                    Scheme::Adaptive => assert_eq!(label, "MV/A"),
-                }
-            });
+            let label = with_engine!(scheme, Duration::from_millis(100), |engine| engine.label());
+            assert_eq!(label, scheme.label());
         }
     }
 }

@@ -10,8 +10,8 @@
 //! per-transaction group-commit ticket (see `RedoLogger::append_frame_ticketed`
 //! and `wait_durable` in `mmdb-storage`) keeps Sync commits batched — a
 //! committer waits for the flush covering its ticket rather than forcing its
-//! own; the `perf-commit` experiment quantifies the difference against a
-//! per-transaction flush.
+//! own; `mmdb-benchmark`'s `storage.group_commit.*` cells quantify the
+//! difference against a per-transaction flush.
 
 /// When `commit()` may return relative to log durability.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]

@@ -94,10 +94,9 @@ fn count_allocations(f: impl FnOnce()) -> u64 {
 
 const ROWS: u64 = 1_024;
 
-/// The shared read-path fixture (`rowbuf::grouped_row` / `grouped_spec`,
-/// also used by `mmdb-bench`'s `repro perf` experiment and `readpath`
-/// bench): this test asserts zero allocations for exactly the shape those
-/// measurements run.
+/// The read-path fixture (`rowbuf::grouped_row` / `grouped_spec`): a unique
+/// primary key plus an 8-row secondary group, the paper's point-read and
+/// short-scan shapes.
 use mmdb_common::row::rowbuf::{grouped_row, grouped_spec, GROUP_SIZE};
 
 fn warmed_mv_engine() -> (MvEngine, mmdb_common::ids::TableId) {

@@ -28,15 +28,6 @@ pub struct Homogeneous {
     pub writes: usize,
     /// Isolation level the transactions run at.
     pub isolation: IsolationLevel,
-    /// Size of the hotspot: accesses redirected there draw keys from
-    /// `[0, hot_keys)` instead of the whole table. Only meaningful with
-    /// `hot_fraction > 0`.
-    pub hot_keys: u64,
-    /// Fraction of accesses (reads and writes alike) directed at the
-    /// hotspot. `0.0` (the default) is the paper's uniform draw; raising it
-    /// sweeps the workload continuously along the Figure 4 → Figure 5
-    /// contention axis without changing the table size.
-    pub hot_fraction: f64,
 }
 
 impl Default for Homogeneous {
@@ -47,8 +38,6 @@ impl Default for Homogeneous {
             reads: 10,
             writes: 2,
             isolation: IsolationLevel::ReadCommitted,
-            hot_keys: 0,
-            hot_fraction: 0.0,
         }
     }
 }
@@ -73,28 +62,9 @@ impl Homogeneous {
         }
     }
 
-    /// Hotspot variant: `hot_fraction` of all accesses hit the first
-    /// `hot_keys` rows, the rest draw uniformly from `rows`.
-    pub fn hotspot(rows: u64, hot_keys: u64, hot_fraction: f64) -> Homogeneous {
-        Homogeneous {
-            rows,
-            hot_keys,
-            hot_fraction,
-            ..Default::default()
-        }
-    }
-
-    /// Draw one access key: from the hotspot with probability
-    /// `hot_fraction`, uniformly otherwise.
+    /// Draw one access key, uniformly over the table.
     fn draw_key(&self, rng: &mut StdRng) -> u64 {
-        if self.hot_fraction > 0.0
-            && self.hot_keys > 0
-            && rng.gen_bool(self.hot_fraction.clamp(0.0, 1.0))
-        {
-            rng.gen_range(0..self.hot_keys.min(self.rows))
-        } else {
-            rng.gen_range(0..self.rows)
-        }
+        rng.gen_range(0..self.rows)
     }
 
     /// Create and populate the table; returns its id.
@@ -243,23 +213,6 @@ mod tests {
         );
         assert_eq!(outcome.kind, TxnKind::ReadOnly);
         assert_eq!(outcome.writes, 0);
-    }
-
-    #[test]
-    fn hotspot_draw_concentrates_accesses() {
-        let workload = Homogeneous::hotspot(100_000, 10, 0.9);
-        let mut rng = StdRng::seed_from_u64(11);
-        let hot = (0..2_000)
-            .filter(|_| workload.draw_key(&mut rng) < workload.hot_keys)
-            .count();
-        // ~90% hot traffic plus the sliver of uniform draws landing there.
-        assert!(hot > 1_600, "hotspot draw too cold: {hot}/2000");
-        // A uniform workload almost never hits 10 keys out of 100k.
-        let uniform = Homogeneous::low_contention(100_000);
-        let hot = (0..2_000)
-            .filter(|_| uniform.draw_key(&mut rng) < 10)
-            .count();
-        assert!(hot < 20, "uniform draw unexpectedly hot: {hot}/2000");
     }
 
     #[test]
