@@ -84,7 +84,7 @@ impl GlobalClock {
     /// this as its read time and *then* walks an index finds every version
     /// its snapshot contains. `now()` lacks that property: the next writer to
     /// precommit is issued exactly `now()`, and may link its new version
-    /// after the reader staged its candidates.
+    /// after the reader loaded the chain head.
     #[inline]
     pub fn last_issued(&self) -> Timestamp {
         Timestamp(self.ts.load(Ordering::SeqCst) - 1)

@@ -37,6 +37,7 @@ use mmdb_common::INFINITY_TS;
 
 use mmdb_storage::gc::GcItem;
 use mmdb_storage::log::{encode_frame_into, LogOpRef, Lsn};
+use mmdb_storage::table::VersionPtr;
 use mmdb_storage::txn_table::TxnState;
 
 use crate::txn::MvTransaction;
@@ -131,27 +132,21 @@ impl MvTransaction {
     /// (our own writes cannot invalidate our reads).
     fn validate_reads(&mut self, end_ts: Timestamp) -> Result<()> {
         let guard = crossbeam::epoch::pin();
-        let entries = std::mem::take(&mut self.ctx.bufs.read_set);
-        for entry in &entries {
-            let version = entry.version.get();
-            if version.end_word().writer() == Some(self.ctx.handle.id()) {
+        let me = self.ctx.handle.id();
+        // By index over the `Copy` entries: the ReadSet stays in its pooled
+        // `TxnContext` (capacity and all) whichever way this returns.
+        for i in 0..self.ctx.bufs.read_set.len() {
+            let ptr = self.ctx.bufs.read_set[i].version;
+            let version = ptr.get();
+            if version.end_word().writer() == Some(me) {
                 continue;
             }
-            let vis = check_visibility(
-                version,
-                end_ts,
-                self.ctx.handle.id(),
-                self.inner.store.txns(),
-                &guard,
-            );
-            let visible = self.resolve_visibility(version, vis, end_ts)?;
-            if !visible {
+            let vis = check_visibility(version, end_ts, me, self.inner.store.txns(), &guard);
+            if !self.resolve_visibility(version, vis, end_ts)? {
                 EngineStats::bump(&self.stats().validation_failures);
-                self.ctx.bufs.read_set = entries;
                 return Err(MmdbError::ReadValidationFailed);
             }
         }
-        self.ctx.bufs.read_set = entries;
         Ok(())
     }
 
@@ -159,52 +154,51 @@ impl MvTransaction {
     /// that came into existence during our lifetime is visible at the end
     /// timestamp (Figure 3, case V4).
     fn validate_scans(&mut self, end_ts: Timestamp) -> Result<()> {
-        let begin_ts = self.ctx.handle.begin_ts();
-        let scans = std::mem::take(&mut self.ctx.bufs.scan_set);
-        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
-        let me = self.ctx.handle.id();
-        let result = (|| {
-            for scan in &scans {
-                let guard = crossbeam::epoch::pin();
-                let table = self.inner.store.table_in(scan.table, &guard)?;
-                candidates.clear();
-                match scan.pred {
-                    SearchPred::Eq(key) => {
-                        candidates.extend(table.candidate_ptrs(scan.index, key, &guard)?)
-                    }
-                    SearchPred::Range { lo, hi } => {
-                        candidates.extend(table.range_candidate_ptrs(scan.index, lo, hi, &guard)?)
-                    }
+        for i in 0..self.ctx.bufs.scan_set.len() {
+            let scan = self.ctx.bufs.scan_set[i];
+            let guard = crossbeam::epoch::pin();
+            let table = self.inner.store.table_in(scan.table, &guard)?;
+            match scan.pred {
+                SearchPred::Eq(key) => {
+                    let chain = table.candidate_ptrs(scan.index, key, &guard)?;
+                    self.check_no_phantom(chain, end_ts, &guard)?
                 }
-                for ptr in candidates.iter() {
-                    let version = ptr.get();
-                    // Our own inserts/updates are not phantoms.
-                    if version.begin_word().as_txn() == Some(me) {
-                        continue;
-                    }
-                    let at_end =
-                        check_visibility(version, end_ts, me, self.inner.store.txns(), &guard);
-                    let visible_at_end = self.resolve_visibility(version, at_end, end_ts)?;
-                    if !visible_at_end {
-                        continue;
-                    }
-                    let at_begin =
-                        check_visibility(version, begin_ts, me, self.inner.store.txns(), &guard);
-                    if !at_begin.visible {
-                        EngineStats::bump(&self.stats().phantom_failures);
-                        return Err(MmdbError::PhantomDetected);
-                    }
+                SearchPred::Range { lo, hi } => {
+                    let chain = table.range_candidate_ptrs(scan.index, lo, hi, &guard)?;
+                    self.check_no_phantom(chain, end_ts, &guard)?
                 }
             }
-            Ok(())
-        })();
-        // Restore the buffer *empty*: the staged VersionPtrs were only valid
-        // under the epoch guard above, and a retained pointer would be a
-        // dangling foot-gun for any future reader (capacity is what we keep).
-        candidates.clear();
-        self.ctx.bufs.scratch.candidates = candidates;
-        self.ctx.bufs.scan_set = scans;
-        result
+        }
+        Ok(())
+    }
+
+    /// One repeated scan of [`Self::validate_scans`], walked in place along
+    /// the index chain like the scan it repeats.
+    fn check_no_phantom(
+        &mut self,
+        chain: impl Iterator<Item = VersionPtr>,
+        end_ts: Timestamp,
+        guard: &crossbeam::epoch::Guard,
+    ) -> Result<()> {
+        let begin_ts = self.ctx.handle.begin_ts();
+        let me = self.ctx.handle.id();
+        for ptr in chain {
+            let version = ptr.get();
+            // Our own inserts/updates are not phantoms.
+            if version.begin_word().as_txn() == Some(me) {
+                continue;
+            }
+            let at_end = check_visibility(version, end_ts, me, self.inner.store.txns(), guard);
+            if !self.resolve_visibility(version, at_end, end_ts)? {
+                continue;
+            }
+            let at_begin = check_visibility(version, begin_ts, me, self.inner.store.txns(), guard);
+            if !at_begin.visible {
+                EngineStats::bump(&self.stats().phantom_failures);
+                return Err(MmdbError::PhantomDetected);
+            }
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------

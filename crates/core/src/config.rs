@@ -68,10 +68,6 @@ pub struct MvConfig {
     /// [`MvEngine::collect_garbage`](crate::engine::MvEngine::collect_garbage)
     /// manually instead).
     pub gc_every_n_commits: u64,
-    /// Maximum number of versions examined per garbage-collection step.
-    pub gc_batch: usize,
-    /// How often the background deadlock detector wakes up.
-    pub deadlock_interval: Duration,
     /// Whether to run the background deadlock detector thread. Wait-for
     /// dependencies (pessimistic scheme) can deadlock; with the detector
     /// disabled, cycles are broken only by `wait_timeout`.
@@ -96,8 +92,6 @@ impl Default for MvConfig {
             cc: CcPolicy::Static(ConcurrencyMode::Optimistic),
             wait_timeout: Duration::from_secs(2),
             gc_every_n_commits: 128,
-            gc_batch: 256,
-            deadlock_interval: Duration::from_millis(5),
             deadlock_detector: true,
             durability: Durability::Async,
             checkpoint: CheckpointPolicy::MANUAL,
@@ -178,7 +172,6 @@ mod tests {
         assert_eq!(c.cc, CcPolicy::Static(ConcurrencyMode::Optimistic));
         assert_eq!(c.cc.static_mode(), Some(ConcurrencyMode::Optimistic));
         assert!(c.wait_timeout > Duration::from_millis(100));
-        assert!(c.gc_batch > 0);
         assert!(c.deadlock_detector);
         // Paper-faithful: transactions never wait for log I/O by default.
         assert_eq!(c.durability, Durability::Async);

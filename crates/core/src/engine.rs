@@ -23,6 +23,12 @@ use crate::context::TxnContext;
 use crate::deadlock;
 use crate::txn::MvTransaction;
 
+/// Maximum number of versions examined per garbage-collection step.
+const GC_BATCH: usize = 256;
+
+/// How often the background deadlock detector wakes up.
+const DEADLOCK_INTERVAL: std::time::Duration = std::time::Duration::from_millis(5);
+
 /// Shared engine internals (store + configuration + background machinery).
 pub(crate) struct MvInner {
     pub(crate) store: MvStore,
@@ -43,7 +49,7 @@ impl MvInner {
         }
         let n = self.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(every) {
-            self.store.collect_garbage(self.config.gc_batch);
+            self.store.collect_garbage(GC_BATCH);
         }
     }
 }
@@ -132,11 +138,10 @@ impl MvEngine {
         }
         let detector = if config.deadlock_detector {
             let weak = Arc::downgrade(&inner);
-            let interval = config.deadlock_interval;
             let thread = std::thread::Builder::new()
                 .name("mmdb-deadlock-detector".into())
                 .spawn(move || loop {
-                    std::thread::sleep(interval);
+                    std::thread::sleep(DEADLOCK_INTERVAL);
                     let Some(inner) = weak.upgrade() else { break };
                     if inner.stop.load(Ordering::Acquire) {
                         break;
@@ -282,7 +287,7 @@ impl MvEngine {
     /// Run a bounded garbage-collection step now. Returns the number of
     /// versions reclaimed.
     pub fn collect_garbage(&self) -> usize {
-        self.inner.store.collect_garbage(self.inner.config.gc_batch)
+        self.inner.store.collect_garbage(GC_BATCH)
     }
 
     /// Number of versions currently reachable in `table`'s primary index
@@ -653,7 +658,7 @@ impl Engine for MvEngine {
     }
 
     fn maintenance(&self) {
-        self.inner.store.collect_garbage(self.inner.config.gc_batch);
+        self.inner.store.collect_garbage(GC_BATCH);
     }
 }
 

@@ -3,25 +3,26 @@
 //!
 //! **The bug**: read-committed reads, and the pessimistic scheme's
 //! repeatable-read reads, used `GlobalClock::now()` — the *next* timestamp to
-//! be issued — as their read time. A reader drew `rt = T` and
-//! staged the key's candidate versions; an updater then linked its new
-//! version (too late to be staged), precommitted and was issued exactly `T`
-//! as its end timestamp. Back in the reader the staged old version ended at
-//! `T` (`rt < end` fails) and the new one, valid from `T`, was never looked
-//! at: a point read of a row that is only ever updated returned `None`, and
-//! an update of it `Ok(false)`. On two cores the workload drivers hit this
-//! every few thousand transactions (`.expect("warehouse exists")`).
+//! be issued — as their read time. A reader drew `rt = T` and loaded the
+//! key's bucket head; an updater then linked its new version (at the head,
+//! behind the walk), precommitted and was issued exactly `T` as its end
+//! timestamp. Back in the reader the old version the walk stood on ended at
+//! `T` (`rt < end` fails) and the new one, valid from `T`, was never reached:
+//! a point read of a row that is only ever updated returned `None`, and an
+//! update of it `Ok(false)`. On two cores the workload drivers hit this every
+//! few thousand transactions (`.expect("warehouse exists")`).
 //!
 //! **The fix**: those reads take `GlobalClock::last_issued()`. Whoever ends at
 //! or before that has already drawn its timestamp, hence linked everything
-//! it wrote, before the reader stages; whoever precommits later ends
-//! strictly after the read time and leaves the staged version visible (a
+//! it wrote, before the reader loads the chain head; whoever precommits later
+//! ends strictly after the read time and leaves the old version visible (a
 //! locking read then finds it superseded and aborts, which is honest).
 //!
 //! **Why the test is deterministic**: same device as
 //! [`crate::phantom_regression`] — the reader parks on a
-//! [`crate::txn::race_hooks`] callback between staging and judging its
-//! candidates while the test thread runs the complete update and commit.
+//! [`crate::txn::race_hooks`] callback between building its chain iterator
+//! and judging the first version while the test thread runs the complete
+//! update and commit.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -30,26 +31,44 @@ use mmdb_common::engine::{Engine, EngineTxn};
 use mmdb_common::error::MmdbError;
 use mmdb_common::ids::IndexId;
 use mmdb_common::isolation::{ConcurrencyMode, IsolationLevel};
-use mmdb_common::row::{rowbuf, TableSpec};
+use mmdb_common::row::{rowbuf, IndexSpec, Row, TableSpec};
 
 use crate::config::MvConfig;
 use crate::engine::MvEngine;
 use crate::txn::race_hooks;
 
-/// The pinned interleaving, returning what the reader's point read of key 1
+/// How the reader looks key 1 up. All three go through the one scan routine
+/// (`MvTransaction::scan_visible_with`), so all three must survive the window.
+#[derive(Debug, Clone, Copy)]
+enum Lookup {
+    /// `read_with` on the hash primary index.
+    Point,
+    /// `scan_key_with` on the hash primary index.
+    KeyScan,
+    /// `scan_range_with` over `[0, 9]` on the ordered secondary index (the
+    /// walk stands on key 1's key node, its chain head not yet loaded).
+    RangeScan,
+}
+
+const LOOKUPS: [Lookup; 3] = [Lookup::Point, Lookup::KeyScan, Lookup::RangeScan];
+
+/// The pinned interleaving, returning what the reader's lookup of key 1
 /// (fill byte 1, updated to 2 inside the window) produced:
 ///
 /// 1. the updater begins (so no timestamp is drawn between the reader's read
 ///    time and the updater's end timestamp);
-/// 2. the reader draws its read time, stages key 1's one version and parks;
+/// 2. the reader draws its read time, builds the chain iterator (a bucket
+///    walk has loaded the bucket head) and parks;
 /// 3. the updater links the new version, commits and postprocesses;
-/// 4. the reader resumes and judges the candidates it staged.
-fn read_with_update_committed_in_the_stage_visit_gap(
+/// 4. the reader resumes and judges the chain as it walks it.
+fn lookup_with_update_committed_in_the_head_visit_gap(
+    lookup: Lookup,
     mode: ConcurrencyMode,
     isolation: IsolationLevel,
 ) -> Result<Option<u8>, MmdbError> {
     let engine = MvEngine::new(MvConfig::default().with_wait_timeout(Duration::from_secs(30)));
-    let table = engine.create_table(TableSpec::keyed_u64("t", 16)).unwrap();
+    let spec = TableSpec::keyed_u64("t", 16).with_index(IndexSpec::ordered_u64("pk_ordered", 0));
+    let table = engine.create_table(spec).unwrap();
     engine
         .populate(table, [rowbuf::keyed_row(1, 16, 1)])
         .unwrap();
@@ -61,16 +80,26 @@ fn read_with_update_committed_in_the_stage_visit_gap(
     let engine2 = engine.clone();
     let reader = std::thread::spawn(move || {
         let mut txn = engine2.begin_with(mode, isolation);
-        race_hooks::set_stage_visit_gap(Box::new(move || {
+        race_hooks::set_head_visit_gap(Box::new(move || {
             let _ = entered_tx.send(());
             let _ = resume_rx.recv();
         }));
-        let seen = txn.read(table, IndexId(0), 1);
-        race_hooks::clear_stage_visit_gap();
-        match seen {
-            Ok(row) => {
+        let mut seen = None;
+        let mut visit = |row: &Row| seen = Some(rowbuf::fill_of(row));
+        let outcome = match lookup {
+            Lookup::Point => txn.read_with(table, IndexId(0), 1, &mut visit).map(drop),
+            Lookup::KeyScan => txn
+                .scan_key_with(table, IndexId(0), 1, &mut visit)
+                .map(drop),
+            Lookup::RangeScan => txn
+                .scan_range_with(table, IndexId(1), 0, 9, &mut visit)
+                .map(drop),
+        };
+        race_hooks::clear_head_visit_gap();
+        match outcome {
+            Ok(()) => {
                 txn.commit().unwrap();
-                Ok(row.map(|r| rowbuf::fill_of(&r)))
+                Ok(seen)
             }
             Err(e) => {
                 txn.abort();
@@ -89,27 +118,37 @@ fn read_with_update_committed_in_the_stage_visit_gap(
 }
 
 #[test]
-fn read_committed_read_never_misses_a_row_updated_after_staging() {
-    for mode in [ConcurrencyMode::Optimistic, ConcurrencyMode::Pessimistic] {
-        assert_eq!(
-            read_with_update_committed_in_the_stage_visit_gap(mode, IsolationLevel::ReadCommitted),
-            Ok(Some(1)),
-            "{mode:?}: the version current when the read time was drawn must be visible"
-        );
+fn read_committed_lookup_never_misses_a_row_updated_behind_its_walk() {
+    for lookup in LOOKUPS {
+        for mode in [ConcurrencyMode::Optimistic, ConcurrencyMode::Pessimistic] {
+            assert_eq!(
+                lookup_with_update_committed_in_the_head_visit_gap(
+                    lookup,
+                    mode,
+                    IsolationLevel::ReadCommitted
+                ),
+                Ok(Some(1)),
+                "{lookup:?} {mode:?}: the version current when the read time was drawn must be visible"
+            );
+        }
     }
 }
 
 #[test]
-fn pessimistic_repeatable_read_aborts_rather_than_misses_a_row_updated_after_staging() {
-    // The staged version is visible but no longer the latest, so it cannot be
+fn pessimistic_repeatable_read_aborts_rather_than_misses_a_row_updated_behind_its_walk() {
+    // The old version is visible but no longer the latest, so it cannot be
     // read-locked: the reader aborts (and would retry) — it must not report
     // the row as absent. (A serializable reader's bucket lock keeps the
     // updater from precommitting inside the window in the first place.)
-    assert_eq!(
-        read_with_update_committed_in_the_stage_visit_gap(
-            ConcurrencyMode::Pessimistic,
-            IsolationLevel::RepeatableRead
-        ),
-        Err(MmdbError::ReadLockUnavailable)
-    );
+    for lookup in LOOKUPS {
+        assert_eq!(
+            lookup_with_update_committed_in_the_head_visit_gap(
+                lookup,
+                ConcurrencyMode::Pessimistic,
+                IsolationLevel::RepeatableRead
+            ),
+            Err(MmdbError::ReadLockUnavailable),
+            "{lookup:?}"
+        );
+    }
 }

@@ -85,20 +85,17 @@ pub(crate) struct RangeLockRef {
     pub hi: Key,
 }
 
-/// Reusable per-transaction staging buffers (§2.5's "read path nearly free of
-/// overhead"): index-scan candidates are staged here before visibility
-/// checks take `&mut self`, and the buffer is **cleared, not freed** between
-/// operations, so steady-state reads and scans perform no heap allocation.
+/// Reusable per-transaction scratch for the write and commit paths, **cleared,
+/// not freed** between operations, so steady-state writes and commits perform
+/// no heap allocation for them. Reads and scans need none: they judge each
+/// version as the index walk reaches it (§3.1), under the operation's epoch
+/// guard.
 ///
-/// Usage protocol: an operation takes the buffer out of the transaction
+/// Usage protocol: an operation takes a buffer out of the transaction
 /// (`mem::take`), works on it as a local, and puts it back when done — so the
-/// borrow checker never sees the buffer and the transaction borrowed at once,
-/// and nested operations (which never happen on the scan paths) would simply
-/// fall back to a fresh buffer instead of corrupting state.
+/// borrow checker never sees the buffer and the transaction borrowed at once.
 #[derive(Debug, Default)]
 pub(crate) struct TxnScratch {
-    /// Candidate versions of the current index lookup.
-    pub(crate) candidates: Vec<VersionPtr>,
     /// Per-index key extraction buffer for the write path (insert/update
     /// keys, uniqueness checks, bucket locks).
     pub(crate) keys: KeyScratch,
@@ -132,7 +129,7 @@ pub(crate) struct TxnBuffers {
     /// telemetry at commit/abort. A handful of entries at most, so a linear
     /// `contains` beats any set.
     pub(crate) touched: Vec<TableId>,
-    /// Reusable scan staging buffers (cleared, never freed, per operation).
+    /// Reusable write/commit scratch (cleared, never freed, per operation).
     pub(crate) scratch: TxnScratch,
 }
 
@@ -147,7 +144,6 @@ impl TxnBuffers {
         self.bucket_locks.clear();
         self.range_locks.clear();
         self.touched.clear();
-        self.scratch.candidates.clear();
         self.scratch.keys.clear();
         self.scratch.log_buf.clear();
         self.scratch.txn_ids.clear();
@@ -245,15 +241,15 @@ impl MvTransaction {
     ///
     /// "Now" is the latest timestamp *issued*, not the next one (see
     /// [`mmdb_common::clock::GlobalClock::last_issued`]): nobody can still
-    /// commit at or before it, so what the candidate walk stages after this
-    /// call holds every version the read time can see (a locking read that
-    /// finds its version superseded meanwhile fails to lock it and aborts).
+    /// commit at or before it, so the chain the walk loads after this call
+    /// holds every version the read time can see (a locking read that finds
+    /// its version superseded meanwhile fails to lock it and aborts).
     /// Pessimistic serializable reads are the exception and take the
-    /// next-to-be-issued timestamp: their scan lock, registered before
-    /// staging, already keeps writers of the key from precommitting under
-    /// them, and they must also see an insert that precommitted between this
-    /// call and that lock, or their repeat would (ROADMAP "Open bugs" has
-    /// the window either choice leaves open).
+    /// next-to-be-issued timestamp: their scan lock, registered before the
+    /// walk loads the chain head, already keeps writers of the key from
+    /// precommitting under them, and they must also see an insert that
+    /// precommitted between this call and that lock, or their repeat would
+    /// (ROADMAP "Open bugs" has the window either choice leaves open).
     pub(crate) fn read_time(&self) -> Timestamp {
         let clock = self.inner.store.clock();
         match (self.ctx.handle.mode(), self.ctx.handle.isolation()) {
@@ -731,22 +727,28 @@ impl MvTransaction {
     // Normal-processing operations
     // ------------------------------------------------------------------
 
-    /// Core of every read/scan: find the versions visible at the read time
-    /// whose `index` key equals `key` and hand each one's payload to `visit`
-    /// by reference. If `single` is set, stop at the first visible version
-    /// (unique-index point lookup). Returns the number of rows visited.
+    /// Core of every read, scan and range scan (§3.1 "Start scan → Check
+    /// predicate → Check visibility → Read version"): walk the versions whose
+    /// `index` key satisfies `pred` — a bucket chain for an equality
+    /// predicate, the skip list in ascending key order for an inclusive range
+    /// ([`MmdbError::IndexNotOrdered`] on a hash index) — and hand the payload
+    /// of each one visible at the read time to `visit` by reference. If
+    /// `single` is set, stop at the first visible version (unique-index point
+    /// lookup). Returns the number of rows visited.
     ///
-    /// This path performs **no heap allocation in steady state**: candidates
-    /// are staged in the transaction's [`TxnScratch`] (capacity reused across
-    /// operations), the visibility lookup is a lock-free borrow from the
-    /// transaction table, and nothing is materialized for the caller — the
-    /// zero-allocation regression test (`crates/core/tests/alloc_free.rs`)
-    /// pins this.
+    /// Versions are judged **as the walk reaches them**, under the guard
+    /// pinned here: an unlink (GC only) leaves the unlinked node's `next`
+    /// intact, nothing reachable is freed while the guard is held, and no step
+    /// of the walk blocks. The chain-head load is the scan's linearization
+    /// point in the §4.3 store→load fence argument. Nothing is materialized
+    /// for the caller and the transaction-table lookup is a lock-free borrow,
+    /// so this path performs **no heap allocation in steady state**
+    /// (`crates/core/tests/alloc_free.rs` pins this).
     fn scan_visible_with(
         &mut self,
         table_id: TableId,
         index: IndexId,
-        key: Key,
+        pred: SearchPred,
         single: bool,
         visit: &mut dyn FnMut(&Row),
     ) -> Result<usize> {
@@ -756,67 +758,42 @@ impl MvTransaction {
         // Lock-free table resolution: a load of the epoch-published catalog
         // slice, borrowed under our guard (no `RwLock`, no `Arc` clone).
         let table = self.inner.store.table_in(table_id, &guard)?;
+        if matches!(pred, SearchPred::Range { .. }) && !table.is_ordered(index)? {
+            return Err(MmdbError::IndexNotOrdered(table_id, index));
+        }
         let rt = self.read_time();
-        self.register_scan(table, index, SearchPred::Eq(key))?;
+        self.register_scan(table, index, pred)?;
         self.scan_lock_fence();
-
-        // Stage candidates in the transaction-owned buffer so no iterator
-        // borrow of the table is held while taking dependencies (which needs
-        // `&mut self`). Taken out and restored around the walk; an error in
-        // between only costs the buffer's capacity.
-        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
-        candidates.clear();
-        let result = (|| {
-            candidates.extend(table.candidate_ptrs(index, key, &guard)?);
-            #[cfg(test)]
-            race_hooks::fire_stage_visit_gap();
-            self.visit_candidates(&candidates, rt, single, &guard, visit)
-        })();
-        // Restore the buffer *empty*: the staged VersionPtrs were only valid
-        // under the epoch guard above, and a retained pointer would be a
-        // dangling foot-gun for any future reader (capacity is what we keep).
-        candidates.clear();
-        self.ctx.bufs.scratch.candidates = candidates;
-        result
+        match pred {
+            SearchPred::Eq(key) => {
+                let chain = table.candidate_ptrs(index, key, &guard)?;
+                self.visit_candidates(chain, rt, single, &guard, visit)
+            }
+            SearchPred::Range { lo, hi } => {
+                let chain = table.range_candidate_ptrs(index, lo, hi, &guard)?;
+                self.visit_candidates(chain, rt, single, &guard, visit)
+            }
+        }
     }
 
-    /// Visibility walk over staged candidates (see [`Self::scan_visible_with`]).
+    /// Visibility walk along one index chain (see [`Self::scan_visible_with`]).
     fn visit_candidates(
         &mut self,
-        candidates: &[VersionPtr],
+        chain: impl Iterator<Item = VersionPtr>,
         rt: Timestamp,
         single: bool,
         guard: &epoch::Guard,
         visit: &mut dyn FnMut(&Row),
     ) -> Result<usize> {
+        #[cfg(test)]
+        race_hooks::fire_head_visit_gap();
         let iso = self.ctx.handle.isolation();
         let mode = self.ctx.handle.mode();
         let mut visited = 0usize;
-        for &ptr in candidates {
+        for ptr in chain {
             let version = ptr.get();
             let vis = check_visibility(version, rt, self.me(), self.inner.store.txns(), guard);
-
-            if !vis.visible
-                && mode == ConcurrencyMode::Pessimistic
-                && iso.requires_phantom_protection()
-                && vis.dependency.is_none()
-            {
-                // §4.3.1: an invisible version owned by a still-active
-                // transaction is a potential phantom — whether it is being
-                // *deleted/updated* (transaction ID in the End field) or being
-                // *created* (transaction ID in the Begin field). Delay that
-                // transaction's precommit until we are done, so it serializes
-                // after us and our scan result stays exact at our end
-                // timestamp.
-                let end_writer = version.end_word().writer();
-                let begin_creator = version.begin_word().as_txn();
-                for owner in [end_writer, begin_creator].into_iter().flatten() {
-                    if owner != self.me() && !self.impose_wait_for_on(owner) {
-                        return Err(self.fail(MmdbError::WaitForRefused));
-                    }
-                }
-            }
-
+            self.delay_potential_phantom(version, vis)?;
             let visible = self.resolve_visibility(version, vis, rt)?;
             if !visible {
                 continue;
@@ -848,46 +825,30 @@ impl MvTransaction {
         Ok(visited)
     }
 
-    /// Core of every range scan: find the versions visible at the read time
-    /// whose `index` key falls in the inclusive range `[lo, hi]`, in
-    /// ascending key order, and hand each one's payload to `visit` by
-    /// reference. Requires an ordered index
-    /// ([`MmdbError::IndexNotOrdered`] otherwise). Same staging protocol and
-    /// the same per-candidate §4.3.1 phantom machinery as
-    /// [`Self::scan_visible_with`]; only the registered predicate (a range,
-    /// not a key) and the candidate source (skip list, not bucket chain)
-    /// differ.
-    fn scan_range_visible_with(
-        &mut self,
-        table_id: TableId,
-        index: IndexId,
-        lo: Key,
-        hi: Key,
-        visit: &mut dyn FnMut(&Row),
-    ) -> Result<usize> {
-        self.ensure_open()?;
-        self.note_table(table_id);
-        let guard = epoch::pin();
-        let table = self.inner.store.table_in(table_id, &guard)?;
-        if !table.is_ordered(index)? {
-            return Err(MmdbError::IndexNotOrdered(table_id, index));
+    /// §4.3.1: to a serializable pessimistic scan, an invisible version owned
+    /// by a still-active transaction is a potential phantom — whether it is
+    /// being *deleted/updated* (transaction ID in the End field; an abort
+    /// would resurrect it) or being *created* (transaction ID in the Begin
+    /// field). Delay that transaction's precommit until we are done, so it
+    /// serializes after us and our scan result — or our "not found" — stays
+    /// exact at our end timestamp. A no-op for every other mode, level and
+    /// visibility outcome.
+    fn delay_potential_phantom(&mut self, version: &Version, vis: Visibility) -> Result<()> {
+        if vis.visible
+            || vis.dependency.is_some()
+            || self.ctx.handle.mode() != ConcurrencyMode::Pessimistic
+            || !self.ctx.handle.isolation().requires_phantom_protection()
+        {
+            return Ok(());
         }
-        let rt = self.read_time();
-        self.register_scan(table, index, SearchPred::Range { lo, hi })?;
-        self.scan_lock_fence();
-
-        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
-        candidates.clear();
-        let result = (|| {
-            candidates.extend(table.range_candidate_ptrs(index, lo, hi, &guard)?);
-            self.visit_candidates(&candidates, rt, false, &guard, visit)
-        })();
-        // Restore the buffer *empty*: the staged VersionPtrs were only valid
-        // under the epoch guard above, and a retained pointer would be a
-        // dangling foot-gun for any future reader (capacity is what we keep).
-        candidates.clear();
-        self.ctx.bufs.scratch.candidates = candidates;
-        result
+        let end_writer = version.end_word().writer();
+        let begin_creator = version.begin_word().as_txn();
+        for owner in [end_writer, begin_creator].into_iter().flatten() {
+            if owner != self.me() && !self.impose_wait_for_on(owner) {
+                return Err(self.fail(MmdbError::WaitForRefused));
+            }
+        }
+        Ok(())
     }
 
     /// Locate the version this transaction should update or delete: the
@@ -901,23 +862,6 @@ impl MvTransaction {
         key: Key,
     ) -> Result<Option<VersionPtr>> {
         self.ensure_open()?;
-        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
-        let result = self.find_update_target_staged(table, index, key, &mut candidates);
-        // Restore the buffer *empty*: the staged VersionPtrs were only valid
-        // under the epoch guard above, and a retained pointer would be a
-        // dangling foot-gun for any future reader (capacity is what we keep).
-        candidates.clear();
-        self.ctx.bufs.scratch.candidates = candidates;
-        result
-    }
-
-    fn find_update_target_staged(
-        &mut self,
-        table: &Table,
-        index: IndexId,
-        key: Key,
-        candidates: &mut Vec<VersionPtr>,
-    ) -> Result<Option<VersionPtr>> {
         // Updates never read-lock the target (the write lock supersedes it).
         // A lookup that *finds* its row needs no phantom protection either —
         // the write lock keeps that row stable. Only a *miss* is
@@ -929,47 +873,42 @@ impl MvTransaction {
         // for no reason (each waits on the other's bucket lock), turning
         // routine disjoint-key updates into deadlock-victim aborts.
         let rt = self.read_time();
-        let iso = self.ctx.handle.isolation();
-        let mode = self.ctx.handle.mode();
         let mut registered = false;
         loop {
-            // Candidates are re-staged each pass: a version may have been
+            // The chain is walked afresh each pass: a version may have been
             // linked between the unprotected miss and the protected retry.
             let guard = epoch::pin();
-            candidates.clear();
-            candidates.extend(table.candidate_ptrs(index, key, &guard)?);
-            for ptr in candidates.iter().copied() {
+            for ptr in table.candidate_ptrs(index, key, &guard)? {
                 let version = ptr.get();
                 let vis = check_visibility(version, rt, self.me(), self.inner.store.txns(), &guard);
-                if registered
-                    && !vis.visible
-                    && mode == ConcurrencyMode::Pessimistic
-                    && iso.requires_phantom_protection()
-                    && vis.dependency.is_none()
-                {
-                    // Same potential-phantom rule as in `visit_candidates`:
-                    // an invisible version owned by a live transaction
-                    // (pending insert of this key, or a pending delete whose
-                    // abort would resurrect it) must serialize after our "not
-                    // found" observation.
-                    let end_writer = version.end_word().writer();
-                    let begin_creator = version.begin_word().as_txn();
-                    for owner in [end_writer, begin_creator].into_iter().flatten() {
-                        if owner != self.me() && !self.impose_wait_for_on(owner) {
-                            return Err(self.fail(MmdbError::WaitForRefused));
-                        }
-                    }
+                if registered {
+                    self.delay_potential_phantom(version, vis)?;
                 }
                 if self.resolve_visibility(version, vis, rt)? {
                     return Ok(Some(ptr));
                 }
             }
-            if registered || !iso.requires_phantom_protection() {
+            if registered || !self.ctx.handle.isolation().requires_phantom_protection() {
                 return Ok(None);
             }
             self.register_scan(table, index, SearchPred::Eq(key))?;
             self.scan_lock_fence();
             registered = true;
+        }
+    }
+
+    /// §2.6 / §3.1 "Check updatability" then "Update version": write-lock the
+    /// version `find_update_target` returned, or fail first-writer-wins.
+    fn write_lock_target(&mut self, ptr: VersionPtr, guard: &epoch::Guard) -> Result<()> {
+        match check_updatable(ptr.get(), self.me(), self.inner.store.txns(), guard) {
+            Updatability::Updatable { observed } => self.install_write_lock(ptr, observed),
+            Updatability::Conflict { holder } => {
+                EngineStats::bump(&self.stats().write_conflicts);
+                Err(self.fail(MmdbError::WriteWriteConflict {
+                    txn: self.me(),
+                    holder,
+                }))
+            }
         }
     }
 
@@ -1022,22 +961,6 @@ impl MvTransaction {
 
     /// Enforce uniqueness for `insert` on every unique index of the table.
     fn check_unique(&mut self, table: &Table, keys: &[Key]) -> Result<()> {
-        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
-        let result = self.check_unique_staged(table, keys, &mut candidates);
-        // Restore the buffer *empty*: the staged VersionPtrs were only valid
-        // under the epoch guard above, and a retained pointer would be a
-        // dangling foot-gun for any future reader (capacity is what we keep).
-        candidates.clear();
-        self.ctx.bufs.scratch.candidates = candidates;
-        result
-    }
-
-    fn check_unique_staged(
-        &mut self,
-        table: &Table,
-        keys: &[Key],
-        candidates: &mut Vec<VersionPtr>,
-    ) -> Result<()> {
         let rt = self.inner.store.clock().now();
         let guard = epoch::pin();
         for (slot, key) in keys.iter().enumerate() {
@@ -1045,9 +968,7 @@ impl MvTransaction {
             if !table.is_unique(index)? {
                 continue;
             }
-            candidates.clear();
-            candidates.extend(table.candidate_ptrs(index, *key, &guard)?);
-            for ptr in candidates.iter() {
+            for ptr in table.candidate_ptrs(index, *key, &guard)? {
                 let version = ptr.get();
                 let vis = check_visibility(version, rt, self.me(), self.inner.store.txns(), &guard);
                 if self.resolve_visibility(version, vis, rt)? {
@@ -1120,23 +1041,6 @@ impl MvTransaction {
         keys: &[Key],
         mine: VersionPtr,
     ) -> Result<()> {
-        let mut candidates = std::mem::take(&mut self.ctx.bufs.scratch.candidates);
-        let result = self.verify_unique_after_link_staged(table, keys, mine, &mut candidates);
-        // Restore the buffer *empty*: the staged VersionPtrs were only valid
-        // under the epoch guard above, and a retained pointer would be a
-        // dangling foot-gun for any future reader (capacity is what we keep).
-        candidates.clear();
-        self.ctx.bufs.scratch.candidates = candidates;
-        result
-    }
-
-    fn verify_unique_after_link_staged(
-        &mut self,
-        table: &Table,
-        keys: &[Key],
-        mine: VersionPtr,
-        candidates: &mut Vec<VersionPtr>,
-    ) -> Result<()> {
         let rt = self.inner.store.clock().now();
         let guard = epoch::pin();
         for (slot, key) in keys.iter().enumerate() {
@@ -1144,9 +1048,7 @@ impl MvTransaction {
             if !table.is_unique(index)? {
                 continue;
             }
-            candidates.clear();
-            candidates.extend(table.candidate_ptrs(index, *key, &guard)?);
-            for ptr in candidates.iter().copied() {
+            for ptr in table.candidate_ptrs(index, *key, &guard)? {
                 if ptr == mine {
                     continue;
                 }
@@ -1202,7 +1104,7 @@ impl EngineTxn for MvTransaction {
         let guard = epoch::pin();
         let table = self.inner.store.table_in(table_id, &guard)?;
         // Extract the index keys once into the reusable scratch; taken out
-        // and restored around the operation (same protocol as `candidates`).
+        // and restored around the operation (see [`TxnScratch`]).
         let mut keys = std::mem::take(&mut self.ctx.bufs.scratch.keys);
         let result = (|| {
             table.keys_into(&row, &mut keys)?;
@@ -1224,7 +1126,7 @@ impl EngineTxn for MvTransaction {
         key: Key,
         visit: &mut dyn FnMut(&Row),
     ) -> Result<bool> {
-        Ok(self.scan_visible_with(table, index, key, true, visit)? > 0)
+        Ok(self.scan_visible_with(table, index, SearchPred::Eq(key), true, visit)? > 0)
     }
 
     fn scan_key_with(
@@ -1234,7 +1136,7 @@ impl EngineTxn for MvTransaction {
         key: Key,
         visit: &mut dyn FnMut(&Row),
     ) -> Result<usize> {
-        self.scan_visible_with(table, index, key, false, visit)
+        self.scan_visible_with(table, index, SearchPred::Eq(key), false, visit)
     }
 
     fn scan_range_with(
@@ -1245,7 +1147,7 @@ impl EngineTxn for MvTransaction {
         hi: Key,
         visit: &mut dyn FnMut(&Row),
     ) -> Result<usize> {
-        self.scan_range_visible_with(table, index, lo, hi, visit)
+        self.scan_visible_with(table, index, SearchPred::Range { lo, hi }, false, visit)
     }
 
     fn update(
@@ -1262,20 +1164,7 @@ impl EngineTxn for MvTransaction {
         let Some(old_ptr) = self.find_update_target(table, index, key)? else {
             return Ok(false);
         };
-        let old = old_ptr.get();
-        // §2.6 / §3.1 "Check updatability" then "Update version".
-        match check_updatable(old, self.me(), self.inner.store.txns(), &guard) {
-            Updatability::Updatable { observed } => {
-                self.install_write_lock(old_ptr, observed)?;
-            }
-            Updatability::Conflict { holder } => {
-                EngineStats::bump(&self.stats().write_conflicts);
-                return Err(self.fail(MmdbError::WriteWriteConflict {
-                    txn: self.me(),
-                    holder,
-                }));
-            }
-        }
+        self.write_lock_target(old_ptr, &guard)?;
         let mut keys = std::mem::take(&mut self.ctx.bufs.scratch.keys);
         let result = (|| {
             table.keys_into(&new_row, &mut keys)?;
@@ -1295,20 +1184,8 @@ impl EngineTxn for MvTransaction {
         let Some(old_ptr) = self.find_update_target(table, index, key)? else {
             return Ok(false);
         };
-        let old = old_ptr.get();
-        match check_updatable(old, self.me(), self.inner.store.txns(), &guard) {
-            Updatability::Updatable { observed } => {
-                self.install_write_lock(old_ptr, observed)?;
-            }
-            Updatability::Conflict { holder } => {
-                EngineStats::bump(&self.stats().write_conflicts);
-                return Err(self.fail(MmdbError::WriteWriteConflict {
-                    txn: self.me(),
-                    holder,
-                }));
-            }
-        }
-        let delete_key = table.key_of(IndexId(0), old.data())?;
+        self.write_lock_target(old_ptr, &guard)?;
+        let delete_key = table.key_of(IndexId(0), old_ptr.get().data())?;
         self.ctx.bufs.write_set.push(WriteEntry {
             table: table.id(),
             old: Some(old_ptr),
@@ -1365,7 +1242,7 @@ pub(crate) mod race_hooks {
 
     thread_local! {
         static LINK_HONOR_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
-        static STAGE_VISIT_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
+        static HEAD_VISIT_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
     }
 
     /// Install `hook` on the current thread; it fires on every
@@ -1387,20 +1264,21 @@ pub(crate) mod race_hooks {
         });
     }
 
-    /// Install `hook` on the current thread; it fires in every point read
-    /// this thread performs, after the read time is drawn and the candidate
-    /// versions are staged but before any of them is judged, until cleared.
-    pub(crate) fn set_stage_visit_gap(hook: Box<dyn FnMut()>) {
-        STAGE_VISIT_GAP.with(|h| *h.borrow_mut() = Some(hook));
+    /// Install `hook` on the current thread; it fires in every read, scan and
+    /// range scan this thread performs, after the read time is drawn and the
+    /// chain iterator is built (a bucket walk has loaded the bucket head) but
+    /// before any version is judged, until cleared.
+    pub(crate) fn set_head_visit_gap(hook: Box<dyn FnMut()>) {
+        HEAD_VISIT_GAP.with(|h| *h.borrow_mut() = Some(hook));
     }
 
     /// Remove the current thread's hook.
-    pub(crate) fn clear_stage_visit_gap() {
-        STAGE_VISIT_GAP.with(|h| *h.borrow_mut() = None);
+    pub(crate) fn clear_head_visit_gap() {
+        HEAD_VISIT_GAP.with(|h| *h.borrow_mut() = None);
     }
 
-    pub(crate) fn fire_stage_visit_gap() {
-        STAGE_VISIT_GAP.with(|h| {
+    pub(crate) fn fire_head_visit_gap() {
+        HEAD_VISIT_GAP.with(|h| {
             if let Some(hook) = h.borrow_mut().as_mut() {
                 hook();
             }

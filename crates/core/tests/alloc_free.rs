@@ -9,8 +9,8 @@
 //!
 //! * steady-state **point reads** and **short secondary scans** on a warmed
 //!   MV engine, through the visitor API (`read_with` / `scan_key_with`),
-//!   perform **zero heap allocations** — candidates are staged in the
-//!   transaction's `TxnScratch` (capacity reused across operations), the
+//!   perform **zero heap allocations** — each version is judged in place as
+//!   the walk along the index chain reaches it (nothing is copied out), the
 //!   payload is visited by reference, and the `TxnTable` visibility lookup
 //!   is a lock-free probe of an epoch-protected slot map (`get_in` — no
 //!   `RwLock`, no `Arc` clone; there is no lock of any kind left in
@@ -517,8 +517,8 @@ fn warmed_mv_insert_delete_txns_allocate_nothing() {
 /// The documented contrast (measured, not assumed):
 ///
 /// * warmed **range scans** through `scan_range_with` are allocation-free
-///   below serializable too — candidates stream straight off the skip list
-///   into the transaction's reused scratch buffer;
+///   below serializable too — versions are judged straight off the skip
+///   list, one at a time;
 /// * an insert of a **novel key** allocates by design: the skip-list key
 ///   node (and its tower) has no pool to come from. Key nodes are retired
 ///   only by GC after the last version dies, so steady-state churn over a

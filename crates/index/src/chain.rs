@@ -336,6 +336,31 @@ mod tests {
     }
 
     #[test]
+    fn a_walk_standing_on_an_unlinked_node_still_reaches_every_linked_one() {
+        let index = HashIndex::<TestNode>::new(0, 1);
+        let guard = epoch::pin();
+        // Head insertion: the chain reads payload 5, 4, 3, 2, 1, 0.
+        let mut nodes = Vec::new();
+        for payload in 0..6u64 {
+            let shared = TestNode::new(7, 0, payload).into_shared(&guard);
+            index.insert(shared, &guard);
+            nodes.push(shared);
+        }
+        let mut walk = index.iter_key(7, &guard);
+        // Yielding node 5 advances the walk onto node 4.
+        assert_eq!(unsafe { walk.next().unwrap().deref() }.payload, 5);
+        // The collector unlinks the node the walk stands on, then its
+        // successor. Each keeps its own `next`, so the walk passes through
+        // both (harmless: still allocated under the guard) and on to every
+        // node that stayed linked.
+        assert!(index.unlink(nodes[4], &guard));
+        assert!(index.unlink(nodes[3], &guard));
+        let rest: Vec<u64> = walk.map(|n| unsafe { n.deref() }.payload).collect();
+        assert_eq!(rest, vec![4, 3, 2, 1, 0]);
+        assert_eq!(collect_payloads(&index, 7), vec![0, 1, 2, 5]);
+    }
+
+    #[test]
     fn iter_all_visits_everything() {
         let index = HashIndex::<TestNode>::new(0, 7);
         let guard = epoch::pin();

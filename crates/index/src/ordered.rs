@@ -727,6 +727,35 @@ mod tests {
     }
 
     #[test]
+    fn a_range_walk_standing_on_a_retired_key_node_still_reaches_every_linked_one() {
+        let index = OrderedIndex::<TestNode>::new(0);
+        let guard = epoch::pin();
+        let mut nodes = Vec::new();
+        for k in [10u64, 20, 30, 40, 50] {
+            let shared = TestNode::new(k, k).into_shared(&guard);
+            index.insert(shared, &guard);
+            nodes.push(shared);
+        }
+        let mut walk = index.iter_range(10, 50, &guard);
+        // Yielding key 10's version advances the walk onto key node 20.
+        assert_eq!(unsafe { walk.next().unwrap().deref() }.key, 10);
+        // The collector empties key node 20 (the one the walk stands on) and
+        // then its successor 30: both are DEAD-tagged, unlinked from every
+        // level and retired, but keep their own level-0 `next`, and the
+        // guard keeps them allocated.
+        for retired in [1, 2] {
+            assert!(index.unlink(nodes[retired], &guard));
+            unsafe { guard.defer_destroy(nodes[retired]) };
+        }
+        assert_eq!(index.key_node_count(), 3);
+        let rest: Vec<u64> = walk.map(|n| unsafe { n.deref() }.key).collect();
+        assert_eq!(rest, vec![40, 50]);
+        assert_eq!(keys_in(&index, 10, 50), vec![10, 40, 50]);
+        drop(guard);
+        free_all(&index);
+    }
+
+    #[test]
     fn concurrent_inserts_are_not_lost() {
         let index = Arc::new(OrderedIndex::<TestNode>::new(0));
         let threads = 4;

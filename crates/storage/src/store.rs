@@ -244,7 +244,6 @@ impl std::fmt::Debug for MvStore {
 mod tests {
     use super::*;
     use crate::log::MemoryLogger;
-    use crate::table::VersionPtr;
     use mmdb_common::ids::{IndexId, Timestamp, TxnId};
     use mmdb_common::isolation::{ConcurrencyMode, IsolationLevel};
     use mmdb_common::row::rowbuf;
@@ -267,10 +266,16 @@ mod tests {
         assert_eq!(table.version_count(), 100);
         assert!(store.table(TableId(7)).is_err());
         let guard = epoch::pin();
-        let hits: Vec<_> = table.candidates(IndexId(0), 42, &guard).unwrap().collect();
+        let hits: Vec<_> = table
+            .candidate_ptrs(IndexId(0), 42, &guard)
+            .unwrap()
+            .collect();
         assert_eq!(hits.len(), 1);
-        assert!(matches!(hits[0].begin_word(), BeginWord::Timestamp(_)));
-        assert!(hits[0].end_word().is_latest());
+        assert!(matches!(
+            hits[0].get().begin_word(),
+            BeginWord::Timestamp(_)
+        ));
+        assert!(hits[0].get().end_word().is_latest());
     }
 
     #[test]
@@ -280,12 +285,11 @@ mod tests {
 
         // Simulate an update: retire version for key 3 at timestamp `retire_ts`.
         let guard = epoch::pin();
-        let old = {
-            let mut it = table.candidates(IndexId(0), 3, &guard).unwrap();
-            VersionPtr::from_shared(crossbeam::epoch::Shared::from(
-                it.next().unwrap() as *const _
-            ))
-        };
+        let old = table
+            .candidate_ptrs(IndexId(0), 3, &guard)
+            .unwrap()
+            .next()
+            .unwrap();
         let retire_ts = store.clock().next_timestamp();
         old.get().set_end(EndWord::Timestamp(retire_ts));
         store.enqueue_garbage(GcItem {
@@ -328,12 +332,11 @@ mod tests {
         let table = store.table(t).unwrap();
         let guard = epoch::pin();
         for key in 0..5u64 {
-            let ptr = {
-                let mut it = table.candidates(IndexId(0), key, &guard).unwrap();
-                VersionPtr::from_shared(crossbeam::epoch::Shared::from(
-                    it.next().unwrap() as *const _
-                ))
-            };
+            let ptr = table
+                .candidate_ptrs(IndexId(0), key, &guard)
+                .unwrap()
+                .next()
+                .unwrap();
             let ts = store.clock().next_timestamp();
             ptr.get().set_end(EndWord::Timestamp(ts));
             store.enqueue_garbage(GcItem {
@@ -392,7 +395,7 @@ mod tests {
                         store
                             .table_in(first, &guard)
                             .unwrap()
-                            .candidates(IndexId(0), 2, &guard)
+                            .candidate_ptrs(IndexId(0), 2, &guard)
                             .unwrap()
                             .count(),
                         1
@@ -426,12 +429,11 @@ mod tests {
         let table = store.table(t).unwrap();
         let guard = epoch::pin();
         for key in 0..8u64 {
-            let ptr = {
-                let mut it = table.candidates(IndexId(0), key, &guard).unwrap();
-                VersionPtr::from_shared(crossbeam::epoch::Shared::from(
-                    it.next().unwrap() as *const _
-                ))
-            };
+            let ptr = table
+                .candidate_ptrs(IndexId(0), key, &guard)
+                .unwrap()
+                .next()
+                .unwrap();
             let ts = store.clock().next_timestamp();
             ptr.get().set_end(EndWord::Timestamp(ts));
             store.enqueue_garbage(GcItem {

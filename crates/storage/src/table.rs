@@ -506,29 +506,12 @@ impl Table {
         VersionPtr::from_shared(shared)
     }
 
-    /// Iterate over every version in the bucket `key` hashes to under
-    /// `index`, filtered down to versions whose key actually equals `key`
-    /// (the paper's "check predicate" step for the search predicate).
-    pub fn candidates<'a, 'g: 'a>(
-        &'a self,
-        index: IndexId,
-        key: Key,
-        guard: &'g Guard,
-    ) -> Result<impl Iterator<Item = &'g Version> + 'a> {
-        let idx = self.index(index)?;
-        let slot = idx.slot();
-        Ok(idx
-            .iter_key(key, guard)
-            .map(|shared| unsafe { shared.deref() })
-            .filter(move |v| v.index_key(slot) == key))
-    }
-
     /// Iterate over every version whose key under `index` lies in the
     /// inclusive range `[lo, hi]`, as stable [`VersionPtr`]s in ascending key
     /// order. Requires an ordered index; hash indexes cannot serve range
     /// predicates.
     ///
-    /// As with [`Table::candidates`], the caller still checks visibility per
+    /// As with [`Table::candidate_ptrs`], the caller still checks visibility per
     /// version; unlike a hash bucket there are no collision false-positives
     /// to filter out.
     pub fn range_candidate_ptrs<'a, 'g: 'a>(
@@ -544,11 +527,15 @@ impl Table {
         }
     }
 
-    /// Like [`Table::candidates`], but yield stable [`VersionPtr`]s directly
-    /// under the caller's epoch guard. This is the hot-path variant: callers
-    /// that stage candidates in a reusable buffer (see `TxnScratch` in
-    /// `mmdb-core`) extend it straight from this iterator instead of
-    /// collecting `&Version` references and converting them afterwards.
+    /// Walk the chain `key` selects under `index` — the bucket it hashes to,
+    /// or its key node of an ordered index — yielding as stable
+    /// [`VersionPtr`]s the versions whose key actually equals `key` (the
+    /// paper's "check predicate" step). Lazy: building the iterator loads
+    /// only the bucket head, and each `next` follows one link under the
+    /// caller's epoch guard, so callers judge visibility version by version
+    /// as the walk reaches them. A concurrent unlink (GC only) leaves the
+    /// unlinked node's own link intact, so a walk standing on it carries on
+    /// to every version still linked.
     pub fn candidate_ptrs<'a, 'g: 'a>(
         &'a self,
         index: IndexId,
@@ -701,43 +688,23 @@ mod tests {
         }
         // Primary lookups.
         for k in 0..20u64 {
-            let hits: Vec<_> = table.candidates(IndexId(0), k, &guard).unwrap().collect();
+            let hits: Vec<_> = table
+                .candidate_ptrs(IndexId(0), k, &guard)
+                .unwrap()
+                .collect();
             assert_eq!(hits.len(), 1);
-            assert_eq!(rowbuf::key_of(hits[0].data()), k);
+            assert_eq!(rowbuf::key_of(hits[0].get().data()), k);
         }
         // Secondary: fill byte 2 → keys 2, 6, 10, 14, 18.
         let fill_key = mmdb_common::hash::hash_bytes(&[2u8]);
         let hits: Vec<_> = table
-            .candidates(IndexId(1), fill_key, &guard)
+            .candidate_ptrs(IndexId(1), fill_key, &guard)
             .unwrap()
             .collect();
         assert_eq!(hits.len(), 5);
         // Full scan sees everything.
         assert_eq!(scan_all(&table, IndexId(0)).len(), 20);
         assert_eq!(table.version_count(), 20);
-    }
-
-    #[test]
-    fn candidate_ptrs_matches_candidates() {
-        let table = Table::new(TableId(0), two_index_spec()).unwrap();
-        let guard = epoch::pin();
-        for k in 0..10u64 {
-            let row = rowbuf::keyed_row(k, 16, (k % 2) as u8);
-            let v = table.make_committed_version(Timestamp(1), row).unwrap();
-            table.link_version(v, &guard);
-        }
-        let by_ref: Vec<usize> = table
-            .candidates(IndexId(1), mmdb_common::hash::hash_bytes(&[1u8]), &guard)
-            .unwrap()
-            .map(|v| v as *const Version as usize)
-            .collect();
-        let by_ptr: Vec<usize> = table
-            .candidate_ptrs(IndexId(1), mmdb_common::hash::hash_bytes(&[1u8]), &guard)
-            .unwrap()
-            .map(|p| p.addr())
-            .collect();
-        assert_eq!(by_ref, by_ptr);
-        assert_eq!(by_ptr.len(), 5);
     }
 
     #[test]
@@ -773,11 +740,14 @@ mod tests {
             let _g = table.gc_guard();
             assert!(table.unlink_version(ptr.as_shared(&guard), &guard));
         }
-        assert_eq!(table.candidates(IndexId(0), 5, &guard).unwrap().count(), 0);
+        assert_eq!(
+            table.candidate_ptrs(IndexId(0), 5, &guard).unwrap().count(),
+            0
+        );
         let fill_key = mmdb_common::hash::hash_bytes(&[1u8]);
         assert_eq!(
             table
-                .candidates(IndexId(1), fill_key, &guard)
+                .candidate_ptrs(IndexId(1), fill_key, &guard)
                 .unwrap()
                 .count(),
             1
@@ -813,7 +783,13 @@ mod tests {
         assert_eq!(keys, vec![20, 30, 40]);
 
         // Equality probes work through the same dispatch.
-        assert_eq!(table.candidates(IndexId(1), 30, &guard).unwrap().count(), 1);
+        assert_eq!(
+            table
+                .candidate_ptrs(IndexId(1), 30, &guard)
+                .unwrap()
+                .count(),
+            1
+        );
         // Full scans via the ordered index see everything, sorted.
         assert_eq!(scan_all(&table, IndexId(1)), vec![10, 20, 30, 40, 50]);
 
@@ -853,7 +829,10 @@ mod tests {
             .map(|p| rowbuf::key_of(p.get().data()))
             .collect();
         assert_eq!(keys, vec![0, 1, 2, 4, 5]);
-        assert_eq!(table.candidates(IndexId(0), 3, &guard).unwrap().count(), 0);
+        assert_eq!(
+            table.candidate_ptrs(IndexId(0), 3, &guard).unwrap().count(),
+            0
+        );
         unsafe { guard.defer_destroy(ptrs[3].as_shared(&guard)) };
     }
 
