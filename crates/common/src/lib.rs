@@ -57,3 +57,28 @@ pub use ids::{IndexId, Key, TableId, Timestamp, TxnId, INFINITY_TS, MAX_TXN_ID};
 pub use isolation::{ConcurrencyMode, IsolationLevel};
 pub use row::{IndexSpec, KeySpec, Row, TableSpec};
 pub use word::{BeginWord, EndWord, LockWord};
+
+/// Support for this workspace's tests (unit tests here and the suites
+/// layered on top); not part of the API.
+#[doc(hidden)]
+pub mod test_support {
+    /// Names the seed of the random case in flight if that case panics.
+    struct CaseSeed(u64);
+
+    impl Drop for CaseSeed {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("failing case seed: {}", self.0);
+            }
+        }
+    }
+
+    /// The seeded loop that stands in for a property test: run `case` on the
+    /// seeds `0..cases`. Nothing is shrunk; a failing case prints its seed.
+    pub fn for_each_seed(cases: u64, case: impl Fn(u64)) {
+        for seed in 0..cases {
+            let _named = CaseSeed(seed);
+            case(seed);
+        }
+    }
+}

@@ -7,83 +7,87 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::contention::ContentionMonitor;
 
-/// Monotone event counters for one engine instance.
-///
-/// All counters use relaxed atomics: they are statistics, not
-/// synchronization, and must stay cheap enough to leave enabled during
-/// benchmarks.
-#[derive(Debug, Default)]
-pub struct EngineStats {
-    /// Transactions that committed.
-    pub commits: AtomicU64,
-    /// Transactions that aborted for any reason.
-    pub aborts: AtomicU64,
-    /// Aborts caused by write-write conflicts (first-writer-wins).
-    pub write_conflicts: AtomicU64,
-    /// Aborts caused by optimistic read validation failure.
-    pub validation_failures: AtomicU64,
-    /// Aborts caused by phantom detection during validation.
-    pub phantom_failures: AtomicU64,
-    /// Aborts cascaded from a failed commit dependency.
-    pub cascaded_aborts: AtomicU64,
-    /// Aborts due to deadlock victims or lock timeouts.
-    pub deadlock_aborts: AtomicU64,
-    /// Commit dependencies taken (speculative reads / ignores).
-    pub commit_dependencies: AtomicU64,
-    /// Wait-for dependencies taken (pessimistic eager updates).
-    pub wait_for_dependencies: AtomicU64,
-    /// Times a transaction had to block before precommit or commit.
-    pub commit_waits: AtomicU64,
-    /// Versions created (inserts + updates).
-    pub versions_created: AtomicU64,
-    /// Versions reclaimed by the garbage collector.
-    pub versions_collected: AtomicU64,
-    /// Garbage collection passes executed.
-    pub gc_passes: AtomicU64,
-    /// Redo log records written.
-    pub log_records: AtomicU64,
-    /// Redo log bytes written.
-    pub log_bytes: AtomicU64,
-    /// Windowed contention telemetry (per-table + global EWMA'd conflict
-    /// scores with hysteresis). Not part of [`StatsSnapshot`] — it is a
-    /// decayed live signal, not a monotone counter; adaptive engines consult
-    /// it at `begin` time.
-    pub contention: ContentionMonitor,
+/// Writes the counter list once: the atomic [`EngineStats`] fields, their
+/// plain [`StatsSnapshot`] copies, and the field-by-field `snapshot` and
+/// `delta_since`.
+macro_rules! engine_counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Monotone event counters for one engine instance.
+        ///
+        /// All counters use relaxed atomics: they are statistics, not
+        /// synchronization, and must stay cheap enough to leave enabled
+        /// during benchmarks.
+        #[derive(Debug, Default)]
+        pub struct EngineStats {
+            $($(#[$doc])* pub $field: AtomicU64,)*
+            /// Windowed contention telemetry (per-table + global EWMA'd
+            /// conflict scores with hysteresis). Not part of
+            /// [`StatsSnapshot`] — it is a decayed live signal, not a
+            /// monotone counter; adaptive engines consult it at `begin` time.
+            pub contention: ContentionMonitor,
+        }
+
+        /// A point-in-time copy of [`EngineStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $(
+                #[doc = concat!("See [`EngineStats::", stringify!($field), "`].")]
+                pub $field: u64,
+            )*
+        }
+
+        impl EngineStats {
+            /// Take a point-in-time snapshot of all counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Component-wise difference (`self - earlier`), for measuring an
+            /// interval.
+            pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($field: self.$field - earlier.$field,)*
+                }
+            }
+        }
+    };
 }
 
-/// A point-in-time copy of [`EngineStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// See [`EngineStats::commits`].
-    pub commits: u64,
-    /// See [`EngineStats::aborts`].
-    pub aborts: u64,
-    /// See [`EngineStats::write_conflicts`].
-    pub write_conflicts: u64,
-    /// See [`EngineStats::validation_failures`].
-    pub validation_failures: u64,
-    /// See [`EngineStats::phantom_failures`].
-    pub phantom_failures: u64,
-    /// See [`EngineStats::cascaded_aborts`].
-    pub cascaded_aborts: u64,
-    /// See [`EngineStats::deadlock_aborts`].
-    pub deadlock_aborts: u64,
-    /// See [`EngineStats::commit_dependencies`].
-    pub commit_dependencies: u64,
-    /// See [`EngineStats::wait_for_dependencies`].
-    pub wait_for_dependencies: u64,
-    /// See [`EngineStats::commit_waits`].
-    pub commit_waits: u64,
-    /// See [`EngineStats::versions_created`].
-    pub versions_created: u64,
-    /// See [`EngineStats::versions_collected`].
-    pub versions_collected: u64,
-    /// See [`EngineStats::gc_passes`].
-    pub gc_passes: u64,
-    /// See [`EngineStats::log_records`].
-    pub log_records: u64,
-    /// See [`EngineStats::log_bytes`].
-    pub log_bytes: u64,
+engine_counters! {
+    /// Transactions that committed.
+    commits,
+    /// Transactions that aborted for any reason.
+    aborts,
+    /// Aborts caused by write-write conflicts (first-writer-wins).
+    write_conflicts,
+    /// Aborts caused by optimistic read validation failure.
+    validation_failures,
+    /// Aborts caused by phantom detection during validation.
+    phantom_failures,
+    /// Aborts cascaded from a failed commit dependency.
+    cascaded_aborts,
+    /// Aborts due to deadlock victims or lock timeouts.
+    deadlock_aborts,
+    /// Commit dependencies taken (speculative reads / ignores).
+    commit_dependencies,
+    /// Wait-for dependencies taken (pessimistic eager updates).
+    wait_for_dependencies,
+    /// Times a transaction had to block before precommit or commit.
+    commit_waits,
+    /// Versions created (inserts + updates).
+    versions_created,
+    /// Versions reclaimed by the garbage collector.
+    versions_collected,
+    /// Garbage collection passes executed.
+    gc_passes,
+    /// Redo log records written.
+    log_records,
+    /// Redo log bytes written.
+    log_bytes,
 }
 
 impl EngineStats {
@@ -103,52 +107,9 @@ impl EngineStats {
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// Take a point-in-time snapshot of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            write_conflicts: self.write_conflicts.load(Ordering::Relaxed),
-            validation_failures: self.validation_failures.load(Ordering::Relaxed),
-            phantom_failures: self.phantom_failures.load(Ordering::Relaxed),
-            cascaded_aborts: self.cascaded_aborts.load(Ordering::Relaxed),
-            deadlock_aborts: self.deadlock_aborts.load(Ordering::Relaxed),
-            commit_dependencies: self.commit_dependencies.load(Ordering::Relaxed),
-            wait_for_dependencies: self.wait_for_dependencies.load(Ordering::Relaxed),
-            commit_waits: self.commit_waits.load(Ordering::Relaxed),
-            versions_created: self.versions_created.load(Ordering::Relaxed),
-            versions_collected: self.versions_collected.load(Ordering::Relaxed),
-            gc_passes: self.gc_passes.load(Ordering::Relaxed),
-            log_records: self.log_records.load(Ordering::Relaxed),
-            log_bytes: self.log_bytes.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl StatsSnapshot {
-    /// Component-wise difference (`self - earlier`), for measuring an
-    /// interval.
-    pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            commits: self.commits - earlier.commits,
-            aborts: self.aborts - earlier.aborts,
-            write_conflicts: self.write_conflicts - earlier.write_conflicts,
-            validation_failures: self.validation_failures - earlier.validation_failures,
-            phantom_failures: self.phantom_failures - earlier.phantom_failures,
-            cascaded_aborts: self.cascaded_aborts - earlier.cascaded_aborts,
-            deadlock_aborts: self.deadlock_aborts - earlier.deadlock_aborts,
-            commit_dependencies: self.commit_dependencies - earlier.commit_dependencies,
-            wait_for_dependencies: self.wait_for_dependencies - earlier.wait_for_dependencies,
-            commit_waits: self.commit_waits - earlier.commit_waits,
-            versions_created: self.versions_created - earlier.versions_created,
-            versions_collected: self.versions_collected - earlier.versions_collected,
-            gc_passes: self.gc_passes - earlier.gc_passes,
-            log_records: self.log_records - earlier.log_records,
-            log_bytes: self.log_bytes - earlier.log_bytes,
-        }
-    }
-
     /// Abort rate over the interval (aborts / (commits + aborts)).
     pub fn abort_rate(&self) -> f64 {
         let total = self.commits + self.aborts;

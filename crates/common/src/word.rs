@@ -17,8 +17,8 @@
 //! field contains a transaction ID"), so both schemes share one encoding and
 //! optimistic and pessimistic transactions can coexist (§4.5).
 //!
-//! All encodings round-trip losslessly; this is checked by unit tests and a
-//! proptest in this module.
+//! All encodings round-trip losslessly; this is checked by unit tests and
+//! seeded random round trips in this module.
 
 use crate::ids::{Timestamp, TxnId, INFINITY_TS, MAX_TXN_ID};
 
@@ -320,7 +320,9 @@ pub mod raw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::test_support::for_each_seed;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn begin_word_roundtrip_timestamp() {
@@ -564,40 +566,51 @@ mod tests {
         assert_eq!(relocked.writer, Some(TxnId(11)));
     }
 
-    proptest! {
-        #[test]
-        fn prop_begin_roundtrip(ts in 0u64..INFINITY_TS.0, id in 0u64..=MAX_TXN_ID) {
-            let t = BeginWord::Timestamp(Timestamp(ts));
-            prop_assert_eq!(BeginWord::decode(t.encode()), t);
-            let x = BeginWord::Txn(TxnId(id));
-            prop_assert_eq!(BeginWord::decode(x.encode()), x);
-        }
+    /// Run `case` on 256 seeded generators.
+    fn for_each_case(case: impl Fn(&mut StdRng)) {
+        for_each_seed(256, |seed| case(&mut StdRng::seed_from_u64(seed)));
+    }
 
-        #[test]
-        fn prop_end_roundtrip(
-            ts in 0u64..INFINITY_TS.0,
-            nomore in any::<bool>(),
-            count in 0u8..=u8::MAX,
-            writer in prop::option::of(0u64..=MAX_TXN_ID),
-        ) {
-            let t = EndWord::Timestamp(Timestamp(ts));
-            prop_assert_eq!(EndWord::decode(t.encode()), t);
-            let lock = LockWord { no_more_read_locks: nomore, read_lock_count: count, writer: writer.map(TxnId) };
-            let w = EndWord::Lock(lock);
-            prop_assert_eq!(EndWord::decode(w.encode()), w);
+    fn any_lock_word(rng: &mut StdRng, count: u8) -> LockWord {
+        LockWord {
+            no_more_read_locks: rng.gen(),
+            read_lock_count: count,
+            writer: rng
+                .gen_bool(0.5)
+                .then(|| TxnId(rng.gen_range(0..=MAX_TXN_ID))),
         }
+    }
 
-        #[test]
-        fn prop_reader_increment_never_touches_other_fields(
-            nomore in any::<bool>(),
-            count in 0u8..u8::MAX,
-            writer in prop::option::of(0u64..=MAX_TXN_ID),
-        ) {
-            let lock = LockWord { no_more_read_locks: nomore, read_lock_count: count, writer: writer.map(TxnId) };
+    #[test]
+    fn prop_begin_roundtrip() {
+        for_each_case(|rng| {
+            let t = BeginWord::Timestamp(Timestamp(rng.gen_range(0..INFINITY_TS.0)));
+            assert_eq!(BeginWord::decode(t.encode()), t);
+            let x = BeginWord::Txn(TxnId(rng.gen_range(0..=MAX_TXN_ID)));
+            assert_eq!(BeginWord::decode(x.encode()), x);
+        });
+    }
+
+    #[test]
+    fn prop_end_roundtrip() {
+        for_each_case(|rng| {
+            let t = EndWord::Timestamp(Timestamp(rng.gen_range(0..INFINITY_TS.0)));
+            assert_eq!(EndWord::decode(t.encode()), t);
+            let count = rng.gen();
+            let w = EndWord::Lock(any_lock_word(rng, count));
+            assert_eq!(EndWord::decode(w.encode()), w);
+        });
+    }
+
+    #[test]
+    fn prop_reader_increment_never_touches_other_fields() {
+        for_each_case(|rng| {
+            let count = rng.gen_range(0..u8::MAX);
+            let lock = any_lock_word(rng, count);
             let bumped = lock.with_extra_reader().unwrap();
-            prop_assert_eq!(bumped.no_more_read_locks, nomore);
-            prop_assert_eq!(bumped.writer, writer.map(TxnId));
-            prop_assert_eq!(bumped.read_lock_count, count + 1);
-        }
+            assert_eq!(bumped.no_more_read_locks, lock.no_more_read_locks);
+            assert_eq!(bumped.writer, lock.writer);
+            assert_eq!(bumped.read_lock_count, count + 1);
+        });
     }
 }

@@ -22,8 +22,8 @@ use crate::txn::TxnBuffers;
 
 /// Idle contexts a thread keeps. A context is reusable only once its handle's
 /// reference count has drained to one, which the epoch-deferred release of
-/// its transaction-table slot delays by two to three collection periods of
-/// the epoch shim — just under a hundred of the shortest (empty)
+/// the transaction table's reference delays by two to three collection periods
+/// of the epoch shim — just under a hundred of the shortest (empty)
 /// transactions on one thread, fewer of any longer kind. The pool has to be
 /// that deep for a warmed `begin` to allocate nothing; the cap bounds idle
 /// memory when a thread finishes transactions that other threads began.
@@ -32,7 +32,7 @@ const CONTEXTS_PER_THREAD: usize = 128;
 thread_local! {
     /// Recycled contexts, oldest first: a finished transaction's context
     /// goes in at the back and `begin` reuses the one at the front, which is
-    /// the first whose slot release has run.
+    /// the first whose release by the transaction table has run.
     static POOL: RefCell<VecDeque<Box<ContextParts>>> = const { RefCell::new(VecDeque::new()) };
 }
 
@@ -85,9 +85,10 @@ impl TxnContext {
             let mut pool = pool.borrow_mut();
             let mut parts = pool.pop_front()?;
             // `Arc::get_mut` is the reset guard: a handle still borrowed by
-            // a lock-free lookup (its slot reference is released through the
-            // epoch machinery) or by a deadlock-detector snapshot can never
-            // be reset.
+            // a lock-free lookup or walked through as an unlinked chain node
+            // (the transaction table's reference is released through the
+            // epoch machinery), or held by a deadlock-detector snapshot, can
+            // never be reset.
             if let Some(exclusive) = Arc::get_mut(&mut parts.handle) {
                 exclusive.reset_for(id, begin_ts, mode, isolation);
             } else if pool.len() + 1 < CONTEXTS_PER_THREAD {
@@ -99,7 +100,7 @@ impl TxnContext {
                 // A full pool with nothing ready means reclamation is
                 // stalled (a long pin somewhere — a checkpoint walk, a
                 // descheduled thread). Keep the warmed buffers and replace
-                // only the handle; the slot release frees the old one.
+                // only the handle; the table's release frees the old one.
                 parts.handle = TxnHandle::new(id, begin_ts, mode, isolation);
             }
             Some(parts)
@@ -160,7 +161,7 @@ mod tests {
         POOL.with(|pool| pool.borrow().len())
     }
 
-    /// Run the epoch-deferred slot releases of finished transactions, then
+    /// Run the epoch-deferred table releases of finished transactions, then
     /// require that nothing refers to any of `handles` any more.
     fn assert_all_dropped(handles: &[Weak<TxnHandle>], what: &str) {
         mmdb_index::test_support::flush_epochs_until(|| {

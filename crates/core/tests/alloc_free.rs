@@ -12,7 +12,7 @@
 //!   perform **zero heap allocations** — each version is judged in place as
 //!   the walk along the index chain reaches it (nothing is copied out), the
 //!   payload is visited by reference, and the `TxnTable` visibility lookup
-//!   is a lock-free probe of an epoch-protected slot map (`get_in` — no
+//!   is a lock-free walk of one epoch-protected bucket chain (`get_in` — no
 //!   `RwLock`, no `Arc` clone; there is no lock of any kind left in
 //!   `txn_table.rs` lookups to acquire);
 //! * warmed **write transactions** — a whole begin → update → commit, and
@@ -22,8 +22,8 @@
 //!   (warmed per thread — a spawned thread is measured too), key extraction
 //!   fills a reusable `KeyScratch`, the new version is recycled from the
 //!   table's GC-fed pool, the redo record is framed into a reusable encode
-//!   buffer, and the transaction-table slot holds a raw strong reference
-//!   (registration is a refcount bump);
+//!   buffer, and the transaction table links the handle itself and holds a
+//!   raw strong reference (registration is a refcount bump and a CAS);
 //! * the **1V comparison**: the single-version engine stages lookups,
 //!   undo images and log ops per operation — neither its read nor its write
 //!   path is allocation-free, which is part of why the paper's multiversion
@@ -682,9 +682,9 @@ fn adaptive_policy_keeps_hot_paths_allocation_free() {
         .unwrap();
         txn.commit().unwrap();
     }
-    // More whole transactions so every engine pool (buffer sets, txn-table
-    // slots, and enough handles to cover the two-epoch lag of their slot
-    // releases) is warm before counting.
+    // More whole transactions so every engine pool (buffer sets, and enough
+    // handles to cover the two-epoch lag of their release by the transaction
+    // table) is warm before counting.
     for _ in 0..256 {
         let mut txn = engine.begin(isolation);
         txn.read_with(table, IndexId(0), 2, &mut |row| {

@@ -2,7 +2,8 @@
 //!
 //! A table owns one [`HashIndex`] per declared index. All indexes of a table
 //! share the same node allocations (the versions); each node carries one
-//! atomic next-pointer per index, selected by the index's *slot* number.
+//! atomic next-pointer per index, selected by the index's *slot* number. The
+//! transaction table is one more such index, over transaction handles.
 //!
 //! Concurrency contract:
 //!
@@ -11,11 +12,12 @@
 //! * **Traversals** ([`HashIndex::iter_key`], [`HashIndex::iter_bucket`])
 //!   never block and never observe freed memory; callers must hold a
 //!   `crossbeam_epoch` [`Guard`].
-//! * **Unlinks** ([`HashIndex::unlink`]) are performed only by the garbage
-//!   collector, which serializes unlinks per table (see
-//!   `mmdb-storage::gc`). Interleaved inserts are tolerated (the CAS fails
-//!   and the unlink retries); interleaved unlinks on the same index are not,
-//!   which is exactly why the collector serializes them.
+//! * **Unlinks** ([`HashIndex::unlink`], [`HashIndex::unlink_first`]) within
+//!   *one bucket* must be serialized by the caller: the version collector
+//!   holds a per-table mutex (`mmdb-storage::gc`), the transaction table a
+//!   per-bucket stripe. Interleaved inserts are tolerated (the CAS fails and
+//!   the unlink retries). Two interleaved unlinks of adjacent nodes are not:
+//!   the second can stay reachable through the first's predecessor.
 
 use crossbeam::epoch::{Atomic, Guard, Shared};
 use std::sync::atomic::Ordering;
@@ -123,31 +125,39 @@ impl<N: ChainNode> HashIndex<N> {
     }
 
     /// Unlink `target` from the bucket it lives in. Returns `true` if the
-    /// node was found and unlinked.
-    ///
-    /// # Safety contract (enforced by the storage-layer GC)
-    /// Concurrent `unlink` calls on the *same index* are not allowed; the
-    /// caller must serialize them (the storage garbage collector holds a
-    /// per-table mutex while unlinking). Concurrent inserts and traversals
-    /// are fine. The caller must not free the node until after this returns
-    /// and must do so through the epoch mechanism (`defer_destroy`).
+    /// node was found and unlinked. Contract as for [`HashIndex::unlink_first`].
     pub fn unlink<'g>(&self, target: Shared<'g, N>, guard: &'g Guard) -> bool {
-        let target_ref = unsafe { target.deref() };
-        let bucket = self.bucket_of_key(target_ref.key(self.slot));
+        let bucket = self.bucket_of_key(unsafe { target.deref() }.key(self.slot));
+        self.unlink_first(bucket, |node| std::ptr::eq(node, target.as_raw()), guard)
+            .is_some()
+    }
+
+    /// Unlink and return the first node of `bucket` that `accept` takes, or
+    /// `None` if there is none (already unlinked).
+    ///
+    /// # Safety contract (enforced by the callers in the storage layer)
+    /// Concurrent unlinks in the *same bucket* are not allowed; the caller
+    /// must serialize them. Concurrent inserts and traversals are fine. The
+    /// unlinked node keeps its next pointer; the caller must not free (or
+    /// re-link) it until after this returns, and only through the epoch
+    /// mechanism (`defer_destroy`).
+    pub fn unlink_first<'g>(
+        &self,
+        bucket: usize,
+        accept: impl Fn(&N) -> bool,
+        guard: &'g Guard,
+    ) -> Option<Shared<'g, N>> {
         'retry: loop {
             // Find the link (bucket head or a predecessor node's next pointer)
-            // that currently points at `target`.
+            // that currently points at the first accepted node.
             let mut link: &Atomic<N> = &self.buckets[bucket];
-            let mut current = link.load(Ordering::Acquire, guard);
             loop {
-                if current.is_null() {
-                    // Not present (already unlinked).
-                    return false;
-                }
-                if current == target {
-                    let next = target_ref
-                        .next_ptr(self.slot)
-                        .load(Ordering::Acquire, guard);
+                let current = link.load(Ordering::Acquire, guard);
+                // SAFETY: loaded under `guard`; nodes are freed through the epoch.
+                let node = unsafe { current.as_ref() }?;
+                let next_link = node.next_ptr(self.slot);
+                if accept(node) {
+                    let next = next_link.load(Ordering::Acquire, guard);
                     match link.compare_exchange(
                         current,
                         next,
@@ -155,15 +165,13 @@ impl<N: ChainNode> HashIndex<N> {
                         Ordering::Acquire,
                         guard,
                     ) {
-                        Ok(_) => return true,
+                        Ok(_) => return Some(current),
                         // An insert landed on this link (only possible at the
                         // bucket head); retry from the top.
                         Err(_) => continue 'retry,
                     }
                 }
-                let node = unsafe { current.deref() };
-                link = node.next_ptr(self.slot);
-                current = link.load(Ordering::Acquire, guard);
+                link = next_link;
             }
         }
     }

@@ -12,13 +12,16 @@
 //!
 //! This crate provides that structure generically:
 //!
-//! * [`ChainNode`] — implemented by the storage engine's version type; a node
-//!   carries one intrusive next-pointer per index of its table.
+//! * [`ChainNode`] — implemented by the storage engine's version type (one
+//!   intrusive next-pointer per index of its table) and by its transaction
+//!   handle (one, for the transaction table, which is the same hash keyed by
+//!   transaction id).
 //! * [`HashIndex`] — a fixed-size bucket array of lock-free singly-linked
 //!   chains. Insertion is a CAS push at the bucket head; lookups traverse
-//!   under a `crossbeam_epoch` guard and never block; garbage versions are
-//!   unlinked with a CAS on the predecessor pointer (serialized per index by
-//!   the garbage collector) and reclaimed through the epoch mechanism.
+//!   under a `crossbeam_epoch` guard and never block; garbage versions and
+//!   finished transactions are unlinked with a CAS on the predecessor pointer
+//!   (serialized per bucket by the caller) and reclaimed through the epoch
+//!   mechanism.
 //! * [`BucketLockTable`] — the serializable-scan bucket locks of §4.1.2:
 //!   a lock count per bucket (fast "is it locked?" checks) plus a lock list
 //!   stored in a sharded side table keyed by bucket number.

@@ -3,9 +3,8 @@
 //! Both engines keep their tables in a dense id-indexed registry that every
 //! operation consults. PR 3 left that registry behind a `RwLock<Vec<Arc<T>>>`
 //! — the last lock on the per-operation hot path. Tables are **never
-//! removed**, so the registry fits the same publication technique as the
-//! `TxnTable` slot map: the entry array is an immutable epoch-managed
-//! snapshot, lookups load it with a single `Acquire` and index it (no lock,
+//! removed**, so the registry can be published whole: the entry array is an
+//! immutable epoch-managed snapshot, lookups load it with a single `Acquire` and index it (no lock,
 //! no reference-count traffic), and `create` builds a one-longer copy and
 //! publishes it with an atomic swap (mirroring the append-only mapping-table
 //! publication of the Hekaton / Bw-tree line of work).

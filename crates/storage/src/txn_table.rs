@@ -4,7 +4,9 @@
 //! in the global [`TxnTable`]. Other transactions look handles up by ID when
 //! they find a transaction ID in a version's Begin or End field (visibility
 //! checks, §2.5), when they register commit dependencies (§2.7), and when
-//! they install or release wait-for dependencies (§4.2).
+//! they install or release wait-for dependencies (§4.2). The table is the
+//! same latch-free chained hash the versions are indexed by (§2.1,
+//! `mmdb_index::chain`), with the handle as its own chain node.
 //!
 //! A handle carries exactly the per-transaction fields the paper describes:
 //!
@@ -20,18 +22,16 @@
 //! the transitions a sleeper waits for wake it (see [`TxnHandle::set_state`]),
 //! so a transaction that meets no other transaction makes no system call.
 
-use std::sync::atomic::{
-    AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::epoch::{self, Atomic, Guard, Owned};
+use crossbeam::epoch::{self, Atomic, Guard, Shared};
 use parking_lot::{Condvar, Mutex};
 
-use mmdb_common::hash::mix64;
-use mmdb_common::ids::{Timestamp, TxnId};
+use mmdb_common::ids::{Key, Timestamp, TxnId};
 use mmdb_common::isolation::{ConcurrencyMode, IsolationLevel};
+use mmdb_index::chain::{ChainNode, HashIndex};
 
 use crate::table::VersionPtr;
 
@@ -158,6 +158,9 @@ pub struct TxnHandle {
     // --- Sleeping / wakeup ---
     wait_lock: Mutex<()>,
     wait_cv: Condvar,
+
+    /// Link to the next handle in this one's [`TxnTable`] bucket chain.
+    next: Atomic<TxnHandle>,
 }
 
 impl TxnHandle {
@@ -184,6 +187,7 @@ impl TxnHandle {
             read_lock_versions: Mutex::new(Vec::new()),
             wait_lock: Mutex::new(()),
             wait_cv: Condvar::new(),
+            next: Atomic::null(),
         })
     }
 
@@ -483,10 +487,10 @@ impl TxnHandle {
     /// Re-initialize a recycled handle for a fresh transaction. Requires
     /// exclusive access (`Arc::get_mut` — the engine's handle pool only
     /// recycles handles whose strong count is back to one, which the
-    /// epoch-deferred release of the transaction-table slot reference
+    /// epoch-deferred release of the transaction table's reference
     /// guarantees cannot happen while any lock-free lookup still borrows the
-    /// handle). Waiter lists keep their capacity: a recycled handle's
-    /// steady-state registration allocates nothing.
+    /// handle or walks through it). Waiter lists keep their capacity: a
+    /// recycled handle's steady-state registration allocates nothing.
     pub fn reset_for(
         &mut self,
         id: TxnId,
@@ -554,78 +558,21 @@ impl TxnHandle {
 /// notification can never hang a thread, it costs at most this.
 const WAIT_CHUNK: Duration = Duration::from_millis(2);
 
-/// Number of shards in the transaction table.
-const TXN_SHARDS: usize = 64;
+/// Buckets of the transaction table. Fixed: the table holds the in-flight
+/// transactions, a handful per thread, not the rows they touch.
+const TXN_BUCKETS: usize = 256;
 
-/// Initial slot count per shard (power of two). Grows on demand.
-const SHARD_INITIAL_SLOTS: usize = 32;
+/// Mutexes serializing [`TxnTable::remove`]; bucket `b` takes stripe
+/// `b % UNLINK_STRIPES`.
+const UNLINK_STRIPES: usize = 16;
 
-/// Slot-id sentinel: never occupied.
-const SLOT_EMPTY: u64 = 0;
-/// Slot-id sentinel: previously occupied, handle removed (probes continue
-/// past it; inserts reuse it).
-const SLOT_TOMBSTONE: u64 = u64::MAX;
-
-/// One slot of a shard's open-addressed array. The handle pointer is a raw
-/// strong reference produced by `Arc::into_raw` — registering a transaction
-/// bumps a reference count instead of allocating a heap node, which is what
-/// keeps a warmed `begin` allocation-free. `id` is written last on insert
-/// (Release) so a reader that observes a matching id also observes the
-/// handle pointer; the pointed-to handle carries the id again so a reader
-/// that races a remove+reuse of the slot detects the new tenant.
-struct Slot {
-    id: AtomicU64,
-    handle: AtomicPtr<TxnHandle>,
-}
-
-/// A shard's slot array. The whole array is one epoch-managed allocation:
-/// writers rebuild and swap it when it fills up with live entries or
-/// tombstones, readers traverse whichever array they loaded under their
-/// guard. The strong references in the slots are *moved* into the rebuilt
-/// array (raw pointers copied, no reference-count traffic); only removal
-/// defers the release of a slot's reference.
-struct SlotArray {
-    slots: Box<[Slot]>,
-}
-
-impl SlotArray {
-    fn with_capacity(capacity: usize) -> SlotArray {
-        debug_assert!(capacity.is_power_of_two());
-        SlotArray {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    id: AtomicU64::new(SLOT_EMPTY),
-                    handle: AtomicPtr::new(std::ptr::null_mut()),
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        }
+impl ChainNode for TxnHandle {
+    fn next_ptr(&self, _slot: usize) -> &Atomic<TxnHandle> {
+        &self.next
     }
 
-    #[inline]
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
-    }
-
-    /// Writer-side insert of a fresh id (exclusive access to mutation — the
-    /// shard write lock is held; readers may be probing concurrently).
-    /// Returns whether a tombstone was consumed.
-    fn insert(&self, id: u64, handle: *mut TxnHandle) -> bool {
-        let mask = self.mask();
-        let mut idx = mix64(id) as usize & mask;
-        loop {
-            let slot = &self.slots[idx];
-            let sid = slot.id.load(Ordering::Relaxed);
-            if sid == SLOT_EMPTY || sid == SLOT_TOMBSTONE {
-                // Publish the handle before the id: a reader that sees the
-                // id (Acquire) then reads a fully initialized pointer.
-                slot.handle.store(handle, Ordering::Release);
-                slot.id.store(id, Ordering::Release);
-                return sid == SLOT_TOMBSTONE;
-            }
-            debug_assert_ne!(sid, id, "transaction ids are registered once");
-            idx = (idx + 1) & mask;
-        }
+    fn key(&self, _slot: usize) -> Key {
+        self.id.0
     }
 }
 
@@ -636,30 +583,24 @@ struct HandleRef(*const TxnHandle);
 // any thread is what `Arc` is for.
 unsafe impl Send for HandleRef {}
 
-/// One shard: a write lock serializing register/remove/rebuild, plus the
-/// epoch-protected slot array that `get_in` traverses without any lock.
-struct Shard {
-    writer: Mutex<ShardWriter>,
-    slots: Atomic<SlotArray>,
-}
-
-/// Writer-side bookkeeping of a shard (guarded by `Shard::writer`).
-struct ShardWriter {
-    live: usize,
-    tombstones: usize,
-}
-
 /// The global transaction table: transaction ID → handle.
 ///
-/// Lookups ([`TxnTable::get_in`]) are **lock-free**: they probe an
-/// open-addressed slot array under an epoch guard — no reader/writer lock,
-/// no `Arc` clone. This matters because the
-/// visibility check of §2.5 performs a lookup for every version whose Begin
-/// or End field holds a transaction id, i.e. on the hottest read path in the
-/// system. Mutations (`register`/`remove`) take a per-shard mutex; they
-/// happen twice per transaction, not per version inspected.
+/// The same latch-free chained hash the versions live in (§2.1), over the
+/// handles themselves: a registered handle is linked into its id's bucket
+/// through [`TxnHandle`]'s own next pointer, and the chain owns one strong
+/// `Arc` reference to it (`Arc::into_raw` — a refcount bump, no heap node).
+/// [`TxnTable::register`] is a CAS push and [`TxnTable::get_in`] walks one
+/// chain under the caller's epoch guard; neither takes a lock. This matters
+/// because the visibility check of §2.5 performs a lookup for every version
+/// whose Begin or End field holds a transaction id, i.e. on the hottest read
+/// path in the system. Only [`TxnTable::remove`] takes a mutex — its bucket's
+/// unlink stripe — once per transaction, not per version inspected.
 pub struct TxnTable {
-    shards: Box<[Shard]>,
+    index: HashIndex<TxnHandle>,
+    /// Serializes unlinks within a bucket (the `HashIndex` contract): two
+    /// removers of adjacent handles could otherwise leave the second one
+    /// reachable forever, pinning the garbage-collection watermark.
+    unlink_stripes: [Mutex<()>; UNLINK_STRIPES],
     /// Number of threads currently between drawing a begin timestamp and
     /// registering the handle. While non-zero, the garbage-collection
     /// watermark must not advance: the pending transaction's begin timestamp
@@ -692,16 +633,8 @@ impl TxnTable {
     /// Create an empty table.
     pub fn new() -> TxnTable {
         TxnTable {
-            shards: (0..TXN_SHARDS)
-                .map(|_| Shard {
-                    writer: Mutex::new(ShardWriter {
-                        live: 0,
-                        tombstones: 0,
-                    }),
-                    slots: Atomic::new(SlotArray::with_capacity(SHARD_INITIAL_SLOTS)),
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            index: HashIndex::new(0, TXN_BUCKETS),
+            unlink_stripes: std::array::from_fn(|_| Mutex::new(())),
             pending_begins: AtomicUsize::new(0),
         }
     }
@@ -721,36 +654,16 @@ impl TxnTable {
         self.pending_begins.load(Ordering::Acquire) > 0
     }
 
-    #[inline]
-    fn shard(&self, id: TxnId) -> &Shard {
-        &self.shards[(id.0 as usize) % TXN_SHARDS]
-    }
-
-    /// Register a handle. Steady state performs **no heap allocation**: the
-    /// slot stores a raw strong reference (`Arc::into_raw` — a refcount
-    /// bump), and removals convert their slot back to `EMPTY` whenever the
-    /// probe chain allows it, so begin/commit churn does not accumulate
-    /// tombstones toward a rebuild.
+    /// Register a handle under its id (any `u64`; none is reserved): a CAS
+    /// push onto the id's bucket chain. No lock and **no heap allocation** —
+    /// the chain takes over the caller's strong reference.
+    ///
+    /// The handle must not be registered already. Registering the same
+    /// handle again after its [`TxnTable::remove`] is fine.
     pub fn register(&self, handle: Arc<TxnHandle>) {
-        let id = handle.id().0;
-        debug_assert!(
-            id != SLOT_EMPTY && id != SLOT_TOMBSTONE,
-            "transaction ids must avoid the slot sentinels"
-        );
-        let shard = self.shard(handle.id());
-        let mut writer = shard.writer.lock();
         let guard = epoch::pin();
-        let mut array = unsafe { shard.slots.load(Ordering::Acquire, &guard).deref() };
-        // Rebuild when live entries + tombstones would cross half the
-        // capacity: keeps probe chains short and recycles tombstones, so a
-        // long-running table never degrades to full-array probes.
-        if (writer.live + writer.tombstones + 1) * 2 > array.slots.len() {
-            array = Self::rebuild(shard, &mut writer, array, &guard);
-        }
-        if array.insert(id, Arc::into_raw(handle) as *mut TxnHandle) {
-            writer.tombstones -= 1;
-        }
-        writer.live += 1;
+        self.index
+            .insert(Shared::from(Arc::into_raw(handle)), &guard);
     }
 
     /// Look a transaction up without taking any lock or touching the
@@ -763,156 +676,58 @@ impl TxnTable {
     /// so callers re-read the version field.
     #[inline]
     pub fn get_in<'g>(&self, id: TxnId, guard: &'g Guard) -> Option<&'g TxnHandle> {
-        let shard = self.shard(id);
-        let array = unsafe { shard.slots.load(Ordering::Acquire, guard).deref() };
-        let mask = array.mask();
-        let mut idx = mix64(id.0) as usize & mask;
-        for _ in 0..array.slots.len() {
-            let slot = &array.slots[idx];
-            match slot.id.load(Ordering::Acquire) {
-                SLOT_EMPTY => return None,
-                sid if sid == id.0 => {
-                    let ptr = slot.handle.load(Ordering::Acquire);
-                    // SAFETY: the slot's strong reference is released through
-                    // the epoch machinery, so a pointer loaded under our
-                    // guard stays valid until we unpin.
-                    match unsafe { ptr.as_ref() } {
-                        // Verify the tenant: between our id load and the
-                        // handle load the writer may have tombstoned the slot
-                        // and reused it for a different transaction. Ids are
-                        // never re-registered, so a mismatch means our target
-                        // was removed.
-                        Some(handle) if handle.id() == id => return Some(handle),
-                        _ => return None,
-                    }
-                }
-                _ => {}
-            }
-            idx = (idx + 1) & mask;
-        }
-        None
+        self.index
+            .iter_key(id.0, guard)
+            // SAFETY: the chain's strong reference is released through the
+            // epoch machinery, so a handle reached under our guard — linked
+            // or unlinked a moment ago — stays valid until we unpin.
+            .map(|node| unsafe { node.deref() })
+            .find(|handle| handle.id() == id)
     }
 
-    /// Remove a terminated transaction. The slot's strong reference is
-    /// released through the epoch machinery so lock-free lookups that
-    /// already loaded the pointer stay sound; when the next slot in the
-    /// probe chain is empty the slot reverts to `EMPTY` instead of a
-    /// tombstone (no probe chain can pass through it), so steady-state
-    /// begin/commit churn never accumulates occupancy toward a rebuild.
+    /// Remove a terminated transaction: unlink its handle under the bucket's
+    /// stripe and release the chain's strong reference through the epoch
+    /// machinery, so lookups standing on the handle stay sound. The handle
+    /// keeps its next pointer, and nobody resets it before that release ran
+    /// (see [`TxnHandle::reset_for`]), so a walk passes through it unharmed.
     pub fn remove(&self, id: TxnId) {
-        let shard = self.shard(id);
-        let mut writer = shard.writer.lock();
+        let bucket = self.index.bucket_of_key(id.0);
         let guard = epoch::pin();
-        let array = unsafe { shard.slots.load(Ordering::Acquire, &guard).deref() };
-        let mask = array.mask();
-        let mut idx = mix64(id.0) as usize & mask;
-        for _ in 0..array.slots.len() {
-            let slot = &array.slots[idx];
-            match slot.id.load(Ordering::Relaxed) {
-                SLOT_EMPTY => return,
-                sid if sid == id.0 => {
-                    // Mark the slot first; the handle pointer stays readable
-                    // for lookups that loaded the old id a moment ago (they
-                    // linearize before this remove). A probe for any id that
-                    // passes through this slot terminates at the next slot
-                    // anyway when that one is EMPTY, so converting to EMPTY
-                    // is indistinguishable to readers — and keeps the shard's
-                    // occupancy flat under begin/commit churn.
-                    let next_empty =
-                        array.slots[(idx + 1) & mask].id.load(Ordering::Relaxed) == SLOT_EMPTY;
-                    if next_empty {
-                        slot.id.store(SLOT_EMPTY, Ordering::Release);
-                    } else {
-                        slot.id.store(SLOT_TOMBSTONE, Ordering::Release);
-                        writer.tombstones += 1;
-                    }
-                    writer.live -= 1;
-                    let ptr = slot.handle.load(Ordering::Relaxed);
-                    if !ptr.is_null() {
-                        let release = HandleRef(ptr);
-                        // SAFETY: releases the slot's strong reference once
-                        // every currently pinned reader (which may still
-                        // borrow the handle through `get_in`) has drained.
-                        // The closure is two words — deferred inline, no
-                        // allocation.
-                        unsafe {
-                            guard.defer_unchecked(move || {
-                                // Capture the whole wrapper (edition-2021
-                                // disjoint capture would otherwise grab the
-                                // raw, non-`Send` field).
-                                let release = release;
-                                drop(Arc::from_raw(release.0));
-                            });
-                        }
-                    }
-                    return;
-                }
-                _ => {}
+        let unlinked = {
+            let _serialized = self.unlink_stripes[bucket % UNLINK_STRIPES].lock();
+            self.index
+                .unlink_first(bucket, |handle| handle.id() == id, &guard)
+        };
+        if let Some(handle) = unlinked {
+            let release = HandleRef(handle.as_raw());
+            // SAFETY: releases the chain's strong reference once every
+            // currently pinned reader (which may still borrow the handle
+            // through `get_in`) has drained. The closure is two words —
+            // deferred inline, no allocation.
+            unsafe {
+                guard.defer_unchecked(move || {
+                    // Capture the whole wrapper (edition-2021 disjoint
+                    // capture would otherwise grab the raw, non-`Send`
+                    // field).
+                    let release = release;
+                    drop(Arc::from_raw(release.0));
+                });
             }
-            idx = (idx + 1) & mask;
         }
     }
 
-    /// Rebuild a shard's slot array (grow + drop tombstones), publish it, and
-    /// defer destruction of the old array. Caller holds the shard write lock.
-    /// The slots' strong references move to the new array (raw pointers
-    /// copied; no reference-count traffic), so destroying the old array frees
-    /// only the array itself.
-    fn rebuild<'g>(
-        shard: &Shard,
-        writer: &mut ShardWriter,
-        old: &SlotArray,
-        guard: &'g Guard,
-    ) -> &'g SlotArray {
-        let capacity = ((writer.live + 1) * 4)
-            .next_power_of_two()
-            .max(SHARD_INITIAL_SLOTS);
-        let fresh = SlotArray::with_capacity(capacity);
-        for slot in old.slots.iter() {
-            let sid = slot.id.load(Ordering::Relaxed);
-            if sid == SLOT_EMPTY || sid == SLOT_TOMBSTONE {
-                continue;
-            }
-            fresh.insert(sid, slot.handle.load(Ordering::Relaxed));
-        }
-        writer.tombstones = 0;
-        let published = Owned::new(fresh).into_shared(guard);
-        let old_shared = shard.slots.load(Ordering::Relaxed, guard);
-        shard.slots.store(published, Ordering::Release);
-        // SAFETY: the array is unreachable to new readers; pinned readers
-        // keep it alive until they unpin. The strong references moved to the
-        // new array, so freeing the old one releases nothing else.
-        unsafe { guard.defer_destroy(old_shared) };
-        unsafe { published.deref() }
-    }
-
-    /// Walk every registered handle under one epoch pin. Not atomic with
-    /// respect to concurrent register/remove (see `min_active_begin`).
-    fn for_each_handle(&self, mut f: impl FnMut(&TxnHandle)) {
-        let guard = epoch::pin();
-        for shard in self.shards.iter() {
-            let array = unsafe { shard.slots.load(Ordering::Acquire, &guard).deref() };
-            for slot in array.slots.iter() {
-                let sid = slot.id.load(Ordering::Acquire);
-                if sid == SLOT_EMPTY || sid == SLOT_TOMBSTONE {
-                    continue;
-                }
-                let ptr = slot.handle.load(Ordering::Acquire);
-                // SAFETY: as in `get_in`.
-                if let Some(handle) = unsafe { ptr.as_ref() } {
-                    if handle.id().0 == sid {
-                        f(handle);
-                    }
-                }
-            }
-        }
+    /// Every registered handle, bucket by bucket. Not atomic with respect to
+    /// concurrent register/remove (see `min_active_begin`).
+    fn handles<'g>(&'g self, guard: &'g Guard) -> impl Iterator<Item = &'g TxnHandle> {
+        self.index
+            .iter_all(guard)
+            // SAFETY: as in `get_in`.
+            .map(|node| unsafe { node.deref() })
     }
 
     /// Number of registered (non-terminated) transactions.
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        self.for_each_handle(|_| n += 1);
-        n
+        self.handles(&epoch::pin()).count()
     }
 
     /// True when no transactions are registered.
@@ -922,8 +737,8 @@ impl TxnTable {
 
     /// Minimum begin timestamp over all registered transactions.
     ///
-    /// **Caveat for reclamation:** the shard-by-shard sweep is not atomic — a
-    /// transaction that registers into an already-visited shard while the
+    /// **Caveat for reclamation:** the bucket-by-bucket sweep is not atomic —
+    /// a transaction that registers into an already-visited bucket while the
     /// sweep is running is missed. Such a transaction necessarily drew its
     /// begin timestamp after the sweep started (anything earlier is caught by
     /// the pending-begin check), so callers using this as a garbage-collection
@@ -936,58 +751,35 @@ impl TxnTable {
             // watermark above zero is safe.
             return Some(Timestamp::ZERO);
         }
-        let mut min: Option<Timestamp> = None;
-        self.for_each_handle(|handle| {
-            let b = handle.begin_ts();
-            min = Some(match min {
-                Some(m) if m <= b => m,
-                _ => b,
-            });
-        });
-        min
+        self.handles(&epoch::pin()).map(TxnHandle::begin_ts).min()
     }
 
     /// Snapshot of every registered handle (deadlock detection, diagnostics).
     pub fn snapshot(&self) -> Vec<Arc<TxnHandle>> {
-        let mut out = Vec::new();
-        self.for_each_handle(|handle| {
-            let raw = handle as *const TxnHandle;
-            // SAFETY: `raw` is a strong reference held by the slot, which
-            // cannot be released while `for_each_handle` keeps us pinned;
-            // incrementing the count and reconstructing from it yields an
-            // independent clone.
-            unsafe {
-                Arc::increment_strong_count(raw);
-                out.push(Arc::from_raw(raw));
-            }
-        });
-        out
+        self.handles(&epoch::pin())
+            .map(|handle| {
+                let raw = handle as *const TxnHandle;
+                // SAFETY: `raw` is a strong reference held by the chain,
+                // whose release our pin holds off; incrementing the count and
+                // reconstructing from it yields an independent clone.
+                unsafe {
+                    Arc::increment_strong_count(raw);
+                    Arc::from_raw(raw)
+                }
+            })
+            .collect()
     }
 }
 
 impl Drop for TxnTable {
     fn drop(&mut self) {
-        // Exclusive access: release the live slots' strong references and
-        // free every shard's current array directly. Removed entries and
-        // superseded arrays were already handed to the epoch collector.
+        // Exclusive access: release the strong references of the handles
+        // still linked. Removed ones were handed to the epoch collector.
         let guard = epoch::pin();
-        for shard in self.shards.iter() {
-            let array = shard.slots.load(Ordering::Acquire, &guard);
-            if let Some(slots) = unsafe { array.as_ref() } {
-                for slot in slots.slots.iter() {
-                    let sid = slot.id.load(Ordering::Relaxed);
-                    if sid == SLOT_EMPTY || sid == SLOT_TOMBSTONE {
-                        continue;
-                    }
-                    let ptr = slot.handle.load(Ordering::Relaxed);
-                    if !ptr.is_null() {
-                        unsafe { drop(Arc::from_raw(ptr)) };
-                    }
-                }
-            }
-            if !array.is_null() {
-                unsafe { drop(array.into_owned()) };
-            }
+        for handle in self.index.drain_exclusive(&guard) {
+            // SAFETY: every linked node came from `Arc::into_raw` in
+            // `register`, and the drain yields each exactly once.
+            unsafe { drop(Arc::from_raw(handle.as_raw())) };
         }
     }
 }
@@ -1003,6 +795,8 @@ impl std::fmt::Debug for TxnTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb_common::ids::MAX_TXN_ID;
+    use mmdb_index::test_support::flush_epochs_until;
 
     fn handle(id: u64, begin: u64) -> Arc<TxnHandle> {
         TxnHandle::new(
@@ -1231,18 +1025,43 @@ mod tests {
         assert!(table.get_in(TxnId(7), &guard).is_none());
     }
 
+    /// The first `n` ids from `from` upwards that share id `like`'s bucket.
+    fn ids_in_bucket_of(table: &TxnTable, like: u64, from: u64, n: usize) -> Vec<u64> {
+        let bucket = table.index.bucket_of_key(like);
+        (from..)
+            .filter(|&id| table.index.bucket_of_key(id) == bucket)
+            .take(n)
+            .collect()
+    }
+
     #[test]
-    fn single_shard_churn_recycles_tombstones_and_rebuilds() {
-        // Ids congruent mod 64 all land in one shard; ten thousand
-        // register/remove cycles force tombstone reuse and several rebuilds
-        // while a handful of long-lived entries must stay findable.
+    fn every_id_is_an_ordinary_key() {
         let table = TxnTable::new();
-        let pinned: Vec<u64> = (1..=5).map(|i| i * 64).collect();
-        for &id in &pinned {
+        let ids = [0, 1, MAX_TXN_ID, u64::MAX];
+        for id in ids {
             table.register(handle(id, id));
         }
-        for round in 0..10_000u64 {
-            let id = 64 * (round + 100);
+        assert_eq!(table.len(), ids.len());
+        for id in ids {
+            let guard = crossbeam::epoch::pin();
+            assert_eq!(table.get_in(TxnId(id), &guard).unwrap().id(), TxnId(id));
+            table.remove(TxnId(id));
+            assert!(table.get_in(TxnId(id), &guard).is_none());
+        }
+        assert_eq!(table.len(), 0);
+    }
+
+    #[test]
+    fn same_bucket_churn_keeps_long_lived_residents_findable() {
+        // Ten thousand register/remove cycles in one bucket, each unlinking
+        // the chain's head, beside five long-lived entries further down it.
+        let table = TxnTable::new();
+        let ids = ids_in_bucket_of(&table, 1, 1, 10_005);
+        let (pinned, churned) = ids.split_at(5);
+        for &id in pinned {
+            table.register(handle(id, id));
+        }
+        for &id in churned {
             table.register(handle(id, id));
             let guard = crossbeam::epoch::pin();
             assert_eq!(table.get_in(TxnId(id), &guard).unwrap().id(), TxnId(id));
@@ -1251,12 +1070,70 @@ mod tests {
         }
         assert_eq!(table.len(), pinned.len());
         let guard = crossbeam::epoch::pin();
-        for &id in &pinned {
+        for &id in pinned {
             assert_eq!(
                 table.get_in(TxnId(id), &guard).unwrap().begin_ts(),
                 Timestamp(id),
                 "long-lived entry survived churn"
             );
+        }
+    }
+
+    #[test]
+    fn a_handle_can_be_registered_again_after_removal() {
+        // The benchmark fixture's pattern: one `Arc`, registered and removed
+        // over and over, here beside a resident of the same bucket.
+        let table = TxnTable::new();
+        let resident = ids_in_bucket_of(&table, 1_000, 1_001, 1)[0];
+        table.register(handle(resident, 7));
+        let churn = handle(1_000, 8);
+        for _ in 0..1_000 {
+            table.register(Arc::clone(&churn));
+            let guard = crossbeam::epoch::pin();
+            assert!(std::ptr::eq(
+                table.get_in(TxnId(1_000), &guard).unwrap(),
+                &*churn
+            ));
+            table.remove(TxnId(1_000));
+            assert!(table.get_in(TxnId(1_000), &guard).is_none());
+            assert_eq!(
+                table.get_in(TxnId(resident), &guard).unwrap().begin_ts(),
+                Timestamp(7)
+            );
+        }
+        assert_eq!(table.len(), 1);
+        drop(table);
+        assert!(
+            flush_epochs_until(|| Arc::strong_count(&churn) == 1),
+            "every removal released the reference its registration took"
+        );
+    }
+
+    #[test]
+    fn concurrent_removers_in_one_bucket_leave_nothing_behind() {
+        // Removers of adjacent handles must not interleave: an unserialized
+        // pair can leave the second handle linked behind the first's
+        // predecessor forever. Thread `t` removes every fourth id, newest
+        // first, so all four work at the head of the chain, each next to
+        // the others' targets.
+        const REMOVERS: usize = 4;
+        let table = TxnTable::new();
+        let ids = ids_in_bucket_of(&table, 1, 1, 2048);
+        for round in 0..200 {
+            for &id in &ids {
+                table.register(handle(id, id));
+            }
+            std::thread::scope(|scope| {
+                for t in 0..REMOVERS {
+                    let (table, ids) = (&table, &ids);
+                    scope.spawn(move || {
+                        for &id in ids.iter().rev().skip(t).step_by(REMOVERS) {
+                            table.remove(TxnId(id));
+                        }
+                    });
+                }
+            });
+            assert_eq!(table.len(), 0, "round {round} left handles linked");
         }
     }
 
@@ -1288,7 +1165,7 @@ mod tests {
                     let mut i = 0u64;
                     while !stop.load(Ordering::Relaxed) {
                         // Writer-disjoint id streams; some share the
-                        // resident's shard (multiples of 64).
+                        // resident's bucket.
                         let id = 2 + w + 2 * i;
                         table.register(handle(id + 64, id));
                         table.remove(TxnId(id + 64));

@@ -1,4 +1,4 @@
-//! Property-based cross-engine tests.
+//! Cross-engine properties, checked on seeded random scripts.
 //!
 //! * Applied sequentially (no concurrency), the three engines must produce
 //!   identical results for any sequence of operations — multiversioning and
@@ -10,9 +10,11 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use mmdb::prelude::*;
+use mmdb_common::test_support::for_each_seed;
 
 const FILLER: usize = 16;
 
@@ -32,21 +34,37 @@ struct TxnScript {
     commit: bool,
 }
 
-fn op_strategy(key_space: u64) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..key_space).prop_map(Op::Read),
-        ((0..key_space), any::<u8>()).prop_map(|(k, v)| Op::Update(k, v.max(1))),
-        ((key_space..key_space * 2), any::<u8>()).prop_map(|(k, v)| Op::Insert(k, v.max(1))),
-        (0..key_space * 2).prop_map(Op::Delete),
-    ]
+fn any_op(rng: &mut StdRng, key_space: u64) -> Op {
+    match rng.gen_range(0..4) {
+        0 => Op::Read(rng.gen_range(0..key_space)),
+        1 => Op::Update(rng.gen_range(0..key_space), rng.gen::<u8>().max(1)),
+        2 => Op::Insert(
+            rng.gen_range(key_space..key_space * 2),
+            rng.gen::<u8>().max(1),
+        ),
+        _ => Op::Delete(rng.gen_range(0..key_space * 2)),
+    }
 }
 
-fn txn_strategy(key_space: u64) -> impl Strategy<Value = TxnScript> {
-    (
-        proptest::collection::vec(op_strategy(key_space), 1..8),
-        any::<bool>(),
-    )
-        .prop_map(|(ops, commit)| TxnScript { ops, commit })
+fn any_txn(rng: &mut StdRng, key_space: u64) -> TxnScript {
+    TxnScript {
+        ops: (0..rng.gen_range(1..8))
+            .map(|_| any_op(rng, key_space))
+            .collect(),
+        commit: rng.gen(),
+    }
+}
+
+/// Between one and `below - 1` generated transactions.
+fn any_txns(rng: &mut StdRng, below: usize) -> Vec<TxnScript> {
+    (0..rng.gen_range(1..below))
+        .map(|_| any_txn(rng, KEY_SPACE))
+        .collect()
+}
+
+/// Run `case` on 48 seeded generators.
+fn for_each_case(case: impl Fn(&mut StdRng)) {
+    for_each_seed(48, |seed| case(&mut StdRng::seed_from_u64(seed)));
 }
 
 /// Apply a script to an engine sequentially; returns the reads it performed.
@@ -163,13 +181,12 @@ fn fresh_sv() -> (SvEngine, TableId) {
     (engine, t)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// Sequential execution: all three engines agree with each other and with
-    /// the HashMap model, both on the reads performed and on the final state.
-    #[test]
-    fn engines_agree_sequentially(scripts in proptest::collection::vec(txn_strategy(KEY_SPACE), 1..12)) {
+/// Sequential execution: all three engines agree with each other and with
+/// the HashMap model, both on the reads performed and on the final state.
+#[test]
+fn engines_agree_sequentially() {
+    for_each_case(|rng| {
+        let scripts = any_txns(rng, 12);
         let (mvo, t_mvo) = fresh_mv(ConcurrencyMode::Optimistic);
         let (mvl, t_mvl) = fresh_mv(ConcurrencyMode::Pessimistic);
         let (sv, t_sv) = fresh_sv();
@@ -177,18 +194,21 @@ proptest! {
         let reads_mvo = apply(&mvo, t_mvo, &scripts);
         let reads_mvl = apply(&mvl, t_mvl, &scripts);
         let reads_sv = apply(&sv, t_sv, &scripts);
-        prop_assert_eq!(&reads_mvo, &reads_mvl);
-        prop_assert_eq!(&reads_mvo, &reads_sv);
+        assert_eq!(reads_mvo, reads_mvl);
+        assert_eq!(reads_mvo, reads_sv);
 
         let expected = model(&scripts, INITIAL_ROWS);
-        prop_assert_eq!(&dump(&mvo, t_mvo, KEY_SPACE * 2), &expected);
-        prop_assert_eq!(&dump(&mvl, t_mvl, KEY_SPACE * 2), &expected);
-        prop_assert_eq!(&dump(&sv, t_sv, KEY_SPACE * 2), &expected);
-    }
+        assert_eq!(dump(&mvo, t_mvo, KEY_SPACE * 2), expected);
+        assert_eq!(dump(&mvl, t_mvl, KEY_SPACE * 2), expected);
+        assert_eq!(dump(&sv, t_sv, KEY_SPACE * 2), expected);
+    });
+}
 
-    /// Garbage collection never changes what queries see.
-    #[test]
-    fn gc_preserves_visible_state(scripts in proptest::collection::vec(txn_strategy(KEY_SPACE), 1..10)) {
+/// Garbage collection never changes what queries see.
+#[test]
+fn gc_preserves_visible_state() {
+    for_each_case(|rng| {
+        let scripts = any_txns(rng, 10);
         let (engine, table) = fresh_mv(ConcurrencyMode::Optimistic);
         apply(&engine, table, &scripts);
         let before = dump(&engine, table, KEY_SPACE * 2);
@@ -202,19 +222,27 @@ proptest! {
             }
         }
         let after = dump(&engine, table, KEY_SPACE * 2);
-        prop_assert_eq!(before, after, "GC changed query results (reclaimed {} versions)", total);
-    }
+        assert_eq!(
+            before, after,
+            "GC changed query results (reclaimed {total} versions)"
+        );
+    });
+}
 
-    /// Aborted transactions leave no trace, regardless of what they did.
-    #[test]
-    fn aborted_transactions_are_invisible(script in txn_strategy(KEY_SPACE)) {
+/// Aborted transactions leave no trace, regardless of what they did.
+#[test]
+fn aborted_transactions_are_invisible() {
+    for_each_case(|rng| {
+        let aborted = TxnScript {
+            commit: false,
+            ..any_txn(rng, KEY_SPACE)
+        };
         for mode in [ConcurrencyMode::Optimistic, ConcurrencyMode::Pessimistic] {
             let (engine, table) = fresh_mv(mode);
             let before = dump(&engine, table, KEY_SPACE * 2);
-            let aborted = TxnScript { ops: script.ops.clone(), commit: false };
             apply(&engine, table, std::slice::from_ref(&aborted));
             let after = dump(&engine, table, KEY_SPACE * 2);
-            prop_assert_eq!(before, after);
+            assert_eq!(before, after);
         }
-    }
+    });
 }
