@@ -92,10 +92,10 @@ impl GlobalClock {
 
     /// Advance the timestamp counter so every future draw is strictly later
     /// than `ts`. Used after recovery: checkpoint images and replayed log
-    /// records carry timestamps from the previous process lifetime, and the
-    /// delta-checkpoint machinery compares them against freshly drawn
-    /// snapshot timestamps (per-table dirty watermarks, delta parent
-    /// snapshots), so the new clock must not restart below them.
+    /// records carry timestamps from the previous process lifetime, and
+    /// delta checkpoints compare them against freshly drawn snapshot
+    /// timestamps (a delta's window is bounded below by its parent's
+    /// snapshot), so the new clock must not restart below them.
     pub fn advance_past(&self, ts: Timestamp) {
         self.ts.fetch_max(ts.raw() + 1, Ordering::SeqCst);
     }

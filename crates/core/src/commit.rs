@@ -296,6 +296,8 @@ impl MvTransaction {
         // memory — its in-memory effects never become visible, matching the
         // durable log, which is only trusted up to the first error anyway.
         if !self.ctx.bufs.write_set.is_empty() {
+            #[cfg(test)]
+            crate::txn::race_hooks::fire_end_ts_append_gap();
             let ticket = self.append_log_frame(end_ts);
             if self.durability == Durability::Sync {
                 if let Err(err) = self.inner.store.logger().wait_durable(ticket) {
@@ -305,31 +307,14 @@ impl MvTransaction {
             }
         }
 
-        // Step 6: the transaction is committed. Raise the per-table dirty
-        // watermarks *before* publishing `Committed`: a delta checkpointer
-        // that quiesces in-flight precommits (everything with an end
-        // timestamp at or below its snapshot) and then reads the watermarks
-        // is guaranteed to observe this bump, so `dirty_ts < parent_ts`
-        // soundly proves the table has no committed change in the delta
-        // window. (A read-only transaction has nothing to raise, and so no
-        // table to look up under a guard.)
-        if !self.ctx.bufs.write_set.is_empty() {
-            let guard = crossbeam::epoch::pin();
-            for entry in &self.ctx.bufs.write_set {
-                if entry.new.is_some() || entry.delete_key.is_some() {
-                    if let Ok(table) = self.inner.store.table_in(entry.table, &guard) {
-                        table.note_write(end_ts);
-                    }
-                }
-            }
-        }
+        // The transaction is committed.
         self.ctx.handle.set_state(TxnState::Committed);
         EngineStats::bump(&self.stats().commits);
         self.stats()
             .contention
             .record(&self.ctx.bufs.touched, false);
 
-        // Step 7: postprocessing — propagate the end timestamp, retire old
+        // Step 6: postprocessing — propagate the end timestamp, retire old
         // versions, resolve dependents, leave the transaction table.
         self.postprocess_commit(end_ts);
         self.resolve_dependents(true);

@@ -13,10 +13,10 @@ use mmdb_common::row::{Row, TableSpec};
 use mmdb_common::stats::EngineStats;
 
 use mmdb_storage::checkpoint::{CheckpointRef, CheckpointStore, RecoveryPlan};
-use mmdb_storage::durable::Durable;
+use mmdb_storage::durable::{DeltaBarrier, Durable};
 use mmdb_storage::log::{RecoveryReport, RedoLogger};
 use mmdb_storage::store::MvStore;
-use mmdb_storage::txn_table::{TxnHandle, TxnState};
+use mmdb_storage::txn_table::TxnState;
 
 use crate::config::{CcPolicy, MvConfig};
 use crate::context::TxnContext;
@@ -321,7 +321,7 @@ impl MvEngine {
     ///
     /// `read_ts` must already be drawn: a transaction observed without an
     /// end timestamp can only draw one *after* this point, and the monotone
-    /// clock puts that draw above `read_ts`. The shard sweep misses only
+    /// clock puts that draw above `read_ts`. The bucket sweep misses only
     /// transactions registering concurrently, whose end timestamps are
     /// likewise above `read_ts`. Waits are short (a precommit's fate
     /// resolves within its validation + log append) and resolve among the
@@ -350,9 +350,8 @@ impl MvEngine {
 
 impl MvEngine {
     /// Walk every version of `table_id` reachable through its primary index
-    /// and hand each, with its visibility to the registered snapshot
-    /// transaction `snapshot`, to `visit`. `wanted` is asked before each
-    /// piece of the walk; `false` ends the table.
+    /// and hand each one visible to the registered snapshot transaction
+    /// `snapshot` to `visit`.
     ///
     /// One epoch pin per piece (`Table::scan_versions_chunk`), not per
     /// table: a pin held for a whole table walk stalls epoch advancement for
@@ -363,17 +362,13 @@ impl MvEngine {
         &self,
         table_id: TableId,
         snapshot: &MvTransaction,
-        wanted: impl Fn(&mmdb_storage::table::Table) -> bool,
-        mut visit: impl FnMut(&mmdb_storage::version::Version, bool) -> Result<()>,
+        mut visit: impl FnMut(&mmdb_storage::version::Version) -> Result<()>,
     ) -> Result<()> {
         let mvstore = &self.inner.store;
         let (read_ts, me) = (snapshot.begin_ts(), snapshot.me());
         for chunk in 0.. {
             let guard = crossbeam::epoch::pin();
             let table = mvstore.table_in(table_id, &guard)?;
-            if !wanted(table) {
-                break;
-            }
             let Some(versions) = table.scan_versions_chunk(IndexId(0), chunk, &guard)? else {
                 break;
             };
@@ -395,7 +390,9 @@ impl MvEngine {
                     // taking a commit dependency.
                     std::thread::yield_now();
                 };
-                visit(version, vis.visible)?;
+                if vis.visible {
+                    visit(version)?;
+                }
             }
         }
         Ok(())
@@ -435,17 +432,9 @@ impl Durable for MvEngine {
         let mvstore = &self.inner.store;
         for idx in 0..mvstore.table_count() {
             let table_id = TableId(idx as u32);
-            self.walk_snapshot(
-                table_id,
-                &txn,
-                |_| true,
-                |version, visible| {
-                    if visible {
-                        writer.write_row(table_id, version.data())?;
-                    }
-                    Ok(())
-                },
-            )?;
+            self.walk_snapshot(table_id, &txn, |version| {
+                writer.write_row(table_id, version.data())
+            })?;
         }
         // The walk is read-only; committing just deregisters the snapshot
         // (releasing the GC watermark).
@@ -455,157 +444,26 @@ impl Durable for MvEngine {
         Ok(installed)
     }
 
-    /// Take a *delta* checkpoint into `store`: an image holding only the
-    /// rows and deletions whose commit timestamps moved past the previous
-    /// chain element's snapshot, appended to the chain instead of rewriting
-    /// the full database. Requires an installed chain
-    /// ([`Durable::checkpoint`] first).
+    /// Capture a delta's barrier without blocking writers, in four steps:
     ///
-    /// Like the base walk this never blocks writers. Three mechanisms make
-    /// the *incremental* part sound; `P` is the parent snapshot and `R` the
-    /// delta's own snapshot timestamp:
-    ///
-    /// * **Dirty watermarks.** Every committing transaction raises each
-    ///   written table's watermark to its end timestamp *before* publishing
-    ///   `Committed`, so after quiescing (below) a table whose watermark is
-    ///   still below `P` provably saw no commit in `(P, R]` and contributes
-    ///   zero bytes.
-    /// * **Precommit quiescing.** After drawing `R` the walk waits for every
-    ///   registered transaction whose end timestamp is (or may still land)
-    ///   at or below `R` to finish postprocessing. Anything that draws its
-    ///   end timestamp afterwards necessarily lands above `R` (the clock is
-    ///   monotone) and belongs to the log tail, not this delta. Quiescing
-    ///   also means every version the walk meets has its final begin/end
-    ///   words published, so "did it change after `P`?" is a plain
-    ///   timestamp comparison.
-    /// * **Tombstones from two sources.** A row deleted in `(P, R]` has no
-    ///   visible version to write, so the walk harvests dead versions whose
-    ///   end timestamp falls in the window — kept reachable by registering
-    ///   a GC pin at `P` for the walk's duration — and unions them with the
-    ///   `Delete` ops scanned from the log prefix below the captured LSN
-    ///   (which covers versions already reclaimed before the pin existed:
-    ///   a commit appends its frame before its garbage is enqueued, so any
-    ///   such version's frame sits wholly below the LSN). Tombstones for
-    ///   keys the delta also writes are dropped.
-    fn checkpoint_delta(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
-        use mmdb_common::engine::EngineTxn as _;
-        use mmdb_common::word::{BeginWord, EndWord};
-
-        let parent =
-            store
-                .last_checkpoint()
-                .ok_or(mmdb_common::error::MmdbError::CheckpointInvalid {
-                    reason: "no checkpoint installed to delta against",
-                })?;
-        let parent_ts = parent.read_ts;
-        let mvstore = &self.inner.store;
-
-        // GC pin at the parent snapshot: keeps versions that died after `P`
-        // linked until the walk has harvested their tombstones. Registered
-        // like any transaction (under the pending-begin guard) and removed
-        // on every exit path by the drop guard.
-        struct GcPin<'a> {
-            txns: &'a mmdb_storage::txn_table::TxnTable,
-            id: mmdb_common::ids::TxnId,
-        }
-        impl Drop for GcPin<'_> {
-            fn drop(&mut self) {
-                self.txns.remove(self.id);
-            }
-        }
-        let _pin = {
-            let txns = mvstore.txns();
-            let pending = txns.pending_begin();
-            let id = mvstore.clock().next_txn_id();
-            txns.register(TxnHandle::new(
-                id,
-                parent_ts,
-                ConcurrencyMode::Optimistic,
-                IsolationLevel::SnapshotIsolation,
-            ));
-            drop(pending);
-            GcPin { txns, id }
-        };
-
-        // Same ordering contract as the base walk: LSN first, snapshot
-        // timestamp second.
-        let ckpt_lsn = store.logger().appended_lsn();
-        let txn = self.begin_with(
-            ConcurrencyMode::Optimistic,
-            IsolationLevel::SnapshotIsolation,
-        );
-        let read_ts = txn.begin_ts();
+    /// 1. `tail_lsn` = the log's appended LSN. Every frame below it drew its
+    ///    end timestamp before its append, hence before `read_ts` is drawn.
+    /// 2. `read_ts` = a fresh clock draw. No transaction is registered and
+    ///    nothing is pinned: the delta reads the log, not versions.
+    /// 3. `quiesce_precommits(read_ts)`. A commit appends its frame before
+    ///    it reaches `Terminated`, so afterwards every commit at or below
+    ///    `read_ts` has appended; anything that draws its end timestamp
+    ///    later lands above `read_ts` and belongs to the tail.
+    /// 4. `read_limit_lsn` = the appended LSN again.
+    fn delta_barrier(&self, store: &CheckpointStore) -> Result<DeltaBarrier> {
+        let tail_lsn = store.logger().appended_lsn();
+        let read_ts = self.inner.store.clock().next_timestamp();
         self.quiesce_precommits(read_ts);
-        let mut writer = store.begin_delta(ckpt_lsn, read_ts)?;
-
-        let mut written: std::collections::HashSet<(TableId, u64)> =
-            std::collections::HashSet::new();
-        let mut tombstones: Vec<(TableId, u64)> = Vec::new();
-        for idx in 0..mvstore.table_count() {
-            let table_id = TableId(idx as u32);
-            // Strictly below `P` means no commit touched the table in the
-            // window (the watermark was raised before any such commit
-            // published, and quiescing ordered those raises before this
-            // read): the whole table contributes nothing.
-            let dirty = |table: &mmdb_storage::table::Table| table.dirty_ts() >= parent_ts;
-            self.walk_snapshot(table_id, &txn, dirty, |version, visible| {
-                if visible {
-                    // Committed at or below `P` ⇒ already in the parent
-                    // image. An unpublished begin word can only belong to a
-                    // post-`R` writer's in-flight version (which is never
-                    // visible at `R`), but stay conservative: a duplicate
-                    // row costs bytes, not correctness.
-                    let include = match version.begin_word() {
-                        BeginWord::Timestamp(begin) => begin > parent_ts,
-                        _ => true,
-                    };
-                    if include {
-                        writer.write_row(table_id, version.data())?;
-                        written.insert((table_id, version.index_key(0)));
-                    }
-                } else if let EndWord::Timestamp(end) = version.end_word() {
-                    // A version that died inside the window and was not
-                    // superseded by a visible successor marks a delete;
-                    // supersessions are deduplicated against `written` below.
-                    if end > parent_ts && end <= read_ts {
-                        tombstones.push((table_id, version.index_key(0)));
-                    }
-                }
-                Ok(())
-            })?;
-        }
-        txn.commit()?;
-
-        // Second tombstone source: `Delete` ops in the log prefix below the
-        // captured LSN whose commits postdate `P` (their dead versions may
-        // have been reclaimed before the GC pin registered). Flush first so
-        // the prefix is readable from the file.
-        store.logger().flush()?;
-        let limit = ckpt_lsn.0.saturating_sub(store.logger().base_lsn().0);
-        if limit > 0 {
-            let prefix = mmdb_storage::log::read_log_prefix(store.log_path(), limit)?;
-            for record in prefix.records {
-                if record.end_ts <= parent_ts {
-                    continue;
-                }
-                for op in record.ops {
-                    if let mmdb_storage::log::LogOp::Delete { table, key } = op {
-                        tombstones.push((table, key));
-                    }
-                }
-            }
-        }
-        let mut emitted: std::collections::HashSet<(TableId, u64)> =
-            std::collections::HashSet::new();
-        for (table, key) in tombstones {
-            if !written.contains(&(table, key)) && emitted.insert((table, key)) {
-                writer.write_delete(table, key)?;
-            }
-        }
-
-        let installed = store.install_delta(writer.finish()?)?;
-        store.truncate_log()?;
-        Ok(installed)
+        Ok(DeltaBarrier {
+            tail_lsn,
+            read_limit_lsn: store.logger().appended_lsn(),
+            read_ts,
+        })
     }
 
     fn primary_key_of(&self, table: TableId, row: &Row) -> Result<Key> {

@@ -43,6 +43,8 @@ pub mod commit;
 pub mod config;
 mod context;
 pub mod deadlock;
+#[cfg(test)]
+mod delta_regression;
 pub mod engine;
 #[cfg(test)]
 mod phantom_regression;

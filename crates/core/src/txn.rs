@@ -1225,7 +1225,9 @@ impl std::fmt::Debug for MvTransaction {
     }
 }
 
-/// Deterministic-interleaving hooks for the phantom-race regression tests.
+/// Deterministic-interleaving hooks for the regression tests
+/// (`phantom_regression.rs`, `read_time_regression.rs`,
+/// `delta_regression.rs`).
 ///
 /// The window the §4.3 bugfix closes is a handful of instructions wide; on
 /// this project's single-core CI runner no stochastic schedule ever lands a
@@ -1243,6 +1245,7 @@ pub(crate) mod race_hooks {
     thread_local! {
         static LINK_HONOR_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
         static HEAD_VISIT_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
+        static END_TS_APPEND_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
     }
 
     /// Install `hook` on the current thread; it fires on every
@@ -1279,6 +1282,26 @@ pub(crate) mod race_hooks {
 
     pub(crate) fn fire_head_visit_gap() {
         HEAD_VISIT_GAP.with(|h| {
+            if let Some(hook) = h.borrow_mut().as_mut() {
+                hook();
+            }
+        });
+    }
+
+    /// Install `hook` on the current thread; it fires in every writing
+    /// commit this thread performs, after the end timestamp is drawn and
+    /// before the redo frame is appended, until cleared.
+    pub(crate) fn set_end_ts_append_gap(hook: Box<dyn FnMut()>) {
+        END_TS_APPEND_GAP.with(|h| *h.borrow_mut() = Some(hook));
+    }
+
+    /// Remove the current thread's hook.
+    pub(crate) fn clear_end_ts_append_gap() {
+        END_TS_APPEND_GAP.with(|h| *h.borrow_mut() = None);
+    }
+
+    pub(crate) fn fire_end_ts_append_gap() {
+        END_TS_APPEND_GAP.with(|h| {
             if let Some(hook) = h.borrow_mut().as_mut() {
                 hook();
             }

@@ -31,7 +31,7 @@ use mmdb_common::stats::EngineStats;
 
 use mmdb_storage::catalog::Catalog;
 use mmdb_storage::checkpoint::{CheckpointRef, CheckpointStore, FinishedCheckpoint};
-use mmdb_storage::durable::Durable;
+use mmdb_storage::durable::{DeltaBarrier, Durable};
 use mmdb_storage::log::{encode_record, LogOp, LogRecord, NullLogger, RedoLogger};
 
 use crate::lock::{LockGrant, LockMode};
@@ -239,84 +239,27 @@ impl Durable for SvEngine {
         Ok(installed)
     }
 
-    /// Take a *delta* checkpoint into `store`: an image holding only what
-    /// changed since the previous chain element, appended to the chain
-    /// instead of rewriting every table. Requires an installed chain
-    /// ([`Durable::checkpoint`] first).
-    ///
-    /// Where the base image must hold its locks for the whole table walk,
-    /// the delta only needs them for an instant: with every primary bucket
-    /// locked it captures the log high-water mark and a timestamp, then
-    /// releases — the log prefix below that LSN is immutable, and the delta
-    /// is computed *from the log* by collapsing the window's `Write` /
-    /// `Delete` ops per primary key (latest end timestamp wins). Writers
-    /// are blocked only for the capture, turning the 1V checkpoint stall
-    /// from O(database) into O(lock count).
-    fn checkpoint_delta(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
-        use std::collections::btree_map::Entry;
-
-        let parent = store
-            .last_checkpoint()
-            .ok_or(MmdbError::CheckpointInvalid {
-                reason: "no checkpoint installed to delta against",
-            })?;
-        let parent_ts = parent.read_ts;
+    /// Capture a delta's barrier. Where the base image must hold its locks
+    /// for the whole table walk, the delta holds them only for an instant:
+    /// with every primary bucket share-locked, writers are drained (a
+    /// committer holds its exclusive locks across its frame append), so the
+    /// appended LSN and a timestamp captured now bound each other exactly,
+    /// and that one LSN serves as both LSNs of the barrier. Writers are
+    /// blocked only for the capture, turning the 1V checkpoint stall from
+    /// O(database) into O(lock count).
+    fn delta_barrier(&self, store: &CheckpointStore) -> Result<DeltaBarrier> {
         let me = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
         let mut held: Vec<(TableId, usize)> = Vec::new();
         let barrier = self.acquire_all_primary(me, &mut held).map(|()| {
-            (
-                store.logger().appended_lsn(),
-                self.inner.clock.next_timestamp(),
-            )
+            let lsn = store.logger().appended_lsn();
+            DeltaBarrier {
+                tail_lsn: lsn,
+                read_limit_lsn: lsn,
+                read_ts: self.inner.clock.next_timestamp(),
+            }
         });
         self.release_held(me, &held);
-        let (ckpt_lsn, read_ts) = barrier?;
-
-        // Writers have resumed; everything below `ckpt_lsn` is immutable.
-        // Flush so the prefix is readable from the file, then collapse the
-        // window `(parent_ts, read_ts]` newest-wins per primary key. Frames
-        // below the *parent's* LSN were captured under the same barrier, so
-        // `end_ts > parent_ts` alone selects the window exactly.
-        store.logger().flush()?;
-        let limit = ckpt_lsn.0.saturating_sub(store.logger().base_lsn().0);
-        let mut latest: std::collections::BTreeMap<(TableId, Key), (Timestamp, Option<Row>)> =
-            std::collections::BTreeMap::new();
-        if limit > 0 {
-            let prefix = mmdb_storage::log::read_log_prefix(store.log_path(), limit)?;
-            for record in prefix.records {
-                if record.end_ts <= parent_ts {
-                    continue;
-                }
-                for op in record.ops {
-                    let (table, key, value) = match op {
-                        LogOp::Write { table, row } => {
-                            (table, self.primary_key_of(table, &row)?, Some(row))
-                        }
-                        LogOp::Delete { table, key } => (table, key, None),
-                    };
-                    match latest.entry((table, key)) {
-                        Entry::Vacant(slot) => {
-                            slot.insert((record.end_ts, value));
-                        }
-                        Entry::Occupied(mut slot) => {
-                            if record.end_ts >= slot.get().0 {
-                                slot.insert((record.end_ts, value));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut writer = store.begin_delta(ckpt_lsn, read_ts)?;
-        for ((table, key), (_, value)) in latest {
-            match value {
-                Some(row) => writer.write_row(table, &row)?,
-                None => writer.write_delete(table, key)?,
-            }
-        }
-        let installed = store.install_delta(writer.finish()?)?;
-        store.truncate_log()?;
-        Ok(installed)
+        barrier
     }
 
     fn primary_key_of(&self, table: TableId, row: &Row) -> Result<Key> {

@@ -6,9 +6,10 @@
 //! recovery replays records in end-timestamp order. Checkpoints bound that
 //! replay. What an engine contributes is only what depends on how it stores
 //! rows — the [`Durable`] trait's five required methods. Policy dispatch,
-//! chain + tail recovery and log replay are provided here, so a later
-//! durability feature has one implementation to build on.
+//! delta checkpoints, chain + tail recovery and log replay are provided here,
+//! so a later durability feature has one implementation to build on.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use mmdb_common::durability::CheckpointPolicy;
@@ -19,8 +20,24 @@ use mmdb_common::isolation::IsolationLevel;
 use mmdb_common::row::Row;
 
 use crate::checkpoint::{CheckpointRef, CheckpointStore, RecoveryPlan};
-use crate::log::{read_log_bytes, LogOp, LogRecord, RecoveryReport};
+use crate::log::{
+    read_log_bytes, read_log_prefix, LogOp, LogRecord, Lsn, RecoveryReport, RedoLogger as _,
+};
 use crate::recovery::{default_workers, recover_partitioned};
+
+/// What a delta checkpoint captures before it reads the log: see
+/// [`Durable::delta_barrier`].
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaBarrier {
+    /// The delta's checkpoint LSN: recovery replays the log from here and
+    /// the log is truncated below it. Every frame below it commits at or
+    /// below `read_ts`.
+    pub tail_lsn: Lsn,
+    /// Every commit at or below `read_ts` has its frame below this LSN.
+    pub read_limit_lsn: Lsn,
+    /// The delta's snapshot timestamp `R`.
+    pub read_ts: Timestamp,
+}
 
 /// An engine that can checkpoint into a [`CheckpointStore`] and be rebuilt
 /// from one, or from a bare redo log.
@@ -34,10 +51,18 @@ pub trait Durable: Engine {
     /// install it as a new chain and truncate the redo log below it.
     fn checkpoint(&self, store: &CheckpointStore) -> Result<CheckpointRef>;
 
-    /// Window walk: write an image of only the rows and deletions committed
-    /// since the previous chain element's snapshot, append it to the chain
-    /// and truncate the log. Requires an installed chain.
-    fn checkpoint_delta(&self, store: &CheckpointStore) -> Result<CheckpointRef>;
+    /// Capture the [`DeltaBarrier`] of a delta checkpoint: a `tail_lsn`, then
+    /// a freshly drawn `read_ts`, then a `read_limit_lsn` such that
+    ///
+    /// * every frame below `tail_lsn` commits at or below `read_ts`, and
+    /// * every commit at or below `read_ts` has its frame below
+    ///   `read_limit_lsn`.
+    ///
+    /// Frames between the two LSNs may commit on either side of `read_ts`;
+    /// those at or below it land in both the delta and the tail, which is
+    /// harmless because recovery skips tail records with
+    /// `end_ts <= read_ts`.
+    fn delta_barrier(&self, store: &CheckpointStore) -> Result<DeltaBarrier>;
 
     /// `row`'s key under `table`'s primary index.
     fn primary_key_of(&self, table: TableId, row: &Row) -> Result<Key>;
@@ -45,6 +70,10 @@ pub trait Durable: Engine {
     /// Bulk-load committed rows outside any transaction, bypassing
     /// concurrency control and the redo logger. Recovery calls it at most
     /// once per table, possibly from several threads for different tables.
+    ///
+    /// Because nothing is logged, rows loaded after a chain's base image
+    /// reach the chain only at the next base image: a delta holds what the
+    /// log holds.
     fn populate(&self, table: TableId, rows: Vec<Row>) -> Result<usize>;
 
     /// Make every timestamp the engine draws from now on exceed `ts`.
@@ -64,6 +93,61 @@ pub trait Durable: Engine {
         } else {
             self.checkpoint(store)
         }
+    }
+
+    /// Window image: append to the chain an image of only the rows and
+    /// deletions committed in `(P, R]`, where `P` is the chain tip's
+    /// snapshot and `R` the barrier's, then truncate the log. Requires an
+    /// installed chain.
+    ///
+    /// The redo log already holds every commit of the window under its end
+    /// timestamp (§3.2, §5), so the delta is that log window collapsed per
+    /// primary key, latest end timestamp winning: a row for a key whose last
+    /// op writes it, a tombstone for one whose last op deletes it. Frames
+    /// below the parent's LSN commit at or below `P` and were truncated
+    /// with it; `end_ts > P` drops the rest of the parent's window.
+    fn checkpoint_delta(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
+        let parent = store
+            .last_checkpoint()
+            .ok_or(MmdbError::CheckpointInvalid {
+                reason: "no checkpoint installed to delta against",
+            })?;
+        let barrier = self.delta_barrier(store)?;
+
+        // Flush so the prefix is readable from the file.
+        store.logger().flush()?;
+        let limit = barrier
+            .read_limit_lsn
+            .0
+            .saturating_sub(store.logger().base_lsn().0);
+        let mut latest: BTreeMap<(TableId, Key), (Timestamp, Option<Row>)> = BTreeMap::new();
+        for record in read_log_prefix(store.log_path(), limit)?.records {
+            if record.end_ts <= parent.read_ts || record.end_ts > barrier.read_ts {
+                continue;
+            }
+            for op in record.ops {
+                let (table, key, row) = match op {
+                    LogOp::Write { table, row } => {
+                        (table, self.primary_key_of(table, &row)?, Some(row))
+                    }
+                    LogOp::Delete { table, key } => (table, key, None),
+                };
+                let slot = latest.entry((table, key)).or_insert((record.end_ts, None));
+                if record.end_ts >= slot.0 {
+                    *slot = (record.end_ts, row);
+                }
+            }
+        }
+        let mut writer = store.begin_delta(barrier.tail_lsn, barrier.read_ts)?;
+        for ((table, key), (_, row)) in latest {
+            match row {
+                Some(row) => writer.write_row(table, &row)?,
+                None => writer.write_delete(table, key)?,
+            }
+        }
+        let installed = store.install_delta(writer.finish()?)?;
+        store.truncate_log()?;
+        Ok(installed)
     }
 
     /// Recover from a [`RecoveryPlan`]: bulk-load the checkpoint chain (base

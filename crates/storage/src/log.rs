@@ -376,10 +376,10 @@ pub fn read_log_file_from(path: impl AsRef<Path>, start: u64) -> Result<LogReadO
 /// Decode the complete records occupying the first `len` bytes of the log
 /// file at `path`, ignoring everything after.
 ///
-/// The delta checkpointers use this to scan the immutable log prefix below a
-/// captured checkpoint LSN: `len` is `ckpt_lsn - segment base`, which both
-/// engines guarantee falls on a frame boundary (the LSN was read from the
-/// logger's append counter), so the truncated read never reports torn bytes.
+/// `Durable::checkpoint_delta` uses this to scan the log prefix below a delta
+/// barrier's `read_limit_lsn`: `len` is that LSN minus the segment base, which
+/// falls on a frame boundary (the LSN was read from the logger's append
+/// counter), so the truncated read never reports torn bytes.
 pub fn read_log_prefix(path: impl AsRef<Path>, len: u64) -> Result<LogReadOutcome> {
     let io = |e: std::io::Error| MmdbError::LogIo(e.to_string());
     let file = File::open(path).map_err(io)?;

@@ -118,9 +118,11 @@ impl MvStore {
         self.tables.len()
     }
 
-    /// Bulk-load committed rows into a table, bypassing concurrency control.
-    /// Intended for initial database population (workload setup) before any
-    /// transactions run.
+    /// Bulk-load committed rows into a table, bypassing concurrency control
+    /// and the redo log. Intended for initial database population (workload
+    /// setup) before any transactions run. Rows loaded after a checkpoint
+    /// chain's base image reach the chain only at the next base image, since
+    /// delta checkpoints are computed from the log.
     pub fn populate<I>(&self, table_id: TableId, rows: I) -> Result<usize>
     where
         I: IntoIterator<Item = Row>,
@@ -133,9 +135,6 @@ impl MvStore {
             let version = table.make_committed_version(ts, row)?;
             table.link_version(version, &guard);
             n += 1;
-        }
-        if n > 0 {
-            table.note_write(ts);
         }
         EngineStats::add(&self.stats.versions_created, n as u64);
         Ok(n)

@@ -5,8 +5,6 @@
 //! table therefore consists only of its index structures; the versions
 //! themselves are heap allocations threaded through every index chain.
 
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-
 use crossbeam::epoch::{Guard, Owned, Shared};
 use parking_lot::Mutex;
 
@@ -257,15 +255,6 @@ pub struct Table {
     /// owned spares (unlinked, epoch-drained, payload dropped — nobody else
     /// can reach them).
     pool: Mutex<Vec<PooledVersion>>,
-    /// Monotone dirty watermark: the highest commit timestamp that created,
-    /// superseded or deleted a version in this table ([`Table::note_write`],
-    /// fired by the commit pipeline after the end timestamp is drawn and
-    /// before the transaction publishes `Committed`, and by bulk
-    /// population). A *delta* checkpoint at snapshot `R` with parent
-    /// snapshot `P` skips the whole table when `dirty_ts() < P` — see the
-    /// quiescing contract on `MvEngine::checkpoint_delta` for why that read
-    /// is race-free.
-    dirty_ts: AtomicU64,
 }
 
 /// An exclusively owned spare version allocation held by a table's recycle
@@ -310,7 +299,6 @@ impl Table {
             range_locks,
             gc_lock: Mutex::new(()),
             pool: Mutex::new(Vec::new()),
-            dirty_ts: AtomicU64::new(0),
         })
     }
 
@@ -318,24 +306,6 @@ impl Table {
     #[inline]
     pub fn id(&self) -> TableId {
         self.id
-    }
-
-    /// Raise the dirty watermark to `ts` (a committing transaction's end
-    /// timestamp, or a bulk-population timestamp). Monotone; `SeqCst` so the
-    /// checkpointer's quiesce-then-read protocol observes every bump made
-    /// before the writer published its final state.
-    #[inline]
-    pub fn note_write(&self, ts: Timestamp) {
-        if self.dirty_ts.load(AtomicOrdering::SeqCst) < ts.raw() {
-            self.dirty_ts.fetch_max(ts.raw(), AtomicOrdering::SeqCst);
-        }
-    }
-
-    /// The dirty watermark: the highest commit timestamp known to have
-    /// changed this table (0 if never written).
-    #[inline]
-    pub fn dirty_ts(&self) -> Timestamp {
-        Timestamp(self.dirty_ts.load(AtomicOrdering::SeqCst))
     }
 
     /// Table spec (indexes, key extractors).
@@ -458,11 +428,7 @@ impl Table {
     }
 
     /// Allocate an already-committed version for `row` (bulk loading).
-    pub fn make_committed_version(
-        &self,
-        begin: mmdb_common::ids::Timestamp,
-        row: Row,
-    ) -> Result<Owned<Version>> {
+    pub fn make_committed_version(&self, begin: Timestamp, row: Row) -> Result<Owned<Version>> {
         let mut keys = KeyScratch::new();
         self.keys_into(&row, &mut keys)?;
         Ok(Owned::new(Version::new_committed(begin, row, keys.keys())))

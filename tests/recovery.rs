@@ -1763,7 +1763,7 @@ fn delta_checkpoints_skip_clean_tables_and_carry_tombstones_on<E: Durable>(kind:
     // The incremental contract, engine level: a delta written after a window
     // that touched only table 0 must contain (a) exactly that window's rows,
     // (b) a tombstone for the window's delete, and (c) nothing at all for
-    // the untouched table 1 — its dirty watermark never moved, so it
+    // the untouched table 1 — the log window never mentions it, so it
     // contributes zero bytes. Chain + tail recovery then equals the live
     // state for all three schemes.
     let tag = format!("delta-skip-{}", kind.tag());
@@ -1830,6 +1830,89 @@ fn delta_checkpoints_skip_clean_tables_and_carry_tombstones_on<E: Durable>(kind:
         "[{label}] chain + tail recovery diverges from the live state"
     );
     target.assert_indexes_consistent(&format!("{label} delta-skip"), &t);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Commit one transaction holding the single write `op`, which must report
+/// that it found its target.
+fn commit_one<E: Engine>(engine: &E, op: impl FnOnce(&mut E::Txn) -> Result<bool>) {
+    let mut txn = engine.begin(IsolationLevel::Serializable);
+    assert!(op(&mut txn).expect("window op"), "window op found its row");
+    txn.commit().expect("window commit");
+}
+
+#[test]
+fn a_delta_collapses_its_window_newest_wins() {
+    for_all_engines!(a_delta_collapses_its_window_newest_wins_on);
+}
+
+fn a_delta_collapses_its_window_newest_wins_on<E: Durable>(kind: &Kind<E>) {
+    // One window, three keys of table 0, each written several times: the
+    // delta keeps only each key's last op. Key `a` (present at the parent)
+    // is updated three times: its last fill. Key `b` (absent at the parent)
+    // is inserted then deleted: only a tombstone. Key `c` is deleted then
+    // re-inserted: only the row.
+    let (a, b, c) = (2u64, INITIAL_ROWS + 10, 3u64);
+    let label = kind.label;
+    let dir = scratch_store_dir(&format!("delta-newest-{}", kind.tag()));
+    let store = CheckpointStore::create(&dir).expect("create checkpoint store");
+    let engine = kind.engine(store.logger().clone());
+    let tables = engine.create_tables();
+    engine.seed(&tables);
+    engine.checkpoint(&store).expect("base checkpoint");
+
+    let t0 = tables[0];
+    let row = |k: u64, fill: u8| rowbuf::keyed_row(k, support::FILLER, fill);
+    for fill in [0x21, 0x22, 0x23] {
+        commit_one(&engine, |txn| {
+            txn.update(t0, support::PRIMARY, a, row(a, fill))
+        });
+    }
+    commit_one(&engine, |txn| txn.insert(t0, row(b, 0x31)).map(|()| true));
+    commit_one(&engine, |txn| txn.delete(t0, support::PRIMARY, b));
+    commit_one(&engine, |txn| txn.delete(t0, support::PRIMARY, c));
+    commit_one(&engine, |txn| txn.insert(t0, row(c, 0x33)).map(|()| true));
+    let delta = engine.checkpoint_delta(&store).expect("delta checkpoint");
+
+    let contents = read_checkpoint(&delta.path).expect("delta image reads back");
+    let mut rows: Vec<(TableId, u64, u8)> = contents
+        .rows
+        .iter()
+        .map(|(t, r)| (*t, rowbuf::key_of(r), rowbuf::fill_of(r)))
+        .collect();
+    rows.sort_unstable();
+    assert_eq!(
+        rows,
+        vec![(t0, a, 0x23), (t0, c, 0x33)],
+        "[{label}] the delta holds each key's last write and nothing older"
+    );
+    assert_eq!(
+        contents.deletes,
+        vec![(t0, b)],
+        "[{label}] an insert-then-delete leaves only its tombstone"
+    );
+
+    // Tail above the delta, then recover the whole chain.
+    commit_one(&engine, |txn| {
+        txn.update(t0, support::PRIMARY, a, row(a, 0x24))
+    });
+    store.logger().flush().expect("flush tail");
+    let final_state = engine.dump(&tables);
+    drop(engine);
+    drop(store);
+
+    let plan = CheckpointStore::plan(&dir).expect("plan after delta");
+    assert_eq!(plan.chain.len(), 2, "[{label}] base + one delta");
+    let (target, t) = kind.target();
+    target
+        .recover_from_checkpoint(&plan)
+        .expect("chain recovery");
+    assert_eq!(
+        target.dump(&t),
+        final_state,
+        "[{label}] chain + tail recovery diverges from the live state"
+    );
+    target.assert_indexes_consistent(&format!("{label} delta-newest"), &t);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
