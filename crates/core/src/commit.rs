@@ -297,7 +297,7 @@ impl MvTransaction {
         // durable log, which is only trusted up to the first error anyway.
         if !self.ctx.bufs.write_set.is_empty() {
             #[cfg(test)]
-            crate::txn::race_hooks::fire_end_ts_append_gap();
+            crate::txn::race_hooks::fire(crate::txn::race_hooks::Gap::EndTsAppend);
             let ticket = self.append_log_frame(end_ts);
             if self.durability == Durability::Sync {
                 if let Err(err) = self.inner.store.logger().wait_durable(ticket) {
@@ -328,28 +328,11 @@ impl MvTransaction {
     }
 
     /// Frame the write set into the reusable encode buffer and append it,
-    /// returning the logger's durability ticket for the frame. The logged
-    /// bytes are identical to what `encode_record` would produce for the
-    /// equivalent `LogRecord` (pinned by the log round-trip tests), so
-    /// recovery and the differential harness are unaffected.
+    /// returning the logger's durability ticket for the frame.
     fn append_log_frame(&mut self, end_ts: Timestamp) -> Lsn {
-        // The paper's I/O estimate (payload + 8 bytes of metadata per op,
-        // + 8 per record) — same accounting `LogRecord::byte_size` reports.
-        let approx: u64 = self
-            .ctx
-            .bufs
-            .write_set
-            .iter()
-            .map(|entry| match (&entry.new, entry.delete_key) {
-                (Some(new), _) => new.get().data().len() as u64 + 8,
-                (None, Some(_)) => 16,
-                (None, None) => 0,
-            })
-            .sum::<u64>()
-            + 8;
         let mut buf = std::mem::take(&mut self.ctx.bufs.scratch.log_buf);
         buf.clear();
-        encode_frame_into(
+        let log_bytes = encode_frame_into(
             &mut buf,
             end_ts,
             self.ctx.bufs.write_set.iter().filter_map(|entry| {
@@ -367,7 +350,7 @@ impl MvTransaction {
             }),
         );
         EngineStats::bump(&self.stats().log_records);
-        EngineStats::add(&self.stats().log_bytes, approx);
+        EngineStats::add(&self.stats().log_bytes, log_bytes);
         let ticket = self.inner.store.logger().append_frame_ticketed(&buf);
         self.ctx.bufs.scratch.log_buf = buf;
         ticket

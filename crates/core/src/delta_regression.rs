@@ -33,7 +33,7 @@ use mmdb_storage::log::{NullLogger, RedoLogger};
 
 use crate::config::MvConfig;
 use crate::engine::MvEngine;
-use crate::txn::race_hooks;
+use crate::txn::race_hooks::{self, Gap};
 
 fn config(mode: ConcurrencyMode) -> MvConfig {
     match mode {
@@ -68,12 +68,15 @@ fn writer_parked_across_the_barrier_is_recovered(mode: ConcurrencyMode) -> bool 
         std::thread::spawn(move || {
             let mut txn = engine.begin(IsolationLevel::ReadCommitted);
             txn.insert(table, rowbuf::keyed_row(7, 16, 7)).unwrap();
-            race_hooks::set_end_ts_append_gap(Box::new(move || {
-                let _ = entered_tx.send(());
-                let _ = resume_rx.recv();
-            }));
+            race_hooks::set(
+                Gap::EndTsAppend,
+                Box::new(move || {
+                    let _ = entered_tx.send(());
+                    let _ = resume_rx.recv();
+                }),
+            );
             let outcome = txn.commit();
-            race_hooks::clear_end_ts_append_gap();
+            race_hooks::clear(Gap::EndTsAppend);
             outcome.expect("writer commits");
         })
     };

@@ -38,7 +38,7 @@ use mmdb_common::row::{rowbuf, IndexSpec, TableSpec};
 
 use crate::config::MvConfig;
 use crate::engine::MvEngine;
-use crate::txn::race_hooks;
+use crate::txn::race_hooks::{self, Gap};
 
 /// Which scan shape the scanner uses (and therefore which lock table the
 /// inserter must honor).
@@ -88,12 +88,15 @@ fn pinned_insert_scan_interleaving(shape: ScanShape) {
         let mut txn =
             engine2.begin_with(ConcurrencyMode::Pessimistic, IsolationLevel::ReadCommitted);
         let me = txn.id();
-        race_hooks::set_link_honor_gap(Box::new(move || {
-            let _ = entered_tx.send(me);
-            let _ = resume_rx.recv();
-        }));
+        race_hooks::set(
+            Gap::LinkHonor,
+            Box::new(move || {
+                let _ = entered_tx.send(me);
+                let _ = resume_rx.recv();
+            }),
+        );
         txn.insert(table, rowbuf::keyed_row(25, 16, 99)).unwrap();
-        race_hooks::clear_link_honor_gap();
+        race_hooks::clear(Gap::LinkHonor);
         let _ = linked_tx.send(());
         let end_ts = txn.commit().unwrap();
         committed_at2.store(end_ts.0, Ordering::SeqCst);

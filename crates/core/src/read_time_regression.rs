@@ -35,7 +35,7 @@ use mmdb_common::row::{rowbuf, IndexSpec, Row, TableSpec};
 
 use crate::config::MvConfig;
 use crate::engine::MvEngine;
-use crate::txn::race_hooks;
+use crate::txn::race_hooks::{self, Gap};
 
 /// How the reader looks key 1 up. All three go through the one scan routine
 /// (`MvTransaction::scan_visible_with`), so all three must survive the window.
@@ -80,10 +80,13 @@ fn lookup_with_update_committed_in_the_head_visit_gap(
     let engine2 = engine.clone();
     let reader = std::thread::spawn(move || {
         let mut txn = engine2.begin_with(mode, isolation);
-        race_hooks::set_head_visit_gap(Box::new(move || {
-            let _ = entered_tx.send(());
-            let _ = resume_rx.recv();
-        }));
+        race_hooks::set(
+            Gap::HeadVisit,
+            Box::new(move || {
+                let _ = entered_tx.send(());
+                let _ = resume_rx.recv();
+            }),
+        );
         let mut seen = None;
         let mut visit = |row: &Row| seen = Some(rowbuf::fill_of(row));
         let outcome = match lookup {
@@ -95,7 +98,7 @@ fn lookup_with_update_committed_in_the_head_visit_gap(
                 .scan_range_with(table, IndexId(1), 0, 9, &mut visit)
                 .map(drop),
         };
-        race_hooks::clear_head_visit_gap();
+        race_hooks::clear(Gap::HeadVisit);
         match outcome {
             Ok(()) => {
                 txn.commit().unwrap();

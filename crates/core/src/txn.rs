@@ -786,7 +786,7 @@ impl MvTransaction {
         visit: &mut dyn FnMut(&Row),
     ) -> Result<usize> {
         #[cfg(test)]
-        race_hooks::fire_head_visit_gap();
+        race_hooks::fire(race_hooks::Gap::HeadVisit);
         let iso = self.ctx.handle.isolation();
         let mode = self.ctx.handle.mode();
         let mut visited = 0usize;
@@ -943,7 +943,7 @@ impl MvTransaction {
         // can both miss each other (store-buffer litmus).
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
         #[cfg(test)]
-        race_hooks::fire_link_honor_gap();
+        race_hooks::fire(race_hooks::Gap::LinkHonor);
         // Respect scan locks only now that the version is reachable. The
         // reverse order (check locks, then link) left a window in which a
         // serializable scanner could lock the bucket/range *and* complete its
@@ -1242,67 +1242,46 @@ impl std::fmt::Debug for MvTransaction {
 pub(crate) mod race_hooks {
     use std::cell::RefCell;
 
+    /// A window between two steps that a regression test parks a thread in.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Gap {
+        /// In every `add_new_version`, between `link_version` and
+        /// `honor_scan_locks`.
+        LinkHonor,
+        /// In every read, scan and range scan, after the read time is drawn
+        /// and the chain iterator is built (a bucket walk has loaded the
+        /// bucket head) but before any version is judged.
+        HeadVisit,
+        /// In every writing commit, after the end timestamp is drawn and
+        /// before the redo frame is appended.
+        EndTsAppend,
+    }
+
+    type Hook = RefCell<Option<Box<dyn FnMut()>>>;
+
     thread_local! {
-        static LINK_HONOR_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
-        static HEAD_VISIT_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
-        static END_TS_APPEND_GAP: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
+        /// One slot per [`Gap`], each its own cell, so a hook may pass
+        /// through another gap.
+        static HOOKS: [Hook; 3] = const {
+            [RefCell::new(None), RefCell::new(None), RefCell::new(None)]
+        };
     }
 
-    /// Install `hook` on the current thread; it fires on every
-    /// `add_new_version` this thread performs until cleared.
-    pub(crate) fn set_link_honor_gap(hook: Box<dyn FnMut()>) {
-        LINK_HONOR_GAP.with(|h| *h.borrow_mut() = Some(hook));
+    /// Install `hook` on the current thread; it fires every time this
+    /// thread passes through `gap`, until cleared.
+    pub(crate) fn set(gap: Gap, hook: Box<dyn FnMut()>) {
+        HOOKS.with(|hooks| *hooks[gap as usize].borrow_mut() = Some(hook));
     }
 
-    /// Remove the current thread's hook.
-    pub(crate) fn clear_link_honor_gap() {
-        LINK_HONOR_GAP.with(|h| *h.borrow_mut() = None);
+    /// Remove the current thread's hook at `gap`.
+    pub(crate) fn clear(gap: Gap) {
+        HOOKS.with(|hooks| *hooks[gap as usize].borrow_mut() = None);
     }
 
-    pub(crate) fn fire_link_honor_gap() {
-        LINK_HONOR_GAP.with(|h| {
-            if let Some(hook) = h.borrow_mut().as_mut() {
-                hook();
-            }
-        });
-    }
-
-    /// Install `hook` on the current thread; it fires in every read, scan and
-    /// range scan this thread performs, after the read time is drawn and the
-    /// chain iterator is built (a bucket walk has loaded the bucket head) but
-    /// before any version is judged, until cleared.
-    pub(crate) fn set_head_visit_gap(hook: Box<dyn FnMut()>) {
-        HEAD_VISIT_GAP.with(|h| *h.borrow_mut() = Some(hook));
-    }
-
-    /// Remove the current thread's hook.
-    pub(crate) fn clear_head_visit_gap() {
-        HEAD_VISIT_GAP.with(|h| *h.borrow_mut() = None);
-    }
-
-    pub(crate) fn fire_head_visit_gap() {
-        HEAD_VISIT_GAP.with(|h| {
-            if let Some(hook) = h.borrow_mut().as_mut() {
-                hook();
-            }
-        });
-    }
-
-    /// Install `hook` on the current thread; it fires in every writing
-    /// commit this thread performs, after the end timestamp is drawn and
-    /// before the redo frame is appended, until cleared.
-    pub(crate) fn set_end_ts_append_gap(hook: Box<dyn FnMut()>) {
-        END_TS_APPEND_GAP.with(|h| *h.borrow_mut() = Some(hook));
-    }
-
-    /// Remove the current thread's hook.
-    pub(crate) fn clear_end_ts_append_gap() {
-        END_TS_APPEND_GAP.with(|h| *h.borrow_mut() = None);
-    }
-
-    pub(crate) fn fire_end_ts_append_gap() {
-        END_TS_APPEND_GAP.with(|h| {
-            if let Some(hook) = h.borrow_mut().as_mut() {
+    /// Run the current thread's hook at `gap`, if one is installed.
+    pub(crate) fn fire(gap: Gap) {
+        HOOKS.with(|hooks| {
+            if let Some(hook) = hooks[gap as usize].borrow_mut().as_mut() {
                 hook();
             }
         });

@@ -432,9 +432,10 @@ fn replaying_the_redo_log_rebuilds_the_database() {
         .create_table(TableSpec::keyed_u64("t", 64))
         .unwrap();
     assert_eq!(t2, t, "table ids must match for replay");
-    let applied = logger
-        .with_records(|records| recovered.replay_log(records.to_vec()))
-        .unwrap();
+    let applied = recovered
+        .recover_bytes(&logger.encoded_bytes())
+        .unwrap()
+        .records_applied;
     assert_eq!(applied, 3, "only committed transactions are in the log");
 
     // The recovered database matches the original's visible state.

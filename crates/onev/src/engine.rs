@@ -16,6 +16,7 @@
 //!   offer; it is treated as RepeatableRead (this limitation is exactly what
 //!   motivates the multiversion schemes).
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,7 +33,7 @@ use mmdb_common::stats::EngineStats;
 use mmdb_storage::catalog::Catalog;
 use mmdb_storage::checkpoint::{CheckpointRef, CheckpointStore, FinishedCheckpoint};
 use mmdb_storage::durable::{DeltaBarrier, Durable};
-use mmdb_storage::log::{encode_record, LogOp, LogRecord, NullLogger, RedoLogger};
+use mmdb_storage::log::{encode_frame_into, LogOp, NullLogger, RedoLogger};
 
 use crate::lock::{LockGrant, LockMode};
 use crate::table::SvTable;
@@ -316,6 +317,11 @@ impl std::fmt::Debug for SvEngine {
             .field("tables", &self.inner.tables.len())
             .finish()
     }
+}
+
+thread_local! {
+    /// Each thread's commit-frame encode buffer, reused across commits.
+    static LOG_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// An undo-log entry for in-place changes.
@@ -732,28 +738,22 @@ impl EngineTxn for SvTransaction {
         }
         let ts = self.inner.clock.next_timestamp();
         if !self.log_ops.is_empty() {
-            let record = LogRecord {
-                end_ts: ts,
-                ops: std::mem::take(&mut self.log_ops),
-            };
-            EngineStats::bump(&self.inner.stats.log_records);
-            EngineStats::add(&self.inner.stats.log_bytes, record.byte_size());
-            match self.durability {
-                Durability::Async => self.inner.logger.append(record),
-                Durability::Sync => {
-                    // Hand the logger the encoded frame so batching loggers
-                    // issue a real ticket, then wait for the flush covering
-                    // it. On a sticky log I/O error the commit rolls back in
-                    // memory — matching the durable log, which is only
-                    // trusted up to the first error.
-                    let ticket = self
-                        .inner
-                        .logger
-                        .append_frame_ticketed(&encode_record(&record));
-                    if let Err(err) = self.inner.logger.wait_durable(ticket) {
-                        self.finish(false);
-                        return Err(err);
-                    }
+            let ticket = LOG_BUF.with(|buf| {
+                let mut buf = buf.borrow_mut();
+                buf.clear();
+                let log_bytes =
+                    encode_frame_into(&mut buf, ts, self.log_ops.iter().map(LogOp::as_ref));
+                EngineStats::bump(&self.inner.stats.log_records);
+                EngineStats::add(&self.inner.stats.log_bytes, log_bytes);
+                self.inner.logger.append_frame_ticketed(&buf)
+            });
+            // A Sync commit waits for the flush covering its frame. On a
+            // sticky log I/O error it rolls back in memory — matching the
+            // durable log, which is only trusted up to the first error.
+            if self.durability == Durability::Sync {
+                if let Err(err) = self.inner.logger.wait_durable(ticket) {
+                    self.finish(false);
+                    return Err(err);
                 }
             }
         }

@@ -40,16 +40,16 @@
 //! ## Delta checkpoints
 //!
 //! A *delta* image ([`CheckpointStore::begin_delta`] /
-//! [`CheckpointStore::install_delta`]) holds only the rows whose latest
-//! committed version moved past the previous chain element's snapshot
-//! (`parent_read_ts < begin_ts <= read_ts`) plus the primary keys deleted
-//! in that window — checkpointing pays for what changed, not what exists.
-//! Recovery applies the base, then each delta in chain order (**its deletes
-//! first, then its writes** — a delete+reinsert in one window therefore
-//! resolves to the reinserted row), then the log tail above the *last*
-//! chain element. Installing a new *base* resets the chain and deletes the
-//! superseded files (compaction); the chain length is bounded by
-//! `CheckpointPolicy::max_chain`.
+//! [`CheckpointStore::install_delta`]) holds the log window of commits with
+//! end timestamps in `(parent_read_ts, read_ts]`, folded newest-wins per
+//! primary key: a row for each key whose newest op writes it, a deleted key
+//! for each whose newest op deletes it — checkpointing pays for what
+//! changed, not what exists. Recovery folds the base, then each delta in
+//! chain order (**its deletes first, then its writes**, all at its
+//! `read_ts`), then the log tail above the *last* chain element, keeping
+//! the newest op per key. Installing a new *base* resets the chain and
+//! deletes the superseded files (compaction); the chain length is bounded
+//! by `CheckpointPolicy::max_chain`.
 //!
 //! ## The checkpoint protocol
 //!
@@ -101,7 +101,7 @@ use mmdb_common::ids::{TableId, Timestamp};
 use mmdb_common::row::Row;
 
 use crate::group_commit::{sync_parent_dir, GroupCommitLog};
-use crate::log::{decode_body, encode_frame_into, frame_body_into, FrameStream, LogOpRef, Lsn};
+use crate::log::{decode_body, encode_frame_into, write_frame, FrameStream, LogOpRef, Lsn};
 
 /// Magic bytes opening a checkpoint file's header frame.
 const CKPT_MAGIC: &[u8; 8] = b"MMDBCKP1";
@@ -268,10 +268,8 @@ impl<'a> Cursor<'a> {
 
 /// Frame an entry and append it durably (write + fsync).
 fn append_manifest_entry(file: &mut File, entry: &ManifestEntry) -> Result<()> {
-    let mut body = Vec::with_capacity(64);
-    entry.encode_into(&mut body);
-    let mut frame = Vec::with_capacity(body.len() + 16);
-    frame_body_into(&mut frame, &body);
+    let mut frame = Vec::with_capacity(80);
+    write_frame(&mut frame, |body| entry.encode_into(body));
     file.write_all(&frame).map_err(io_err)?;
     file.sync_all().map_err(io_err)?;
     Ok(())
@@ -389,23 +387,20 @@ impl CheckpointWriter {
         parent_read_ts: Option<Timestamp>,
     ) -> Result<CheckpointWriter> {
         let mut file = File::create(&tmp_path).map_err(io_err)?;
-        let mut header = Vec::with_capacity(36);
-        header.extend_from_slice(CKPT_MAGIC);
-        match parent_read_ts {
-            None => {
-                header.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-                header.extend_from_slice(&lsn.0.to_le_bytes());
-                header.extend_from_slice(&read_ts.raw().to_le_bytes());
-            }
-            Some(parent) => {
-                header.extend_from_slice(&CKPT_DELTA_VERSION.to_le_bytes());
-                header.extend_from_slice(&lsn.0.to_le_bytes());
-                header.extend_from_slice(&read_ts.raw().to_le_bytes());
+        let version = match parent_read_ts {
+            None => CKPT_VERSION,
+            Some(_) => CKPT_DELTA_VERSION,
+        };
+        let mut frame = Vec::with_capacity(52);
+        write_frame(&mut frame, |header| {
+            header.extend_from_slice(CKPT_MAGIC);
+            header.extend_from_slice(&version.to_le_bytes());
+            header.extend_from_slice(&lsn.0.to_le_bytes());
+            header.extend_from_slice(&read_ts.raw().to_le_bytes());
+            if let Some(parent) = parent_read_ts {
                 header.extend_from_slice(&parent.raw().to_le_bytes());
             }
-        }
-        let mut frame = Vec::with_capacity(header.len() + 16);
-        frame_body_into(&mut frame, &header);
+        });
         file.write_all(&frame).map_err(io_err)?;
         Ok(CheckpointWriter {
             file,
@@ -497,11 +492,11 @@ impl CheckpointWriter {
             );
             self.file.write_all(&self.frame).map_err(io_err)?;
         }
-        let mut trailer = Vec::with_capacity(16);
-        trailer.extend_from_slice(CKPT_TRAILER);
-        trailer.extend_from_slice(&self.ops.to_le_bytes());
         self.frame.clear();
-        frame_body_into(&mut self.frame, &trailer);
+        write_frame(&mut self.frame, |trailer| {
+            trailer.extend_from_slice(CKPT_TRAILER);
+            trailer.extend_from_slice(&self.ops.to_le_bytes());
+        });
         self.file.write_all(&self.frame).map_err(io_err)?;
         self.file.sync_all().map_err(io_err)?;
         let bytes = self.file.stream_position().map_err(io_err)?;
@@ -1083,7 +1078,7 @@ fn file_name(path: &Path) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{read_log_file_from, LogOp, LogRecord, RedoLogger};
+    use crate::log::{read_log_file_from, RedoLogger};
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1092,16 +1087,19 @@ mod tests {
         dir
     }
 
-    fn record(ts: u64, rows: usize) -> LogRecord {
-        LogRecord {
-            end_ts: Timestamp(ts),
-            ops: (0..rows)
-                .map(|i| LogOp::Write {
-                    table: TableId(0),
-                    row: Row::copy_from_slice(&[i as u8; 24]),
-                })
-                .collect(),
-        }
+    /// The frame of a commit at `ts` writing `rows` 24-byte rows.
+    fn record(ts: u64, rows: usize) -> Vec<u8> {
+        let payloads: Vec<[u8; 24]> = (0..rows).map(|i| [i as u8; 24]).collect();
+        let mut frame = Vec::new();
+        encode_frame_into(
+            &mut frame,
+            Timestamp(ts),
+            payloads.iter().map(|row| LogOpRef::Write {
+                table: TableId(0),
+                row,
+            }),
+        );
+        frame
     }
 
     #[test]
@@ -1193,7 +1191,7 @@ mod tests {
         let logger = Arc::clone(store.logger());
         // Ten committed records; checkpoint after the first six.
         for ts in 1..=6u64 {
-            logger.append(record(ts, 2));
+            logger.append_frame(&record(ts, 2));
         }
         logger.flush().unwrap();
         let ckpt_lsn = logger.appended_lsn();
@@ -1209,7 +1207,7 @@ mod tests {
         assert!(!dir.join("ckpt.tmp").exists());
 
         for ts in 7..=10u64 {
-            logger.append(record(ts, 2));
+            logger.append_frame(&record(ts, 2));
         }
         store.truncate_log().unwrap();
         assert_eq!(store.generation(), 2);
@@ -1218,7 +1216,7 @@ mod tests {
         assert_eq!(logger.base_lsn(), ckpt_lsn);
 
         // One more commit lands in the new segment.
-        logger.append(record(11, 1));
+        logger.append_frame(&record(11, 1));
         logger.flush().unwrap();
         drop(store);
 
@@ -1248,7 +1246,7 @@ mod tests {
         let dir = scratch_dir("manifest-torn");
         let store = CheckpointStore::create(&dir).unwrap();
         let logger = Arc::clone(store.logger());
-        logger.append(record(1, 1));
+        logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
         let writer = store
             .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
@@ -1290,7 +1288,7 @@ mod tests {
         let dir = scratch_dir("open-resume");
         let store = CheckpointStore::create(&dir).unwrap();
         let logger = Arc::clone(store.logger());
-        logger.append(record(1, 1));
+        logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
         let writer = store
             .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
@@ -1313,7 +1311,7 @@ mod tests {
         assert_eq!(store.generation(), 1);
         // A new install appends cleanly after the cut tail.
         let logger = Arc::clone(store.logger());
-        logger.append(record(2, 1));
+        logger.append_frame(&record(2, 1));
         logger.flush().unwrap();
         let writer = store
             .begin_checkpoint(logger.appended_lsn(), Timestamp(2))
@@ -1332,14 +1330,14 @@ mod tests {
         let dir = scratch_dir("delta-round-trip");
         let store = CheckpointStore::create(&dir).unwrap();
         let logger = Arc::clone(store.logger());
-        logger.append(record(1, 1));
+        logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
         let writer = store
             .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
             .unwrap();
         store.install_checkpoint(writer.finish().unwrap()).unwrap();
 
-        logger.append(record(2, 1));
+        logger.append_frame(&record(2, 1));
         logger.flush().unwrap();
         let mut writer = store
             .begin_delta(logger.appended_lsn(), Timestamp(5))
@@ -1389,7 +1387,7 @@ mod tests {
         let dir = scratch_dir("delta-chain");
         let store = CheckpointStore::create(&dir).unwrap();
         let logger = Arc::clone(store.logger());
-        logger.append(record(1, 1));
+        logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
         let writer = store
             .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
@@ -1400,7 +1398,7 @@ mod tests {
 
         // Two deltas extend the chain; the manifest survives reopen.
         for (ts, expect_len) in [(3u64, 2usize), (6, 3)] {
-            logger.append(record(ts, 1));
+            logger.append_frame(&record(ts, 1));
             logger.flush().unwrap();
             let mut writer = store
                 .begin_delta(logger.appended_lsn(), Timestamp(ts))
@@ -1433,7 +1431,7 @@ mod tests {
 
         // Compaction: a fresh base resets the chain and removes the old
         // chain's files.
-        logger.append(record(7, 1));
+        logger.append_frame(&record(7, 1));
         logger.flush().unwrap();
         let writer = store
             .begin_checkpoint(logger.appended_lsn(), Timestamp(7))
@@ -1475,7 +1473,7 @@ mod tests {
         let dir = scratch_dir("open-sweep");
         let store = CheckpointStore::create(&dir).unwrap();
         let logger = Arc::clone(store.logger());
-        logger.append(record(1, 1));
+        logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
         let writer = store
             .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
@@ -1507,7 +1505,7 @@ mod tests {
         let policy = CheckpointPolicy::every_log_bytes(64);
         assert!(!store.checkpoint_due(&policy));
         while store.log_bytes_since_checkpoint() < 64 {
-            logger.append(record(1, 1));
+            logger.append_frame(&record(1, 1));
         }
         assert!(store.checkpoint_due(&policy));
         logger.flush().unwrap();

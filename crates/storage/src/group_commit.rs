@@ -33,8 +33,8 @@
 //! Batch boundaries are **invisible on the wire**: the file is the exact
 //! concatenation of the appended frames
 //! ([`MemoryLogger::encoded_bytes`](crate::log::MemoryLogger::encoded_bytes)
-//! of the same appends). [`LogReader`](crate::log::LogReader) and recovery
-//! are therefore unaffected — a crash mid-batch is just a torn tail at some
+//! of the same appends). The log's frame decoder and recovery are therefore
+//! unaffected — a crash mid-batch is just a torn tail at some
 //! frame-interior offset, which the recovery suite exercises explicitly.
 //!
 //! I/O errors are sticky: appends are fire-and-forget, so an error cannot be
@@ -59,7 +59,7 @@ use parking_lot::{Condvar, Mutex};
 
 use mmdb_common::error::{MmdbError, Result};
 
-use crate::log::{encode_record, LogRecord, Lsn, RedoLogger, StickyError};
+use crate::log::{Lsn, RedoLogger, StickyError};
 
 /// Initial capacity of the shared append buffer and its flush twin, sized so
 /// steady-state batches never grow the allocation (the zero-allocation
@@ -213,17 +213,17 @@ impl Shared {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use mmdb_storage::log::{read_log_file, LogOp, LogRecord, RedoLogger};
+/// use mmdb_storage::log::{encode_frame_into, read_log_file, LogOpRef, RedoLogger};
 /// use mmdb_storage::group_commit::GroupCommitLog;
 /// use mmdb_common::ids::{TableId, Timestamp};
-/// use mmdb_common::row::Row;
 ///
 /// let path = std::env::temp_dir().join(format!("gc-doc-{}.log", std::process::id()));
 /// let log = Arc::new(GroupCommitLog::create(&path).unwrap());
-/// log.append(LogRecord {
-///     end_ts: Timestamp(7),
-///     ops: vec![LogOp::Write { table: TableId(0), row: Row::from(vec![0u8; 16]) }],
-/// });
+/// let mut frame = Vec::new();
+/// let row = [0u8; 16];
+/// let write = LogOpRef::Write { table: TableId(0), row: &row };
+/// encode_frame_into(&mut frame, Timestamp(7), std::iter::once(write));
+/// log.append_frame(&frame);
 /// // Tickless log: the explicit flush (or a Sync committer's
 /// // `wait_durable`) hardens the batch.
 /// log.flush().unwrap();
@@ -475,14 +475,6 @@ pub(crate) fn sync_parent_dir(path: &Path) {
 }
 
 impl RedoLogger for GroupCommitLog {
-    fn append(&self, record: LogRecord) {
-        self.append_frame_ticketed(&encode_record(&record));
-    }
-
-    fn append_frame(&self, frame: &[u8]) {
-        self.append_frame_ticketed(frame);
-    }
-
     fn append_frame_ticketed(&self, frame: &[u8]) -> Lsn {
         let (lsn, full) = {
             let mut st = self.shared.state.lock();
@@ -583,7 +575,9 @@ impl std::fmt::Debug for GroupCommitLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{read_log_bytes, read_log_file, LogOp, MemoryLogger};
+    use crate::log::{
+        encode_record, read_log_bytes, read_log_file, LogOp, LogRecord, MemoryLogger,
+    };
     use mmdb_common::error::MmdbError;
     use mmdb_common::ids::{TableId, Timestamp};
     use mmdb_common::row::Row;
@@ -609,11 +603,11 @@ mod tests {
         {
             let log = GroupCommitLog::create(&path).unwrap();
             for r in &records[..4] {
-                log.append(r.clone());
+                log.append_frame(&encode_record(r));
             }
             log.flush().unwrap(); // batch 1: four records, one write+sync
             for r in &records[4..] {
-                log.append(r.clone());
+                log.append_frame(&encode_record(r));
             }
             log.flush().unwrap(); // batch 2: six records
             assert_eq!(log.records_written(), 10);
@@ -628,7 +622,7 @@ mod tests {
         assert_eq!(outcome.records, records);
         let memory = MemoryLogger::new();
         for r in &records {
-            memory.append(r.clone());
+            memory.append_frame(&encode_record(r));
         }
         assert_eq!(bytes, memory.encoded_bytes());
         let _ = std::fs::remove_file(&path);
@@ -676,7 +670,7 @@ mod tests {
         let path = scratch("drop");
         {
             let log = GroupCommitLog::create(&path).unwrap();
-            log.append(record(1, 0xAA));
+            log.append_frame(&encode_record(&record(1, 0xAA)));
             // No flush, no wait: drop must harden the buffered frame.
         }
         assert_eq!(read_log_file(&path).unwrap().records, vec![record(1, 0xAA)]);
@@ -842,7 +836,7 @@ mod tests {
     fn a_torn_log_never_writes_later_batches() {
         let path = scratch("torn-gate");
         let log = GroupCommitLog::create(&path).unwrap();
-        log.append(record(1, 1));
+        log.append_frame(&encode_record(&record(1, 1)));
         log.flush().unwrap();
         let confirmed = log.durable_lsn();
 
@@ -891,8 +885,8 @@ mod tests {
         let end;
         {
             let log = GroupCommitLog::create(&path).unwrap();
-            log.append(record(1, 1));
-            log.append(record(2, 2));
+            log.append_frame(&encode_record(&record(1, 1)));
+            log.append_frame(&encode_record(&record(2, 2)));
             log.flush().unwrap();
             end = log.appended_lsn();
         }

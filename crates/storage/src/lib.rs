@@ -18,9 +18,9 @@
 //! * [`txn_table`] — transaction handles (state machine, commit-dependency
 //!   and wait-for-dependency bookkeeping) and the global transaction table.
 //! * [`gc`] — the garbage queue feeding cooperative collection.
-//! * [`log`] — the redo-log wire format, its readers, the [`RedoLogger`]
-//!   trait with its null / in-memory implementations and the
-//!   durability-ticket surface ([`log::Lsn`]).
+//! * [`log`] — the redo-log wire format, its one frame decoder, the
+//!   [`RedoLogger`] byte-sink trait with its null / in-memory
+//!   implementations and the durability-ticket surface ([`log::Lsn`]).
 //! * [`group_commit`] — the file-backed logger ([`GroupCommitLog`]): a
 //!   shared-buffer batched writer, one `write`+sync per batch,
 //!   per-transaction durability tickets, background-tick or leader-elected
@@ -29,9 +29,10 @@
 //!   ([`CheckpointStore`]): consistent snapshot images, the torn-tolerant
 //!   `MANIFEST`, and crash-atomic write → install → truncate, turning
 //!   recovery into load-checkpoint + replay-tail.
-//! * [`recovery`] — partitioned parallel recovery: one decode pass over the
-//!   checkpoint chain + log tail, table-sharded apply workers.
-//! * [`durable`] — the [`Durable`] trait: the checkpoint / recover / replay
+//! * `recovery` — the newest-wins fold and partitioned parallel recovery:
+//!   one decode pass over the checkpoint chain + log tail, table-sharded
+//!   fold workers.
+//! * [`durable`] — the [`Durable`] trait: the checkpoint / recover
 //!   lifecycle written once over the few primitives engines differ in.
 //! * [`store`] — [`MvStore`], the bundle shared by all transactions.
 
@@ -44,7 +45,7 @@ pub mod durable;
 pub mod gc;
 pub mod group_commit;
 pub mod log;
-pub mod recovery;
+mod recovery;
 pub mod store;
 pub mod table;
 pub mod txn_table;
@@ -58,7 +59,6 @@ pub use durable::Durable;
 pub use gc::{GcItem, GcQueue};
 pub use group_commit::GroupCommitLog;
 pub use log::{LogOp, LogRecord, Lsn, MemoryLogger, NullLogger, RedoLogger};
-pub use recovery::{recover_partitioned, RecoveredImage};
 pub use store::MvStore;
 pub use table::{Table, VersionPtr};
 pub use txn_table::{DepRegistration, TxnHandle, TxnState, TxnTable};

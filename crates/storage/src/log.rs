@@ -6,16 +6,18 @@
 //! determined by end timestamps included in the records, so multiple log
 //! streams are possible (§3.2).
 //!
-//! The engine therefore only needs a non-blocking `append`. Three
-//! implementations are provided:
+//! A committing transaction encodes its record into a reusable buffer with
+//! [`encode_frame_into`] and hands the bytes to a [`RedoLogger`], a byte
+//! sink whose append never blocks on I/O:
 //!
-//! * [`NullLogger`] — drops records (pure concurrency-control measurements).
-//! * [`MemoryLogger`] — keeps records in memory; used by tests to assert
-//!   ordering and content.
+//! * [`NullLogger`] — counts frames and drops them (pure concurrency-control
+//!   measurements).
+//! * [`MemoryLogger`] — keeps the frame bytes in memory; tests decode them
+//!   to assert ordering and content.
 //! * [`GroupCommitLog`](crate::group_commit::GroupCommitLog) — the one
-//!   file-backed logger: appends framed binary records to a shared buffer
-//!   that is hardened in batches, never on the transaction's commit path.
-//!   I/O errors are sticky and surfaced by [`RedoLogger::flush`].
+//!   file-backed logger: appends frames to a shared buffer that is hardened
+//!   in batches, never on the transaction's commit path. I/O errors are
+//!   sticky and surfaced by [`RedoLogger::flush`].
 //!
 //! ## Wire format
 //!
@@ -30,16 +32,17 @@
 //!
 //! `checksum` is [`hash_bytes`] over `body`; the length prefix carries its
 //! own XOR self-check (it is what the reader walks the file by, so it can't
-//! rely on the body checksum it locates). Together they let [`LogReader`]
-//! distinguish a **torn tail** (a crash mid-append truncated the file:
-//! fewer bytes remain than the frame promises — tolerated, the partial
-//! frame is discarded) from **corruption** inside the valid region (length
-//! self-check, checksum or structure mismatch — surfaced as
-//! [`MmdbError::LogCorrupt`]).
+//! rely on the body checksum it locates). Together they let the one frame
+//! decoder, `FrameStream`, distinguish a **torn tail** (a crash mid-append
+//! truncated the file: fewer bytes remain than the frame promises —
+//! tolerated, the partial frame is discarded) from **corruption** inside
+//! the valid region (length self-check, checksum or structure mismatch —
+//! surfaced as [`MmdbError::LogCorrupt`]).
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom, Take};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -68,6 +71,19 @@ pub enum LogOp {
     },
 }
 
+impl LogOp {
+    /// The borrowed view [`encode_frame_into`] takes.
+    pub fn as_ref(&self) -> LogOpRef<'_> {
+        match self {
+            LogOp::Write { table, row } => LogOpRef::Write { table: *table, row },
+            LogOp::Delete { table, key } => LogOpRef::Delete {
+                table: *table,
+                key: *key,
+            },
+        }
+    }
+}
+
 /// A commit record: the transaction's end timestamp plus its writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord {
@@ -75,23 +91,6 @@ pub struct LogRecord {
     pub end_ts: Timestamp,
     /// The transaction's redo operations.
     pub ops: Vec<LogOp>,
-}
-
-impl LogRecord {
-    /// Approximate serialized size in bytes (payload + 8 bytes of metadata
-    /// per record, as in the paper's I/O estimate). The actual wire encoding
-    /// ([`encode_record`]) adds framing (length prefix + checksum) on top.
-    pub fn byte_size(&self) -> u64 {
-        let body: usize = self
-            .ops
-            .iter()
-            .map(|op| match op {
-                LogOp::Write { row, .. } => row.len() + 8,
-                LogOp::Delete { .. } => 16,
-            })
-            .sum();
-        body as u64 + 8
-    }
 }
 
 /// Borrowed view of one redo op — the allocation-free input of
@@ -117,60 +116,54 @@ pub enum LogOpRef<'a> {
 
 /// Serialize one record into `buf` as a framed wire record (appended; the
 /// caller clears and reuses the buffer — after warmup this allocates
-/// nothing). Byte-identical to [`encode_record`] for the same ops, so log
-/// streams written through either path are comparable.
+/// nothing).
+///
+/// Returns the paper's I/O estimate of the record, the figure the engines
+/// report as `log_bytes`: payload plus 8 bytes of metadata per op, plus 8
+/// per record. The wire encoding adds framing on top.
 pub fn encode_frame_into<'a>(
     buf: &mut Vec<u8>,
     end_ts: Timestamp,
     ops: impl Iterator<Item = LogOpRef<'a>>,
-) {
-    let frame_start = buf.len();
-    // Length prefix + self-check are patched once the body size is known.
-    buf.extend_from_slice(&[0u8; 8]);
-    let body_start = buf.len();
-    buf.extend_from_slice(&end_ts.raw().to_le_bytes());
-    // Op count is patched after the ops are written.
-    let count_at = buf.len();
-    buf.extend_from_slice(&[0u8; 4]);
-    let mut op_count: u32 = 0;
-    for op in ops {
-        op_count += 1;
-        match op {
-            LogOpRef::Write { table, row } => {
-                buf.push(0u8);
-                buf.extend_from_slice(&table.0.to_le_bytes());
-                buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
-                buf.extend_from_slice(row);
-            }
-            LogOpRef::Delete { table, key } => {
-                buf.push(1u8);
-                buf.extend_from_slice(&table.0.to_le_bytes());
-                buf.extend_from_slice(&key.to_le_bytes());
+) -> u64 {
+    let mut estimate = 8u64;
+    write_frame(buf, |buf| {
+        buf.extend_from_slice(&end_ts.raw().to_le_bytes());
+        // Op count is patched after the ops are written.
+        let count_at = buf.len();
+        buf.extend_from_slice(&[0u8; 4]);
+        let mut op_count: u32 = 0;
+        for op in ops {
+            op_count += 1;
+            match op {
+                LogOpRef::Write { table, row } => {
+                    buf.push(0u8);
+                    buf.extend_from_slice(&table.0.to_le_bytes());
+                    buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
+                    buf.extend_from_slice(row);
+                    estimate += row.len() as u64 + 8;
+                }
+                LogOpRef::Delete { table, key } => {
+                    buf.push(1u8);
+                    buf.extend_from_slice(&table.0.to_le_bytes());
+                    buf.extend_from_slice(&key.to_le_bytes());
+                    estimate += 16;
+                }
             }
         }
-    }
-    buf[count_at..count_at + 4].copy_from_slice(&op_count.to_le_bytes());
-    let body_len = (buf.len() - body_start) as u32;
-    buf[frame_start..frame_start + 4].copy_from_slice(&body_len.to_le_bytes());
-    buf[frame_start + 4..frame_start + 8]
-        .copy_from_slice(&(body_len ^ LEN_CHECK_XOR).to_le_bytes());
-    let checksum = hash_bytes(&buf[body_start..]);
-    buf.extend_from_slice(&checksum.to_le_bytes());
+        buf[count_at..count_at + 4].copy_from_slice(&op_count.to_le_bytes());
+    });
+    estimate
 }
 
-/// Serialize one record into its framed wire representation.
+/// Serialize one record into a fresh framed buffer (tests and tools; the
+/// commit paths use [`encode_frame_into`]).
 pub fn encode_record(record: &LogRecord) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(record.byte_size() as usize + 32);
+    let mut frame = Vec::new();
     encode_frame_into(
         &mut frame,
         record.end_ts,
-        record.ops.iter().map(|op| match op {
-            LogOp::Write { table, row } => LogOpRef::Write { table: *table, row },
-            LogOp::Delete { table, key } => LogOpRef::Delete {
-                table: *table,
-                key: *key,
-            },
-        }),
+        record.ops.iter().map(LogOp::as_ref),
     );
     frame
 }
@@ -181,6 +174,22 @@ pub fn encode_record(record: &LogRecord) -> Vec<u8> {
 /// a torn tail and silently drop committed records; with it, any readable
 /// header whose two words disagree is surfaced as [`MmdbError::LogCorrupt`].
 const LEN_CHECK_XOR: u32 = 0x5EC0_3D1E;
+
+/// Append one frame to `buf`: the length prefix with its XOR self-check, the
+/// body `write_body` appends, and the trailing checksum. The inverse of what
+/// [`FrameStream::next_body`] verifies. Redo records and every checkpoint
+/// and manifest frame are written through here.
+pub(crate) fn write_frame(buf: &mut Vec<u8>, write_body: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    // Length prefix + self-check are patched once the body size is known.
+    buf.extend_from_slice(&[0u8; 8]);
+    write_body(buf);
+    let body_len = (buf.len() - start - 8) as u32;
+    buf[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&(body_len ^ LEN_CHECK_XOR).to_le_bytes());
+    let checksum = hash_bytes(&buf[start + 8..]);
+    buf.extend_from_slice(&checksum.to_le_bytes());
+}
 
 /// Decode one record body (the part covered by the checksum). `offset` is
 /// the frame's byte offset in the log, used for error reporting only.
@@ -222,91 +231,6 @@ pub(crate) fn decode_body(body: &[u8], offset: u64) -> Result<LogRecord> {
     })
 }
 
-/// Iterator-style decoder over the framed log bytes.
-///
-/// A crash truncates the log at an arbitrary byte offset, so the last frame
-/// may be incomplete. [`LogReader::next_record`] treats an incomplete frame
-/// as end-of-log (`Ok(None)` with [`LogReader::is_torn`] set) rather than
-/// an error; anything structurally wrong *inside* a complete frame is
-/// [`MmdbError::LogCorrupt`].
-pub struct LogReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    torn: bool,
-}
-
-impl<'a> LogReader<'a> {
-    /// Read frames from a byte buffer (e.g. the contents of a log file).
-    pub fn new(buf: &'a [u8]) -> LogReader<'a> {
-        LogReader {
-            buf,
-            pos: 0,
-            torn: false,
-        }
-    }
-
-    /// Byte offset of the next unread frame — after the final
-    /// `next_record()`, the number of cleanly decoded bytes.
-    pub fn offset(&self) -> u64 {
-        self.pos as u64
-    }
-
-    /// True once the reader has hit an incomplete trailing frame.
-    pub fn is_torn(&self) -> bool {
-        self.torn
-    }
-
-    /// Decode the next complete record. `Ok(None)` means no complete frame
-    /// remains — either a clean end of log or a torn tail (check
-    /// [`is_torn`](Self::is_torn)).
-    pub fn next_record(&mut self) -> Result<Option<LogRecord>> {
-        if self.torn {
-            return Ok(None);
-        }
-        let remaining = &self.buf[self.pos..];
-        if remaining.is_empty() {
-            return Ok(None);
-        }
-        let offset = self.pos as u64;
-        if remaining.len() < 8 {
-            self.torn = true;
-            return Ok(None);
-        }
-        let body_len = u32::from_le_bytes(remaining[0..4].try_into().expect("4 bytes"));
-        let len_check = u32::from_le_bytes(remaining[4..8].try_into().expect("4 bytes"));
-        if body_len ^ LEN_CHECK_XOR != len_check {
-            // The walk depends on the length being right; a header whose two
-            // words disagree is corruption, not a tear — treating it as a
-            // torn tail would silently drop every later committed record.
-            return Err(MmdbError::LogCorrupt {
-                offset,
-                reason: "length prefix fails its self-check",
-            });
-        }
-        let body_len = body_len as usize;
-        let frame_len = 8 + body_len + 8;
-        if remaining.len() < frame_len {
-            self.torn = true;
-            return Ok(None);
-        }
-        let body = &remaining[8..8 + body_len];
-        let stored = u64::from_le_bytes(
-            remaining[8 + body_len..frame_len]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        if hash_bytes(body) != stored {
-            return Err(MmdbError::LogCorrupt {
-                offset,
-                reason: "checksum mismatch",
-            });
-        }
-        let record = decode_body(body, offset)?;
-        self.pos += frame_len;
-        Ok(Some(record))
-    }
-}
-
 /// Everything a tolerant read of a (possibly crash-truncated) log yields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogReadOutcome {
@@ -327,17 +251,7 @@ impl LogReadOutcome {
 
 /// Decode every complete record from `buf`, tolerating a torn tail.
 pub fn read_log_bytes(buf: &[u8]) -> Result<LogReadOutcome> {
-    let mut reader = LogReader::new(buf);
-    let mut records = Vec::new();
-    while let Some(record) = reader.next_record()? {
-        records.push(record);
-    }
-    let valid_bytes = reader.offset();
-    Ok(LogReadOutcome {
-        records,
-        valid_bytes,
-        torn_bytes: buf.len() as u64 - valid_bytes,
-    })
+    read_records(FrameStream::new(buf, READ_CHUNK, 0))
 }
 
 /// Chunk size of the streaming log reader: how many bytes each `read(2)`
@@ -348,11 +262,10 @@ pub(crate) const READ_CHUNK: usize = 64 * 1024;
 /// Decode every complete record from the log file at `path`.
 ///
 /// Frames are streamed through a fixed-size chunk buffer (`READ_CHUNK`);
-/// the buffer only grows past that when a single frame is larger than a
-/// chunk. The outcome is byte-for-byte identical to reading the whole file
-/// and calling [`read_log_bytes`] — same records, same `valid_bytes` /
-/// `torn_bytes`, same corruption offsets — without ever holding the log's
-/// raw bytes in memory at once.
+/// the outcome is identical to reading the whole file and calling
+/// [`read_log_bytes`] — same records, same `valid_bytes` / `torn_bytes`,
+/// same corruption offsets — without ever holding the log's raw bytes in
+/// memory at once.
 pub fn read_log_file(path: impl AsRef<Path>) -> Result<LogReadOutcome> {
     read_log_file_from(path, 0)
 }
@@ -365,33 +278,49 @@ pub fn read_log_file(path: impl AsRef<Path>) -> Result<LogReadOutcome> {
 /// file offsets: `valid_bytes` counts from byte 0, so `start` bytes of
 /// skipped prefix are included in it.
 pub fn read_log_file_from(path: impl AsRef<Path>, start: u64) -> Result<LogReadOutcome> {
+    read_records(open_log_range(path.as_ref(), start, None)?)
+}
+
+/// Open the log segment at `path` as a [`FrameStream`] over the bytes from
+/// offset `start` (a frame boundary), at most `limit` of them. Offsets the
+/// stream reports are absolute file offsets.
+pub(crate) fn open_log_range(
+    path: &Path,
+    start: u64,
+    limit: Option<u64>,
+) -> Result<FrameStream<Take<File>>> {
     let io = |e: std::io::Error| MmdbError::LogIo(e.to_string());
     let mut file = File::open(path).map_err(io)?;
     if start > 0 {
         file.seek(SeekFrom::Start(start)).map_err(io)?;
     }
-    read_log_stream(file, READ_CHUNK, start)
+    Ok(FrameStream::new(
+        file.take(limit.unwrap_or(u64::MAX)),
+        READ_CHUNK,
+        start,
+    ))
 }
 
-/// Decode the complete records occupying the first `len` bytes of the log
-/// file at `path`, ignoring everything after.
-///
-/// `Durable::checkpoint_delta` uses this to scan the log prefix below a delta
-/// barrier's `read_limit_lsn`: `len` is that LSN minus the segment base, which
-/// falls on a frame boundary (the LSN was read from the logger's append
-/// counter), so the truncated read never reports torn bytes.
-pub fn read_log_prefix(path: impl AsRef<Path>, len: u64) -> Result<LogReadOutcome> {
-    let io = |e: std::io::Error| MmdbError::LogIo(e.to_string());
-    let file = File::open(path).map_err(io)?;
-    read_log_stream(file.take(len), READ_CHUNK, 0)
+/// Collect every record a stream holds, with its byte accounting.
+fn read_records(mut frames: FrameStream<impl Read>) -> Result<LogReadOutcome> {
+    let mut records = Vec::new();
+    while let Some(record) = frames.next_record()? {
+        records.push(record);
+    }
+    Ok(LogReadOutcome {
+        records,
+        valid_bytes: frames.consumed(),
+        torn_bytes: frames.torn_bytes(),
+    })
 }
 
-/// Streaming raw-frame reader: pulls `chunk`-sized reads from an [`Read`]
-/// source and yields the body of each complete frame, mirroring
-/// [`LogReader::next_record`]'s torn/corrupt discipline exactly. Shared by
-/// the log read side (bodies decode as [`LogRecord`]s) and the checkpoint
-/// subsystem (bodies are checkpoint header/row/trailer and manifest
-/// entries — same wire discipline, different body schema).
+/// The frame decoder: pulls `chunk`-sized reads from a [`Read`] source and
+/// yields the body of each complete frame. An incomplete trailing frame is
+/// end-of-stream (see [`torn_bytes`](Self::torn_bytes)), not an error;
+/// anything wrong inside a complete frame is [`MmdbError::LogCorrupt`].
+/// Shared by the log read side (bodies decode as [`LogRecord`]s) and the
+/// checkpoint subsystem (bodies are checkpoint header/row/trailer and
+/// manifest entries — same wire discipline, different body schema).
 pub(crate) struct FrameStream<R: Read> {
     reader: R,
     chunk: usize,
@@ -472,6 +401,9 @@ impl<R: Read> FrameStream<R> {
         let body_len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
         let len_check = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
         if body_len ^ LEN_CHECK_XOR != len_check {
+            // The walk depends on the length being right; a header whose two
+            // words disagree is corruption, not a tear — treating it as a
+            // torn tail would silently drop every later committed record.
             return Err(MmdbError::LogCorrupt {
                 offset: self.consumed,
                 reason: "length prefix fails its self-check",
@@ -505,33 +437,14 @@ impl<R: Read> FrameStream<R> {
         let body = &self.buf[body_at..body_at + body_len as usize];
         Ok(Some((offset, body)))
     }
-}
 
-/// Frame an opaque body with the log's wire discipline (length prefix with
-/// XOR self-check, body, trailing checksum). The inverse of what
-/// [`FrameStream::next_body`] verifies; used by the checkpoint subsystem for
-/// its header/trailer/manifest frames.
-pub(crate) fn frame_body_into(buf: &mut Vec<u8>, body: &[u8]) {
-    let len = body.len() as u32;
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&(len ^ LEN_CHECK_XOR).to_le_bytes());
-    buf.extend_from_slice(body);
-    buf.extend_from_slice(&hash_bytes(body).to_le_bytes());
-}
-
-/// Core of the streaming read: a [`FrameStream`] whose bodies decode as
-/// [`LogRecord`]s. `base` is the absolute offset of the reader's first byte.
-fn read_log_stream(reader: impl Read, chunk: usize, base: u64) -> Result<LogReadOutcome> {
-    let mut frames = FrameStream::new(reader, chunk, base);
-    let mut records = Vec::new();
-    while let Some((offset, body)) = frames.next_body()? {
-        records.push(decode_body(body, offset)?);
+    /// The next complete frame decoded as a redo record.
+    pub(crate) fn next_record(&mut self) -> Result<Option<LogRecord>> {
+        match self.next_body()? {
+            Some((offset, body)) => decode_body(body, offset).map(Some),
+            None => Ok(None),
+        }
     }
-    Ok(LogReadOutcome {
-        records,
-        valid_bytes: frames.consumed(),
-        torn_bytes: frames.torn_bytes(),
-    })
 }
 
 /// A durability ticket: the logical byte offset (within one logger's stream)
@@ -553,9 +466,9 @@ impl Lsn {
     pub const ZERO: Lsn = Lsn(0);
 }
 
-/// What a [`recover`](LogReadOutcome)-style replay did: how much log it
-/// consumed and how many records it applied. Returned by the engines'
-/// `recover_bytes` / `recover_file` entry points.
+/// What a recovery did: how much log it consumed and how many records it
+/// applied. Returned by `Durable::recover_bytes` and
+/// `Durable::recover_from_checkpoint`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Number of log records replayed into the engine.
@@ -566,44 +479,25 @@ pub struct RecoveryReport {
     pub torn_bytes: u64,
 }
 
-/// A redo-log sink. `append` must never block on I/O.
+/// A redo-log byte sink. Appends must never block on I/O.
 pub trait RedoLogger: Send + Sync + 'static {
-    /// Append one commit record.
-    fn append(&self, record: LogRecord);
-
-    /// Append one pre-encoded record frame (the exact bytes
-    /// [`encode_frame_into`] produces). This is the hot commit path: the
-    /// transaction encodes into a reusable buffer and hands the borrow over,
-    /// so byte-sink loggers ([`crate::group_commit::GroupCommitLog`],
-    /// [`NullLogger`]) append without any allocation. Implementations must
-    /// not retain the borrow.
+    /// Append one record frame (the exact bytes [`encode_frame_into`]
+    /// produces) and receive a durability ticket. Implementations must not
+    /// retain the borrow.
     ///
-    /// The default decodes the frame and delegates to
-    /// [`RedoLogger::append`], so record-keeping loggers (and any external
-    /// implementation) keep working unchanged.
+    /// This is every engine's commit path: the transaction encodes into a
+    /// reusable buffer and hands the borrow over, so appends allocate
+    /// nothing. The returned [`Lsn`] covers this frame and, transitively,
+    /// every frame appended before it; a transaction that commits with
+    /// [`Durability::Sync`](mmdb_common::Durability) redeems it with
+    /// [`RedoLogger::wait_durable`]. The append itself never blocks on I/O
+    /// — batching loggers ([`crate::group_commit::GroupCommitLog`]) stage
+    /// the bytes in a shared buffer and harden them on their next flush.
+    fn append_frame_ticketed(&self, frame: &[u8]) -> Lsn;
+
+    /// [`RedoLogger::append_frame_ticketed`] without the ticket.
     fn append_frame(&self, frame: &[u8]) {
-        let mut reader = LogReader::new(frame);
-        while let Ok(Some(record)) = reader.next_record() {
-            self.append(record);
-        }
-    }
-
-    /// Append one pre-encoded record frame and receive a durability ticket.
-    ///
-    /// This is the commit path of transactions that may later want to wait
-    /// for durability ([`Durability::Sync`](mmdb_common::Durability)): the
-    /// returned [`Lsn`] covers this frame and, transitively, every frame
-    /// appended before it. The append itself never blocks on I/O — batching
-    /// loggers ([`crate::group_commit::GroupCommitLog`]) stage the bytes in a
-    /// shared buffer and harden them on their next flush.
-    ///
-    /// The default delegates to [`RedoLogger::append_frame`] and issues
-    /// [`Lsn::ZERO`]: for non-batching loggers the ticket's value is
-    /// irrelevant because their [`RedoLogger::wait_durable`] flushes
-    /// everything buffered regardless.
-    fn append_frame_ticketed(&self, frame: &[u8]) -> Lsn {
-        self.append_frame(frame);
-        Lsn::ZERO
+        self.append_frame_ticketed(frame);
     }
 
     /// Block until every byte at offsets below `upto` is on durable storage.
@@ -629,7 +523,7 @@ pub trait RedoLogger: Send + Sync + 'static {
     ///
     /// Returns the first I/O error encountered by any append or flush since
     /// the logger was created — errors are sticky, so a torn write during an
-    /// earlier (fire-and-forget) `append` is still reported here.
+    /// earlier (fire-and-forget) append is still reported here.
     fn flush(&self) -> Result<()> {
         Ok(())
     }
@@ -641,7 +535,7 @@ pub trait RedoLogger: Send + Sync + 'static {
 /// Logger that discards everything (useful to isolate CC costs).
 #[derive(Debug, Default)]
 pub struct NullLogger {
-    count: std::sync::atomic::AtomicU64,
+    count: AtomicU64,
 }
 
 impl NullLogger {
@@ -652,23 +546,20 @@ impl NullLogger {
 }
 
 impl RedoLogger for NullLogger {
-    fn append(&self, _record: LogRecord) {
-        self.count
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn append_frame(&self, _frame: &[u8]) {
-        self.count
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    fn append_frame_ticketed(&self, _frame: &[u8]) -> Lsn {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        Lsn::ZERO
     }
     fn records_written(&self) -> u64 {
-        self.count.load(std::sync::atomic::Ordering::Relaxed)
+        self.count.load(Ordering::Relaxed)
     }
 }
 
-/// Logger that retains all records in memory (tests, examples).
+/// Logger that keeps the appended frame bytes in memory (tests, examples).
 #[derive(Debug, Default)]
 pub struct MemoryLogger {
-    records: Mutex<Vec<LogRecord>>,
+    bytes: Mutex<Vec<u8>>,
+    count: AtomicU64,
 }
 
 impl MemoryLogger {
@@ -677,37 +568,27 @@ impl MemoryLogger {
         Self::default()
     }
 
-    /// Run `f` over a borrow of every record appended so far, in append
-    /// order, without cloning. This replaces the old `records()` accessor,
-    /// which cloned every record (rows included) on each call — the recovery
-    /// tests call this in loops, so the clones were O(history²) in aggregate.
-    /// Callers that need owned records clone exactly what they keep.
+    /// Run `f` over every record appended so far, decoded, in append order.
     pub fn with_records<R>(&self, f: impl FnOnce(&[LogRecord]) -> R) -> R {
-        f(&self.records.lock())
-    }
-
-    /// Total bytes that would have been written.
-    pub fn byte_size(&self) -> u64 {
-        self.records.lock().iter().map(LogRecord::byte_size).sum()
+        let outcome = read_log_bytes(&self.bytes.lock()).expect("appended frames decode");
+        f(&outcome.records)
     }
 
     /// The exact bytes a file-backed logger would have produced for the
     /// same append sequence (byte-exact comparison in tests).
     pub fn encoded_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for record in self.records.lock().iter() {
-            out.extend_from_slice(&encode_record(record));
-        }
-        out
+        self.bytes.lock().clone()
     }
 }
 
 impl RedoLogger for MemoryLogger {
-    fn append(&self, record: LogRecord) {
-        self.records.lock().push(record);
+    fn append_frame_ticketed(&self, frame: &[u8]) -> Lsn {
+        self.bytes.lock().extend_from_slice(frame);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        Lsn::ZERO
     }
     fn records_written(&self) -> u64 {
-        self.records.lock().len() as u64
+        self.count.load(Ordering::Relaxed)
     }
 }
 
@@ -778,11 +659,20 @@ mod tests {
         }
     }
 
+    /// The paper's I/O estimate `encode_frame_into` reports for `record`.
+    fn estimate(record: &LogRecord) -> u64 {
+        encode_frame_into(
+            &mut Vec::new(),
+            record.end_ts,
+            record.ops.iter().map(LogOp::as_ref),
+        )
+    }
+
     #[test]
     fn memory_logger_preserves_order_and_content() {
         let log = MemoryLogger::new();
-        log.append(record(10, 2));
-        log.append(record(12, 1));
+        log.append_frame(&encode_record(&record(10, 2)));
+        log.append_frame(&encode_record(&record(12, 1)));
         log.with_records(|records| {
             assert_eq!(records.len(), 2);
             assert_eq!(records[0].end_ts, Timestamp(10));
@@ -791,14 +681,15 @@ mod tests {
         });
         assert_eq!(log.records_written(), 2);
         // 24-byte rows + 8 bytes metadata each + 8 per record.
-        assert_eq!(log.byte_size(), (2 * 32 + 8) + (32 + 8));
+        assert_eq!(estimate(&record(10, 2)), 2 * 32 + 8);
+        assert_eq!(estimate(&record(12, 1)), 32 + 8);
     }
 
     #[test]
     fn null_logger_counts_only() {
         let log = NullLogger::new();
-        log.append(record(1, 1));
-        log.append(record(2, 1));
+        log.append_frame(&encode_record(&record(1, 1)));
+        log.append_frame(&encode_record(&record(2, 1)));
         assert_eq!(log.records_written(), 2);
     }
 
@@ -811,7 +702,7 @@ mod tests {
                 key: 42,
             }],
         };
-        assert_eq!(rec.byte_size(), 24);
+        assert_eq!(estimate(&rec), 24);
     }
 
     #[test]
@@ -889,11 +780,7 @@ mod tests {
         body.extend_from_slice(&0u32.to_le_bytes()); // table
         body.extend_from_slice(&0u64.to_le_bytes()); // key
         let mut frame = Vec::new();
-        let len = body.len() as u32;
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&(len ^ LEN_CHECK_XOR).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&hash_bytes(&body).to_le_bytes());
+        write_frame(&mut frame, |buf| buf.extend_from_slice(&body));
         let err = read_log_bytes(&frame).unwrap_err();
         assert!(matches!(
             err,
@@ -935,26 +822,18 @@ mod tests {
         let mut buf = Vec::new();
         for r in &records {
             buf.clear();
-            encode_frame_into(
-                &mut buf,
-                r.end_ts,
-                r.ops.iter().map(|op| match op {
-                    LogOp::Write { table, row } => LogOpRef::Write { table: *table, row },
-                    LogOp::Delete { table, key } => LogOpRef::Delete {
-                        table: *table,
-                        key: *key,
-                    },
-                }),
-            );
+            encode_frame_into(&mut buf, r.end_ts, r.ops.iter().map(LogOp::as_ref));
             assert_eq!(buf, encode_record(r), "byte-exact parity for {r:?}");
         }
     }
 
     #[test]
-    fn append_frame_default_decodes_into_append() {
+    fn memory_logger_keeps_the_frame_bytes() {
         let log = MemoryLogger::new();
         let rec = mixed_record(42);
-        log.append_frame(&encode_record(&rec));
+        let frame = encode_record(&rec);
+        log.append_frame(&frame);
+        assert_eq!(log.encoded_bytes(), frame);
         log.with_records(|records| assert_eq!(records, std::slice::from_ref(&rec)));
         assert_eq!(log.records_written(), 1);
     }
@@ -966,9 +845,9 @@ mod tests {
         assert_eq!(null.records_written(), 1);
     }
 
-    /// Satellite regression: the streaming reader must agree byte-for-byte
-    /// with the in-memory decoder, for every truncation point, with a chunk
-    /// size small enough that every frame straddles chunk boundaries.
+    /// The chunk size is invisible: small chunks, which split every frame
+    /// across reads, decode exactly like one read of the whole slice, for
+    /// every truncation point.
     #[test]
     fn streaming_reader_matches_in_memory_reader_at_every_cut() {
         let records = vec![record(7, 3), mixed_record(9), record(11, 2), record(13, 0)];
@@ -982,9 +861,12 @@ mod tests {
         for chunk in [7usize, 16, 32, READ_CHUNK] {
             for cut in 0..=bytes.len() {
                 let expect = read_log_bytes(&bytes[..cut]).unwrap();
-                let got = read_log_stream(&bytes[..cut], chunk, 0).unwrap_or_else(|e| {
-                    panic!("chunk {chunk} cut {cut}: stream errored where slice read did not: {e}")
-                });
+                let got =
+                    read_records(FrameStream::new(&bytes[..cut], chunk, 0)).unwrap_or_else(|e| {
+                        panic!(
+                            "chunk {chunk} cut {cut}: stream errored where slice read did not: {e}"
+                        )
+                    });
                 assert_eq!(got, expect, "chunk {chunk} cut {cut}");
             }
         }
@@ -1014,7 +896,7 @@ mod tests {
         );
         bytes.extend_from_slice(&frame);
         records.push(last);
-        let outcome = read_log_stream(&bytes[..], chunk, 0).unwrap();
+        let outcome = read_records(FrameStream::new(&bytes[..], chunk, 0)).unwrap();
         assert!(outcome.is_clean());
         assert_eq!(outcome.records, records);
         assert_eq!(outcome.valid_bytes, bytes.len() as u64);
@@ -1033,12 +915,14 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[second_frame_at + 20] ^= 0xFF; // body byte of frame 1
         let expect = read_log_bytes(&flipped).unwrap_err();
-        let got = read_log_stream(&flipped[..], 16, 0).unwrap_err();
+        let got = read_records(FrameStream::new(&flipped[..], 16, 0)).unwrap_err();
         assert_eq!(format!("{got:?}"), format!("{expect:?}"));
     }
 
     /// `read_log_file_from` resumes at a frame boundary and reports absolute
-    /// offsets, which is what checkpoint tail replay relies on.
+    /// offsets, which is what checkpoint tail replay relies on;
+    /// `open_log_range`'s limit is what a delta checkpoint's window read
+    /// relies on.
     #[test]
     fn read_log_file_from_resumes_mid_file() {
         let dir = std::env::temp_dir();
@@ -1057,6 +941,11 @@ mod tests {
             assert_eq!(outcome.valid_bytes, bytes.len() as u64);
             assert!(outcome.is_clean());
         }
+        // A byte limit ending on a frame boundary reads exactly the frames
+        // below it.
+        let prefix = read_records(open_log_range(&path, 0, Some(boundaries[2])).unwrap()).unwrap();
+        assert_eq!(prefix.records, records[..2]);
+        assert!(prefix.is_clean());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,27 +1,31 @@
-//! Partitioned parallel recovery: load a checkpoint chain and replay the
-//! log tail across a pool of table-sharded workers.
+//! Recovery: fold a checkpoint chain and a log tail into one bulk load,
+//! newest op per primary key winning, across table-sharded workers.
+//!
+//! The log is redo-only and each record carries its transaction's end
+//! timestamp: "commit ordering is determined by transaction end timestamps"
+//! (§3.2, §5), so where a frame sits in the file does not matter. Rebuilding
+//! state is one rule — per `(table, primary key)`, keep the op with the
+//! newest timestamp — and [`NewestWins`] is that rule, written once. Delta
+//! checkpoints fold their log window through it (`Durable::checkpoint_delta`);
+//! recovery folds everything it reads:
+//!
+//! * the base image's rows at the base's `read_ts`;
+//! * each delta's deletes, then its rows, at that delta's `read_ts` (on a
+//!   tie the later op wins, so a delete + re-insert in one window resolves
+//!   to the row);
+//! * the log tail's ops at their record's `end_ts`, skipping records at or
+//!   below the chain tip's snapshot (the chain already holds them).
 //!
 //! Restart time is the denominator of the availability story (the paper's
 //! §2.7 keeps redo logging cheap precisely so recovery stays a bulk load),
 //! and a single-threaded loader leaves most of the machine idle during it.
-//! [`recover_partitioned`] splits the work by table: a coordinator thread
-//! makes one decode pass over the chain images and the log tail, routing
-//! every op to a worker chosen by `TableId % workers`; each worker folds its
-//! tables' ops into a primary-key map and hands the engine one materialized,
-//! pk-ordered row batch per table.
-//!
-//! Two properties make this safe and deterministic:
-//!
-//! * **Tables are independent.** Every checkpoint/log op names exactly one
-//!   table, so sharding by table needs no cross-worker ordering. Within a
-//!   worker, chain ops apply in receipt order (the coordinator sends chain
-//!   files in apply order, deletes before rows within each delta) and tail
-//!   ops are buffered and sorted by `(end_ts, op sequence)` — the same
-//!   serial order the single-threaded replay used.
-//! * **The result is worker-count invariant.** The final pk→row map of each
-//!   table depends only on the op sequence for that table, which is the
-//!   same no matter how tables are distributed; a test below pins recovery
-//!   with 1, 2, 3 and 8 workers to byte-identical images.
+//! [`recover_partitioned`] splits the work by table: the calling thread makes
+//! one decode pass over the chain images and the log tail, routing every op
+//! to a worker chosen by `TableId % workers`; each worker folds its tables'
+//! ops and hands the engine one pk-ordered row batch per table. Every op
+//! names exactly one table, so the final image does not depend on how
+//! tables are distributed; a test below pins recovery with 1, 2, 3 and 8
+//! workers to identical images.
 //!
 //! Chain validation happens here too: the base must not claim a parent
 //! snapshot, and each delta's recorded parent snapshot must equal the
@@ -29,98 +33,110 @@
 //! corruption, not something to paper over.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{Seek, SeekFrom};
+use std::io::Read;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use mmdb_common::error::{MmdbError, Result};
 use mmdb_common::ids::{Key, TableId, Timestamp};
 use mmdb_common::row::Row;
 
-use crate::checkpoint::{read_checkpoint, RecoveryPlan};
-use crate::log::{decode_body, FrameStream, LogOp, READ_CHUNK};
+use crate::checkpoint::{read_checkpoint, CheckpointRef};
+use crate::log::{FrameStream, LogOp};
 
 /// Extracts a row's primary key; must agree with the engine's primary-index
 /// key spec. Shared by every worker thread, hence `Sync`.
-pub type KeyOfFn<'a> = dyn Fn(TableId, &Row) -> Result<Key> + Sync + 'a;
+pub(crate) type KeyOfFn<'a> = dyn Fn(TableId, &Row) -> Result<Key> + Sync + 'a;
 
 /// Receives one materialized, pk-ordered row batch per recovered table.
 /// Called concurrently from worker threads, but never twice for the same
 /// table, so a per-table bulk load (e.g. `populate`) needs no extra locking.
-pub type ApplyFn<'a> = dyn Fn(TableId, Vec<Row>) -> Result<()> + Sync + 'a;
+pub(crate) type ApplyFn<'a> = dyn Fn(TableId, Vec<Row>) -> Result<()> + Sync + 'a;
 
-/// What [`recover_partitioned`] did, in the same units the engines' recovery
-/// reports use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveredImage {
-    /// Snapshot timestamp of the chain's last image ([`Timestamp::ZERO`]
-    /// without a chain). Every replayed tail record is later than this; the
-    /// engine must advance its clock past it before accepting commits.
-    pub image_ts: Timestamp,
-    /// Latest end timestamp replayed from the log tail (`image_ts` if the
-    /// tail was empty). The clock must advance past this too.
-    pub max_end_ts: Timestamp,
-    /// Rows handed to the apply callback (the collapsed final image).
-    pub rows_loaded: usize,
-    /// Complete log-tail records newer than the image that were replayed.
-    pub tail_records: usize,
-    /// Valid prefix of the log segment in bytes (counted from byte 0 of the
-    /// file, including the prefix below the checkpoint LSN).
-    pub valid_bytes: u64,
-    /// Bytes discarded as a torn trailing frame.
-    pub torn_bytes: u64,
+/// The newest-wins fold of redo ops: per `(table, primary key)` it keeps the
+/// op with the highest timestamp; on a tie the later op wins.
+#[derive(Debug, Default)]
+pub(crate) struct NewestWins {
+    tables: BTreeMap<TableId, BTreeMap<Key, (Timestamp, Option<Row>)>>,
 }
 
-/// One routed unit of work. Chain ops apply in receipt order; tail ops carry
-/// the `(end_ts, seq)` sort key that reconstructs serial order. Chain ops
-/// are batched per (file, table) — a channel round-trip per row would
-/// dominate the coordinator at delta-chain sizes, where hot rows recur in
-/// every image.
-enum Op {
-    /// Rows from one chain image, in file order.
-    ImageRows(Vec<Row>),
-    /// Tombstones from one delta image (routed before that image's rows).
-    ImageDeletes(Vec<Key>),
-    /// A log-tail write.
-    TailWrite {
-        end_ts: Timestamp,
-        seq: u64,
-        row: Row,
-    },
-    /// A log-tail delete.
-    TailDelete {
-        end_ts: Timestamp,
-        seq: u64,
-        key: Key,
-    },
-}
-
-struct Msg {
-    table: TableId,
-    op: Op,
-}
-
-/// Worker count the engines use when the caller does not pick one:
-/// `MMDB_RECOVERY_WORKERS` if set, otherwise the machine's available
-/// parallelism capped at 8 (the load turns I/O-bound past that).
-pub fn default_workers() -> usize {
-    if let Some(n) = std::env::var("MMDB_RECOVERY_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        return n.max(1);
+impl NewestWins {
+    /// Fold `op`, committed at `ts`.
+    pub(crate) fn push(
+        &mut self,
+        ts: Timestamp,
+        op: LogOp,
+        key_of: impl Fn(TableId, &Row) -> Result<Key>,
+    ) -> Result<()> {
+        let (table, key, row) = match op {
+            LogOp::Write { table, row } => (table, key_of(table, &row)?, Some(row)),
+            LogOp::Delete { table, key } => (table, key, None),
+        };
+        let slot = self
+            .tables
+            .entry(table)
+            .or_default()
+            .entry(key)
+            .or_insert((ts, None));
+        if ts >= slot.0 {
+            *slot = (ts, row);
+        }
+        Ok(())
     }
+
+    /// Per table, in id order, the surviving op per key in key order:
+    /// `Some(row)` where the newest op writes the key, `None` where it
+    /// deletes it.
+    pub(crate) fn into_tables(
+        self,
+    ) -> impl Iterator<Item = (TableId, impl Iterator<Item = (Key, Option<Row>)>)> {
+        self.tables.into_iter().map(|(table, keys)| {
+            let ops = keys.into_iter().map(|(key, (_, row))| (key, row));
+            (table, ops)
+        })
+    }
+}
+
+/// What [`recover_partitioned`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecoveredImage {
+    /// Snapshot timestamp of the chain's last image ([`Timestamp::ZERO`]
+    /// without a chain). Every replayed tail record is later than this.
+    pub(crate) image_ts: Timestamp,
+    /// Latest end timestamp replayed from the log tail (`image_ts` if the
+    /// tail was empty). The engine's clock must advance past it before
+    /// accepting commits.
+    pub(crate) max_end_ts: Timestamp,
+    /// Rows handed to the apply callback (the collapsed final image).
+    pub(crate) rows_loaded: usize,
+    /// Complete log-tail records newer than the image that were replayed.
+    pub(crate) tail_records: usize,
+    /// End of the tail's valid prefix, as an offset in the log segment.
+    pub(crate) valid_bytes: u64,
+    /// Bytes discarded as a torn trailing frame.
+    pub(crate) torn_bytes: u64,
+}
+
+/// One routed batch: ops of one worker's tables, all folded at `ts`.
+struct Msg {
+    ts: Timestamp,
+    ops: Vec<LogOp>,
+}
+
+/// Worker count of a recovery: the machine's available parallelism capped
+/// at 8 (the load turns I/O-bound past that).
+pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(8)
 }
 
-/// Load `plan`'s checkpoint chain and log tail into the engine behind
-/// `apply`, fanning the work across `workers` threads (clamped to at least
-/// one; one worker degenerates to the serial algorithm).
-pub fn recover_partitioned(
-    plan: &RecoveryPlan,
+/// Fold `chain` (base image first, then its deltas) and the log `tail` into
+/// the engine behind `apply`, fanning the work across `workers` threads
+/// (clamped to at least one).
+pub(crate) fn recover_partitioned<R: Read>(
+    chain: &[CheckpointRef],
+    tail: FrameStream<R>,
     workers: usize,
     key_of: &KeyOfFn<'_>,
     apply: &ApplyFn<'_>,
@@ -134,7 +150,7 @@ pub fn recover_partitioned(
             senders.push(tx);
             joins.push(scope.spawn(move || drain_partition(rx, key_of, apply)));
         }
-        let fed = feed(plan, &senders);
+        let fed = feed(chain, tail, &senders);
         // Hang up before joining: workers drain until every sender is gone.
         drop(senders);
         let mut rows_loaded = 0usize;
@@ -159,18 +175,15 @@ pub fn recover_partitioned(
 /// Coordinator pass: decode the chain and the log tail once, route every op.
 /// `rows_loaded` in the returned image is 0; the caller fills it from the
 /// workers' counts.
-fn feed(plan: &RecoveryPlan, senders: &[Sender<Msg>]) -> Result<RecoveredImage> {
-    let send = |table: TableId, op: Op| -> Result<()> {
-        senders[table.0 as usize % senders.len()]
-            .send(Msg { table, op })
-            .map_err(|_| MmdbError::Internal("recovery worker exited early"))
-    };
+fn feed<R: Read>(
+    chain: &[CheckpointRef],
+    mut tail: FrameStream<R>,
+    senders: &[Sender<Msg>],
+) -> Result<RecoveredImage> {
     let invalid = |reason: &'static str| MmdbError::CheckpointInvalid { reason };
-
-    // Chain images, base first, deletes before rows within each delta.
     let mut parent: Option<Timestamp> = None;
     let mut image_ts = Timestamp::ZERO;
-    for (i, ckpt) in plan.chain.iter().enumerate() {
+    for (i, ckpt) in chain.iter().enumerate() {
         let contents = read_checkpoint(&ckpt.path)?;
         if contents.lsn != ckpt.lsn || contents.read_ts != ckpt.read_ts {
             return Err(invalid("checkpoint image disagrees with the manifest"));
@@ -183,116 +196,83 @@ fn feed(plan: &RecoveryPlan, senders: &[Sender<Msg>]) -> Result<RecoveredImage> 
         }
         parent = Some(contents.read_ts);
         image_ts = contents.read_ts;
-        let mut deletes: BTreeMap<TableId, Vec<Key>> = BTreeMap::new();
-        for (table, key) in contents.deletes {
-            deletes.entry(table).or_default().push(key);
-        }
-        for (table, keys) in deletes {
-            send(table, Op::ImageDeletes(keys))?;
-        }
-        let mut rows: BTreeMap<TableId, Vec<Row>> = BTreeMap::new();
-        for (table, row) in contents.rows {
-            rows.entry(table).or_default().push(row);
-        }
-        for (table, batch) in rows {
-            send(table, Op::ImageRows(batch))?;
-        }
+        let deletes = contents
+            .deletes
+            .into_iter()
+            .map(|(table, key)| LogOp::Delete { table, key });
+        let rows = contents
+            .rows
+            .into_iter()
+            .map(|(table, row)| LogOp::Write { table, row });
+        route(senders, image_ts, deletes.chain(rows))?;
     }
 
-    // Log tail: one streaming decode pass from the last image's LSN.
-    let io = |e: std::io::Error| MmdbError::LogIo(e.to_string());
-    let mut file = File::open(&plan.log_path).map_err(io)?;
-    let start = plan.log_tail_offset();
-    if start > 0 {
-        file.seek(SeekFrom::Start(start)).map_err(io)?;
-    }
-    let mut frames = FrameStream::new(file, READ_CHUNK, start);
     let mut tail_records = 0usize;
     let mut max_end_ts = image_ts;
-    let mut seq = 0u64;
-    while let Some((offset, body)) = frames.next_body()? {
-        let record = decode_body(body, offset)?;
-        // Commits at or below the image snapshot are already in the chain.
+    while let Some(record) = tail.next_record()? {
         if record.end_ts <= image_ts {
             continue;
         }
         tail_records += 1;
         max_end_ts = max_end_ts.max(record.end_ts);
-        for op in record.ops {
-            seq += 1;
-            match op {
-                LogOp::Write { table, row } => send(
-                    table,
-                    Op::TailWrite {
-                        end_ts: record.end_ts,
-                        seq,
-                        row,
-                    },
-                )?,
-                LogOp::Delete { table, key } => send(
-                    table,
-                    Op::TailDelete {
-                        end_ts: record.end_ts,
-                        seq,
-                        key,
-                    },
-                )?,
-            }
-        }
+        route(senders, record.end_ts, record.ops)?;
     }
     Ok(RecoveredImage {
         image_ts,
         max_end_ts,
         rows_loaded: 0,
         tail_records,
-        valid_bytes: frames.consumed(),
-        torn_bytes: frames.torn_bytes(),
+        valid_bytes: tail.consumed(),
+        torn_bytes: tail.torn_bytes(),
     })
 }
 
-/// Worker loop: fold this partition's ops into pk→row maps, then hand the
-/// engine one ordered batch per table. Returns the number of rows applied.
-fn drain_partition(rx: Receiver<Msg>, key_of: &KeyOfFn<'_>, apply: &ApplyFn<'_>) -> Result<usize> {
-    let mut tables: BTreeMap<TableId, BTreeMap<Key, Row>> = BTreeMap::new();
-    let mut tail: Vec<(Timestamp, u64, TableId, Op)> = Vec::new();
-    for Msg { table, op } in rx {
-        match op {
-            Op::ImageRows(batch) => {
-                let slot = tables.entry(table).or_default();
-                for row in batch {
-                    let key = key_of(table, &row)?;
-                    slot.insert(key, row);
-                }
-            }
-            Op::ImageDeletes(keys) => {
-                let slot = tables.entry(table).or_default();
-                for key in keys {
-                    slot.remove(&key);
-                }
-            }
-            Op::TailWrite { end_ts, seq, .. } | Op::TailDelete { end_ts, seq, .. } => {
-                tail.push((end_ts, seq, table, op));
-            }
+/// Most ops one [`Msg`] carries, so routing a checkpoint image never holds
+/// a second copy of it.
+const ROUTE_BATCH: usize = 4096;
+
+/// Send each worker, in order, the ops of its tables.
+fn route(
+    senders: &[Sender<Msg>],
+    ts: Timestamp,
+    ops: impl IntoIterator<Item = LogOp>,
+) -> Result<()> {
+    let send = |worker: usize, ops: Vec<LogOp>| {
+        senders[worker]
+            .send(Msg { ts, ops })
+            .map_err(|_| MmdbError::Internal("recovery worker exited early"))
+    };
+    let mut batches: Vec<Vec<LogOp>> = senders.iter().map(|_| Vec::new()).collect();
+    for op in ops {
+        let (LogOp::Write { table, .. } | LogOp::Delete { table, .. }) = op;
+        let worker = table.0 as usize % senders.len();
+        batches[worker].push(op);
+        if batches[worker].len() == ROUTE_BATCH {
+            send(worker, std::mem::take(&mut batches[worker]))?;
         }
     }
-    // Reconstruct serial replay order across this partition's tables.
-    tail.sort_unstable_by_key(|(end_ts, seq, ..)| (*end_ts, *seq));
-    for (.., table, op) in tail {
-        match op {
-            Op::TailWrite { row, .. } => {
-                let key = key_of(table, &row)?;
-                tables.entry(table).or_default().insert(key, row);
-            }
-            Op::TailDelete { key, .. } => {
-                tables.entry(table).or_default().remove(&key);
-            }
-            Op::ImageRows(_) | Op::ImageDeletes(_) => unreachable!("chain ops apply on receipt"),
+    for (worker, ops) in batches.into_iter().enumerate() {
+        if !ops.is_empty() {
+            send(worker, ops)?;
+        }
+    }
+    Ok(())
+}
+
+/// Worker loop: fold this partition's ops, then hand the engine one
+/// pk-ordered batch per table. Returns the number of rows applied.
+fn drain_partition(rx: Receiver<Msg>, key_of: &KeyOfFn<'_>, apply: &ApplyFn<'_>) -> Result<usize> {
+    let mut fold = NewestWins::default();
+    for Msg { ts, ops } in rx {
+        for op in ops {
+            fold.push(ts, op, key_of)?;
         }
     }
     let mut rows_loaded = 0usize;
-    for (table, rows) in tables {
+    for (table, ops) in fold.into_tables() {
+        let rows: Vec<Row> = ops.filter_map(|(_, row)| row).collect();
         rows_loaded += rows.len();
-        apply(table, rows.into_values().collect())?;
+        apply(table, rows)?;
     }
     Ok(rows_loaded)
 }
@@ -300,8 +280,8 @@ fn drain_partition(rx: Receiver<Msg>, key_of: &KeyOfFn<'_>, apply: &ApplyFn<'_>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointStore;
-    use crate::log::{encode_frame_into, LogOpRef, Lsn, RedoLogger};
+    use crate::checkpoint::{CheckpointStore, RecoveryPlan};
+    use crate::log::{encode_frame_into, open_log_range, LogOpRef, Lsn, RedoLogger, READ_CHUNK};
     use std::fs;
     use std::sync::Mutex;
 
@@ -383,13 +363,20 @@ mod tests {
         dir
     }
 
-    fn recover_rows(
-        dir: &std::path::Path,
+    /// The plan's log tail, as recovery reads it.
+    fn tail_of(plan: &RecoveryPlan) -> FrameStream<impl Read> {
+        open_log_range(&plan.log_path, plan.log_tail_offset(), None).unwrap()
+    }
+
+    /// Recover `chain` + `tail` with `workers` workers; the applied batches
+    /// in table order.
+    fn recover_with(
+        chain: &[CheckpointRef],
+        tail: FrameStream<impl Read>,
         workers: usize,
     ) -> (RecoveredImage, Vec<(TableId, Vec<Row>)>) {
-        let plan = CheckpointStore::plan(dir).unwrap();
         let applied: Mutex<Vec<(TableId, Vec<Row>)>> = Mutex::new(Vec::new());
-        let image = recover_partitioned(&plan, workers, &key_of, &|table, rows| {
+        let image = recover_partitioned(chain, tail, workers, &key_of, &|table, rows| {
             applied.lock().unwrap().push((table, rows));
             Ok(())
         })
@@ -397,6 +384,14 @@ mod tests {
         let mut applied = applied.into_inner().unwrap();
         applied.sort_by_key(|(table, _)| *table);
         (image, applied)
+    }
+
+    fn recover_rows(
+        dir: &std::path::Path,
+        workers: usize,
+    ) -> (RecoveredImage, Vec<(TableId, Vec<Row>)>) {
+        let plan = CheckpointStore::plan(dir).unwrap();
+        recover_with(&plan.chain, tail_of(&plan), workers)
     }
 
     #[test]
@@ -432,6 +427,76 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The tail folds in end-timestamp order, not file order: key `a` is
+    /// appended at 40 and then at 35, key `b` deleted at 50 and then
+    /// re-inserted at 45, and one record deletes key `k` and then writes it.
+    #[test]
+    fn the_tail_folds_by_end_timestamp_not_file_order() {
+        let (t0, t1) = (TableId(0), TableId(1));
+        let (a, b, k) = (row(1, 0xa), row(2, 0xb), row(3, 0xc));
+        let tail = vec![
+            (
+                Timestamp(40),
+                vec![LogOp::Write {
+                    table: t0,
+                    row: a.clone(),
+                }],
+            ),
+            (
+                Timestamp(35),
+                vec![LogOp::Write {
+                    table: t0,
+                    row: row(1, 0x5a),
+                }],
+            ),
+            (Timestamp(50), vec![LogOp::Delete { table: t0, key: 2 }]),
+            (Timestamp(45), vec![LogOp::Write { table: t0, row: b }]),
+            (
+                Timestamp(60),
+                vec![
+                    LogOp::Delete { table: t1, key: 3 },
+                    LogOp::Write {
+                        table: t1,
+                        row: k.clone(),
+                    },
+                ],
+            ),
+        ];
+        let mut bytes = Vec::new();
+        for (ts, ops) in &tail {
+            encode_frame_into(&mut bytes, *ts, ops.iter().map(LogOp::as_ref));
+        }
+        for workers in [1usize, 2] {
+            let (image, applied) =
+                recover_with(&[], FrameStream::new(&bytes[..], READ_CHUNK, 0), workers);
+            assert_eq!(
+                applied,
+                vec![(t0, vec![a.clone()]), (t1, vec![k.clone()])],
+                "{workers} workers"
+            );
+            assert_eq!(image.max_end_ts, Timestamp(60));
+            assert_eq!(image.tail_records, tail.len());
+        }
+        // The fold delta checkpoints use, fed the same ops, agrees.
+        let mut fold = NewestWins::default();
+        for (ts, ops) in tail {
+            for op in ops {
+                fold.push(ts, op, key_of).unwrap();
+            }
+        }
+        let folded: Vec<_> = fold
+            .into_tables()
+            .map(|(table, ops)| (table, ops.collect::<Vec<_>>()))
+            .collect();
+        assert_eq!(
+            folded,
+            vec![
+                (t0, vec![(1, Some(a)), (2, None)]),
+                (t1, vec![(3, Some(k))])
+            ]
+        );
+    }
+
     #[test]
     fn mismatched_delta_parent_is_rejected() {
         let dir = build_chain_dir("bad-parent");
@@ -439,7 +504,8 @@ mod tests {
         // Corrupt the plan: pretend the delta is the base.
         let mut bad = plan.clone();
         bad.chain.remove(0);
-        let err = recover_partitioned(&bad, 2, &key_of, &|_, _| Ok(())).unwrap_err();
+        let err = recover_partitioned(&bad.chain, tail_of(&plan), 2, &key_of, &|_, _| Ok(()))
+            .unwrap_err();
         assert!(
             matches!(err, MmdbError::CheckpointInvalid { .. }),
             "{err:?}"
@@ -451,7 +517,7 @@ mod tests {
     fn worker_error_propagates() {
         let dir = build_chain_dir("worker-err");
         let plan = CheckpointStore::plan(&dir).unwrap();
-        let err = recover_partitioned(&plan, 2, &key_of, &|_, _| {
+        let err = recover_partitioned(&plan.chain, tail_of(&plan), 2, &key_of, &|_, _| {
             Err(MmdbError::Internal("apply refused"))
         })
         .unwrap_err();

@@ -17,8 +17,8 @@
 //!
 //! The oracle for a crash at offset X is computed from the decoded surviving
 //! records themselves (sorted by end timestamp, after-images upserted,
-//! deletes applied) — the engine's replay must drive its real transaction,
-//! index-maintenance and uniqueness machinery to the same state.
+//! deletes applied) — the engine's recovery, a newest-wins fold per primary
+//! key bulk-loaded into every index, must reach the same state.
 //!
 //! Failures print a grep-able `MMDB-REPRO:` line with the seed and crash
 //! offset and save the history + log bytes under `target/test-artifacts/`.
@@ -41,7 +41,7 @@ use mmdb_storage::checkpoint::{
 use mmdb_storage::durable::Durable;
 use mmdb_storage::group_commit::GroupCommitLog;
 use mmdb_storage::log::{
-    read_log_bytes, read_log_file_from, LogOp, LogRecord, MemoryLogger, NullLogger, RedoLogger,
+    read_log_bytes, read_log_file_from, LogOp, LogRecord, Lsn, MemoryLogger, NullLogger, RedoLogger,
 };
 use support::{
     assert_indexes_consistent, create_diff_tables, dump, generate_history, populate,
@@ -465,13 +465,25 @@ fn post_recovery_smoke<E: Engine>(
     txn.commit().expect("post-recovery delete commit");
 }
 
-#[test]
-fn recover_file_reads_the_log_from_disk() {
-    recover_file_reads_the_log_from_disk_on(&MVO);
-    recover_file_reads_the_log_from_disk_on(&SV);
+/// The recovery plan of a bare log file: no checkpoint chain, the whole
+/// file is the tail.
+fn bare_log_plan(path: &Path) -> RecoveryPlan {
+    RecoveryPlan {
+        generation: 0,
+        chain: Vec::new(),
+        log_path: path.to_path_buf(),
+        log_base: Lsn::ZERO,
+        manifest_valid_bytes: 0,
+    }
 }
 
-fn recover_file_reads_the_log_from_disk_on<E: Durable>(kind: &Kind<E>) {
+#[test]
+fn a_bare_log_file_recovers_from_disk() {
+    a_bare_log_file_recovers_from_disk_on(&MVO);
+    a_bare_log_file_recovers_from_disk_on(&SV);
+}
+
+fn a_bare_log_file_recovers_from_disk_on<E: Durable>(kind: &Kind<E>) {
     let seed = seeds()[0];
     let LoggedRun {
         bytes, final_state, ..
@@ -480,8 +492,11 @@ fn recover_file_reads_the_log_from_disk_on<E: Durable>(kind: &Kind<E>) {
     std::fs::write(&path, &bytes).expect("write log file");
 
     let (target, tables) = kind.target();
-    let report = target.recover_file(&path).expect("recover from file");
-    let missing = target.recover_file(Path::new("/nonexistent/mmdb-no-such.log"));
+    let report = target
+        .recover_from_checkpoint(&bare_log_plan(&path))
+        .expect("recover from file");
+    let missing =
+        target.recover_from_checkpoint(&bare_log_plan(Path::new("/nonexistent/mmdb-no-such.log")));
     let _ = std::fs::remove_file(&path);
     assert_eq!(report.torn_bytes, 0);
     assert_eq!(
@@ -502,11 +517,10 @@ fn log_replay_and_an_empty_chain_plan_recover_the_same_state() {
 }
 
 fn log_replay_and_an_empty_chain_plan_recover_the_same_state_on<E: Durable>(kind: &Kind<E>) {
-    // `Durable`'s two provided recovery paths meet only in the engine's
-    // primitives: `recover_bytes` replays each record through a transaction,
-    // `recover_from_checkpoint` of a plan without a chain collapses the same
-    // log into one `populate` per table. Same torn log in, same state and
-    // same byte accounting out.
+    // `Durable`'s two recovery entry points are one fold: `recover_bytes`
+    // reads the log from memory, `recover_from_checkpoint` of a plan
+    // without a chain streams the same log from its file. Same torn log in,
+    // same state and same byte accounting out.
     let dir = scratch_store_dir(&format!("empty-chain-{}", kind.tag()));
     let store = CheckpointStore::create(&dir).expect("create checkpoint store");
     let engine = kind.engine(store.logger().clone());
