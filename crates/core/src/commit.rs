@@ -49,12 +49,16 @@ impl MvTransaction {
     // ------------------------------------------------------------------
 
     /// Release all read locks, bucket locks and range locks held by this
-    /// transaction. Drains by popping so the vectors keep their capacity for
+    /// transaction. The read locks leave the handle's list in one step;
+    /// every list drains in place, so the vectors keep their capacity for
     /// the next transaction that recycles these buffers.
     pub(crate) fn release_locks(&mut self) {
-        while let Some(ptr) = self.ctx.bufs.read_locks.pop() {
+        let mut read_locks = std::mem::take(&mut self.ctx.bufs.scratch.read_locks);
+        self.ctx.handle.take_read_locks(&mut read_locks);
+        for ptr in read_locks.drain(..) {
             self.release_read_lock(ptr);
         }
+        self.ctx.bufs.scratch.read_locks = read_locks;
         if self.ctx.bufs.bucket_locks.is_empty() && self.ctx.bufs.range_locks.is_empty() {
             return;
         }

@@ -73,14 +73,10 @@ impl DerefMut for TxnContext {
 }
 
 impl TxnContext {
-    /// A context for a new transaction: the current thread's oldest pooled
-    /// one when it is exclusively ours, else a fresh allocation.
-    pub(crate) fn take(
-        id: TxnId,
-        begin_ts: Timestamp,
-        mode: ConcurrencyMode,
-        isolation: IsolationLevel,
-    ) -> TxnContext {
+    /// A context for a new transaction, its begin timestamp not yet drawn:
+    /// the current thread's oldest pooled one when it is exclusively ours,
+    /// else a fresh allocation.
+    pub(crate) fn take(id: TxnId, mode: ConcurrencyMode, isolation: IsolationLevel) -> TxnContext {
         let pooled = POOL.try_with(|pool| {
             let mut pool = pool.borrow_mut();
             let mut parts = pool.pop_front()?;
@@ -90,7 +86,7 @@ impl TxnContext {
             // epoch machinery), or held by a deadlock-detector snapshot, can
             // never be reset.
             if let Some(exclusive) = Arc::get_mut(&mut parts.handle) {
-                exclusive.reset_for(id, begin_ts, mode, isolation);
+                exclusive.reset_for(id, mode, isolation);
             } else if pool.len() + 1 < CONTEXTS_PER_THREAD {
                 // Back of the queue, and allocate: the pool is one context
                 // short of covering the reclamation lag.
@@ -101,14 +97,14 @@ impl TxnContext {
                 // stalled (a long pin somewhere — a checkpoint walk, a
                 // descheduled thread). Keep the warmed buffers and replace
                 // only the handle; the table's release frees the old one.
-                parts.handle = TxnHandle::new(id, begin_ts, mode, isolation);
+                parts.handle = TxnHandle::new(id, Timestamp::ZERO, mode, isolation);
             }
             Some(parts)
         });
         // `Err`: the thread is tearing down and its pool is gone.
         let parts = pooled.ok().flatten().unwrap_or_else(|| {
             Box::new(ContextParts {
-                handle: TxnHandle::new(id, begin_ts, mode, isolation),
+                handle: TxnHandle::new(id, Timestamp::ZERO, mode, isolation),
                 bufs: TxnBuffers::default(),
             })
         });

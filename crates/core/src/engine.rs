@@ -1,7 +1,8 @@
 //! The multiversion engine: public entry point tying the storage substrate
 //! and the two concurrency-control schemes together.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
@@ -29,28 +30,53 @@ const GC_BATCH: usize = 256;
 /// How often the background deadlock detector wakes up.
 const DEADLOCK_INTERVAL: std::time::Duration = std::time::Duration::from_millis(5);
 
+thread_local! {
+    /// This thread's commits not yet paid for by a cooperative GC step: a
+    /// counter of its own, so counting is no write shared between threads.
+    static COMMITS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Shared engine internals (store + configuration + background machinery).
 pub(crate) struct MvInner {
     pub(crate) store: MvStore,
     pub(crate) config: MvConfig,
-    /// Commits since the last cooperative garbage-collection step.
-    commits_since_gc: AtomicU64,
+    /// Held by the thread running a cooperative GC step
+    /// ([`MvInner::after_commit`]).
+    collector: parking_lot::Mutex<()>,
     /// Tells the background deadlock detector to stop.
     stop: AtomicBool,
 }
 
 impl MvInner {
     /// Cooperative maintenance performed by the committing thread itself: a
-    /// bounded garbage-collection step every `gc_every_n_commits` commits.
+    /// bounded garbage-collection step every `gc_every_n_commits` of this
+    /// thread's commits, so the total rate is one step per
+    /// `gc_every_n_commits` commits however they spread over threads.
+    ///
+    /// Two steps at once contend on every item (the queue lock, the table's
+    /// GC lock), and threads with equal commit rates fall due together and,
+    /// slowed alike, stay in step. So a step that falls due while another
+    /// runs waits for this thread's next commit, for one step's worth of
+    /// commits at most: when collection falls behind, steps must run side by
+    /// side.
     pub(crate) fn after_commit(&self) {
         let every = self.config.gc_every_n_commits;
         if every == 0 {
             return;
         }
-        let n = self.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(every) {
-            self.store.collect_garbage(GC_BATCH);
+        let owed = COMMITS.with(|commits| {
+            commits.set(commits.get() + 1);
+            commits.get()
+        });
+        if owed < every {
+            return;
         }
+        let collector = self.collector.try_lock();
+        if collector.is_none() && owed - every < every {
+            return;
+        }
+        COMMITS.with(|commits| commits.set(owed - every));
+        self.store.collect_garbage(GC_BATCH);
     }
 }
 
@@ -121,7 +147,7 @@ impl MvEngine {
         let inner = Arc::new(MvInner {
             store: MvStore::new(logger),
             config: config.clone(),
-            commits_since_gc: AtomicU64::new(0),
+            collector: parking_lot::Mutex::new(()),
             stop: AtomicBool::new(false),
         });
         if let CcPolicy::Adaptive {
@@ -236,17 +262,16 @@ impl MvEngine {
     /// concurrently against the same database (§4.5).
     pub fn begin_with(&self, mode: ConcurrencyMode, isolation: IsolationLevel) -> MvTransaction {
         let store = &self.inner.store;
-        // Hold the pending-begin guard across draw + register: without it a
-        // thread preempted here is invisible to the GC watermark, and
-        // versions its snapshot needs can be reclaimed out from under it
-        // (reads then come up empty — caught by the concurrency stress
-        // tests).
-        let pending = store.txns().pending_begin();
-        let id = store.clock().next_txn_id();
-        let begin_ts = store.clock().next_timestamp();
-        let ctx = TxnContext::take(id, begin_ts, mode, isolation);
+        // Register first, with the begin timestamp unset, and draw it second:
+        // a registered handle whose begin reads 0 holds the GC watermark at
+        // zero, so no version this snapshot needs can be reclaimed while
+        // the thread sits between the two steps (the argument is at
+        // `MvStore::collect_garbage`).
+        let ctx = TxnContext::take(store.clock().next_txn_id(), mode, isolation);
         store.txns().register(Arc::clone(&ctx.handle));
-        drop(pending);
+        #[cfg(test)]
+        crate::txn::race_hooks::fire(crate::txn::race_hooks::Gap::BeginDraw);
+        ctx.handle.set_begin_ts(store.clock().next_timestamp());
         MvTransaction::new(Arc::clone(&self.inner), ctx)
     }
 
@@ -534,9 +559,10 @@ impl std::fmt::Debug for MvEngine {
 #[cfg(test)]
 mod snapshot_stability_stress {
     //! Regression net for three races this suite caught during bootstrap
-    //! (all fixed): the begin-draw/registration GC-watermark race, the
-    //! non-atomic watermark shard sweep, and the drawn-but-unpublished end
-    //! timestamp window at precommit. Each made reads of permanently-present
+    //! (all fixed): the begin-draw/registration GC-watermark race (pinned
+    //! deterministically by `begin_regression`), the non-atomic watermark
+    //! bucket sweep, and the drawn-but-unpublished end timestamp window at
+    //! precommit. Each made reads of permanently-present
     //! keys transiently return `None` under heavy concurrent updates.
     //!
     //! Two entry points share one stress round:

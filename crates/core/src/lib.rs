@@ -39,6 +39,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(test)]
+mod begin_regression;
 pub mod commit;
 pub mod config;
 mod context;

@@ -105,6 +105,9 @@ pub(crate) struct TxnScratch {
     /// Drain target for the handle's WaitingTxnList and CommitDepSet at
     /// precommit / termination, so neither list gives up its capacity.
     pub(crate) txn_ids: Vec<TxnId>,
+    /// Drain target for the handle's read-lock list at lock release (MV/L),
+    /// for the same reason.
+    pub(crate) read_locks: Vec<VersionPtr>,
 }
 
 /// The complete recyclable buffer set of a transaction, pooled as half of a
@@ -118,8 +121,6 @@ pub(crate) struct TxnBuffers {
     pub(crate) read_set: Vec<ReadEntry>,
     pub(crate) scan_set: Vec<ScanEntry>,
     pub(crate) write_set: Vec<WriteEntry>,
-    /// Versions read-locked by this (pessimistic) transaction.
-    pub(crate) read_locks: Vec<VersionPtr>,
     /// Buckets locked by this (serializable pessimistic) transaction.
     pub(crate) bucket_locks: Vec<BucketLockRef>,
     /// Ordered-index ranges locked by this (serializable pessimistic)
@@ -140,13 +141,13 @@ impl TxnBuffers {
         self.read_set.clear();
         self.scan_set.clear();
         self.write_set.clear();
-        self.read_locks.clear();
         self.bucket_locks.clear();
         self.range_locks.clear();
         self.touched.clear();
         self.scratch.keys.clear();
         self.scratch.log_buf.clear();
         self.scratch.txn_ids.clear();
+        self.scratch.read_locks.clear();
     }
 }
 
@@ -396,7 +397,6 @@ impl MvTransaction {
                         }
                     }
                 }
-                self.ctx.bufs.read_locks.push(ptr);
                 self.ctx.handle.record_read_lock(ptr);
                 Ok(())
             }
@@ -425,9 +425,10 @@ impl MvTransaction {
         });
     }
 
-    /// Release one read lock (end of normal processing, §4.3.1). If we are
-    /// the last reader of a write-locked version we also release the writer's
-    /// wait-for dependency (§4.2.1).
+    /// Release one read lock (end of normal processing, §4.3.1), already
+    /// taken off the handle's list. If we are the last reader of a
+    /// write-locked version we also release the writer's wait-for dependency
+    /// (§4.2.1).
     pub(crate) fn release_read_lock(&self, ptr: VersionPtr) {
         let version = ptr.get();
         let outcome = version.update_end(|word| match word {
@@ -454,7 +455,6 @@ impl MvTransaction {
                 }
             }
         }
-        self.ctx.handle.forget_read_lock(ptr);
     }
 
     /// Install a wait-for dependency *on ourselves* held by `holder`: we may
@@ -562,13 +562,9 @@ impl MvTransaction {
             }));
         }
         if let EndWord::Lock(lock) = observed {
-            let own = self
-                .ctx
-                .bufs
-                .read_locks
-                .iter()
-                .filter(|p| **p == ptr)
-                .count() as u8;
+            // Counted and dropped from our list in one step; the lock word
+            // itself is updated below.
+            let own = self.ctx.handle.remove_read_locks_on(ptr) as u8;
             let others = lock.read_lock_count.saturating_sub(own);
             if others > 0 {
                 // Eager update of a version read-locked by others: we cannot
@@ -585,10 +581,6 @@ impl MvTransaction {
                 // Upgrade: drop our own read locks — the write lock now
                 // guarantees the read's stability, and waiting on our own
                 // read lock would deadlock us with ourselves.
-                self.ctx.bufs.read_locks.retain(|p| *p != ptr);
-                for _ in 0..own {
-                    self.ctx.handle.forget_read_lock(ptr);
-                }
                 let removed = version.update_end(|word| match word {
                     EndWord::Lock(l) if l.read_lock_count >= own => {
                         let mut upgraded = l;
@@ -1255,6 +1247,9 @@ pub(crate) mod race_hooks {
         /// In every writing commit, after the end timestamp is drawn and
         /// before the redo frame is appended.
         EndTsAppend,
+        /// In every `begin`, after the handle is registered and before its
+        /// begin timestamp is drawn.
+        BeginDraw,
     }
 
     type Hook = RefCell<Option<Box<dyn FnMut()>>>;
@@ -1262,9 +1257,7 @@ pub(crate) mod race_hooks {
     thread_local! {
         /// One slot per [`Gap`], each its own cell, so a hook may pass
         /// through another gap.
-        static HOOKS: [Hook; 3] = const {
-            [RefCell::new(None), RefCell::new(None), RefCell::new(None)]
-        };
+        static HOOKS: [Hook; 4] = const { [const { RefCell::new(None) }; 4] };
     }
 
     /// Install `hook` on the current thread; it fires every time this

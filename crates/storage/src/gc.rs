@@ -8,13 +8,18 @@
 //! invisible), but they are reclaimed under the same watermark rule so that a
 //! transaction that speculatively read them can never observe freed memory.
 //!
-//! Collection is *cooperative*: worker threads push garbage onto a global
-//! lock-free queue as part of postprocessing and periodically run a bounded
-//! collection step ([`MvStore::collect_garbage`](crate::store::MvStore::collect_garbage)).
+//! Collection is *cooperative*: worker threads push garbage onto one FIFO
+//! queue as part of postprocessing and periodically run a bounded collection
+//! step ([`MvStore::collect_garbage`](crate::store::MvStore::collect_garbage))
+//! that drains the queue from its head. Items arrive in postprocessing order,
+//! which is end-timestamp order apart from the few commits in flight at the
+//! same moment, so the step stops at the first head that is not yet
+//! reclaimable: that holds an item back only until the one in front of it
+//! becomes reclaimable too.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
 
-use crossbeam::queue::SegQueue;
+use parking_lot::Mutex;
 
 use mmdb_common::ids::{TableId, Timestamp};
 
@@ -33,43 +38,40 @@ pub struct GcItem {
     pub reclaimable_at: Timestamp,
 }
 
-/// Global queue of not-yet-reclaimed garbage.
+/// The not-yet-reclaimed garbage, oldest first.
 #[derive(Debug, Default)]
 pub struct GcQueue {
-    queue: SegQueue<GcItem>,
-    pending: AtomicUsize,
+    queue: Mutex<VecDeque<GcItem>>,
 }
 
 impl GcQueue {
     /// Create an empty queue.
     pub fn new() -> GcQueue {
-        GcQueue {
-            queue: SegQueue::new(),
-            pending: AtomicUsize::new(0),
-        }
+        GcQueue::default()
     }
 
-    /// Enqueue a piece of garbage.
+    /// Enqueue a piece of garbage at the back.
     pub fn push(&self, item: GcItem) {
-        self.queue.push(item);
-        self.pending.fetch_add(1, Ordering::Relaxed);
+        self.queue.lock().push_back(item);
     }
 
-    /// Dequeue one piece of garbage, if any.
-    pub fn pop(&self) -> Option<GcItem> {
-        let item = self.queue.pop();
-        if item.is_some() {
-            self.pending.fetch_sub(1, Ordering::Relaxed);
+    /// Dequeue the head if it is reclaimable under `watermark`
+    /// (`reclaimable_at < watermark`); otherwise leave the queue as it is.
+    pub fn pop_before(&self, watermark: Timestamp) -> Option<GcItem> {
+        let mut queue = self.queue.lock();
+        if queue.front()?.reclaimable_at < watermark {
+            queue.pop_front()
+        } else {
+            None
         }
-        item
     }
 
-    /// Number of pending items (approximate under concurrency).
+    /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.pending.load(Ordering::Relaxed)
+        self.queue.lock().len()
     }
 
-    /// True when nothing is pending.
+    /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -81,6 +83,7 @@ mod tests {
     use crate::table::Table;
     use crossbeam::epoch;
     use mmdb_common::row::{rowbuf, TableSpec};
+    use mmdb_common::INFINITY_TS;
 
     fn some_version_ptr() -> VersionPtr {
         // Build a real version through a throwaway table so the pointer is a
@@ -98,9 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn push_pop_fifo_bookkeeping() {
+    fn pop_before_drains_the_reclaimable_prefix_in_push_order() {
         let q = GcQueue::new();
         assert!(q.is_empty());
+        assert!(q.pop_before(INFINITY_TS).is_none());
         let ptr = some_version_ptr();
         for i in 0..10u64 {
             q.push(GcItem {
@@ -110,14 +114,18 @@ mod tests {
             });
         }
         assert_eq!(q.len(), 10);
-        let mut seen = 0;
-        while let Some(item) = q.pop() {
-            assert_eq!(item.table, TableId(0));
-            seen += 1;
+        let mut popped = Vec::new();
+        while let Some(item) = q.pop_before(Timestamp(5)) {
+            popped.push(item.reclaimable_at.raw());
         }
-        assert_eq!(seen, 10);
+        assert_eq!(popped, [0, 1, 2, 3, 4], "exactly the prefix below 5");
+        assert_eq!(q.len(), 5, "a head at the watermark stays queued");
+        assert!(q.pop_before(Timestamp(5)).is_none());
+        while let Some(item) = q.pop_before(INFINITY_TS) {
+            popped.push(item.reclaimable_at.raw());
+        }
+        assert_eq!(popped, (0..10).collect::<Vec<_>>());
         assert!(q.is_empty());
-        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -143,12 +151,16 @@ mod tests {
             p.join().unwrap();
         }
         assert_eq!(q.len(), 2000);
+        assert!(
+            q.pop_before(Timestamp::ZERO).is_none(),
+            "nothing is reclaimable below zero"
+        );
         let consumers: Vec<_> = (0..4)
             .map(|_| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut n = 0usize;
-                    while q.pop().is_some() {
+                    while q.pop_before(INFINITY_TS).is_some() {
                         n += 1;
                     }
                     n

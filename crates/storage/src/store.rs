@@ -11,7 +11,7 @@ use crossbeam::epoch::{self, Guard};
 
 use mmdb_common::clock::GlobalClock;
 use mmdb_common::error::{MmdbError, Result};
-use mmdb_common::ids::{TableId, Timestamp};
+use mmdb_common::ids::TableId;
 use mmdb_common::row::{Row, TableSpec};
 use mmdb_common::stats::EngineStats;
 
@@ -145,81 +145,77 @@ impl MvStore {
         self.gc.push(item);
     }
 
-    /// Run one bounded garbage-collection step: examine up to `limit` queued
-    /// items, reclaim the ones whose end timestamp lies below the visibility
-    /// watermark, and requeue the rest. Returns the number reclaimed.
+    /// Run one bounded garbage-collection step: pop queued items from the
+    /// head while their end timestamp lies below the visibility watermark,
+    /// up to `limit`, and reclaim them. Returns the number reclaimed.
     ///
     /// Any thread may call this at any time (cooperative collection); unlinks
     /// are serialized per table via the table's GC lock.
     pub fn collect_garbage(&self, limit: usize) -> usize {
-        let budget = limit.min(self.gc.len());
-        if budget == 0 {
+        if limit == 0 || self.gc.is_empty() {
             return 0;
         }
         // Versions are reclaimable when every registered transaction began
         // after their retirement timestamp. With no active transactions,
         // everything already queued is reclaimable.
         //
-        // The watermark is computed race-free in three ordered steps:
-        // 1. the pending-begin check catches transactions that drew a begin
-        //    timestamp but have not registered yet;
-        // 2. `sweep_floor` (the clock *before* the sweep) bounds the begin
-        //    timestamp of any transaction that registers into an
-        //    already-visited shard while the sweep runs — the sweep can miss
-        //    it, but its begin is necessarily >= this value;
-        // 3. the shard sweep covers everything registered before the sweep
-        //    reached its shard.
-        // Skipping any one of these lets the collector reclaim a version a
-        // live snapshot still needs (observed as reads returning None under
-        // the concurrency stress tests).
-        let watermark = if self.txns.has_pending_begins() {
-            Timestamp::ZERO
-        } else {
-            let sweep_floor = self.clock.now();
-            match self.txns.min_active_begin() {
-                Some(m) => m.min(sweep_floor),
-                None => sweep_floor,
-            }
+        // `sweep_floor` is the clock read *before* the bucket-by-bucket
+        // sweep of `min_active_begin`, which is not atomic. It still sees
+        // every transaction whose snapshot could need a version below the
+        // floor, because `begin_with` registers the handle (a CAS) *before*
+        // it draws the begin timestamp (a `SeqCst` read-modify-write of the
+        // clock):
+        // - a transaction that drew a begin timestamp below `sweep_floor` made
+        //   that draw before our `SeqCst` load of the clock, so its
+        //   registration, sequenced before the draw, happened before our
+        //   sweep began, and the sweep sees it;
+        // - if the sweep sees it before its begin timestamp is published,
+        //   the handle still reads 0 and the watermark is zero;
+        // - a transaction the sweep misses draws at or above `sweep_floor`,
+        //   later than every item reclaimed under it.
+        // Drawing before registering breaks the first point: a thread
+        // preempted between the two steps is invisible to the sweep while
+        // its timestamp is already old, so versions its snapshot needs get
+        // reclaimed and its reads come up empty (`begin_regression` pins
+        // that interleaving).
+        let sweep_floor = self.clock.now();
+        let watermark = match self.txns.min_active_begin() {
+            Some(m) => m.min(sweep_floor),
+            None => sweep_floor,
         };
         let guard = epoch::pin();
         let mut reclaimed = 0;
-        let mut requeue = Vec::new();
-        for _ in 0..budget {
-            let Some(item) = self.gc.pop() else { break };
-            if item.reclaimable_at < watermark {
-                if let Ok(table) = self.table(item.table) {
-                    let shared = item.version.as_shared(&guard);
-                    {
-                        let _gc_lock = table.gc_guard();
-                        table.unlink_version(shared, &guard);
-                    }
-                    // The version is unreachable from every index and no
-                    // active transaction can still hold an interest in it
-                    // (watermark rule); the epoch machinery delays what
-                    // happens next until all current readers unpin. Instead
-                    // of freeing it we feed it back to the table's version
-                    // pool, so steady-state writes reuse the allocation
-                    // (`Table::make_version_with`). The closure captures the
-                    // table `Arc` (keeping the pool alive) and the raw
-                    // address — small enough for the epoch layer's inline
-                    // deferred storage, so this defers without allocating.
-                    let raw = shared.as_raw() as usize;
-                    // SAFETY: unlinked above; `recycle_version`'s contract
-                    // (exclusive, past the grace period) holds when the
-                    // deferred closure runs.
-                    unsafe {
-                        guard.defer_unchecked(move || {
-                            table.recycle_version(raw as *mut crate::version::Version);
-                        });
-                    }
-                    reclaimed += 1;
-                }
-            } else {
-                requeue.push(item);
+        for _ in 0..limit {
+            let Some(item) = self.gc.pop_before(watermark) else {
+                break;
+            };
+            let Ok(table) = self.table(item.table) else {
+                continue;
+            };
+            let shared = item.version.as_shared(&guard);
+            {
+                let _gc_lock = table.gc_guard();
+                table.unlink_version(shared, &guard);
             }
-        }
-        for item in requeue {
-            self.gc.push(item);
+            // The version is unreachable from every index and no active
+            // transaction can still hold an interest in it (watermark rule);
+            // the epoch machinery delays what happens next until all current
+            // readers unpin. Instead of freeing it we feed it back to the
+            // table's version pool, so steady-state writes reuse the
+            // allocation (`Table::make_version_with`). The closure captures
+            // the table `Arc` (keeping the pool alive) and the raw address —
+            // small enough for the epoch layer's inline deferred storage, so
+            // this defers without allocating.
+            let raw = shared.as_raw() as usize;
+            // SAFETY: unlinked above; `recycle_version`'s contract
+            // (exclusive, past the grace period) holds when the deferred
+            // closure runs.
+            unsafe {
+                guard.defer_unchecked(move || {
+                    table.recycle_version(raw as *mut crate::version::Version);
+                });
+            }
+            reclaimed += 1;
         }
         if reclaimed > 0 {
             EngineStats::add(&self.stats.versions_collected, reclaimed as u64);
@@ -277,60 +273,12 @@ mod tests {
         assert!(hits[0].get().end_word().is_latest());
     }
 
-    #[test]
-    fn gc_respects_watermark() {
-        let (store, t) = store_with_table(10);
-        let table = store.table(t).unwrap();
-
-        // Simulate an update: retire version for key 3 at timestamp `retire_ts`.
-        let guard = epoch::pin();
-        let old = table
-            .candidate_ptrs(IndexId(0), 3, &guard)
-            .unwrap()
-            .next()
-            .unwrap();
-        let retire_ts = store.clock().next_timestamp();
-        old.get().set_end(EndWord::Timestamp(retire_ts));
-        store.enqueue_garbage(GcItem {
-            table: t,
-            version: old,
-            reclaimable_at: retire_ts,
-        });
-
-        // An "active" transaction that began before retirement blocks collection.
-        let blocker = crate::txn_table::TxnHandle::new(
-            TxnId(999),
-            Timestamp(retire_ts.raw() - 1),
-            ConcurrencyMode::Optimistic,
-            IsolationLevel::Serializable,
-        );
-        store.txns().register(Arc::clone(&blocker));
-        assert_eq!(store.collect_garbage(16), 0);
-        assert_eq!(store.gc_queue().len(), 1, "item must be requeued");
-        assert_eq!(table.version_count(), 10);
-
-        // Once the blocker goes away (and a newer transaction exists), the
-        // version is reclaimed.
-        store.txns().remove(TxnId(999));
-        let newer = crate::txn_table::TxnHandle::new(
-            TxnId(1000),
-            store.clock().next_timestamp(),
-            ConcurrencyMode::Optimistic,
-            IsolationLevel::Serializable,
-        );
-        store.txns().register(newer);
-        assert_eq!(store.collect_garbage(16), 1);
-        assert_eq!(store.gc_queue().len(), 0);
-        assert_eq!(table.version_count(), 9);
-        assert_eq!(store.stats().snapshot().versions_collected, 1);
-    }
-
-    #[test]
-    fn gc_with_no_active_transactions_reclaims_everything_queued() {
-        let (store, t) = store_with_table(5);
+    /// Retire the versions of `keys`, one fresh timestamp each, pushing them
+    /// onto the garbage queue in key order. Returns the timestamps.
+    fn retire(store: &MvStore, t: TableId, keys: std::ops::Range<u64>) -> Vec<Timestamp> {
         let table = store.table(t).unwrap();
         let guard = epoch::pin();
-        for key in 0..5u64 {
+        keys.map(|key| {
             let ptr = table
                 .candidate_ptrs(IndexId(0), key, &guard)
                 .unwrap()
@@ -343,7 +291,69 @@ mod tests {
                 version: ptr,
                 reclaimable_at: ts,
             });
+            ts
+        })
+        .collect()
+    }
+
+    fn register_blocker(store: &MvStore, id: u64, begin: Timestamp) {
+        store.txns().register(crate::txn_table::TxnHandle::new(
+            TxnId(id),
+            begin,
+            ConcurrencyMode::Optimistic,
+            IsolationLevel::Serializable,
+        ));
+    }
+
+    fn reachable(table: &Table, key: u64) -> bool {
+        let guard = epoch::pin();
+        let found = table
+            .candidate_ptrs(IndexId(0), key, &guard)
+            .unwrap()
+            .next()
+            .is_some();
+        found
+    }
+
+    #[test]
+    fn gc_respects_watermark() {
+        for n in [1u64, 1_000] {
+            let (store, t) = store_with_table(n);
+            let table = store.table(t).unwrap();
+            let retired = retire(&store, t, 0..n);
+
+            // An active transaction that began before every retirement blocks
+            // the whole pass and leaves the queue as it was.
+            register_blocker(&store, 999, Timestamp(retired[0].raw() - 1));
+            assert_eq!(store.collect_garbage(2 * n as usize), 0);
+            assert_eq!(store.gc_queue().len(), n as usize, "items stay queued");
+            assert_eq!(table.version_count(), n as usize);
+            store.txns().remove(TxnId(999));
+
+            // One that began in the middle lets exactly the prefix retired
+            // before it out, in push order.
+            let mid = n / 2;
+            register_blocker(&store, 1000, retired[mid as usize]);
+            assert_eq!(store.collect_garbage(2 * n as usize), mid as usize);
+            assert_eq!(store.gc_queue().len(), (n - mid) as usize);
+            assert!((0..n).all(|key| reachable(&table, key) == (key >= mid)));
+            store.txns().remove(TxnId(1000));
+
+            // Once it goes away too (and a newer transaction exists), the
+            // rest is reclaimed.
+            register_blocker(&store, 1001, store.clock().next_timestamp());
+            assert_eq!(store.collect_garbage(2 * n as usize), (n - mid) as usize);
+            assert_eq!(store.gc_queue().len(), 0);
+            assert_eq!(table.version_count(), 0);
+            assert_eq!(store.stats().snapshot().versions_collected, n);
         }
+    }
+
+    #[test]
+    fn gc_with_no_active_transactions_reclaims_everything_queued() {
+        let (store, t) = store_with_table(5);
+        let table = store.table(t).unwrap();
+        retire(&store, t, 0..5);
         // Bounded step: only collect 2 at a time.
         assert_eq!(store.collect_garbage(2), 2);
         assert_eq!(store.collect_garbage(16), 3);
@@ -426,23 +436,8 @@ mod tests {
     fn gc_recycles_versions_into_the_table_pool() {
         let (store, t) = store_with_table(8);
         let table = store.table(t).unwrap();
-        let guard = epoch::pin();
-        for key in 0..8u64 {
-            let ptr = table
-                .candidate_ptrs(IndexId(0), key, &guard)
-                .unwrap()
-                .next()
-                .unwrap();
-            let ts = store.clock().next_timestamp();
-            ptr.get().set_end(EndWord::Timestamp(ts));
-            store.enqueue_garbage(GcItem {
-                table: t,
-                version: ptr,
-                reclaimable_at: ts,
-            });
-        }
+        retire(&store, t, 0..8);
         assert_eq!(store.collect_garbage(16), 8);
-        drop(guard);
         // Recycling is epoch-deferred: it runs two epochs on.
         mmdb_index::test_support::flush_epochs_until(|| table.pooled_versions() == 8);
         assert_eq!(

@@ -22,7 +22,7 @@
 //! the transitions a sleeper waits for wake it (see [`TxnHandle::set_state`]),
 //! so a transaction that meets no other transaction makes no system call.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -126,7 +126,9 @@ struct WaitingTxnList {
 #[derive(Debug)]
 pub struct TxnHandle {
     id: TxnId,
-    begin_ts: Timestamp,
+    /// Begin timestamp; 0 until [`TxnHandle::set_begin_ts`] publishes it.
+    /// Release store, acquire load; it publishes nothing but itself.
+    begin_ts: AtomicU64,
     mode: ConcurrencyMode,
     isolation: IsolationLevel,
     state: AtomicU8,
@@ -149,10 +151,11 @@ pub struct TxnHandle {
     no_more_wait_fors: AtomicBool,
     /// Transactions waiting on this one to complete normal processing.
     waiting_txn_list: Mutex<WaitingTxnList>,
-    /// Versions this transaction currently holds read locks on. Mirrors the
-    /// transaction's private ReadSet so the deadlock detector can derive the
-    /// *implicit* wait-for edges of §4.4 (an updater of a read-locked version
-    /// waits on every reader of that version).
+    /// Versions this transaction currently holds read locks on (one entry
+    /// per lock): the list its lock release drains, and the one the
+    /// deadlock detector derives the *implicit* wait-for edges of §4.4 from
+    /// (an updater of a read-locked version waits on every reader of that
+    /// version).
     read_lock_versions: Mutex<Vec<VersionPtr>>,
 
     // --- Sleeping / wakeup ---
@@ -164,7 +167,8 @@ pub struct TxnHandle {
 }
 
 impl TxnHandle {
-    /// Create a handle for a transaction that just acquired `begin_ts`.
+    /// Create a handle for a transaction whose begin timestamp is `begin_ts`
+    /// ([`Timestamp::ZERO`] for one whose timestamp is not drawn yet).
     pub fn new(
         id: TxnId,
         begin_ts: Timestamp,
@@ -173,7 +177,7 @@ impl TxnHandle {
     ) -> Arc<TxnHandle> {
         Arc::new(TxnHandle {
             id,
-            begin_ts,
+            begin_ts: AtomicU64::new(begin_ts.raw()),
             mode,
             isolation,
             state: AtomicU8::new(TxnState::Active as u8),
@@ -197,10 +201,17 @@ impl TxnHandle {
         self.id
     }
 
-    /// Begin timestamp.
+    /// Begin timestamp ([`Timestamp::ZERO`] while unpublished).
     #[inline]
     pub fn begin_ts(&self) -> Timestamp {
-        self.begin_ts
+        Timestamp(self.begin_ts.load(Ordering::Acquire))
+    }
+
+    /// Publish the begin timestamp, drawn after the handle was registered
+    /// (see `MvStore::collect_garbage` for why in that order).
+    #[inline]
+    pub fn set_begin_ts(&self, ts: Timestamp) {
+        self.begin_ts.store(ts.raw(), Ordering::Release);
     }
 
     /// Concurrency mode (optimistic / pessimistic) the transaction runs in.
@@ -452,18 +463,24 @@ impl TxnHandle {
         self.waiting_txn_list.lock().waiters.contains(&txn)
     }
 
-    /// Record that this transaction read-locked `version` (deadlock-detector
-    /// mirror of the ReadSet).
+    /// Record that this transaction read-locked `version`.
     pub fn record_read_lock(&self, version: VersionPtr) {
         self.read_lock_versions.lock().push(version);
     }
 
-    /// Forget a recorded read lock (called when the lock is released).
-    pub fn forget_read_lock(&self, version: VersionPtr) {
+    /// Move every recorded read lock to the end of `into`, for release. The
+    /// list keeps its capacity (see [`TxnHandle::reset_for`]).
+    pub fn take_read_locks(&self, into: &mut Vec<VersionPtr>) {
+        into.append(&mut self.read_lock_versions.lock());
+    }
+
+    /// Forget every read lock recorded on `version` and return how many
+    /// there were (a lock upgrade drops its own read locks).
+    pub fn remove_read_locks_on(&self, version: VersionPtr) -> usize {
         let mut set = self.read_lock_versions.lock();
-        if let Some(pos) = set.iter().position(|v| *v == version) {
-            set.swap_remove(pos);
-        }
+        let before = set.len();
+        set.retain(|v| *v != version);
+        before - set.len()
     }
 
     /// Snapshot of the versions this transaction currently holds read locks
@@ -484,22 +501,17 @@ impl TxnHandle {
         self.wait_cv.notify_all();
     }
 
-    /// Re-initialize a recycled handle for a fresh transaction. Requires
+    /// Re-initialize a recycled handle for a fresh transaction, its begin
+    /// timestamp unpublished (0). Requires
     /// exclusive access (`Arc::get_mut` — the engine's handle pool only
     /// recycles handles whose strong count is back to one, which the
     /// epoch-deferred release of the transaction table's reference
     /// guarantees cannot happen while any lock-free lookup still borrows the
     /// handle or walks through it). Waiter lists keep their capacity: a
     /// recycled handle's steady-state registration allocates nothing.
-    pub fn reset_for(
-        &mut self,
-        id: TxnId,
-        begin_ts: Timestamp,
-        mode: ConcurrencyMode,
-        isolation: IsolationLevel,
-    ) {
+    pub fn reset_for(&mut self, id: TxnId, mode: ConcurrencyMode, isolation: IsolationLevel) {
         self.id = id;
-        self.begin_ts = begin_ts;
+        *self.begin_ts.get_mut() = 0;
         self.mode = mode;
         self.isolation = isolation;
         *self.state.get_mut() = TxnState::Active as u8;
@@ -601,26 +613,6 @@ pub struct TxnTable {
     /// removers of adjacent handles could otherwise leave the second one
     /// reachable forever, pinning the garbage-collection watermark.
     unlink_stripes: [Mutex<()>; UNLINK_STRIPES],
-    /// Number of threads currently between drawing a begin timestamp and
-    /// registering the handle. While non-zero, the garbage-collection
-    /// watermark must not advance: the pending transaction's begin timestamp
-    /// may be arbitrarily old by the time it registers (the thread can be
-    /// preempted in that window), and reclaiming a version it still needs
-    /// makes its reads come up empty.
-    pending_begins: AtomicUsize,
-}
-
-/// RAII guard for the draw-timestamp → register window of `begin`. Obtained
-/// from [`TxnTable::pending_begin`]; hold it across the timestamp draw and
-/// the [`TxnTable::register`] call.
-pub struct PendingBegin<'a> {
-    table: &'a TxnTable,
-}
-
-impl Drop for PendingBegin<'_> {
-    fn drop(&mut self) {
-        self.table.pending_begins.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 impl Default for TxnTable {
@@ -635,23 +627,7 @@ impl TxnTable {
         TxnTable {
             index: HashIndex::new(0, TXN_BUCKETS),
             unlink_stripes: std::array::from_fn(|_| Mutex::new(())),
-            pending_begins: AtomicUsize::new(0),
         }
-    }
-
-    /// Mark the start of a `begin` operation. The returned guard must stay
-    /// alive until the new handle is registered; while any such guard exists,
-    /// [`TxnTable::min_active_begin`] reports [`Timestamp::ZERO`] so the
-    /// garbage collector reclaims nothing.
-    pub fn pending_begin(&self) -> PendingBegin<'_> {
-        self.pending_begins.fetch_add(1, Ordering::AcqRel);
-        PendingBegin { table: self }
-    }
-
-    /// True while any thread is between drawing a begin timestamp and
-    /// registering its handle.
-    pub fn has_pending_begins(&self) -> bool {
-        self.pending_begins.load(Ordering::Acquire) > 0
     }
 
     /// Register a handle under its id (any `u64`; none is reserved): a CAS
@@ -735,22 +711,16 @@ impl TxnTable {
         self.len() == 0
     }
 
-    /// Minimum begin timestamp over all registered transactions.
+    /// Minimum begin timestamp over all registered transactions; a handle
+    /// whose begin timestamp is not published yet counts as
+    /// [`Timestamp::ZERO`].
     ///
     /// **Caveat for reclamation:** the bucket-by-bucket sweep is not atomic —
     /// a transaction that registers into an already-visited bucket while the
-    /// sweep is running is missed. Such a transaction necessarily drew its
-    /// begin timestamp after the sweep started (anything earlier is caught by
-    /// the pending-begin check), so callers using this as a garbage-collection
-    /// watermark must additionally clamp it to a clock value read *before*
-    /// the sweep (see `MvStore::collect_garbage`).
+    /// sweep is running is missed. Callers using this as a
+    /// garbage-collection watermark must clamp it to a clock value read
+    /// *before* the sweep (see `MvStore::collect_garbage`).
     pub fn min_active_begin(&self) -> Option<Timestamp> {
-        if self.pending_begins.load(Ordering::Acquire) > 0 {
-            // A transaction is mid-`begin`: its (possibly already drawn,
-            // arbitrarily old) timestamp is not in the table yet, so no
-            // watermark above zero is safe.
-            return Some(Timestamp::ZERO);
-        }
         self.handles(&epoch::pin()).map(TxnHandle::begin_ts).min()
     }
 
@@ -797,6 +767,7 @@ mod tests {
     use super::*;
     use mmdb_common::ids::MAX_TXN_ID;
     use mmdb_index::test_support::flush_epochs_until;
+    use std::sync::atomic::AtomicUsize;
 
     fn handle(id: u64, begin: u64) -> Arc<TxnHandle> {
         TxnHandle::new(
@@ -1180,20 +1151,18 @@ mod tests {
     }
 
     #[test]
-    fn pending_begin_blocks_the_watermark() {
+    fn an_unpublished_begin_pins_the_watermark_at_zero() {
         let table = TxnTable::new();
         table.register(handle(1, 500));
         assert_eq!(table.min_active_begin(), Some(Timestamp(500)));
-        {
-            let _guard = table.pending_begin();
-            assert!(table.has_pending_begins());
-            assert_eq!(
-                table.min_active_begin(),
-                Some(Timestamp::ZERO),
-                "a transaction mid-begin must pin the watermark at zero"
-            );
-        }
-        assert!(!table.has_pending_begins());
+        let mid_begin = handle(2, 0);
+        table.register(Arc::clone(&mid_begin));
+        assert_eq!(
+            table.min_active_begin(),
+            Some(Timestamp::ZERO),
+            "a transaction registered but not yet timestamped must pin the watermark at zero"
+        );
+        mid_begin.set_begin_ts(Timestamp(600));
         assert_eq!(table.min_active_begin(), Some(Timestamp(500)));
     }
 

@@ -1,6 +1,6 @@
 //! Minimal offline stand-in for the `crossbeam` crate.
 //!
-//! Implements the two submodules this workspace uses:
+//! Implements the one submodule this workspace uses:
 //!
 //! * [`epoch`] — the `crossbeam_epoch` pointer API (`Atomic` / `Owned` /
 //!   `Shared` / `Guard` / `pin` / `defer_destroy` / `defer_unchecked` /
@@ -8,8 +8,6 @@
 //!   padded participant record and a set of garbage bags per thread, frees
 //!   two epochs after retirement. Pinning writes only the thread's own
 //!   record and takes no lock.
-//! * [`queue`] — an unbounded MPMC [`queue::SegQueue`] backed by a mutexed
-//!   `VecDeque`.
 
 pub mod epoch {
     //! Epoch-protected pointers; the reclamation scheme behind [`pin`] is
@@ -306,71 +304,9 @@ pub mod epoch {
     }
 }
 
-pub mod queue {
-    //! Concurrent queues.
-
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    /// An unbounded MPMC FIFO queue.
-    pub struct SegQueue<T> {
-        inner: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> SegQueue<T> {
-        /// Create an empty queue.
-        pub fn new() -> SegQueue<T> {
-            SegQueue {
-                inner: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        /// Push onto the back.
-        pub fn push(&self, value: T) {
-            self.inner
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push_back(value);
-        }
-
-        /// Pop from the front.
-        pub fn pop(&self) -> Option<T> {
-            self.inner
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .pop_front()
-        }
-
-        /// Number of queued items.
-        pub fn len(&self) -> usize {
-            self.inner.lock().unwrap_or_else(|p| p.into_inner()).len()
-        }
-
-        /// True when nothing is queued.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Default for SegQueue<T> {
-        fn default() -> SegQueue<T> {
-            SegQueue::new()
-        }
-    }
-
-    impl<T> std::fmt::Debug for SegQueue<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("SegQueue")
-                .field("len", &self.len())
-                .finish()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::epoch::{self, Atomic, Owned};
-    use super::queue::SegQueue;
     use std::sync::atomic::Ordering;
 
     #[test]
@@ -425,17 +361,5 @@ mod tests {
         assert!(n.is_null());
         assert_eq!(n.tag(), 1);
         assert!(unsafe { n.as_ref() }.is_none());
-    }
-
-    #[test]
-    fn seg_queue_fifo() {
-        let q = SegQueue::new();
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 }
