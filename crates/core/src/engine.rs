@@ -13,7 +13,7 @@ use mmdb_common::isolation::{ConcurrencyMode, IsolationLevel};
 use mmdb_common::row::{Row, TableSpec};
 use mmdb_common::stats::EngineStats;
 
-use mmdb_storage::checkpoint::{CheckpointRef, CheckpointStore, RecoveryPlan};
+use mmdb_storage::checkpoint::{CheckpointRef, CheckpointStore, FinishedCheckpoint, RecoveryPlan};
 use mmdb_storage::durable::{DeltaBarrier, Durable};
 use mmdb_storage::log::{RecoveryReport, RedoLogger};
 use mmdb_storage::store::MvStore;
@@ -425,7 +425,7 @@ impl MvEngine {
 }
 
 impl Durable for MvEngine {
-    /// Take a checkpoint into `store` and truncate the redo log below it.
+    /// Write a base image of every table into `store`.
     ///
     /// The engine must have been created with `store`'s group-commit log as
     /// its redo logger ([`MvEngine::with_logger`] of
@@ -442,7 +442,7 @@ impl Durable for MvEngine {
     /// every frame wholly below the LSN commits inside the snapshot.
     /// Recovery replays the tail above the LSN, skipping records at or
     /// below the snapshot timestamp.
-    fn checkpoint(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
+    fn base_image(&self, store: &CheckpointStore) -> Result<FinishedCheckpoint> {
         use mmdb_common::engine::EngineTxn as _;
 
         // Order matters (see above): log high-water mark first, snapshot
@@ -453,7 +453,7 @@ impl Durable for MvEngine {
             IsolationLevel::SnapshotIsolation,
         );
         let read_ts = txn.begin_ts();
-        let mut writer = store.begin_checkpoint(ckpt_lsn, read_ts)?;
+        let mut writer = store.begin_image(ckpt_lsn, read_ts, Timestamp::ZERO)?;
         let mvstore = &self.inner.store;
         for idx in 0..mvstore.table_count() {
             let table_id = TableId(idx as u32);
@@ -464,9 +464,7 @@ impl Durable for MvEngine {
         // The walk is read-only; committing just deregisters the snapshot
         // (releasing the GC watermark).
         txn.commit()?;
-        let installed = store.install_checkpoint(writer.finish()?)?;
-        store.truncate_log()?;
-        Ok(installed)
+        writer.finish()
     }
 
     /// Capture a delta's barrier without blocking writers, in four steps:

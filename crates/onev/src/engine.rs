@@ -31,7 +31,7 @@ use mmdb_common::row::{KeyScratch, Row, TableSpec};
 use mmdb_common::stats::EngineStats;
 
 use mmdb_storage::catalog::Catalog;
-use mmdb_storage::checkpoint::{CheckpointRef, CheckpointStore, FinishedCheckpoint};
+use mmdb_storage::checkpoint::{CheckpointStore, FinishedCheckpoint};
 use mmdb_storage::durable::{DeltaBarrier, Durable};
 use mmdb_storage::log::{encode_frame_into, LogOp, NullLogger, RedoLogger};
 
@@ -191,7 +191,7 @@ impl SvEngine {
         // timestamp captured now bound each other exactly.
         let ckpt_lsn = store.logger().appended_lsn();
         let read_ts = self.inner.clock.next_timestamp();
-        let mut writer = store.begin_checkpoint(ckpt_lsn, read_ts)?;
+        let mut writer = store.begin_image(ckpt_lsn, read_ts, Timestamp::ZERO)?;
         for idx in 0..self.inner.tables.len() {
             let table_id = TableId(idx as u32);
             let table = self.table(table_id)?;
@@ -212,7 +212,7 @@ impl SvEngine {
 }
 
 impl Durable for SvEngine {
-    /// Take a checkpoint into `store` and truncate the redo log below it.
+    /// Write a base image of every table into `store`.
     ///
     /// The engine must route its redo stream through `store`'s group-commit
     /// log ([`SvEngine::with_logger`] of `CheckpointStore::logger`).
@@ -229,15 +229,13 @@ impl Durable for SvEngine {
     /// every primary bucket is locked — writers are fully drained (a
     /// committer holds its exclusive locks across frame append), so the
     /// frames below the LSN are exactly the commits below the timestamp.
-    fn checkpoint(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
+    fn base_image(&self, store: &CheckpointStore) -> Result<FinishedCheckpoint> {
         // The walk needs a lock owner of its own.
         let me = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
         let mut held: Vec<(TableId, usize)> = Vec::new();
         let result = self.checkpoint_walk(store, me, &mut held);
         self.release_held(me, &held);
-        let installed = store.install_checkpoint(result?)?;
-        store.truncate_log()?;
-        Ok(installed)
+        result
     }
 
     /// Capture a delta's barrier. Where the base image must hold its locks

@@ -2,11 +2,11 @@
 //!
 //! Without checkpoints the redo log grows without bound and recovery time is
 //! proportional to the whole history. This module bounds both: a *checkpoint*
-//! is a consistent snapshot-isolation image of every table serialized to a
-//! file, and once it is durably installed the log prefix below the
-//! checkpoint's LSN is dead weight — recovery becomes *load checkpoint +
-//! replay tail* (paper §3.3: "periodically, the system checkpoints the
-//! database so the log can be truncated").
+//! is a consistent image of the database serialized to a file, and once it
+//! is durably installed the log prefix below the checkpoint's LSN is dead
+//! weight — recovery becomes *load checkpoint + replay tail* (paper §3.3:
+//! "periodically, the system checkpoints the database so the log can be
+//! truncated").
 //!
 //! ## Directory layout
 //!
@@ -15,10 +15,8 @@
 //! ```text
 //! <dir>/MANIFEST       append-only, framed; the recovery root
 //! <dir>/wal-<g>.log    the redo log segment of generation <g>
-//! <dir>/ckpt-<g>.db    the base checkpoint image installed at generation <g>
-//! <dir>/delta-<g>.db   a delta image installed at generation <g>
-//! <dir>/ckpt.tmp       a base image being written (never read by recovery)
-//! <dir>/delta.tmp      a delta image being written (never read by recovery)
+//! <dir>/ckpt-<g>.db    the checkpoint image installed at generation <g>
+//! <dir>/ckpt.tmp       an image being written (never read by recovery)
 //! ```
 //!
 //! Every file uses the redo log's wire discipline (length prefix with XOR
@@ -29,39 +27,42 @@
 //!
 //! The `MANIFEST` is an append-only sequence of framed entries; the **last
 //! complete entry wins**. Each entry names the live log segment (and the
-//! logical LSN of its byte 0) plus the installed *checkpoint chain*: a base
-//! image followed by zero or more ordered deltas, each with its LSN and
-//! snapshot read timestamp. An entry is only ever appended *after* every
-//! file it references is durable, so the last complete entry always
-//! describes files that exist with valid contents; a crash mid-append
-//! leaves a torn tail that recovery skips, falling back to the previous
-//! entry.
+//! logical LSN of its byte 0) plus the installed *checkpoint chain*: the
+//! images recovery folds, in order, each with its LSN and snapshot read
+//! timestamp. An entry is only ever appended *after* every file it
+//! references is durable, so the last complete entry always describes files
+//! that exist with valid contents; a crash mid-append leaves a torn tail
+//! that recovery skips, falling back to the previous entry.
 //!
-//! ## Delta checkpoints
+//! ## Images and chains
 //!
-//! A *delta* image ([`CheckpointStore::begin_delta`] /
-//! [`CheckpointStore::install_delta`]) holds the log window of commits with
-//! end timestamps in `(parent_read_ts, read_ts]`, folded newest-wins per
-//! primary key: a row for each key whose newest op writes it, a deleted key
-//! for each whose newest op deletes it — checkpointing pays for what
-//! changed, not what exists. Recovery folds the base, then each delta in
-//! chain order (**its deletes first, then its writes**, all at its
-//! `read_ts`), then the log tail above the *last* chain element, keeping
-//! the newest op per key. Installing a new *base* resets the chain and
-//! deletes the superseded files (compaction); the chain length is bounded
-//! by `CheckpointPolicy::max_chain`.
+//! Every image has one format: a header frame carrying
+//! `(lsn, read_ts, parent_read_ts)`, ordinary redo frames at
+//! `end_ts = read_ts` holding at most one `Write` or `Delete` op per primary
+//! key, and a trailer frame with the op count. An image is a *delta* over
+//! the chain whose tip snapshot is `parent_read_ts`: the commits with end
+//! timestamps in `(parent_read_ts, read_ts]`, folded newest-wins per primary
+//! key — a row for each key whose newest op writes it, a delete for each
+//! whose newest op deletes it — so checkpointing pays for what changed, not
+//! what exists. A *base* image is a delta over the empty chain
+//! (`parent_read_ts == Timestamp::ZERO`): every live row, and no deletes.
+//! Recovery streams each image of the chain, then the log tail above the
+//! chain tip, through one newest-wins fold. Installing a base replaces the
+//! chain and deletes the superseded files (compaction); the chain length is
+//! bounded by `CheckpointPolicy::max_chain`.
 //!
 //! ## The checkpoint protocol
 //!
-//! 1. **Write** — [`CheckpointStore::begin_checkpoint`] opens `ckpt.tmp`;
-//!    the caller streams every visible row through
-//!    [`CheckpointWriter::write_row`] and calls [`CheckpointWriter::finish`],
-//!    which appends a trailer frame (row count) and fsyncs. A crash here
-//!    leaves only a dead tmp file.
-//! 2. **Install** — [`CheckpointStore::install_checkpoint`] renames the tmp
-//!    file to `ckpt-<g>.db`, fsyncs the directory, then appends (and fsyncs)
-//!    a manifest entry pointing at it. A crash before the entry is complete
-//!    recovers from the previous manifest entry.
+//! 1. **Write** — [`CheckpointStore::begin_image`] opens `ckpt.tmp`; the
+//!    caller streams every op through [`CheckpointWriter::write_row`] /
+//!    [`CheckpointWriter::write_delete`] and calls
+//!    [`CheckpointWriter::finish`], which appends the trailer frame and
+//!    fsyncs. A crash here leaves only a dead tmp file.
+//! 2. **Install** — [`CheckpointStore::install_image`] renames the tmp file
+//!    to `ckpt-<g>.db`, fsyncs the directory, then appends (and fsyncs) a
+//!    manifest entry whose chain is `[image]` for a base and the current
+//!    chain plus the image for a delta. A crash before the entry is
+//!    complete recovers from the previous manifest entry.
 //! 3. **Truncate** — [`CheckpointStore::truncate_log`] rotates the
 //!    [`GroupCommitLog`] onto `wal-<g>.log` keeping only bytes at LSNs `>=`
 //!    the checkpoint LSN; the manifest entry naming the new segment is
@@ -81,11 +82,10 @@
 //! snapshot timestamp `read_ts`; since both engines draw a commit's end
 //! timestamp before appending its frame, every frame wholly below `ckpt_lsn`
 //! commits at `end_ts < read_ts` and is therefore inside the snapshot.
-//! Recovery loads the checkpoint rows, then replays the log tail from
+//! Recovery loads the chain, then replays the log tail from the tip's
 //! `ckpt_lsn`, skipping records with `end_ts <= read_ts` (already in the
-//! image). Rows are serialized as ordinary redo `Write` ops at
-//! `end_ts = read_ts`, so the checkpoint is literally a compacted,
-//! reordered prefix of the log.
+//! chain). Ops are serialized as ordinary redo ops at `end_ts = read_ts`, so
+//! an image is literally a compacted, reordered prefix of the log.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -101,21 +101,19 @@ use mmdb_common::ids::{TableId, Timestamp};
 use mmdb_common::row::Row;
 
 use crate::group_commit::{sync_parent_dir, GroupCommitLog};
-use crate::log::{decode_body, encode_frame_into, write_frame, FrameStream, LogOpRef, Lsn};
+use crate::log::{decode_body, encode_frame_into, write_frame, FrameStream, LogOp, LogRecord, Lsn};
 
 /// Magic bytes opening a checkpoint file's header frame.
 const CKPT_MAGIC: &[u8; 8] = b"MMDBCKP1";
 /// Magic bytes of the trailer frame that marks a checkpoint complete.
 const CKPT_TRAILER: &[u8; 8] = b"MMDBCKPE";
-/// Base-image format version (28-byte header, no deletes).
-const CKPT_VERSION: u32 = 1;
-/// Delta-image format version (36-byte header carrying the parent snapshot
-/// timestamp; delete ops allowed).
-const CKPT_DELTA_VERSION: u32 = 2;
+/// Image format version: a 36-byte header (magic, version, LSN, read
+/// timestamp, parent read timestamp).
+const CKPT_VERSION: u32 = 3;
 /// The manifest file name inside a checkpoint directory.
 const MANIFEST: &str = "MANIFEST";
-/// Row frames are flushed once the pending batch reaches this many bytes.
-const ROW_BATCH_TARGET: usize = 64 * 1024;
+/// Op frames are flushed once the pending batch reaches this many bytes.
+pub(crate) const ROW_BATCH_TARGET: usize = 64 * 1024;
 /// Chunk size for streaming checkpoint/manifest reads.
 const CKPT_CHUNK: usize = 64 * 1024;
 
@@ -140,8 +138,8 @@ struct ManifestEntry {
     log_name: String,
     /// Logical LSN of the log segment's byte 0.
     log_base: Lsn,
-    /// The installed checkpoint chain: base image first, then every delta
-    /// in apply order. Empty before the first checkpoint.
+    /// The installed checkpoint chain in apply order: a base image, then
+    /// its deltas. Empty before the first checkpoint.
     chain: Vec<CheckpointMeta>,
 }
 
@@ -157,37 +155,18 @@ struct CheckpointMeta {
     read_ts: Timestamp,
 }
 
-impl CheckpointMeta {
-    fn encode_into(&self, body: &mut Vec<u8>) {
-        body.extend_from_slice(&self.lsn.0.to_le_bytes());
-        body.extend_from_slice(&self.read_ts.raw().to_le_bytes());
-        body.extend_from_slice(&(self.name.len() as u32).to_le_bytes());
-        body.extend_from_slice(self.name.as_bytes());
-    }
-}
-
 impl ManifestEntry {
     fn encode_into(&self, body: &mut Vec<u8>) {
         body.extend_from_slice(&self.generation.to_le_bytes());
         body.extend_from_slice(&self.log_base.0.to_le_bytes());
         body.extend_from_slice(&(self.log_name.len() as u32).to_le_bytes());
         body.extend_from_slice(self.log_name.as_bytes());
-        // Checkpoint tag: 0 = none, 1 = single image (the pre-delta wire
-        // format, still emitted for one-element chains so old manifests and
-        // new ones stay byte-compatible in the common case), 2 = chain.
-        match self.chain.as_slice() {
-            [] => body.push(0),
-            [meta] => {
-                body.push(1);
-                meta.encode_into(body);
-            }
-            chain => {
-                body.push(2);
-                body.extend_from_slice(&(chain.len() as u32).to_le_bytes());
-                for meta in chain {
-                    meta.encode_into(body);
-                }
-            }
+        body.extend_from_slice(&(self.chain.len() as u32).to_le_bytes());
+        for meta in &self.chain {
+            body.extend_from_slice(&meta.lsn.0.to_le_bytes());
+            body.extend_from_slice(&meta.read_ts.raw().to_le_bytes());
+            body.extend_from_slice(&(meta.name.len() as u32).to_le_bytes());
+            body.extend_from_slice(meta.name.as_bytes());
         }
     }
 
@@ -199,20 +178,15 @@ impl ManifestEntry {
         let generation = cursor.take_u64()?;
         let log_base = Lsn(cursor.take_u64()?);
         let log_name = cursor.take_name("manifest log name is not UTF-8")?;
-        let chain = match cursor.take(1)?[0] {
-            0 => Vec::new(),
-            1 => vec![cursor.take_meta()?],
-            2 => {
-                let count = cursor.take_u32()? as usize;
-                if count < 2 {
-                    return Err(invalid("manifest chain tag with fewer than two elements"));
-                }
-                (0..count)
-                    .map(|_| cursor.take_meta())
-                    .collect::<Result<Vec<_>>>()?
-            }
-            _ => return Err(invalid("manifest entry has an unknown checkpoint tag")),
-        };
+        let count = cursor.take_u32()?;
+        let chain = (0..count)
+            .map(|_| {
+                let lsn = Lsn(cursor.take_u64()?);
+                let read_ts = Timestamp(cursor.take_u64()?);
+                let name = cursor.take_name("manifest checkpoint name is not UTF-8")?;
+                Ok(CheckpointMeta { name, lsn, read_ts })
+            })
+            .collect::<Result<Vec<_>>>()?;
         if cursor.pos != body.len() {
             return Err(invalid("manifest entry has trailing bytes"));
         }
@@ -257,13 +231,6 @@ impl<'a> Cursor<'a> {
         let len = self.take_u32()? as usize;
         String::from_utf8(self.take(len)?.to_vec()).map_err(|_| invalid(err))
     }
-
-    fn take_meta(&mut self) -> Result<CheckpointMeta> {
-        let lsn = Lsn(self.take_u64()?);
-        let read_ts = Timestamp(self.take_u64()?);
-        let name = self.take_name("manifest checkpoint name is not UTF-8")?;
-        Ok(CheckpointMeta { name, lsn, read_ts })
-    }
 }
 
 /// Frame an entry and append it durably (write + fsync).
@@ -294,16 +261,16 @@ pub struct CheckpointRef {
 ///
 /// Produced by [`CheckpointStore::plan`] without touching the log or the
 /// checkpoint files, so callers can sequence their own recovery: apply the
-/// [`chain`](RecoveryPlan::chain) (base image first, then every delta in
-/// order), stream the log tail from [`RecoveryPlan::log_tail_offset`], then
-/// reopen the store with [`CheckpointStore::open`] passing the physical
-/// prefix the tail read validated.
+/// [`chain`](RecoveryPlan::chain) in order, stream the log tail from
+/// [`RecoveryPlan::log_tail_offset`], then reopen the store with
+/// [`CheckpointStore::open`] passing the physical prefix the tail read
+/// validated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryPlan {
     /// Generation of the winning manifest entry.
     pub generation: u64,
-    /// The installed checkpoint chain to load first: the base image, then
-    /// every delta in apply order. Empty before the first checkpoint.
+    /// The installed checkpoint chain to load first, in apply order (a base
+    /// image, then its deltas). Empty before the first checkpoint.
     pub chain: Vec<CheckpointRef>,
     /// Path of the live log segment.
     pub log_path: PathBuf,
@@ -333,44 +300,39 @@ impl RecoveryPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint writer / reader
+// Image writer / reader
 // ---------------------------------------------------------------------------
 
-/// Streams a checkpoint image into its temporary file (`ckpt.tmp` for a
-/// base, `delta.tmp` for a delta).
+/// Streams a checkpoint image into `ckpt.tmp`.
 ///
-/// Rows are buffered and emitted as ordinary redo-log `Write` frames (at
-/// `end_ts = read_ts`, batched to `ROW_BATCH_TARGET` bytes per frame),
-/// framed between a header and a trailer. Delta writers additionally accept
-/// [`write_delete`](Self::write_delete) tombstones, emitted as `Delete`
-/// frames ahead of the trailer. Obtain one from
-/// [`CheckpointStore::begin_checkpoint`] or
-/// [`CheckpointStore::begin_delta`], feed every op through, then
+/// Ops are buffered and emitted as ordinary redo-log frames at
+/// `end_ts = read_ts`, batched to `ROW_BATCH_TARGET` bytes per frame, in the
+/// order they were written, between a header and a trailer frame. Obtain
+/// one from [`CheckpointStore::begin_image`], feed every op through, then
 /// [`finish`](Self::finish).
 pub struct CheckpointWriter {
     file: File,
     tmp_path: PathBuf,
     lsn: Lsn,
     read_ts: Timestamp,
-    /// Snapshot timestamp of the previous chain element (`Some` for a delta
-    /// writer; `None` for a base image, which rejects deletes).
-    parent_read_ts: Option<Timestamp>,
-    ops: u64,
-    deletes: Vec<(TableId, u64)>,
-    batch: Vec<(TableId, Row)>,
+    /// Snapshot timestamp of the previous chain element;
+    /// [`Timestamp::ZERO`] for a base image, which rejects deletes.
+    parent_read_ts: Timestamp,
+    rows: u64,
+    deletes: u64,
+    batch: Vec<LogOp>,
     batch_bytes: usize,
     frame: Vec<u8>,
 }
 
 /// A finished (written + fsynced) checkpoint still under its temporary
-/// name. Pass to [`CheckpointStore::install_checkpoint`] (base) or
-/// [`CheckpointStore::install_delta`] (delta) to make it part of the
+/// name. Pass to [`CheckpointStore::install_image`] to make it part of the
 /// recovery source.
 pub struct FinishedCheckpoint {
     tmp_path: PathBuf,
     lsn: Lsn,
     read_ts: Timestamp,
-    parent_read_ts: Option<Timestamp>,
+    parent_read_ts: Timestamp,
     /// Number of row (write) ops in the image.
     pub rows: u64,
     /// Number of delete ops in the image (always 0 for a base).
@@ -380,80 +342,35 @@ pub struct FinishedCheckpoint {
 }
 
 impl CheckpointWriter {
-    fn create(
-        tmp_path: PathBuf,
-        lsn: Lsn,
-        read_ts: Timestamp,
-        parent_read_ts: Option<Timestamp>,
-    ) -> Result<CheckpointWriter> {
-        let mut file = File::create(&tmp_path).map_err(io_err)?;
-        let version = match parent_read_ts {
-            None => CKPT_VERSION,
-            Some(_) => CKPT_DELTA_VERSION,
-        };
-        let mut frame = Vec::with_capacity(52);
-        write_frame(&mut frame, |header| {
-            header.extend_from_slice(CKPT_MAGIC);
-            header.extend_from_slice(&version.to_le_bytes());
-            header.extend_from_slice(&lsn.0.to_le_bytes());
-            header.extend_from_slice(&read_ts.raw().to_le_bytes());
-            if let Some(parent) = parent_read_ts {
-                header.extend_from_slice(&parent.raw().to_le_bytes());
-            }
-        });
-        file.write_all(&frame).map_err(io_err)?;
-        Ok(CheckpointWriter {
-            file,
-            tmp_path,
-            lsn,
-            read_ts,
-            parent_read_ts,
-            ops: 0,
-            deletes: Vec::new(),
-            batch: Vec::new(),
-            batch_bytes: 0,
-            frame,
-        })
-    }
-
-    /// The snapshot read timestamp this image is being taken at.
-    pub fn read_ts(&self) -> Timestamp {
-        self.read_ts
-    }
-
-    /// The log LSN this image covers.
-    pub fn lsn(&self) -> Lsn {
-        self.lsn
-    }
-
-    /// The previous chain element's snapshot timestamp (`Some` iff this is
-    /// a delta writer).
-    pub fn parent_read_ts(&self) -> Option<Timestamp> {
-        self.parent_read_ts
-    }
-
-    /// Add one visible row to the image. Rows may arrive in any order; the
-    /// image carries no ordering guarantees beyond "one op per live row".
+    /// Add one row to the image. Ops may arrive in any order; an image
+    /// holds at most one op per primary key.
     pub fn write_row(&mut self, table: TableId, row: &[u8]) -> Result<()> {
-        self.batch.push((table, Row::copy_from_slice(row)));
-        self.batch_bytes += row.len() + 9;
-        self.ops += 1;
+        self.rows += 1;
+        self.push(
+            row.len() + 9,
+            LogOp::Write {
+                table,
+                row: Row::copy_from_slice(row),
+            },
+        )
+    }
+
+    /// Add one deleted primary key to the image (deltas only — a base image
+    /// enumerates live rows and has nothing to delete).
+    pub fn write_delete(&mut self, table: TableId, key: u64) -> Result<()> {
+        if self.parent_read_ts == Timestamp::ZERO {
+            return Err(invalid("a base checkpoint image cannot carry deletes"));
+        }
+        self.deletes += 1;
+        self.push(13, LogOp::Delete { table, key })
+    }
+
+    fn push(&mut self, bytes: usize, op: LogOp) -> Result<()> {
+        self.batch.push(op);
+        self.batch_bytes += bytes;
         if self.batch_bytes >= ROW_BATCH_TARGET {
             self.flush_batch()?;
         }
-        Ok(())
-    }
-
-    /// Add one deleted primary key to the image (delta writers only — a
-    /// base image enumerates live rows and has nothing to delete).
-    /// Recovery applies a delta's deletes before its writes, so a spurious
-    /// tombstone for a key the same delta rewrites is harmless.
-    pub fn write_delete(&mut self, table: TableId, key: u64) -> Result<()> {
-        if self.parent_read_ts.is_none() {
-            return Err(invalid("a base checkpoint image cannot carry deletes"));
-        }
-        self.deletes.push((table, key));
-        self.ops += 1;
         Ok(())
     }
 
@@ -465,9 +382,7 @@ impl CheckpointWriter {
         encode_frame_into(
             &mut self.frame,
             self.read_ts,
-            self.batch
-                .iter()
-                .map(|(table, row)| LogOpRef::Write { table: *table, row }),
+            self.batch.iter().map(LogOp::as_ref),
         );
         self.file.write_all(&self.frame).map_err(io_err)?;
         self.batch.clear();
@@ -475,27 +390,15 @@ impl CheckpointWriter {
         Ok(())
     }
 
-    /// Flush the last row batch and the buffered deletes, append the
-    /// trailer frame (which is what marks the image complete — a checkpoint
-    /// without it is treated as torn and never loaded) and fsync.
+    /// Flush the last op batch, append the trailer frame (which is what
+    /// marks the image complete — a checkpoint without it is treated as
+    /// torn and never loaded) and fsync.
     pub fn finish(mut self) -> Result<FinishedCheckpoint> {
         self.flush_batch()?;
-        let row_ops = self.ops - self.deletes.len() as u64;
-        for chunk in self.deletes.chunks(ROW_BATCH_TARGET / 16) {
-            self.frame.clear();
-            encode_frame_into(
-                &mut self.frame,
-                self.read_ts,
-                chunk
-                    .iter()
-                    .map(|&(table, key)| LogOpRef::Delete { table, key }),
-            );
-            self.file.write_all(&self.frame).map_err(io_err)?;
-        }
         self.frame.clear();
         write_frame(&mut self.frame, |trailer| {
             trailer.extend_from_slice(CKPT_TRAILER);
-            trailer.extend_from_slice(&self.ops.to_le_bytes());
+            trailer.extend_from_slice(&(self.rows + self.deletes).to_le_bytes());
         });
         self.file.write_all(&self.frame).map_err(io_err)?;
         self.file.sync_all().map_err(io_err)?;
@@ -505,108 +408,90 @@ impl CheckpointWriter {
             lsn: self.lsn,
             read_ts: self.read_ts,
             parent_read_ts: self.parent_read_ts,
-            rows: row_ops,
-            deletes: self.deletes.len() as u64,
+            rows: self.rows,
+            deletes: self.deletes,
             bytes,
         })
     }
 }
 
-/// A fully validated checkpoint image, loaded into memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointContents {
+/// Streams a checkpoint image back, one op frame at a time.
+///
+/// Validation is strict because an image is only ever read after the
+/// manifest durably named it, at which point it must be perfect: the header
+/// magic/version/length on [`open`](Self::open), then every frame's
+/// checksum, every op's timestamp, no delete in a base image, and at the end
+/// the trailer's op count and the absence of bytes after it. Any shortfall —
+/// including a torn tail, which in a log would be tolerated — is an error:
+/// loading half an image would silently lose rows.
+pub struct ImageReader {
     /// Log LSN the image covers.
     pub lsn: Lsn,
     /// Snapshot read timestamp of the image.
     pub read_ts: Timestamp,
-    /// For a delta image, the previous chain element's snapshot timestamp;
-    /// `None` for a base image.
-    pub parent_read_ts: Option<Timestamp>,
-    /// Every row in the image, in file order.
-    pub rows: Vec<(TableId, Row)>,
-    /// Primary keys deleted since the parent snapshot (delta images only;
-    /// apply these **before** the rows).
-    pub deletes: Vec<(TableId, u64)>,
+    /// The previous chain element's snapshot timestamp;
+    /// [`Timestamp::ZERO`] for a base image.
+    pub parent_read_ts: Timestamp,
+    frames: FrameStream<File>,
+    ops: u64,
 }
 
-/// Read and validate a checkpoint file (base or delta).
-///
-/// Validation is strict because a checkpoint is only ever read after the
-/// manifest durably named it, at which point it must be perfect: header
-/// magic/version, every row frame's checksum, the trailer's op count, and
-/// the absence of trailing bytes are all checked. Any shortfall —
-/// including a torn tail, which in a log would be tolerated — is
-/// [`MmdbError::CheckpointInvalid`]: loading half a checkpoint would
-/// silently lose rows. Base images (version 1) additionally reject delete
-/// ops — a base enumerates live rows and has nothing to delete.
-pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<CheckpointContents> {
-    let file = File::open(path.as_ref()).map_err(io_err)?;
-    let mut frames = FrameStream::new(file, CKPT_CHUNK, 0);
-    let header = match frames.next_body()? {
-        Some((_, body)) => body,
-        None => return Err(invalid("checkpoint file has no header frame")),
-    };
-    if header.len() < 12 || &header[..8] != CKPT_MAGIC {
-        return Err(invalid("checkpoint header magic mismatch"));
+impl ImageReader {
+    /// Open the image at `path` and validate its header frame.
+    pub fn open(path: impl AsRef<Path>) -> Result<ImageReader> {
+        let file = File::open(path.as_ref()).map_err(io_err)?;
+        let mut frames = FrameStream::new(file, CKPT_CHUNK, 0);
+        let (_, header) = frames
+            .next_body()?
+            .ok_or(invalid("checkpoint file has no header frame"))?;
+        if header.len() < 12 || &header[..8] != CKPT_MAGIC {
+            return Err(invalid("checkpoint header magic mismatch"));
+        }
+        if header[8..12] != CKPT_VERSION.to_le_bytes() {
+            return Err(invalid("unsupported checkpoint version"));
+        }
+        if header.len() != 36 {
+            return Err(invalid("checkpoint header length mismatch"));
+        }
+        let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+        let (lsn, read_ts, parent_read_ts) =
+            (Lsn(word(12)), Timestamp(word(20)), Timestamp(word(28)));
+        Ok(ImageReader {
+            lsn,
+            read_ts,
+            parent_read_ts,
+            frames,
+            ops: 0,
+        })
     }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    let parent_read_ts = match version {
-        CKPT_VERSION if header.len() == 28 => None,
-        CKPT_DELTA_VERSION if header.len() == 36 => Some(Timestamp(u64::from_le_bytes(
-            header[28..36].try_into().expect("8 bytes"),
-        ))),
-        CKPT_VERSION | CKPT_DELTA_VERSION => {
-            return Err(invalid("checkpoint header length mismatch"))
-        }
-        _ => return Err(invalid("unsupported checkpoint version")),
-    };
-    let lsn = Lsn(u64::from_le_bytes(
-        header[12..20].try_into().expect("8 bytes"),
-    ));
-    let read_ts = Timestamp(u64::from_le_bytes(
-        header[20..28].try_into().expect("8 bytes"),
-    ));
-    let mut rows: Vec<(TableId, Row)> = Vec::new();
-    let mut deletes: Vec<(TableId, u64)> = Vec::new();
-    let mut trailer_ops: Option<u64> = None;
-    while let Some((offset, body)) = frames.next_body()? {
-        if trailer_ops.is_some() {
-            return Err(invalid("checkpoint has frames after its trailer"));
-        }
+
+    /// The next op frame, as a redo record at `read_ts`. `Ok(None)` once the
+    /// trailer has been read and the whole image validated.
+    pub fn next_record(&mut self) -> Result<Option<LogRecord>> {
+        let (offset, body) = self
+            .frames
+            .next_body()?
+            .ok_or(invalid("checkpoint is missing its trailer frame"))?;
         if body.len() == 16 && &body[..8] == CKPT_TRAILER {
-            trailer_ops = Some(u64::from_le_bytes(body[8..16].try_into().expect("8 bytes")));
-            continue;
+            if body[8..16] != self.ops.to_le_bytes() {
+                return Err(invalid("checkpoint trailer op count mismatch"));
+            }
+            if self.frames.next_body()?.is_some() || self.frames.torn_bytes() > 0 {
+                return Err(invalid("checkpoint has bytes after its trailer frame"));
+            }
+            return Ok(None);
         }
         let record = decode_body(body, offset)?;
-        if record.end_ts != read_ts {
-            return Err(invalid("checkpoint row frame at a foreign timestamp"));
+        if record.end_ts != self.read_ts {
+            return Err(invalid("checkpoint op frame at a foreign timestamp"));
         }
-        for op in record.ops {
-            match op {
-                crate::log::LogOp::Write { table, row } => rows.push((table, row)),
-                crate::log::LogOp::Delete { table, key } => {
-                    if parent_read_ts.is_none() {
-                        return Err(invalid("checkpoint contains a delete op"));
-                    }
-                    deletes.push((table, key));
-                }
-            }
+        let is_delete = |op: &LogOp| matches!(op, LogOp::Delete { .. });
+        if self.parent_read_ts == Timestamp::ZERO && record.ops.iter().any(is_delete) {
+            return Err(invalid("base checkpoint image contains a delete op"));
         }
+        self.ops += record.ops.len() as u64;
+        Ok(Some(record))
     }
-    let trailer_ops = trailer_ops.ok_or(invalid("checkpoint is missing its trailer frame"))?;
-    if frames.torn_bytes() > 0 {
-        return Err(invalid("checkpoint has bytes after its trailer frame"));
-    }
-    if trailer_ops != (rows.len() + deletes.len()) as u64 {
-        return Err(invalid("checkpoint trailer op count mismatch"));
-    }
-    Ok(CheckpointContents {
-        lsn,
-        read_ts,
-        parent_read_ts,
-        rows,
-        deletes,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -765,7 +650,6 @@ impl CheckpointStore {
         file.sync_all().map_err(io_err)?;
         file.seek(SeekFrom::End(0)).map_err(io_err)?;
         let _ = fs::remove_file(dir.join("ckpt.tmp"));
-        let _ = fs::remove_file(dir.join("delta.tmp"));
         let log_name = file_name(&plan.log_path)?;
         let chain = plan
             .chain
@@ -779,7 +663,7 @@ impl CheckpointStore {
             })
             .collect::<Result<Vec<_>>>()?;
         // Garbage-collect image files the winning manifest entry does not
-        // reference — e.g. the stale deltas of a compaction whose new base
+        // reference — e.g. the stale chain of a compaction whose new base
         // was published but whose file deletes never ran. The manifest, not
         // the directory listing, is authoritative; unreferenced files are
         // dead weight.
@@ -787,8 +671,7 @@ impl CheckpointStore {
             for dirent in entries.flatten() {
                 let name = dirent.file_name();
                 let Some(name) = name.to_str() else { continue };
-                let is_image = (name.starts_with("ckpt-") || name.starts_with("delta-"))
-                    && name.ends_with(".db");
+                let is_image = name.starts_with("ckpt-") && name.ends_with(".db");
                 if is_image && !chain.iter().any(|meta| meta.name == name) {
                     let _ = fs::remove_file(dirent.path());
                 }
@@ -844,21 +727,6 @@ impl CheckpointStore {
         })
     }
 
-    /// The installed checkpoint chain currently in force (base first, then
-    /// every delta in apply order).
-    pub fn chain(&self) -> Vec<CheckpointRef> {
-        let m = self.manifest.lock();
-        m.current
-            .chain
-            .iter()
-            .map(|meta| CheckpointRef {
-                path: self.dir.join(&meta.name),
-                lsn: meta.lsn,
-                read_ts: meta.read_ts,
-            })
-            .collect()
-    }
-
     /// Number of files in the installed checkpoint chain (0 before the
     /// first checkpoint, 1 after a base, 1+n with n deltas).
     pub fn chain_len(&self) -> usize {
@@ -899,104 +767,71 @@ impl CheckpointStore {
         len >= 1 && len < policy.max_chain as usize
     }
 
-    /// Open `ckpt.tmp` for a new base image covering log LSN `lsn` at
-    /// snapshot timestamp `read_ts`. At most one checkpoint writer should
-    /// exist at a time (they share the tmp names); the engines serialize
-    /// checkpoints.
-    pub fn begin_checkpoint(&self, lsn: Lsn, read_ts: Timestamp) -> Result<CheckpointWriter> {
-        CheckpointWriter::create(self.dir.join("ckpt.tmp"), lsn, read_ts, None)
-    }
-
-    /// Open `delta.tmp` for a delta image covering log LSN `lsn` at
-    /// snapshot timestamp `read_ts`, relative to the current chain's last
-    /// element (whose `read_ts` becomes the delta's parent snapshot).
-    /// Requires an installed chain to delta against.
-    pub fn begin_delta(&self, lsn: Lsn, read_ts: Timestamp) -> Result<CheckpointWriter> {
-        let parent = self
-            .last_checkpoint()
-            .ok_or(invalid("no checkpoint installed to delta against"))?;
-        if read_ts < parent.read_ts {
-            return Err(invalid("delta snapshot predates its parent checkpoint"));
+    /// Open `ckpt.tmp` for an image covering log LSN `lsn` at snapshot
+    /// timestamp `read_ts`, over the chain whose tip snapshot is
+    /// `parent_read_ts` ([`Timestamp::ZERO`] for a base image). At most one
+    /// writer should exist at a time (they share the tmp name); the engines
+    /// serialize checkpoints.
+    pub fn begin_image(
+        &self,
+        lsn: Lsn,
+        read_ts: Timestamp,
+        parent_read_ts: Timestamp,
+    ) -> Result<CheckpointWriter> {
+        if read_ts <= parent_read_ts {
+            return Err(invalid("image snapshot does not postdate its parent"));
         }
-        CheckpointWriter::create(
-            self.dir.join("delta.tmp"),
+        let tmp_path = self.dir.join("ckpt.tmp");
+        let mut file = File::create(&tmp_path).map_err(io_err)?;
+        let mut frame = Vec::with_capacity(52);
+        write_frame(&mut frame, |header| {
+            header.extend_from_slice(CKPT_MAGIC);
+            header.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+            for word in [lsn.0, read_ts.raw(), parent_read_ts.raw()] {
+                header.extend_from_slice(&word.to_le_bytes());
+            }
+        });
+        file.write_all(&frame).map_err(io_err)?;
+        Ok(CheckpointWriter {
+            file,
+            tmp_path,
             lsn,
             read_ts,
-            Some(parent.read_ts),
-        )
+            parent_read_ts,
+            rows: 0,
+            deletes: 0,
+            batch: Vec::new(),
+            batch_bytes: 0,
+            frame,
+        })
     }
 
-    /// Make a finished base image the recovery source: rename it to
+    /// Make a finished image part of the recovery source: rename it to
     /// `ckpt-<g>.db`, fsync the directory, append (and fsync) a manifest
-    /// entry whose chain is just this image. The log is untouched — call
-    /// [`truncate_log`](Self::truncate_log) next to reclaim its prefix. The
-    /// previously installed chain's files (base and any deltas — this is
-    /// how a chain compacts) are deleted once the new entry is durable.
-    pub fn install_checkpoint(&self, finished: FinishedCheckpoint) -> Result<CheckpointRef> {
-        if finished.parent_read_ts.is_some() {
-            return Err(invalid("a delta image must be installed via install_delta"));
-        }
+    /// entry with the new chain. A base image (parent [`Timestamp::ZERO`])
+    /// becomes the whole chain, and the superseded chain's files are deleted
+    /// once the entry is durable (compaction). A delta's parent must be the
+    /// chain tip's snapshot — checkpoints are serialized by the engines, so
+    /// a mismatch is a protocol bug — and the delta is appended to the
+    /// chain. The log is untouched: call [`truncate_log`](Self::truncate_log)
+    /// next to reclaim its prefix.
+    pub fn install_image(&self, finished: FinishedCheckpoint) -> Result<CheckpointRef> {
+        let base = finished.parent_read_ts == Timestamp::ZERO;
         let mut m = self.manifest.lock();
+        let tip_read_ts = m.current.chain.last().map(|tip| tip.read_ts);
+        if !base && tip_read_ts != Some(finished.parent_read_ts) {
+            return Err(invalid("image parent snapshot is not the chain tip"));
+        }
         let generation = m.current.generation + 1;
         let name = format!("ckpt-{generation}.db");
         let path = self.dir.join(&name);
         fs::rename(&finished.tmp_path, &path).map_err(io_err)?;
         sync_parent_dir(&path);
-        let entry = ManifestEntry {
-            generation,
-            log_name: m.current.log_name.clone(),
-            log_base: m.current.log_base,
-            chain: vec![CheckpointMeta {
-                name,
-                lsn: finished.lsn,
-                read_ts: finished.read_ts,
-            }],
+        let mut chain = if base {
+            Vec::new()
+        } else {
+            m.current.chain.clone()
         };
-        append_manifest_entry(&mut m.file, &entry)?;
-        let old_chain = std::mem::take(&mut m.current.chain);
-        m.current = entry;
-        drop(m);
-        self.bytes_written
-            .fetch_add(finished.bytes, std::sync::atomic::Ordering::Relaxed);
-        for old in old_chain {
-            let _ = fs::remove_file(self.dir.join(old.name));
-        }
-        Ok(CheckpointRef {
-            path,
-            lsn: finished.lsn,
-            read_ts: finished.read_ts,
-        })
-    }
-
-    /// Append a finished delta image to the installed chain: rename it to
-    /// `delta-<g>.db`, fsync the directory, append (and fsync) a manifest
-    /// entry with the extended chain. No file is deleted — the chain's
-    /// earlier elements remain the recovery prefix. The delta's parent
-    /// snapshot must match the current chain tip (checkpoints are
-    /// serialized by the engines, so a mismatch is a protocol bug).
-    pub fn install_delta(&self, finished: FinishedCheckpoint) -> Result<CheckpointRef> {
-        let Some(parent_read_ts) = finished.parent_read_ts else {
-            return Err(invalid(
-                "a base image must be installed via install_checkpoint",
-            ));
-        };
-        let mut m = self.manifest.lock();
-        let tip = m
-            .current
-            .chain
-            .last()
-            .ok_or(invalid("no checkpoint chain to append a delta to"))?;
-        if tip.read_ts != parent_read_ts {
-            return Err(invalid(
-                "delta parent snapshot does not match the chain tip",
-            ));
-        }
-        let generation = m.current.generation + 1;
-        let name = format!("delta-{generation}.db");
-        let path = self.dir.join(&name);
-        fs::rename(&finished.tmp_path, &path).map_err(io_err)?;
-        sync_parent_dir(&path);
-        let mut chain = m.current.chain.clone();
         chain.push(CheckpointMeta {
             name,
             lsn: finished.lsn,
@@ -1009,10 +844,15 @@ impl CheckpointStore {
             chain,
         };
         append_manifest_entry(&mut m.file, &entry)?;
-        m.current = entry;
+        let old = std::mem::replace(&mut m.current, entry);
         drop(m);
         self.bytes_written
             .fetch_add(finished.bytes, std::sync::atomic::Ordering::Relaxed);
+        if base {
+            for meta in old.chain {
+                let _ = fs::remove_file(self.dir.join(meta.name));
+            }
+        }
         Ok(CheckpointRef {
             path,
             lsn: finished.lsn,
@@ -1078,7 +918,9 @@ fn file_name(path: &Path) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{read_log_file_from, RedoLogger};
+    use crate::log::{read_log_file_from, LogOpRef, RedoLogger};
+
+    const BASE: Timestamp = Timestamp::ZERO;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1100,6 +942,23 @@ mod tests {
             }),
         );
         frame
+    }
+
+    /// Stream the image at `path` to its end: the reader (header fields)
+    /// and every op in file order.
+    fn read_image(path: impl AsRef<Path>) -> Result<(ImageReader, Vec<LogOp>)> {
+        let mut reader = ImageReader::open(path)?;
+        let mut ops = Vec::new();
+        while let Some(record) = reader.next_record()? {
+            ops.extend(record.ops);
+        }
+        Ok((reader, ops))
+    }
+
+    /// Write a base image at `read_ts` and install it.
+    fn install_base(store: &CheckpointStore, lsn: Lsn, read_ts: u64) -> CheckpointRef {
+        let writer = store.begin_image(lsn, Timestamp(read_ts), BASE).unwrap();
+        store.install_image(writer.finish().unwrap()).unwrap()
     }
 
     #[test]
@@ -1124,7 +983,7 @@ mod tests {
         let dir = scratch_dir("ckpt-round-trip");
         let store = CheckpointStore::create(&dir).unwrap();
         // Enough row bytes to force several ROW_BATCH_TARGET flushes.
-        let mut writer = store.begin_checkpoint(Lsn(123), Timestamp(77)).unwrap();
+        let mut writer = store.begin_image(Lsn(123), Timestamp(77), BASE).unwrap();
         let row_len = 1000;
         let total = 3 * ROW_BATCH_TARGET / row_len;
         let mut expected = Vec::new();
@@ -1133,27 +992,64 @@ mod tests {
             row[..8].copy_from_slice(&(i as u64).to_le_bytes());
             let table = TableId((i % 3) as u32);
             writer.write_row(table, &row).unwrap();
-            expected.push((table, Row::copy_from_slice(&row)));
+            expected.push(LogOp::Write {
+                table,
+                row: Row::copy_from_slice(&row),
+            });
         }
         let finished = writer.finish().unwrap();
         assert_eq!(finished.rows, total as u64);
-        let contents = read_checkpoint(dir.join("ckpt.tmp")).unwrap();
-        assert_eq!(contents.lsn, Lsn(123));
-        assert_eq!(contents.read_ts, Timestamp(77));
-        assert_eq!(contents.rows, expected);
+        let mut reader = ImageReader::open(dir.join("ckpt.tmp")).unwrap();
+        assert_eq!(reader.lsn, Lsn(123));
+        assert_eq!(reader.read_ts, Timestamp(77));
+        assert_eq!(reader.parent_read_ts, BASE);
+        let mut frames = 0;
+        let mut ops = Vec::new();
+        while let Some(record) = reader.next_record().unwrap() {
+            assert_eq!(record.end_ts, Timestamp(77));
+            frames += 1;
+            ops.extend(record.ops);
+        }
+        assert!(frames >= 3, "{frames} op frames");
+        assert_eq!(ops, expected);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn empty_checkpoint_round_trips() {
+    fn empty_checkpoint_round_trips_and_old_versions_are_rejected() {
         let dir = scratch_dir("ckpt-empty");
         let store = CheckpointStore::create(&dir).unwrap();
-        let writer = store.begin_checkpoint(Lsn(5), Timestamp(9)).unwrap();
+        let writer = store.begin_image(Lsn(5), Timestamp(9), BASE).unwrap();
         let finished = writer.finish().unwrap();
         assert_eq!(finished.rows, 0);
-        let contents = read_checkpoint(dir.join("ckpt.tmp")).unwrap();
-        assert_eq!(contents.rows, Vec::new());
-        assert_eq!(contents.read_ts, Timestamp(9));
+        let (reader, ops) = read_image(dir.join("ckpt.tmp")).unwrap();
+        assert_eq!(ops, Vec::new());
+        assert_eq!(reader.read_ts, Timestamp(9));
+        // The same image under the header of format versions 1 and 2.
+        let full = fs::read(dir.join("ckpt.tmp")).unwrap();
+        let header_len = 16 + u32::from_le_bytes(full[..4].try_into().unwrap()) as usize;
+        for version in [1u32, 2] {
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, |header| {
+                header.extend_from_slice(CKPT_MAGIC);
+                header.extend_from_slice(&version.to_le_bytes());
+                header.extend_from_slice(&[0; 16]);
+            });
+            bytes.extend_from_slice(&full[header_len..]);
+            fs::write(dir.join("old.db"), &bytes).unwrap();
+            let err = ImageReader::open(dir.join("old.db"))
+                .err()
+                .expect("old version");
+            assert!(
+                matches!(
+                    err,
+                    MmdbError::CheckpointInvalid {
+                        reason: "unsupported checkpoint version"
+                    }
+                ),
+                "{err:?}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1161,26 +1057,36 @@ mod tests {
     fn truncated_checkpoint_never_reads_as_a_smaller_image() {
         let dir = scratch_dir("ckpt-truncated");
         let store = CheckpointStore::create(&dir).unwrap();
-        let mut writer = store.begin_checkpoint(Lsn(1), Timestamp(2)).unwrap();
+        let mut writer = store.begin_image(Lsn(1), Timestamp(2), BASE).unwrap();
         for i in 0..40u64 {
             writer.write_row(TableId(0), &i.to_le_bytes()).unwrap();
         }
         writer.finish().unwrap();
         let full = fs::read(dir.join("ckpt.tmp")).unwrap();
-        let whole = read_checkpoint(dir.join("ckpt.tmp")).unwrap();
-        assert_eq!(whole.rows.len(), 40);
+        let (_, whole) = read_image(dir.join("ckpt.tmp")).unwrap();
+        assert_eq!(whole.len(), 40);
         let cut_path = dir.join("ckpt.cut");
-        for cut in 0..full.len() {
-            fs::write(&cut_path, &full[..cut]).unwrap();
-            let err = read_checkpoint(&cut_path).expect_err("prefix must not validate");
+        let expect_invalid = |bytes: &[u8], what: &str| {
+            fs::write(&cut_path, bytes).unwrap();
+            let err = read_image(&cut_path).err().expect("must not validate");
             assert!(
                 matches!(
                     err,
                     MmdbError::CheckpointInvalid { .. } | MmdbError::LogCorrupt { .. }
                 ),
-                "cut at {cut}: unexpected error {err:?}"
+                "{what}: unexpected error {err:?}"
             );
+        };
+        for cut in 0..full.len() {
+            expect_invalid(&full[..cut], &format!("cut at {cut}"));
         }
+        // Whole frames dropped: header + trailer with the op frame gone.
+        let frame_len =
+            |at: usize| 16 + u32::from_le_bytes(full[at..at + 4].try_into().unwrap()) as usize;
+        let header_len = frame_len(0);
+        let ops_len = frame_len(header_len);
+        let without_ops = [&full[..header_len], &full[header_len + ops_len..]].concat();
+        expect_invalid(&without_ops, "op frame dropped");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1196,11 +1102,11 @@ mod tests {
         logger.flush().unwrap();
         let ckpt_lsn = logger.appended_lsn();
         let read_ts = Timestamp(6);
-        let mut writer = store.begin_checkpoint(ckpt_lsn, read_ts).unwrap();
+        let mut writer = store.begin_image(ckpt_lsn, read_ts, BASE).unwrap();
         for i in 0..12u64 {
             writer.write_row(TableId(0), &[i as u8; 24]).unwrap();
         }
-        let installed = store.install_checkpoint(writer.finish().unwrap()).unwrap();
+        let installed = store.install_image(writer.finish().unwrap()).unwrap();
         assert_eq!(store.generation(), 1);
         assert_eq!(installed.path, dir.join("ckpt-1.db"));
         assert!(dir.join("ckpt-1.db").exists());
@@ -1231,8 +1137,8 @@ mod tests {
             .expect("checkpoint installed");
         assert_eq!(ckpt.lsn, ckpt_lsn);
         assert_eq!(ckpt.read_ts, read_ts);
-        let contents = read_checkpoint(&ckpt.path).unwrap();
-        assert_eq!(contents.rows.len(), 12);
+        let (_, ops) = read_image(&ckpt.path).unwrap();
+        assert_eq!(ops.len(), 12);
         // The tail holds exactly the post-checkpoint records.
         let tail = read_log_file_from(&plan.log_path, plan.log_tail_offset()).unwrap();
         let tail_ts: Vec<u64> = tail.records.iter().map(|r| r.end_ts.raw()).collect();
@@ -1248,10 +1154,7 @@ mod tests {
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
-        let writer = store
-            .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
-            .unwrap();
-        store.install_checkpoint(writer.finish().unwrap()).unwrap();
+        install_base(&store, logger.appended_lsn(), 1);
         drop(store);
         let manifest_path = dir.join(MANIFEST);
         let full = fs::read(&manifest_path).unwrap();
@@ -1290,10 +1193,7 @@ mod tests {
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
-        let writer = store
-            .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
-            .unwrap();
-        store.install_checkpoint(writer.finish().unwrap()).unwrap();
+        install_base(&store, logger.appended_lsn(), 1);
         drop(store);
         // Simulate a crash mid-append of a third manifest entry.
         let manifest_path = dir.join(MANIFEST);
@@ -1313,10 +1213,7 @@ mod tests {
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(2, 1));
         logger.flush().unwrap();
-        let writer = store
-            .begin_checkpoint(logger.appended_lsn(), Timestamp(2))
-            .unwrap();
-        store.install_checkpoint(writer.finish().unwrap()).unwrap();
+        install_base(&store, logger.appended_lsn(), 2);
         store.truncate_log().unwrap();
         drop(store);
         let plan = CheckpointStore::plan(&dir).unwrap();
@@ -1332,92 +1229,108 @@ mod tests {
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
-        let writer = store
-            .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
-            .unwrap();
-        store.install_checkpoint(writer.finish().unwrap()).unwrap();
+        install_base(&store, logger.appended_lsn(), 1);
 
         logger.append_frame(&record(2, 1));
         logger.flush().unwrap();
         let mut writer = store
-            .begin_delta(logger.appended_lsn(), Timestamp(5))
+            .begin_image(logger.appended_lsn(), Timestamp(5), Timestamp(1))
             .unwrap();
-        assert_eq!(writer.parent_read_ts(), Some(Timestamp(1)));
-        writer.write_row(TableId(0), &[7u8; 24]).unwrap();
         writer.write_delete(TableId(1), 42).unwrap();
+        writer.write_row(TableId(0), &[7u8; 24]).unwrap();
         writer.write_delete(TableId(0), 9).unwrap();
         let finished = writer.finish().unwrap();
         assert_eq!(finished.rows, 1);
         assert_eq!(finished.deletes, 2);
-        let contents = read_checkpoint(dir.join("delta.tmp")).unwrap();
-        assert_eq!(contents.read_ts, Timestamp(5));
-        assert_eq!(contents.parent_read_ts, Some(Timestamp(1)));
+        let (reader, ops) = read_image(dir.join("ckpt.tmp")).unwrap();
+        assert_eq!(reader.read_ts, Timestamp(5));
+        assert_eq!(reader.parent_read_ts, Timestamp(1));
         assert_eq!(
-            contents.rows,
-            vec![(TableId(0), Row::copy_from_slice(&[7u8; 24]))]
+            ops,
+            vec![
+                LogOp::Delete {
+                    table: TableId(1),
+                    key: 42
+                },
+                LogOp::Write {
+                    table: TableId(0),
+                    row: Row::copy_from_slice(&[7u8; 24])
+                },
+                LogOp::Delete {
+                    table: TableId(0),
+                    key: 9
+                },
+            ]
         );
-        assert_eq!(contents.deletes, vec![(TableId(1), 42), (TableId(0), 9)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn base_writer_rejects_deletes() {
+    fn base_images_reject_deletes_on_write_and_read() {
         let dir = scratch_dir("base-no-deletes");
         let store = CheckpointStore::create(&dir).unwrap();
-        let mut writer = store.begin_checkpoint(Lsn(1), Timestamp(1)).unwrap();
+        let mut writer = store.begin_image(Lsn(1), Timestamp(1), BASE).unwrap();
         let err = writer.write_delete(TableId(0), 1).expect_err("must reject");
         assert!(matches!(err, MmdbError::CheckpointInvalid { .. }));
+        // A delete op smuggled into a base image fails the read.
+        let mut writer = store
+            .begin_image(Lsn(1), Timestamp(3), Timestamp(2))
+            .unwrap();
+        writer.write_delete(TableId(0), 1).unwrap();
+        writer.finish().unwrap();
+        let mut bytes = fs::read(dir.join("ckpt.tmp")).unwrap();
+        let header_len = 16 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        let mut header = Vec::new();
+        write_frame(&mut header, |body| {
+            body.extend_from_slice(CKPT_MAGIC);
+            body.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+            for word in [1u64, 3, 0] {
+                body.extend_from_slice(&word.to_le_bytes());
+            }
+        });
+        bytes.splice(..header_len, header);
+        fs::write(dir.join("ckpt.tmp"), &bytes).unwrap();
+        let err = read_image(dir.join("ckpt.tmp")).err().expect("must reject");
+        assert!(
+            matches!(err, MmdbError::CheckpointInvalid { .. }),
+            "{err:?}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn delta_requires_an_installed_base() {
-        let dir = scratch_dir("delta-needs-base");
-        let store = CheckpointStore::create(&dir).unwrap();
-        let err = match store.begin_delta(Lsn(1), Timestamp(1)) {
-            Ok(_) => panic!("no base yet"),
-            Err(err) => err,
-        };
-        assert!(matches!(err, MmdbError::CheckpointInvalid { .. }));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn install_delta_extends_the_chain_and_compaction_resets_it() {
+    fn install_image_extends_the_chain_and_a_base_resets_it() {
         let dir = scratch_dir("delta-chain");
         let store = CheckpointStore::create(&dir).unwrap();
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
-        let writer = store
-            .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
-            .unwrap();
-        store.install_checkpoint(writer.finish().unwrap()).unwrap();
+        install_base(&store, logger.appended_lsn(), 1);
         let base_bytes = store.checkpoint_bytes_written();
         assert!(base_bytes > 0);
 
         // Two deltas extend the chain; the manifest survives reopen.
-        for (ts, expect_len) in [(3u64, 2usize), (6, 3)] {
+        for (parent, ts, expect_len) in [(1u64, 3u64, 2usize), (3, 6, 3)] {
             logger.append_frame(&record(ts, 1));
             logger.flush().unwrap();
             let mut writer = store
-                .begin_delta(logger.appended_lsn(), Timestamp(ts))
+                .begin_image(logger.appended_lsn(), Timestamp(ts), Timestamp(parent))
                 .unwrap();
             writer.write_row(TableId(0), &[ts as u8; 16]).unwrap();
-            store.install_delta(writer.finish().unwrap()).unwrap();
+            store.install_image(writer.finish().unwrap()).unwrap();
             assert_eq!(store.chain_len(), expect_len);
         }
         assert!(store.checkpoint_bytes_written() > base_bytes);
-        assert!(dir.join("ckpt-1.db").exists());
-        assert!(dir.join("delta-2.db").exists());
-        assert!(dir.join("delta-3.db").exists());
+        for name in ["ckpt-1.db", "ckpt-2.db", "ckpt-3.db"] {
+            assert!(dir.join(name).exists(), "{name}");
+        }
         store.truncate_log().unwrap();
 
         let plan = CheckpointStore::plan(&dir).unwrap();
         assert_eq!(plan.chain.len(), 3);
         assert_eq!(plan.chain[0].path, dir.join("ckpt-1.db"));
-        assert_eq!(plan.chain[1].path, dir.join("delta-2.db"));
-        assert_eq!(plan.chain[2].path, dir.join("delta-3.db"));
+        assert_eq!(plan.chain[1].path, dir.join("ckpt-2.db"));
+        assert_eq!(plan.chain[2].path, dir.join("ckpt-3.db"));
         assert_eq!(plan.last_checkpoint().unwrap().read_ts, Timestamp(6));
         assert_eq!(plan.log_base, plan.last_checkpoint().unwrap().lsn);
 
@@ -1433,14 +1346,11 @@ mod tests {
         // chain's files.
         logger.append_frame(&record(7, 1));
         logger.flush().unwrap();
-        let writer = store
-            .begin_checkpoint(logger.appended_lsn(), Timestamp(7))
-            .unwrap();
-        store.install_checkpoint(writer.finish().unwrap()).unwrap();
+        install_base(&store, logger.appended_lsn(), 7);
         assert_eq!(store.chain_len(), 1);
-        assert!(!dir.join("ckpt-1.db").exists());
-        assert!(!dir.join("delta-2.db").exists());
-        assert!(!dir.join("delta-3.db").exists());
+        for name in ["ckpt-1.db", "ckpt-2.db", "ckpt-3.db"] {
+            assert!(!dir.join(name).exists(), "{name}");
+        }
         let plan = CheckpointStore::plan(&dir).unwrap();
         assert_eq!(plan.chain.len(), 1);
         assert_eq!(plan.last_checkpoint().unwrap().read_ts, Timestamp(7));
@@ -1448,22 +1358,30 @@ mod tests {
     }
 
     #[test]
-    fn install_routes_enforce_image_kind() {
-        let dir = scratch_dir("install-kind");
+    fn install_rejects_a_parent_that_is_not_the_tip() {
+        let dir = scratch_dir("install-tip");
         let store = CheckpointStore::create(&dir).unwrap();
-        let writer = store.begin_checkpoint(Lsn(1), Timestamp(1)).unwrap();
-        let finished = writer.finish().unwrap();
+        let delta = |read_ts: u64, parent: u64| {
+            let writer = store
+                .begin_image(Lsn(1), Timestamp(read_ts), Timestamp(parent))
+                .unwrap();
+            store.install_image(writer.finish().unwrap())
+        };
+        let expect_rejected = |result: Result<CheckpointRef>, what: &str| {
+            let err = result.expect_err(what);
+            assert!(matches!(err, MmdbError::CheckpointInvalid { .. }), "{what}");
+        };
+        expect_rejected(delta(2, 1), "a delta against an empty chain");
+        install_base(&store, Lsn(1), 1);
+        expect_rejected(delta(3, 2), "a delta against a foreign parent");
+        delta(3, 1).expect("a delta against the tip");
+        expect_rejected(delta(4, 1), "a delta against a superseded tip");
+        assert_eq!(store.chain_len(), 2);
+        // A snapshot must postdate its parent.
         let err = store
-            .install_delta(finished)
-            .expect_err("base via install_delta");
-        assert!(matches!(err, MmdbError::CheckpointInvalid { .. }));
-        let writer = store.begin_checkpoint(Lsn(1), Timestamp(1)).unwrap();
-        store.install_checkpoint(writer.finish().unwrap()).unwrap();
-        let writer = store.begin_delta(Lsn(2), Timestamp(2)).unwrap();
-        let finished = writer.finish().unwrap();
-        let err = store
-            .install_checkpoint(finished)
-            .expect_err("delta via install_checkpoint");
+            .begin_image(Lsn(1), Timestamp(3), Timestamp(3))
+            .err()
+            .expect("snapshot at its parent's timestamp");
         assert!(matches!(err, MmdbError::CheckpointInvalid { .. }));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1475,23 +1393,18 @@ mod tests {
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
-        let writer = store
-            .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
-            .unwrap();
-        store.install_checkpoint(writer.finish().unwrap()).unwrap();
+        install_base(&store, logger.appended_lsn(), 1);
         drop(store);
         // A crash mid-compaction can leave stale images and tmp files.
-        fs::write(dir.join("delta-9.db"), b"stale").unwrap();
+        fs::write(dir.join("ckpt-9.db"), b"stale").unwrap();
         fs::write(dir.join("ckpt.tmp"), b"stale").unwrap();
-        fs::write(dir.join("delta.tmp"), b"stale").unwrap();
         let plan = CheckpointStore::plan(&dir).unwrap();
         assert_eq!(plan.chain.len(), 1);
         let tail = read_log_file_from(&plan.log_path, plan.log_tail_offset()).unwrap();
         let store = CheckpointStore::open(&dir, &plan, tail.valid_bytes).unwrap();
         assert_eq!(store.chain_len(), 1);
-        assert!(!dir.join("delta-9.db").exists());
+        assert!(!dir.join("ckpt-9.db").exists());
         assert!(!dir.join("ckpt.tmp").exists());
-        assert!(!dir.join("delta.tmp").exists());
         assert!(dir.join("ckpt-1.db").exists());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1509,10 +1422,7 @@ mod tests {
         }
         assert!(store.checkpoint_due(&policy));
         logger.flush().unwrap();
-        let writer = store
-            .begin_checkpoint(logger.appended_lsn(), Timestamp(1))
-            .unwrap();
-        store.install_checkpoint(writer.finish().unwrap()).unwrap();
+        install_base(&store, logger.appended_lsn(), 1);
         assert!(!store.checkpoint_due(&policy));
         let _ = fs::remove_dir_all(&dir);
     }

@@ -6,9 +6,9 @@
 //! recovery keeps, per primary key, the op with the newest end timestamp.
 //! Checkpoints bound the log recovery reads. What an engine contributes is
 //! only what depends on how it stores rows — the [`Durable`] trait's five
-//! required methods. Policy dispatch, delta checkpoints and recovery are
-//! provided here, so a later durability feature has one implementation to
-//! build on.
+//! required methods. Policy dispatch, install-then-truncate, delta
+//! checkpoints and recovery are provided here, so a later durability
+//! feature has one implementation to build on.
 
 use std::io::Read;
 
@@ -18,7 +18,7 @@ use mmdb_common::error::{MmdbError, Result};
 use mmdb_common::ids::{Key, TableId, Timestamp};
 use mmdb_common::row::Row;
 
-use crate::checkpoint::{CheckpointRef, CheckpointStore, RecoveryPlan};
+use crate::checkpoint::{CheckpointRef, CheckpointStore, FinishedCheckpoint, RecoveryPlan};
 use crate::log::{open_log_range, FrameStream, Lsn, RecoveryReport, RedoLogger as _, READ_CHUNK};
 use crate::recovery::{default_workers, recover_partitioned, NewestWins};
 
@@ -45,9 +45,10 @@ pub struct DeltaBarrier {
 /// engines whose tables were re-created with the same ids: recovery
 /// bulk-loads them through [`Durable::populate`].
 pub trait Durable: Engine {
-    /// Base walk: write a consistent image of every table into `store`,
-    /// install it as a new chain and truncate the redo log below it.
-    fn checkpoint(&self, store: &CheckpointStore) -> Result<CheckpointRef>;
+    /// Base walk: write a consistent image of every table into `store`
+    /// (`CheckpointStore::begin_image` with parent [`Timestamp::ZERO`]) and
+    /// finish it, uninstalled.
+    fn base_image(&self, store: &CheckpointStore) -> Result<FinishedCheckpoint>;
 
     /// Capture the [`DeltaBarrier`] of a delta checkpoint: a `tail_lsn`, then
     /// a freshly drawn `read_ts`, then a `read_limit_lsn` such that
@@ -77,6 +78,12 @@ pub trait Durable: Engine {
     /// Make every timestamp the engine draws from now on exceed `ts`.
     fn advance_clock_past(&self, ts: Timestamp);
 
+    /// Install a [`base_image`](Durable::base_image) as a new chain and
+    /// truncate the redo log below it.
+    fn checkpoint(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
+        install_and_truncate(store, self.base_image(store)?)
+    }
+
     /// Take whichever checkpoint `policy` calls for next: a delta while the
     /// chain is below `policy.max_chain` files, a full base image otherwise
     /// (the first checkpoint, deltas disabled, or a compaction once the
@@ -101,7 +108,7 @@ pub trait Durable: Engine {
     /// The redo log already holds every commit of the window under its end
     /// timestamp (§3.2, §5), so the delta is that log window folded newest
     /// wins per primary key (the fold recovery uses): a row for a key whose
-    /// newest op writes it, a tombstone for one whose newest op deletes it.
+    /// newest op writes it, a delete for one whose newest op deletes it.
     /// Frames below the parent's LSN commit at or below `P` and were
     /// truncated with it; `end_ts > P` drops the rest of the parent's window.
     fn checkpoint_delta(&self, store: &CheckpointStore) -> Result<CheckpointRef> {
@@ -130,7 +137,7 @@ pub trait Durable: Engine {
                 })?;
             }
         }
-        let mut writer = store.begin_delta(barrier.tail_lsn, barrier.read_ts)?;
+        let mut writer = store.begin_image(barrier.tail_lsn, barrier.read_ts, parent.read_ts)?;
         for (table, ops) in fold.into_tables() {
             for (key, row) in ops {
                 match row {
@@ -139,9 +146,7 @@ pub trait Durable: Engine {
                 }
             }
         }
-        let installed = store.install_delta(writer.finish()?)?;
-        store.truncate_log()?;
-        Ok(installed)
+        install_and_truncate(store, writer.finish()?)
     }
 
     /// Recover from a [`RecoveryPlan`]: fold the checkpoint chain (base
@@ -150,7 +155,9 @@ pub trait Durable: Engine {
     /// already inside the chain (`end_ts <= read_ts`), and bulk-load the
     /// result with one [`Durable::populate`] per table. The fold is sharded
     /// by table across the machine's available parallelism, capped at 8
-    /// workers. Nothing is re-appended to the engine's log.
+    /// workers. Nothing is re-appended to the engine's log, and nothing is
+    /// loaded at all if an image or the tail fails to decode (a torn tail
+    /// is not a failure).
     ///
     /// The report's `valid_bytes` is the *physical* clean prefix of the live
     /// log segment — what `CheckpointStore::open` takes to resume appending.
@@ -164,6 +171,16 @@ pub trait Durable: Engine {
     fn recover_bytes(&self, bytes: &[u8]) -> Result<RecoveryReport> {
         recover(self, &[], FrameStream::new(bytes, READ_CHUNK, 0))
     }
+}
+
+/// Make `image` the chain tip, then truncate the log below it.
+fn install_and_truncate(
+    store: &CheckpointStore,
+    image: FinishedCheckpoint,
+) -> Result<CheckpointRef> {
+    let installed = store.install_image(image)?;
+    store.truncate_log()?;
+    Ok(installed)
 }
 
 /// The one recovery: fold `chain` + `tail` into `engine`, then advance its

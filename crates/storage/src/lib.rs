@@ -26,9 +26,10 @@
 //!   per-transaction durability tickets, background-tick or leader-elected
 //!   flushing.
 //! * [`checkpoint`] — checkpointing and log truncation
-//!   ([`CheckpointStore`]): consistent snapshot images, the torn-tolerant
-//!   `MANIFEST`, and crash-atomic write → install → truncate, turning
-//!   recovery into load-checkpoint + replay-tail.
+//!   ([`CheckpointStore`]): one image format for a base and its deltas,
+//!   streamed back by [`ImageReader`], the torn-tolerant `MANIFEST`, and
+//!   crash-atomic write → install → truncate, turning recovery into
+//!   load-chain + replay-tail.
 //! * `recovery` — the newest-wins fold and partitioned parallel recovery:
 //!   one decode pass over the checkpoint chain + log tail, table-sharded
 //!   fold workers.
@@ -52,8 +53,7 @@ pub mod txn_table;
 pub mod version;
 
 pub use checkpoint::{
-    read_checkpoint, CheckpointContents, CheckpointRef, CheckpointStore, CheckpointWriter,
-    FinishedCheckpoint, RecoveryPlan,
+    CheckpointRef, CheckpointStore, CheckpointWriter, FinishedCheckpoint, ImageReader, RecoveryPlan,
 };
 pub use durable::Durable;
 pub use gc::{GcItem, GcQueue};

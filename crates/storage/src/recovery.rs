@@ -7,12 +7,10 @@
 //! state is one rule — per `(table, primary key)`, keep the op with the
 //! newest timestamp — and [`NewestWins`] is that rule, written once. Delta
 //! checkpoints fold their log window through it (`Durable::checkpoint_delta`);
-//! recovery folds everything it reads:
+//! recovery folds everything it reads, record by record:
 //!
-//! * the base image's rows at the base's `read_ts`;
-//! * each delta's deletes, then its rows, at that delta's `read_ts` (on a
-//!   tie the later op wins, so a delete + re-insert in one window resolves
-//!   to the row);
+//! * each chain image's ops at that image's `read_ts` (an image holds at
+//!   most one op per key, so the order inside it does not matter);
 //! * the log tail's ops at their record's `end_ts`, skipping records at or
 //!   below the chain tip's snapshot (the chain already holds them).
 //!
@@ -22,25 +20,27 @@
 //! [`recover_partitioned`] splits the work by table: the calling thread makes
 //! one decode pass over the chain images and the log tail, routing every op
 //! to a worker chosen by `TableId % workers`; each worker folds its tables'
-//! ops and hands the engine one pk-ordered row batch per table. Every op
-//! names exactly one table, so the final image does not depend on how
+//! ops and, once the whole pass has succeeded, hands the engine one
+//! pk-ordered row batch per table — a failed recovery loads nothing. Every
+//! op names exactly one table, so the final image does not depend on how
 //! tables are distributed; a test below pins recovery with 1, 2, 3 and 8
 //! workers to identical images.
 //!
-//! Chain validation happens here too: the base must not claim a parent
-//! snapshot, and each delta's recorded parent snapshot must equal the
-//! preceding image's `read_ts` — a mismatched or reordered chain is
-//! corruption, not something to paper over.
+//! Chain validation happens here too: each image's recorded parent snapshot
+//! must equal the preceding image's `read_ts` ([`Timestamp::ZERO`] for the
+//! first) — a mismatched or reordered chain is corruption, not something to
+//! paper over.
 
 use std::collections::BTreeMap;
 use std::io::Read;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 use mmdb_common::error::{MmdbError, Result};
 use mmdb_common::ids::{Key, TableId, Timestamp};
 use mmdb_common::row::Row;
 
-use crate::checkpoint::{read_checkpoint, CheckpointRef};
+use crate::checkpoint::{CheckpointRef, ImageReader};
 use crate::log::{FrameStream, LogOp};
 
 /// Extracts a row's primary key; must agree with the engine's primary-index
@@ -133,7 +133,8 @@ pub(crate) fn default_workers() -> usize {
 
 /// Fold `chain` (base image first, then its deltas) and the log `tail` into
 /// the engine behind `apply`, fanning the work across `workers` threads
-/// (clamped to at least one).
+/// (clamped to at least one). `apply` runs only if the whole chain and tail
+/// decoded cleanly.
 pub(crate) fn recover_partitioned<R: Read>(
     chain: &[CheckpointRef],
     tail: FrameStream<R>,
@@ -142,16 +143,20 @@ pub(crate) fn recover_partitioned<R: Read>(
     apply: &ApplyFn<'_>,
 ) -> Result<RecoveredImage> {
     let workers = workers.max(1);
+    let fed_ok = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(workers);
         let mut joins = Vec::with_capacity(workers);
         for _ in 0..workers {
             let (tx, rx) = channel::<Msg>();
             senders.push(tx);
-            joins.push(scope.spawn(move || drain_partition(rx, key_of, apply)));
+            let fed_ok = &fed_ok;
+            joins.push(scope.spawn(move || drain_partition(rx, fed_ok, key_of, apply)));
         }
         let fed = feed(chain, tail, &senders);
-        // Hang up before joining: workers drain until every sender is gone.
+        // Publish the verdict, then hang up: workers drain until every
+        // sender is gone and only then read it.
+        fed_ok.store(fed.is_ok(), Ordering::Release);
         drop(senders);
         let mut rows_loaded = 0usize;
         let mut worker_err = None;
@@ -172,39 +177,30 @@ pub(crate) fn recover_partitioned<R: Read>(
     })
 }
 
-/// Coordinator pass: decode the chain and the log tail once, route every op.
-/// `rows_loaded` in the returned image is 0; the caller fills it from the
-/// workers' counts.
+/// Coordinator pass: stream the chain and the log tail once, route every
+/// op. `rows_loaded` in the returned image is 0; the caller fills it from
+/// the workers' counts.
 fn feed<R: Read>(
     chain: &[CheckpointRef],
     mut tail: FrameStream<R>,
     senders: &[Sender<Msg>],
 ) -> Result<RecoveredImage> {
     let invalid = |reason: &'static str| MmdbError::CheckpointInvalid { reason };
-    let mut parent: Option<Timestamp> = None;
     let mut image_ts = Timestamp::ZERO;
-    for (i, ckpt) in chain.iter().enumerate() {
-        let contents = read_checkpoint(&ckpt.path)?;
-        if contents.lsn != ckpt.lsn || contents.read_ts != ckpt.read_ts {
+    for ckpt in chain {
+        let mut image = ImageReader::open(&ckpt.path)?;
+        if image.lsn != ckpt.lsn || image.read_ts != ckpt.read_ts {
             return Err(invalid("checkpoint image disagrees with the manifest"));
         }
-        if i == 0 && contents.parent_read_ts.is_some() {
-            return Err(invalid("checkpoint chain begins with a delta image"));
+        if image.parent_read_ts != image_ts {
+            return Err(invalid(
+                "checkpoint image's parent is not the chain's previous image",
+            ));
         }
-        if i > 0 && contents.parent_read_ts != parent {
-            return Err(invalid("delta parent snapshot does not match the chain"));
+        image_ts = image.read_ts;
+        while let Some(record) = image.next_record()? {
+            route(senders, record.end_ts, record.ops)?;
         }
-        parent = Some(contents.read_ts);
-        image_ts = contents.read_ts;
-        let deletes = contents
-            .deletes
-            .into_iter()
-            .map(|(table, key)| LogOp::Delete { table, key });
-        let rows = contents
-            .rows
-            .into_iter()
-            .map(|(table, row)| LogOp::Write { table, row });
-        route(senders, image_ts, deletes.chain(rows))?;
     }
 
     let mut tail_records = 0usize;
@@ -227,46 +223,40 @@ fn feed<R: Read>(
     })
 }
 
-/// Most ops one [`Msg`] carries, so routing a checkpoint image never holds
-/// a second copy of it.
-const ROUTE_BATCH: usize = 4096;
-
-/// Send each worker, in order, the ops of its tables.
-fn route(
-    senders: &[Sender<Msg>],
-    ts: Timestamp,
-    ops: impl IntoIterator<Item = LogOp>,
-) -> Result<()> {
-    let send = |worker: usize, ops: Vec<LogOp>| {
-        senders[worker]
-            .send(Msg { ts, ops })
-            .map_err(|_| MmdbError::Internal("recovery worker exited early"))
-    };
+/// Send each worker, in order, the ops of its tables in one record.
+fn route(senders: &[Sender<Msg>], ts: Timestamp, ops: Vec<LogOp>) -> Result<()> {
     let mut batches: Vec<Vec<LogOp>> = senders.iter().map(|_| Vec::new()).collect();
     for op in ops {
         let (LogOp::Write { table, .. } | LogOp::Delete { table, .. }) = op;
-        let worker = table.0 as usize % senders.len();
-        batches[worker].push(op);
-        if batches[worker].len() == ROUTE_BATCH {
-            send(worker, std::mem::take(&mut batches[worker]))?;
-        }
+        batches[table.0 as usize % senders.len()].push(op);
     }
-    for (worker, ops) in batches.into_iter().enumerate() {
+    for (sender, ops) in senders.iter().zip(batches) {
         if !ops.is_empty() {
-            send(worker, ops)?;
+            sender
+                .send(Msg { ts, ops })
+                .map_err(|_| MmdbError::Internal("recovery worker exited early"))?;
         }
     }
     Ok(())
 }
 
-/// Worker loop: fold this partition's ops, then hand the engine one
-/// pk-ordered batch per table. Returns the number of rows applied.
-fn drain_partition(rx: Receiver<Msg>, key_of: &KeyOfFn<'_>, apply: &ApplyFn<'_>) -> Result<usize> {
+/// Worker loop: fold this partition's ops, then — if the coordinator's pass
+/// succeeded — hand the engine one pk-ordered batch per table. Returns the
+/// number of rows applied.
+fn drain_partition(
+    rx: Receiver<Msg>,
+    fed_ok: &AtomicBool,
+    key_of: &KeyOfFn<'_>,
+    apply: &ApplyFn<'_>,
+) -> Result<usize> {
     let mut fold = NewestWins::default();
     for Msg { ts, ops } in rx {
         for op in ops {
             fold.push(ts, op, key_of)?;
         }
+    }
+    if !fed_ok.load(Ordering::Acquire) {
+        return Ok(0);
     }
     let mut rows_loaded = 0usize;
     for (table, ops) in fold.into_tables() {
@@ -280,7 +270,7 @@ fn drain_partition(rx: Receiver<Msg>, key_of: &KeyOfFn<'_>, apply: &ApplyFn<'_>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{CheckpointStore, RecoveryPlan};
+    use crate::checkpoint::{CheckpointStore, RecoveryPlan, ROW_BATCH_TARGET};
     use crate::log::{encode_frame_into, open_log_range, LogOpRef, Lsn, RedoLogger, READ_CHUNK};
     use std::fs;
     use std::sync::Mutex;
@@ -321,11 +311,13 @@ mod tests {
         let t0 = TableId(0);
         let t1 = TableId(1);
 
-        let mut base = store.begin_checkpoint(Lsn::ZERO, Timestamp(10)).unwrap();
+        let mut base = store
+            .begin_image(Lsn::ZERO, Timestamp(10), Timestamp::ZERO)
+            .unwrap();
         base.write_row(t0, &row(1, 0xa)).unwrap();
         base.write_row(t0, &row(2, 0xb)).unwrap();
         base.write_row(t1, &row(1, 0xc)).unwrap();
-        store.install_checkpoint(base.finish().unwrap()).unwrap();
+        store.install_image(base.finish().unwrap()).unwrap();
 
         let lsn = store.logger().appended_lsn();
         // This commit raced the checkpoint: its frame lands past the
@@ -340,11 +332,13 @@ mod tests {
                 row: &row(3, 0x1d),
             }],
         );
-        let mut delta = store.begin_delta(lsn, Timestamp(20)).unwrap();
-        delta.write_delete(t0, 2).unwrap();
+        let mut delta = store
+            .begin_image(lsn, Timestamp(20), Timestamp(10))
+            .unwrap();
         delta.write_row(t0, &row(3, 0x1d)).unwrap();
+        delta.write_delete(t0, 2).unwrap();
         delta.write_row(t1, &row(1, 0x2c)).unwrap();
-        store.install_delta(delta.finish().unwrap()).unwrap();
+        store.install_image(delta.finish().unwrap()).unwrap();
         store.truncate_log().unwrap();
 
         append(
@@ -359,6 +353,34 @@ mod tests {
             ],
         );
         store.logger().flush().unwrap();
+        drop(store);
+        dir
+    }
+
+    /// Build a dir holding a base and two deltas over three tables, each
+    /// image spanning several op frames, and no log tail.
+    fn build_multi_frame_chain_dir(tag: &str) -> std::path::PathBuf {
+        let dir = scratch_dir(tag);
+        let store = CheckpointStore::create(&dir).unwrap();
+        // 8 192 keys of 25-byte row ops: the base is ≈ 3 frames, each delta
+        // (a quarter of the keys rewritten, a quarter deleted) ≈ 2.
+        let keys = 2 * ROW_BATCH_TARGET as u64 / 16;
+        let table = |k: u64| TableId((k % 3) as u32);
+        let mut parent = Timestamp::ZERO;
+        for (i, ts) in [10u64, 20, 30].into_iter().enumerate() {
+            let mut image = store.begin_image(Lsn::ZERO, Timestamp(ts), parent).unwrap();
+            for k in 0..keys {
+                match (i, (k + i as u64) % 4) {
+                    (0, _) | (_, 1) => image.write_row(table(k), &row(k, ts as u8)).unwrap(),
+                    (_, 0) => image.write_delete(table(k), k).unwrap(),
+                    _ => {}
+                }
+            }
+            let finished = image.finish().unwrap();
+            assert!(finished.bytes > ROW_BATCH_TARGET as u64);
+            store.install_image(finished).unwrap();
+            parent = Timestamp(ts);
+        }
         drop(store);
         dir
     }
@@ -417,14 +439,20 @@ mod tests {
 
     #[test]
     fn recovery_is_worker_count_invariant() {
-        let dir = build_chain_dir("invariant");
-        let (serial_image, serial_rows) = recover_rows(&dir, 1);
-        for workers in [2usize, 3, 8] {
-            let (image, rows) = recover_rows(&dir, workers);
-            assert_eq!(image, serial_image, "{workers} workers");
-            assert_eq!(rows, serial_rows, "{workers} workers");
+        let dirs = [
+            build_chain_dir("invariant"),
+            build_multi_frame_chain_dir("invariant-multi-frame"),
+        ];
+        for dir in dirs {
+            let (serial_image, serial_rows) = recover_rows(&dir, 1);
+            assert!(serial_image.rows_loaded > 0);
+            for workers in [2usize, 3, 8] {
+                let (image, rows) = recover_rows(&dir, workers);
+                assert_eq!(image, serial_image, "{workers} workers");
+                assert_eq!(rows, serial_rows, "{workers} workers");
+            }
+            let _ = fs::remove_dir_all(&dir);
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// The tail folds in end-timestamp order, not file order: key `a` is
@@ -509,6 +537,32 @@ mod tests {
         assert!(
             matches!(err, MmdbError::CheckpointInvalid { .. }),
             "{err:?}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_chain_image_fails_recovery_and_loads_nothing() {
+        let dir = build_chain_dir("torn-delta");
+        let plan = CheckpointStore::plan(&dir).unwrap();
+        // Keep the base; tear the delta's trailer.
+        let delta = &plan.chain[1].path;
+        let bytes = fs::read(delta).unwrap();
+        fs::write(delta, &bytes[..bytes.len() - 1]).unwrap();
+        let applied = Mutex::new(0usize);
+        let err = recover_partitioned(&plan.chain, tail_of(&plan), 2, &key_of, &|_, _| {
+            *applied.lock().unwrap() += 1;
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(
+            matches!(err, MmdbError::CheckpointInvalid { .. }),
+            "{err:?}"
+        );
+        assert_eq!(
+            *applied.lock().unwrap(),
+            0,
+            "a failed recovery applied rows"
         );
         let _ = fs::remove_dir_all(&dir);
     }

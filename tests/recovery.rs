@@ -35,9 +35,7 @@ use rand::{Rng, SeedableRng};
 
 use mmdb::prelude::*;
 use mmdb_common::durability::CheckpointPolicy;
-use mmdb_storage::checkpoint::{
-    read_checkpoint, CheckpointContents, CheckpointRef, CheckpointStore, RecoveryPlan,
-};
+use mmdb_storage::checkpoint::{CheckpointRef, CheckpointStore, ImageReader, RecoveryPlan};
 use mmdb_storage::durable::Durable;
 use mmdb_storage::group_commit::GroupCommitLog;
 use mmdb_storage::log::{
@@ -1065,11 +1063,40 @@ fn file_of<'a>(files: &'a [(String, Vec<u8>)], name: &str) -> &'a [u8] {
         .1
 }
 
+/// A checkpoint image read back to its end: header timestamps, rows and
+/// deleted keys.
+struct Image {
+    read_ts: Timestamp,
+    parent_read_ts: Timestamp,
+    rows: Vec<(TableId, Row)>,
+    deletes: Vec<(TableId, u64)>,
+}
+
+/// Stream the image at `path` into an [`Image`].
+fn read_image(path: &Path) -> Image {
+    let mut reader = ImageReader::open(path).expect("image opens");
+    let mut image = Image {
+        read_ts: reader.read_ts,
+        parent_read_ts: reader.parent_read_ts,
+        rows: Vec::new(),
+        deletes: Vec::new(),
+    };
+    while let Some(record) = reader.next_record().expect("image reads back") {
+        for op in record.ops {
+            match op {
+                LogOp::Write { table, row } => image.rows.push((table, row)),
+                LogOp::Delete { table, key } => image.deletes.push((table, key)),
+            }
+        }
+    }
+    image
+}
+
 /// Decode a checkpoint image into per-table state maps (same shape as
 /// [`log_oracle`]'s output).
-fn image_state(contents: &CheckpointContents, tables: &[TableId]) -> Vec<BTreeMap<u64, u8>> {
+fn image_state(image: &Image, tables: &[TableId]) -> Vec<BTreeMap<u64, u8>> {
     let mut state = vec![BTreeMap::new(); tables.len()];
-    for (table, row) in &contents.rows {
+    for (table, row) in &image.rows {
         let slot = tables
             .iter()
             .position(|t| t == table)
@@ -1182,7 +1209,7 @@ fn checkpoint_concurrent_with_writers_then_tail_crash_recovers_on<E: Durable>(ki
             .last_checkpoint()
             .cloned()
             .expect("checkpoint installed");
-        let contents = read_checkpoint(&ckpt.path).expect("installed image reads back");
+        let contents = read_image(&ckpt.path);
         assert_eq!(contents.read_ts, ckpt.read_ts);
         assert_eq!(
             plan.log_base, ckpt.lsn,
@@ -1697,23 +1724,23 @@ fn mid_run_crash_snapshots_recover_at_least_the_durable_watermark_on<E: Durable>
 // Delta-chain crash tests
 //
 // Delta checkpoints append to the installed chain instead of rewriting the
-// database: `ckpt-<g>.db` + `delta-<g>.db`... + log tail. The incremental
-// format adds new crash surfaces — a torn delta image, a published base
-// with an unpublished delta, a compaction that crashed with stale chain
-// files still on disk — and every one of them must stay invisible: the
-// chain protocol, like the base protocol, is a pure representation change.
+// database: a base `ckpt-<g>.db`, its deltas (more `ckpt-<g>.db` files),
+// then the log tail. Chains add crash surfaces — a torn delta image, a
+// published base with an unpublished delta, a compaction that crashed with
+// stale chain files still on disk — and every one of them must stay
+// invisible: the chain protocol, like the base protocol, is a pure
+// representation change.
 // ---------------------------------------------------------------------------
 
 /// Collapse a recovery plan's checkpoint chain into per-table state maps —
-/// the image part of the recovery oracle. Within each chain element deletes
-/// apply before rows (a delta never contains both for one key), across
-/// elements later images win. Returns the maps and the chain tip's snapshot
-/// timestamp (the tail-replay filter).
+/// the image part of the recovery oracle. An image holds at most one op per
+/// key; across images later ones win. Returns the maps and the chain tip's
+/// snapshot timestamp (the tail-replay filter).
 fn chain_state(plan: &RecoveryPlan, tables: &[TableId]) -> (Vec<BTreeMap<u64, u8>>, Timestamp) {
     let mut state = vec![BTreeMap::new(); tables.len()];
     let mut image_ts = Timestamp::ZERO;
     for link in &plan.chain {
-        let contents = read_checkpoint(&link.path).expect("chain image reads back");
+        let contents = read_image(&link.path);
         assert_eq!(contents.read_ts, link.read_ts, "image agrees with manifest");
         for (table, key) in &contents.deletes {
             let slot = tables
@@ -1792,10 +1819,11 @@ fn delta_checkpoints_skip_clean_tables_and_carry_tombstones_on<E: Durable>(kind:
     window_writes(&engine, tables[0], 0x40);
     let delta = engine.checkpoint_delta(&store).expect("delta checkpoint");
 
-    let contents = read_checkpoint(&delta.path).expect("delta image reads back");
+    let contents = read_image(&delta.path);
     let label = kind.label;
-    assert!(
-        contents.parent_read_ts.is_some(),
+    assert_ne!(
+        contents.parent_read_ts,
+        Timestamp::ZERO,
         "[{label}] a delta image records its parent snapshot"
     );
     let touched: Vec<TableId> = contents
@@ -1888,7 +1916,7 @@ fn a_delta_collapses_its_window_newest_wins_on<E: Durable>(kind: &Kind<E>) {
     commit_one(&engine, |txn| txn.insert(t0, row(c, 0x33)).map(|()| true));
     let delta = engine.checkpoint_delta(&store).expect("delta checkpoint");
 
-    let contents = read_checkpoint(&delta.path).expect("delta image reads back");
+    let contents = read_image(&delta.path);
     let mut rows: Vec<(TableId, u64, u8)> = contents
         .rows
         .iter()
@@ -1967,11 +1995,12 @@ fn checkpoint_auto_compacts_a_full_chain_on<E: Durable>(kind: &Kind<E>) {
     drop(engine);
     drop(store);
 
-    // Compaction reclaimed every delta file.
+    // Compaction reclaimed every older image file.
     let names: Vec<String> = dir_snapshot(&dir).into_iter().map(|(n, _)| n).collect();
-    assert!(
-        !names.iter().any(|n| n.starts_with("delta-")),
-        "[{}] compaction must delete the old chain's delta files, got {names:?}",
+    assert_eq!(
+        names.iter().filter(|n| n.starts_with("ckpt-")).count(),
+        1,
+        "[{}] compaction must delete the old chain's image files, got {names:?}",
         kind.label
     );
 
@@ -2112,7 +2141,7 @@ fn crash_anywhere_inside_the_delta_protocol_preserves_committed_state_on<E: Dura
     kind: &Kind<E>,
 ) {
     // The delta twin of the base-protocol crash test. The workload is
-    // quiesced, so every synthesized intermediate state — a torn `delta.tmp`,
+    // quiesced, so every synthesized intermediate state — a torn `ckpt.tmp`,
     // the renamed-but-unpublished delta (recovery must fall back to base +
     // full tail), a torn install entry, a torn rotated segment, a torn
     // truncation publish, the undeleted old segment — must recover to the
@@ -2138,7 +2167,7 @@ fn crash_anywhere_inside_the_delta_protocol_preserves_committed_state_on<E: Dura
     drop(engine);
     drop(store);
 
-    let delta_bytes = file_of(&after, "delta-3.db").to_vec();
+    let delta_bytes = file_of(&after, "ckpt-3.db").to_vec();
     let wal_new = file_of(&after, "wal-4.log").to_vec();
     let wal_old = file_of(&before, "wal-2.log").to_vec();
     let manifest_a = file_of(&before, "MANIFEST").to_vec();
@@ -2174,12 +2203,12 @@ fn crash_anywhere_inside_the_delta_protocol_preserves_committed_state_on<E: Dura
     for cut in crash_offsets(seed ^ 0x0001, delta_bytes.len()) {
         states.push((
             format!("tmp-cut-{cut}"),
-            with(&before, vec![("delta.tmp", delta_bytes[..cut].to_vec())]),
+            with(&before, vec![("ckpt.tmp", delta_bytes[..cut].to_vec())]),
         ));
     }
     states.push((
         "renamed-unpublished".to_string(),
-        with(&before, vec![("delta-3.db", delta_bytes.clone())]),
+        with(&before, vec![("ckpt-3.db", delta_bytes.clone())]),
     ));
     for cut in crash_offsets(seed ^ 0x0002, install_len) {
         let mut manifest = manifest_a.clone();
@@ -2188,7 +2217,7 @@ fn crash_anywhere_inside_the_delta_protocol_preserves_committed_state_on<E: Dura
             format!("install-cut-{cut}"),
             with(
                 &before,
-                vec![("delta-3.db", delta_bytes.clone()), ("MANIFEST", manifest)],
+                vec![("ckpt-3.db", delta_bytes.clone()), ("MANIFEST", manifest)],
             ),
         ));
     }
@@ -2198,7 +2227,7 @@ fn crash_anywhere_inside_the_delta_protocol_preserves_committed_state_on<E: Dura
             with(
                 &before,
                 vec![
-                    ("delta-3.db", delta_bytes.clone()),
+                    ("ckpt-3.db", delta_bytes.clone()),
                     ("MANIFEST", manifest_installed.clone()),
                     ("wal-4.log", wal_new[..cut].to_vec()),
                 ],
@@ -2213,7 +2242,7 @@ fn crash_anywhere_inside_the_delta_protocol_preserves_committed_state_on<E: Dura
             with(
                 &before,
                 vec![
-                    ("delta-3.db", delta_bytes.clone()),
+                    ("ckpt-3.db", delta_bytes.clone()),
                     ("MANIFEST", manifest),
                     ("wal-4.log", wal_new.clone()),
                 ],
@@ -2257,7 +2286,7 @@ fn crash_mid_compaction_leaves_stale_chain_files_recovery_ignores_on<E: Durable>
     // crash surface the plain protocol lacks: the new base's install entry
     // is durable but the crash hits before the old chain's files are
     // unlinked. Recovery must plan from the new single-element chain and
-    // ignore the stale `ckpt-1.db`/`delta-3.db` still sitting in the
+    // ignore the stale `ckpt-1.db`/`ckpt-3.db` still sitting in the
     // directory — plus all the usual torn-artifact states.
     let seed = seeds()[0] ^ 0xC0BA;
     let tag = format!("compact-crash-{}", kind.tag());
@@ -2289,7 +2318,7 @@ fn crash_mid_compaction_leaves_stale_chain_files_recovery_ignores_on<E: Durable>
     assert!(
         !after
             .iter()
-            .any(|(n, _)| n == "ckpt-1.db" || n == "delta-3.db"),
+            .any(|(n, _)| n == "ckpt-1.db" || n == "ckpt-3.db"),
         "compaction unlinks the old chain"
     );
     assert_eq!(
