@@ -176,7 +176,11 @@ fn recover_smoke(cfg: &ExpConfig) {
             std::process::id(),
             label.replace('/', "_")
         ));
-        let logger = Arc::new(GroupCommitLog::create(&path).expect("create log file"));
+        // The deployment's 1 ms group-commit tick.
+        let logger = Arc::new(
+            GroupCommitLog::with_tick(&path, std::time::Duration::from_millis(1))
+                .expect("create log file"),
+        );
         let engine = make(logger.clone());
         let table = engine.create_table(spec(rows)).expect("create table");
 

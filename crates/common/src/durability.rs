@@ -8,10 +8,11 @@
 //! [`Durability::Sync`] is the conventional alternative: `commit()` returns
 //! only after the transaction's redo record has reached durable storage. A
 //! per-transaction group-commit ticket (see `RedoLogger::append_frame_ticketed`
-//! and `wait_durable` in `mmdb-storage`) keeps Sync commits batched — a
-//! committer waits for the flush covering its ticket rather than forcing its
-//! own; `mmdb-benchmark`'s `storage.group_commit.*` cells quantify the
-//! difference against a per-transaction flush.
+//! and `wait_durable` in `mmdb-storage`) keeps Sync commits batched — the
+//! first waiter leads one flush covering every ticket queued so far and the
+//! others wait for it rather than forcing their own; `mmdb-benchmark`'s
+//! `storage.group_commit.*` cells quantify the difference against a
+//! per-transaction flush.
 
 /// When `commit()` may return relative to log durability.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]

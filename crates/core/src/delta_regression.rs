@@ -51,7 +51,12 @@ fn writer_parked_across_the_barrier_is_recovered(mode: ConcurrencyMode) -> bool 
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = Arc::new(CheckpointStore::create(&dir).expect("create checkpoint store"));
+    // A tick longer than the test: only the checkpoints and the final
+    // flush harden the log.
+    let store = Arc::new(
+        CheckpointStore::create_with_tick(&dir, Duration::from_secs(3600))
+            .expect("create checkpoint store"),
+    );
     let engine = MvEngine::with_logger(config(mode), store.logger().clone());
     let table = engine
         .create_table(TableSpec::keyed_u64("t", 16))

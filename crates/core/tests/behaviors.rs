@@ -513,6 +513,10 @@ fn random_forced_aborts_leave_the_database_consistent() {
 // a log that can no longer confirm durability fails the Sync commit cleanly.
 // ---------------------------------------------------------------------------
 
+/// A group-commit tick longer than any test here: the log's ticker never
+/// fires, so only Sync committers and explicit flushes harden.
+const LONG_TICK: Duration = Duration::from_secs(3600);
+
 #[test]
 fn sync_commit_is_durable_on_return_while_async_commit_is_not_yet() {
     use mmdb_common::durability::Durability;
@@ -523,9 +527,10 @@ fn sync_commit_is_durable_on_return_while_async_commit_is_not_yet() {
         "mmdb-behaviors-durability-{}.log",
         std::process::id()
     ));
-    // Tickless log: nothing hardens unless a Sync committer (or an explicit
-    // flush) drives it — which makes the semantic difference observable.
-    let logger = Arc::new(GroupCommitLog::create(&path).unwrap());
+    // A tick longer than the test: nothing hardens unless a Sync committer
+    // (or an explicit flush) drives it — which makes the semantic
+    // difference observable.
+    let logger = Arc::new(GroupCommitLog::with_tick(&path, LONG_TICK).unwrap());
     let engine = MvEngine::with_logger(
         MvConfig::optimistic().with_deadlock_detector(false),
         logger.clone(),
@@ -579,7 +584,7 @@ fn sync_commit_on_a_failed_log_rolls_back_and_reports_log_io() {
     // /dev/full fails every write with ENOSPC: durability can never be
     // confirmed, so the Sync commit must fail — and roll back in memory, so
     // the reported outcome matches the (empty) durable log.
-    let logger = Arc::new(GroupCommitLog::create("/dev/full").unwrap());
+    let logger = Arc::new(GroupCommitLog::with_tick("/dev/full", LONG_TICK).unwrap());
     let engine =
         MvEngine::with_logger(MvConfig::optimistic().with_deadlock_detector(false), logger);
     let t = engine.create_table(TableSpec::keyed_u64("t", 16)).unwrap();
@@ -622,7 +627,8 @@ fn onev_sync_commit_waits_for_the_group_commit_flush() {
         "mmdb-behaviors-durability-1v-{}.log",
         std::process::id()
     ));
-    let logger = Arc::new(GroupCommitLog::create(&path).unwrap());
+    // A tick longer than the test, so the Async frame below stays buffered.
+    let logger = Arc::new(GroupCommitLog::with_tick(&path, LONG_TICK).unwrap());
     let engine = SvEngine::with_logger(
         SvConfig::default().with_durability(Durability::Sync),
         logger.clone(),

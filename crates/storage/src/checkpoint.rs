@@ -263,8 +263,8 @@ pub struct CheckpointRef {
 /// checkpoint files, so callers can sequence their own recovery: apply the
 /// [`chain`](RecoveryPlan::chain) in order, stream the log tail from
 /// [`RecoveryPlan::log_tail_offset`], then reopen the store with
-/// [`CheckpointStore::open`] passing the physical prefix the tail read
-/// validated.
+/// [`CheckpointStore::open_with_tick`] passing the physical prefix the tail
+/// read validated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryPlan {
     /// Generation of the winning manifest entry.
@@ -277,7 +277,8 @@ pub struct RecoveryPlan {
     /// Logical LSN of the log segment's byte 0.
     pub log_base: Lsn,
     /// Valid prefix of the manifest itself (a crash mid-append leaves a torn
-    /// tail that [`CheckpointStore::open`] cuts before appending again).
+    /// tail that [`CheckpointStore::open_with_tick`] cuts before appending
+    /// again).
     pub manifest_valid_bytes: u64,
 }
 
@@ -524,19 +525,12 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Create a fresh checkpoint directory: generation 0, an empty
-    /// `wal-0.log`, no checkpoint. The log flushes via the inline-leader
-    /// path only (no background tick).
-    pub fn create(dir: impl AsRef<Path>) -> Result<CheckpointStore> {
-        Self::create_inner(dir.as_ref(), None)
-    }
-
-    /// [`create`](Self::create) with a background group-commit flush tick.
+    /// Create a fresh checkpoint directory — generation 0, an empty
+    /// `wal-0.log`, no checkpoint — and open it like
+    /// [`open_with_tick`](Self::open_with_tick), whose log hardens every
+    /// `tick`.
     pub fn create_with_tick(dir: impl AsRef<Path>, tick: Duration) -> Result<CheckpointStore> {
-        Self::create_inner(dir.as_ref(), Some(tick))
-    }
-
-    fn create_inner(dir: &Path, tick: Option<Duration>) -> Result<CheckpointStore> {
+        let dir = dir.as_ref();
         fs::create_dir_all(dir).map_err(io_err)?;
         let entry = ManifestEntry {
             generation: 0,
@@ -544,25 +538,12 @@ impl CheckpointStore {
             log_base: Lsn::ZERO,
             chain: Vec::new(),
         };
-        let log_path = dir.join(&entry.log_name);
-        let logger = match tick {
-            Some(tick) => GroupCommitLog::with_tick(&log_path, tick),
-            None => GroupCommitLog::create(&log_path),
-        }
-        .map_err(io_err)?;
+        File::create(dir.join(&entry.log_name)).map_err(io_err)?;
         let manifest_path = dir.join(MANIFEST);
         let mut file = File::create(&manifest_path).map_err(io_err)?;
         append_manifest_entry(&mut file, &entry)?;
         sync_parent_dir(&manifest_path);
-        Ok(CheckpointStore {
-            dir: dir.to_path_buf(),
-            logger: Arc::new(logger),
-            manifest: Mutex::new(ManifestState {
-                file,
-                current: entry,
-            }),
-            bytes_written: std::sync::atomic::AtomicU64::new(0),
-        })
+        Self::open_with_tick(dir, &Self::plan(dir)?, 0, tick)
     }
 
     /// Decode the manifest's last complete entry into a [`RecoveryPlan`].
@@ -598,7 +579,8 @@ impl CheckpointStore {
         })
     }
 
-    /// Reopen a directory after recovery.
+    /// Reopen a directory after recovery, with a log that hardens every
+    /// `tick`.
     ///
     /// `valid_bytes` is the *physical* prefix of the live log segment that
     /// recovery decoded cleanly (the `valid_bytes` of the tail read); the
@@ -607,40 +589,16 @@ impl CheckpointStore {
     /// interrupted an entry append) is cut the same way before the file is
     /// reused for appends. A stale `ckpt.tmp` from an interrupted write is
     /// deleted.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        plan: &RecoveryPlan,
-        valid_bytes: u64,
-    ) -> Result<CheckpointStore> {
-        Self::open_inner(dir.as_ref(), plan, valid_bytes, None)
-    }
-
-    /// [`open`](Self::open) with a background group-commit flush tick.
     pub fn open_with_tick(
         dir: impl AsRef<Path>,
         plan: &RecoveryPlan,
         valid_bytes: u64,
         tick: Duration,
     ) -> Result<CheckpointStore> {
-        Self::open_inner(dir.as_ref(), plan, valid_bytes, Some(tick))
-    }
-
-    fn open_inner(
-        dir: &Path,
-        plan: &RecoveryPlan,
-        valid_bytes: u64,
-        tick: Option<Duration>,
-    ) -> Result<CheckpointStore> {
-        let logger = match tick {
-            Some(tick) => GroupCommitLog::open_append_with_tick(
-                &plan.log_path,
-                plan.log_base,
-                valid_bytes,
-                tick,
-            ),
-            None => GroupCommitLog::open_append(&plan.log_path, plan.log_base, valid_bytes),
-        }
-        .map_err(io_err)?;
+        let dir = dir.as_ref();
+        let logger =
+            GroupCommitLog::open_append_with_tick(&plan.log_path, plan.log_base, valid_bytes, tick)
+                .map_err(io_err)?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -922,6 +880,10 @@ mod tests {
 
     const BASE: Timestamp = Timestamp::ZERO;
 
+    /// A group-commit tick longer than any test here: the logs harden only
+    /// on explicit flushes and checkpoints.
+    const LONG_TICK: Duration = Duration::from_secs(3600);
+
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("mmdb-checkpoint-{}-{tag}", std::process::id()));
@@ -964,7 +926,7 @@ mod tests {
     #[test]
     fn fresh_store_plans_generation_zero() {
         let dir = scratch_dir("fresh-plan");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         assert_eq!(store.generation(), 0);
         assert!(store.last_checkpoint().is_none());
         drop(store);
@@ -981,7 +943,7 @@ mod tests {
     #[test]
     fn checkpoint_write_read_round_trip_across_batches() {
         let dir = scratch_dir("ckpt-round-trip");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         // Enough row bytes to force several ROW_BATCH_TARGET flushes.
         let mut writer = store.begin_image(Lsn(123), Timestamp(77), BASE).unwrap();
         let row_len = 1000;
@@ -1018,7 +980,7 @@ mod tests {
     #[test]
     fn empty_checkpoint_round_trips_and_old_versions_are_rejected() {
         let dir = scratch_dir("ckpt-empty");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let writer = store.begin_image(Lsn(5), Timestamp(9), BASE).unwrap();
         let finished = writer.finish().unwrap();
         assert_eq!(finished.rows, 0);
@@ -1056,7 +1018,7 @@ mod tests {
     #[test]
     fn truncated_checkpoint_never_reads_as_a_smaller_image() {
         let dir = scratch_dir("ckpt-truncated");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let mut writer = store.begin_image(Lsn(1), Timestamp(2), BASE).unwrap();
         for i in 0..40u64 {
             writer.write_row(TableId(0), &i.to_le_bytes()).unwrap();
@@ -1093,7 +1055,7 @@ mod tests {
     #[test]
     fn install_and_truncate_advance_the_manifest() {
         let dir = scratch_dir("install-truncate");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let logger = Arc::clone(store.logger());
         // Ten committed records; checkpoint after the first six.
         for ts in 1..=6u64 {
@@ -1150,7 +1112,7 @@ mod tests {
     #[test]
     fn torn_manifest_tail_falls_back_to_the_previous_entry() {
         let dir = scratch_dir("manifest-torn");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
@@ -1189,7 +1151,7 @@ mod tests {
     #[test]
     fn open_cuts_the_torn_manifest_tail_and_resumes() {
         let dir = scratch_dir("open-resume");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
@@ -1207,7 +1169,8 @@ mod tests {
         // `valid_bytes` is a physical file offset — exactly what `open`
         // wants for the cut.
         let tail = read_log_file_from(&plan.log_path, plan.log_tail_offset()).unwrap();
-        let store = CheckpointStore::open(&dir, &plan, tail.valid_bytes).unwrap();
+        let store =
+            CheckpointStore::open_with_tick(&dir, &plan, tail.valid_bytes, LONG_TICK).unwrap();
         assert_eq!(store.generation(), 1);
         // A new install appends cleanly after the cut tail.
         let logger = Arc::clone(store.logger());
@@ -1225,7 +1188,7 @@ mod tests {
     #[test]
     fn delta_round_trips_writes_and_deletes() {
         let dir = scratch_dir("delta-round-trip");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
@@ -1268,7 +1231,7 @@ mod tests {
     #[test]
     fn base_images_reject_deletes_on_write_and_read() {
         let dir = scratch_dir("base-no-deletes");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let mut writer = store.begin_image(Lsn(1), Timestamp(1), BASE).unwrap();
         let err = writer.write_delete(TableId(0), 1).expect_err("must reject");
         assert!(matches!(err, MmdbError::CheckpointInvalid { .. }));
@@ -1301,7 +1264,7 @@ mod tests {
     #[test]
     fn install_image_extends_the_chain_and_a_base_resets_it() {
         let dir = scratch_dir("delta-chain");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
@@ -1360,7 +1323,7 @@ mod tests {
     #[test]
     fn install_rejects_a_parent_that_is_not_the_tip() {
         let dir = scratch_dir("install-tip");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let delta = |read_ts: u64, parent: u64| {
             let writer = store
                 .begin_image(Lsn(1), Timestamp(read_ts), Timestamp(parent))
@@ -1389,7 +1352,7 @@ mod tests {
     #[test]
     fn open_sweeps_unreferenced_image_files() {
         let dir = scratch_dir("open-sweep");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let logger = Arc::clone(store.logger());
         logger.append_frame(&record(1, 1));
         logger.flush().unwrap();
@@ -1401,7 +1364,8 @@ mod tests {
         let plan = CheckpointStore::plan(&dir).unwrap();
         assert_eq!(plan.chain.len(), 1);
         let tail = read_log_file_from(&plan.log_path, plan.log_tail_offset()).unwrap();
-        let store = CheckpointStore::open(&dir, &plan, tail.valid_bytes).unwrap();
+        let store =
+            CheckpointStore::open_with_tick(&dir, &plan, tail.valid_bytes, LONG_TICK).unwrap();
         assert_eq!(store.chain_len(), 1);
         assert!(!dir.join("ckpt-9.db").exists());
         assert!(!dir.join("ckpt.tmp").exists());
@@ -1412,7 +1376,7 @@ mod tests {
     #[test]
     fn checkpoint_due_tracks_log_growth() {
         let dir = scratch_dir("due");
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let logger = Arc::clone(store.logger());
         assert!(!store.checkpoint_due(&CheckpointPolicy::MANUAL));
         let policy = CheckpointPolicy::every_log_bytes(64);

@@ -160,7 +160,8 @@ pub trait Durable: Engine {
     /// is not a failure).
     ///
     /// The report's `valid_bytes` is the *physical* clean prefix of the live
-    /// log segment — what `CheckpointStore::open` takes to resume appending.
+    /// log segment — what [`CheckpointStore::open_with_tick`] takes to resume
+    /// appending.
     fn recover_from_checkpoint(&self, plan: &RecoveryPlan) -> Result<RecoveryReport> {
         let tail = open_log_range(&plan.log_path, plan.log_tail_offset(), None)?;
         recover(self, &plan.chain, tail)

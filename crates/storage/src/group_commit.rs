@@ -13,17 +13,20 @@
 //!   buffer swap, so append capacity is recycled and the steady state
 //!   allocates nothing), writes it with **one `write` + one sync** per batch
 //!   — however many transactions it contains — and only then publishes the
-//!   batch-end offset as durable. Two flusher flavors exist:
-//!   * a dedicated background thread waking every
-//!     [`tick`](GroupCommitLog::with_tick), the paper's asynchronous group
-//!     commit;
-//!   * for tickless builds ([`GroupCommitLog::create`]), a **leader-elected
-//!     inline flush**: the first [`wait_durable`] caller that finds the
-//!     flush lock free hardens the batch for everyone queued behind it —
-//!     followers just block on the ticket condvar and are covered by the
-//!     leader's single sync. When nobody waits or flushes at all, the
-//!     appender that fills the shared buffer hardens it, so fire-and-forget
-//!     appends stay memory-bounded.
+//!   batch-end offset as durable. Every log has the same four flushers, all
+//!   serialized on one flush mutex:
+//!   * the **ticker**, a background thread waking every
+//!     [`tick`](GroupCommitLog::with_tick) — the paper's asynchronous group
+//!     commit, and what drains the buffer when nobody waits;
+//!   * the **waiter-leader**: the first [`wait_durable`] caller that finds
+//!     the flush lock free hardens the batch for everyone queued behind it
+//!     — followers block on the ticket condvar and are covered by the
+//!     leader's single sync. A lone Sync committer therefore costs one
+//!     `write` + one sync and never sits out the tick; N concurrent ones
+//!     share about one;
+//!   * an explicit [`flush`] call;
+//!   * **drop**, which wakes the ticker (so it returns promptly whatever the
+//!     tick), joins it and hardens the tail once more.
 //! * [`wait_durable`] blocks until the durable watermark covers the ticket.
 //!   Because the buffer is appended in ticket order and batches are stolen
 //!   and written whole, **a ticket is never reported durable before every
@@ -50,10 +53,10 @@
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -63,8 +66,7 @@ use crate::log::{Lsn, RedoLogger, StickyError};
 
 /// Initial capacity of the shared append buffer and its flush twin, sized so
 /// steady-state batches never grow the allocation (the zero-allocation
-/// commit path depends on this). Also the fill level at which an appender to
-/// a tickless log hardens the buffer itself.
+/// commit path depends on this).
 const BUFFER_CAPACITY: usize = 1 << 20;
 
 /// How long a durability waiter sleeps before re-checking the watermark.
@@ -82,8 +84,8 @@ struct AppendState {
 }
 
 /// The flusher's side: the file and the swap buffer batches are stolen into.
-/// Held behind its own mutex so exactly one flusher (ticker, inline leader,
-/// or an explicit `flush()`) hardens at a time, in stream order.
+/// Held behind its own mutex so exactly one flusher (ticker, waiter-leader,
+/// an explicit `flush()` or drop) hardens at a time, in stream order.
 struct FlushState {
     file: File,
     /// Where `file` lives — needed to reopen it for reading when a
@@ -96,7 +98,7 @@ struct FlushState {
     batches: u64,
 }
 
-/// State shared between committers, waiters and the flusher(s).
+/// State shared between committers, waiters and the flushers.
 struct Shared {
     /// Append side; also the mutex paired with `durable_cv` (the durable
     /// watermark is published under it, closing the missed-wakeup window).
@@ -117,8 +119,10 @@ struct Shared {
     error: StickyError,
     /// Frames appended (one per committed transaction).
     records: AtomicU64,
-    /// Tells the background ticker to exit.
-    stop: AtomicBool,
+    /// Set by drop to stop the ticker, which sleeps on `stop_cv` between
+    /// ticks so the signal wakes it at once.
+    stop: Mutex<bool>,
+    stop_cv: Condvar,
 }
 
 impl Shared {
@@ -204,6 +208,23 @@ impl Shared {
     fn physical(&self, lsn: u64) -> u64 {
         lsn.saturating_sub(self.base.load(Ordering::Acquire))
     }
+
+    /// The ticker's body: harden once per `tick` until drop sets `stop`.
+    /// Errors are sticky and surfaced to waiters and flush callers; the
+    /// ticker keeps ticking so waiters keep being woken.
+    fn tick_until_stopped(&self, tick: Duration) {
+        let mut stop = self.stop.lock();
+        loop {
+            let deadline = Instant::now() + tick;
+            // Re-wait on an early (spurious) wakeup: only the deadline or
+            // the stop signal ends a sleep.
+            while !*stop && !self.stop_cv.wait_until(&mut stop, deadline).timed_out() {}
+            if *stop {
+                return;
+            }
+            let _ = self.harden();
+        }
+    }
 }
 
 /// A batched redo-log writer with per-transaction durability tickets: the
@@ -213,103 +234,66 @@ impl Shared {
 ///
 /// ```
 /// use std::sync::Arc;
+/// use std::time::Duration;
 /// use mmdb_storage::log::{encode_frame_into, read_log_file, LogOpRef, RedoLogger};
 /// use mmdb_storage::group_commit::GroupCommitLog;
 /// use mmdb_common::ids::{TableId, Timestamp};
 ///
 /// let path = std::env::temp_dir().join(format!("gc-doc-{}.log", std::process::id()));
-/// let log = Arc::new(GroupCommitLog::create(&path).unwrap());
+/// // A tick longer than the example: only the explicit flush below (or a
+/// // Sync committer's `wait_durable`) hardens the batch before drop.
+/// let log = Arc::new(GroupCommitLog::with_tick(&path, Duration::from_secs(60)).unwrap());
 /// let mut frame = Vec::new();
 /// let row = [0u8; 16];
 /// let write = LogOpRef::Write { table: TableId(0), row: &row };
 /// encode_frame_into(&mut frame, Timestamp(7), std::iter::once(write));
 /// log.append_frame(&frame);
-/// // Tickless log: the explicit flush (or a Sync committer's
-/// // `wait_durable`) hardens the batch.
 /// log.flush().unwrap();
 /// assert_eq!(read_log_file(&path).unwrap().records.len(), 1);
 /// # drop(log); std::fs::remove_file(&path).unwrap();
 /// ```
 pub struct GroupCommitLog {
     shared: Arc<Shared>,
-    tick: Option<Duration>,
-    ticker: Mutex<Option<JoinHandle<()>>>,
+    ticker: Option<JoinHandle<()>>,
 }
 
 impl GroupCommitLog {
-    /// Create (truncate) a tickless group-commit log at `path`: no
-    /// background flusher runs, batches are hardened by leader-elected
-    /// inline flushes in [`wait_durable`](crate::log::RedoLogger::wait_durable),
-    /// by explicit [`flush`](crate::log::RedoLogger::flush) calls, and once
-    /// more on drop.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<GroupCommitLog> {
-        Self::new(path, None)
-    }
-
-    /// Create (truncate) a group-commit log whose dedicated background
-    /// flusher hardens the shared buffer every `tick` — the paper's
-    /// asynchronous group commit. Sync committers wait at most one tick (the
-    /// inline-leader path stays available to explicit `flush` callers);
-    /// Async committers never wait at all.
+    /// Create (truncate) a group-commit log at `path` whose background
+    /// ticker hardens the shared buffer every `tick` — the paper's
+    /// asynchronous group commit. Async committers never wait; a Sync
+    /// committer leads a flush itself rather than sit out the tick.
     pub fn with_tick(path: impl AsRef<Path>, tick: Duration) -> std::io::Result<GroupCommitLog> {
-        Self::new(path, Some(tick))
+        File::create(&path)?;
+        Self::open_append_with_tick(path, Lsn::ZERO, 0, tick)
     }
 
-    fn new(path: impl AsRef<Path>, tick: Option<Duration>) -> std::io::Result<GroupCommitLog> {
-        let file = File::create(&path)?;
-        Self::from_file(file, path.as_ref().to_path_buf(), Lsn::ZERO, 0, tick)
-    }
-
-    /// Reopen an existing log file for appending after recovery.
+    /// Reopen an existing log file for appending after recovery, with a
+    /// background ticker as in [`with_tick`](Self::with_tick).
     ///
     /// `base` is the logical LSN of the file's byte 0 (zero unless a prior
     /// checkpoint truncation rotated the stream — the manifest records it)
     /// and `valid_bytes` is the *physical* prefix recovery decoded cleanly:
-    /// the file is first cut back to that offset (burying a torn tail
-    /// mid-stream would corrupt every later record) and the cut is synced.
-    /// The appended/durable watermarks resume at `base + valid_bytes`, so
+    /// a file of another length is first cut to that offset (burying a torn
+    /// tail mid-stream would corrupt every later record) and the cut is
+    /// synced; a file already that long, such as the empty one
+    /// [`with_tick`](Self::with_tick) creates, is used as it is. The
+    /// appended/durable watermarks resume at `base + valid_bytes`, so
     /// LSN tickets stay monotone across the restart.
-    pub fn open_append(
-        path: impl AsRef<Path>,
-        base: Lsn,
-        valid_bytes: u64,
-    ) -> std::io::Result<GroupCommitLog> {
-        Self::reopen(path, base, valid_bytes, None)
-    }
-
-    /// [`open_append`](Self::open_append) with a background flusher tick.
     pub fn open_append_with_tick(
         path: impl AsRef<Path>,
         base: Lsn,
         valid_bytes: u64,
         tick: Duration,
     ) -> std::io::Result<GroupCommitLog> {
-        Self::reopen(path, base, valid_bytes, Some(tick))
-    }
-
-    fn reopen(
-        path: impl AsRef<Path>,
-        base: Lsn,
-        valid_bytes: u64,
-        tick: Option<Duration>,
-    ) -> std::io::Result<GroupCommitLog> {
         let mut file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .open(&path)?;
-        file.set_len(valid_bytes)?;
-        file.sync_all()?;
+        if file.metadata()?.len() != valid_bytes {
+            file.set_len(valid_bytes)?;
+            file.sync_all()?;
+        }
         file.seek(SeekFrom::Start(valid_bytes))?;
-        Self::from_file(file, path.as_ref().to_path_buf(), base, valid_bytes, tick)
-    }
-
-    fn from_file(
-        file: File,
-        path: PathBuf,
-        base: Lsn,
-        valid_bytes: u64,
-        tick: Option<Duration>,
-    ) -> std::io::Result<GroupCommitLog> {
         let end = base.0 + valid_bytes;
         let shared = Arc::new(Shared {
             state: Mutex::new(AppendState {
@@ -319,7 +303,7 @@ impl GroupCommitLog {
             durable_cv: Condvar::new(),
             flush: Mutex::new(FlushState {
                 file,
-                path,
+                path: path.as_ref().to_path_buf(),
                 scratch: Vec::with_capacity(BUFFER_CAPACITY),
                 batches: 0,
             }),
@@ -327,34 +311,19 @@ impl GroupCommitLog {
             base: AtomicU64::new(base.0),
             error: StickyError::default(),
             records: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
+            stop: Mutex::new(false),
+            stop_cv: Condvar::new(),
         });
-        let ticker = tick.map(|tick| {
+        let ticker = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("mmdb-group-commit".into())
-                .spawn(move || {
-                    while !shared.stop.load(Ordering::Acquire) {
-                        std::thread::sleep(tick);
-                        // Errors are sticky and surfaced to waiters/flush
-                        // callers; the ticker itself keeps ticking so
-                        // waiters keep being woken.
-                        let _ = shared.harden();
-                    }
-                })
-                .expect("spawn group-commit flusher")
-        });
+                .spawn(move || shared.tick_until_stopped(tick))?
+        };
         Ok(GroupCommitLog {
             shared,
-            tick,
-            ticker: Mutex::new(ticker),
+            ticker: Some(ticker),
         })
-    }
-
-    /// The background flusher tick, or `None` for a tickless (inline-leader)
-    /// log.
-    pub fn tick(&self) -> Option<Duration> {
-        self.tick
     }
 
     /// Logical end offset of everything appended so far (durable or not).
@@ -476,7 +445,7 @@ pub(crate) fn sync_parent_dir(path: &Path) {
 
 impl RedoLogger for GroupCommitLog {
     fn append_frame_ticketed(&self, frame: &[u8]) -> Lsn {
-        let (lsn, full) = {
+        let lsn = {
             let mut st = self.shared.state.lock();
             // A torn log buffers no further bytes — they could never be
             // hardened (the flusher is gated on the sticky error), so
@@ -487,18 +456,9 @@ impl RedoLogger for GroupCommitLog {
                 st.buf.extend_from_slice(frame);
             }
             st.appended += frame.len() as u64;
-            (Lsn(st.appended), st.buf.len() >= BUFFER_CAPACITY)
+            Lsn(st.appended)
         };
         self.shared.records.fetch_add(1, Ordering::Relaxed);
-        if full && self.tick.is_none() {
-            // No ticker will come for these bytes, and Async committers
-            // never call `wait_durable`: whoever fills the buffer hardens
-            // it. `try_lock` as in the leader election — if a flush is
-            // already running, the next appender past the mark retries.
-            if let Some(mut flush) = self.shared.flush.try_lock() {
-                let _ = self.shared.harden_locked(&mut flush);
-            }
-        }
         lsn
     }
 
@@ -513,15 +473,14 @@ impl RedoLogger for GroupCommitLog {
             if let Some(err) = shared.error.get() {
                 return Err(err);
             }
-            if self.tick.is_none() {
-                // Leader election: whoever wins the flush lock hardens the
-                // batch — which covers every committer queued so far — while
-                // the losers block on the condvar below and are woken by the
-                // leader's publish.
-                if let Some(mut flush) = shared.flush.try_lock() {
-                    let _ = shared.harden_locked(&mut flush);
-                    continue;
-                }
+            // Leader election: whoever wins the flush lock hardens the
+            // batch — which covers every committer queued so far — while the
+            // losers (other waiters, or a waiter that finds the ticker
+            // mid-flush) block on the condvar below and are woken by the
+            // flusher's publish.
+            if let Some(mut flush) = shared.flush.try_lock() {
+                let _ = shared.harden_locked(&mut flush);
+                continue;
             }
             let mut st = shared.state.lock();
             // Re-check both exit conditions under the mutex the watermark
@@ -552,8 +511,9 @@ impl RedoLogger for GroupCommitLog {
 
 impl Drop for GroupCommitLog {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.ticker.lock().take() {
+        *self.shared.stop.lock() = true;
+        self.shared.stop_cv.notify_all();
+        if let Some(handle) = self.ticker.take() {
             let _ = handle.join();
         }
         // Final harden so a cleanly dropped log leaves no torn tail.
@@ -564,7 +524,6 @@ impl Drop for GroupCommitLog {
 impl std::fmt::Debug for GroupCommitLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GroupCommitLog")
-            .field("tick", &self.tick)
             .field("appended", &self.appended_lsn().0)
             .field("durable", &self.durable_lsn().0)
             .field("records", &self.records_written())
@@ -596,12 +555,17 @@ mod tests {
         std::env::temp_dir().join(format!("mmdb-groupcommit-{}-{tag}.log", std::process::id()))
     }
 
+    /// A tick far longer than any test here: its ticker never fires, so
+    /// only explicit flushes, Sync waiters and drop harden — and drop still
+    /// returns at once.
+    const LONG_TICK: Duration = Duration::from_secs(10);
+
     #[test]
     fn batched_frames_round_trip_and_boundaries_are_invisible() {
         let path = scratch("roundtrip");
         let records: Vec<LogRecord> = (0..10).map(|i| record(i + 1, i as u8)).collect();
         {
-            let log = GroupCommitLog::create(&path).unwrap();
+            let log = GroupCommitLog::with_tick(&path, LONG_TICK).unwrap();
             for r in &records[..4] {
                 log.append_frame(&encode_record(r));
             }
@@ -628,48 +592,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Fire-and-forget appends to a tickless log — no `flush`, no
-    /// `wait_durable`, the Async commit path with nobody driving group
-    /// commit — must not grow the shared buffer without bound: the appender
-    /// that fills it hardens it.
-    #[test]
-    fn tickless_appends_without_any_flush_stay_memory_bounded() {
-        let path = scratch("overflow");
-        let log = GroupCommitLog::create(&path).unwrap();
-        let frame = encode_record(&LogRecord {
-            end_ts: Timestamp(1),
-            ops: vec![LogOp::Write {
-                table: TableId(0),
-                row: Row::from(vec![7u8; 4096]),
-            }],
-        });
-        let appends = 3 * BUFFER_CAPACITY / frame.len() + 1;
-        for _ in 0..appends {
-            log.append_frame(&frame);
-            let buffered = log.appended_lsn().0 - log.durable_lsn().0;
-            assert!(
-                buffered < (BUFFER_CAPACITY + frame.len()) as u64,
-                "{buffered} bytes buffered with nobody flushing"
-            );
-        }
-        let on_disk = std::fs::metadata(&path).unwrap().len();
-        assert_eq!(on_disk, log.durable_lsn().0);
-        assert!(
-            on_disk >= 2 * BUFFER_CAPACITY as u64,
-            "only {on_disk} bytes reached the file"
-        );
-        drop(log);
-        let outcome = read_log_file(&path).unwrap();
-        assert!(outcome.is_clean());
-        assert_eq!(outcome.records.len(), appends);
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn drop_hardens_the_tail() {
         let path = scratch("drop");
         {
-            let log = GroupCommitLog::create(&path).unwrap();
+            let log = GroupCommitLog::with_tick(&path, LONG_TICK).unwrap();
             log.append_frame(&encode_record(&record(1, 0xAA)));
             // No flush, no wait: drop must harden the buffered frame.
         }
@@ -682,23 +609,40 @@ mod tests {
         let path = scratch("ticked");
         let log = GroupCommitLog::with_tick(&path, Duration::from_millis(1)).unwrap();
         let lsn = log.append_frame_ticketed(&encode_record(&record(3, 1)));
-        // The background flusher alone must advance the watermark.
-        log.wait_durable(lsn).unwrap();
-        assert!(log.durable_lsn() >= lsn);
+        // The background flusher alone must advance the watermark: poll it
+        // rather than `wait_durable`, which would lead a flush itself.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while log.durable_lsn() < lsn {
+            assert!(Instant::now() < deadline, "the ticker never hardened");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert_eq!(read_log_file(&path).unwrap().records, vec![record(3, 1)]);
         drop(log);
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A Sync waiter leads the flush instead of sitting out the tick, and
+    /// drop wakes the sleeping ticker instead of waiting for it.
     #[test]
-    fn tickless_wait_durable_elects_an_inline_leader() {
+    fn wait_durable_leads_the_flush_without_waiting_for_the_tick() {
         let path = scratch("leader");
-        let log = GroupCommitLog::create(&path).unwrap();
+        let log = GroupCommitLog::with_tick(&path, LONG_TICK).unwrap();
         let lsn = log.append_frame_ticketed(&encode_record(&record(5, 2)));
-        // No ticker exists; wait_durable itself must flush.
+        let started = Instant::now();
         log.wait_durable(lsn).unwrap();
+        let waited = started.elapsed();
+        assert!(
+            waited < LONG_TICK / 10,
+            "wait_durable took {waited:?}: it sat out the {LONG_TICK:?} tick"
+        );
         assert_eq!(read_log_file(&path).unwrap().records, vec![record(5, 2)]);
+        let started = Instant::now();
         drop(log);
+        let dropping = started.elapsed();
+        assert!(
+            dropping < LONG_TICK / 10,
+            "drop took {dropping:?}: it waited for the {LONG_TICK:?} tick"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -710,15 +654,14 @@ mod tests {
     /// hit the file".
     #[test]
     fn wait_durable_never_reports_before_lower_lsns_hit_the_file() {
+        // A long tick (only waiter-leaders harden) and a short one (the
+        // ticker races the leaders).
         for (tag, tick) in [
-            ("order-tickless", None),
-            ("order-ticked", Some(Duration::from_micros(200))),
+            ("order-leaders", LONG_TICK),
+            ("order-ticked", Duration::from_micros(200)),
         ] {
             let path = scratch(tag);
-            let log = Arc::new(match tick {
-                None => GroupCommitLog::create(&path).unwrap(),
-                Some(t) => GroupCommitLog::with_tick(&path, t).unwrap(),
-            });
+            let log = Arc::new(GroupCommitLog::with_tick(&path, tick).unwrap());
             const THREADS: u64 = 4;
             const APPENDS: u64 = 64;
             std::thread::scope(|scope| {
@@ -758,7 +701,7 @@ mod tests {
     #[test]
     fn concurrent_committers_coalesce_into_batches() {
         let path = scratch("coalesce");
-        let log = Arc::new(GroupCommitLog::create(&path).unwrap());
+        let log = Arc::new(GroupCommitLog::with_tick(&path, LONG_TICK).unwrap());
         const THREADS: u64 = 4;
         const APPENDS: u64 = 128;
         std::thread::scope(|scope| {
@@ -790,39 +733,30 @@ mod tests {
     fn io_errors_are_sticky_and_propagate_through_wait_durable() {
         // /dev/full accepts the open but fails every write with ENOSPC:
         // the ticket can never become durable, and the error must reach the
-        // waiting committer instead of hanging or silently succeeding.
+        // waiting committer instead of hanging or silently succeeding —
+        // whether the waiter itself led the failing flush (long tick) or
+        // the background ticker hit it (short tick) and the failing harden
+        // woke the waiter.
         if !std::path::Path::new("/dev/full").exists() {
             return;
         }
-        let log = GroupCommitLog::create("/dev/full").unwrap();
-        let lsn = log.append_frame_ticketed(&encode_record(&record(1, 3)));
-        let first = log.wait_durable(lsn);
-        assert!(
-            matches!(first, Err(MmdbError::LogIo(_))),
-            "wait_durable must surface the write failure, got {first:?}"
-        );
-        // Sticky: later waits and flushes keep failing with the first error.
-        assert_eq!(first, log.wait_durable(lsn));
-        assert_eq!(first, log.flush());
-        // Appends after the failure never panic or block.
-        let lsn2 = log.append_frame_ticketed(&encode_record(&record(2, 4)));
-        assert!(lsn2 > lsn);
-        assert!(log.wait_durable(lsn2).is_err());
-        assert_eq!(log.durable_lsn(), Lsn::ZERO);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn ticked_log_surfaces_flusher_errors_to_waiters() {
-        if !std::path::Path::new("/dev/full").exists() {
-            return;
+        for tick in [LONG_TICK, Duration::from_micros(200)] {
+            let log = GroupCommitLog::with_tick("/dev/full", tick).unwrap();
+            let lsn = log.append_frame_ticketed(&encode_record(&record(1, 3)));
+            let first = log.wait_durable(lsn);
+            assert!(
+                matches!(first, Err(MmdbError::LogIo(_))),
+                "[tick {tick:?}] wait_durable must surface the write failure, got {first:?}"
+            );
+            // Sticky: later waits and flushes keep failing with the first error.
+            assert_eq!(first, log.wait_durable(lsn));
+            assert_eq!(first, log.flush());
+            // Appends after the failure never panic or block.
+            let lsn2 = log.append_frame_ticketed(&encode_record(&record(2, 4)));
+            assert!(lsn2 > lsn);
+            assert!(log.wait_durable(lsn2).is_err());
+            assert_eq!(log.durable_lsn(), Lsn::ZERO);
         }
-        let log = GroupCommitLog::with_tick("/dev/full", Duration::from_millis(1)).unwrap();
-        let lsn = log.append_frame_ticketed(&encode_record(&record(1, 5)));
-        // The *background* flusher hits ENOSPC; the waiter must still learn
-        // about it promptly (woken by the failing harden, not the timeout).
-        let result = log.wait_durable(lsn);
-        assert!(matches!(result, Err(MmdbError::LogIo(_))), "{result:?}");
     }
 
     /// Once the log is torn, no later batch may be written: the failed
@@ -835,7 +769,7 @@ mod tests {
     #[test]
     fn a_torn_log_never_writes_later_batches() {
         let path = scratch("torn-gate");
-        let log = GroupCommitLog::create(&path).unwrap();
+        let log = GroupCommitLog::with_tick(&path, LONG_TICK).unwrap();
         log.append_frame(&encode_record(&record(1, 1)));
         log.flush().unwrap();
         let confirmed = log.durable_lsn();
@@ -880,11 +814,11 @@ mod tests {
     }
 
     #[test]
-    fn open_append_cuts_the_torn_tail_and_resumes_lsns() {
+    fn open_append_with_tick_cuts_the_torn_tail_and_resumes_lsns() {
         let path = scratch("reopen");
         let end;
         {
-            let log = GroupCommitLog::create(&path).unwrap();
+            let log = GroupCommitLog::with_tick(&path, LONG_TICK).unwrap();
             log.append_frame(&encode_record(&record(1, 1)));
             log.append_frame(&encode_record(&record(2, 2)));
             log.flush().unwrap();
@@ -896,7 +830,13 @@ mod tests {
         let recovered = read_log_file(&path).unwrap();
         assert_eq!(recovered.records, vec![record(1, 1)]);
         {
-            let log = GroupCommitLog::open_append(&path, Lsn::ZERO, recovered.valid_bytes).unwrap();
+            let log = GroupCommitLog::open_append_with_tick(
+                &path,
+                Lsn::ZERO,
+                recovered.valid_bytes,
+                LONG_TICK,
+            )
+            .unwrap();
             assert_eq!(log.appended_lsn(), Lsn(recovered.valid_bytes));
             assert_eq!(log.durable_lsn(), Lsn(recovered.valid_bytes));
             assert!(log.appended_lsn() < end, "the torn record is gone");
@@ -913,7 +853,7 @@ mod tests {
     fn rotate_to_truncates_the_prefix_and_keeps_lsns_monotone() {
         let path = scratch("rotate-old");
         let new_path = scratch("rotate-new");
-        let log = GroupCommitLog::create(&path).unwrap();
+        let log = GroupCommitLog::with_tick(&path, LONG_TICK).unwrap();
         let a = log.append_frame_ticketed(&encode_record(&record(1, 0)));
         log.flush().unwrap();
         let b = log.append_frame_ticketed(&encode_record(&record(2, 1)));
@@ -948,7 +888,7 @@ mod tests {
     fn rotate_to_publish_failure_keeps_the_old_segment_active() {
         let path = scratch("rotate-fail-old");
         let new_path = scratch("rotate-fail-new");
-        let log = GroupCommitLog::create(&path).unwrap();
+        let log = GroupCommitLog::with_tick(&path, LONG_TICK).unwrap();
         let a = log.append_frame_ticketed(&encode_record(&record(1, 0)));
         log.flush().unwrap();
         let err = log
@@ -970,7 +910,7 @@ mod tests {
     #[test]
     fn lsn_tickets_are_monotone_byte_offsets() {
         let path = scratch("lsn");
-        let log = GroupCommitLog::create(&path).unwrap();
+        let log = GroupCommitLog::with_tick(&path, LONG_TICK).unwrap();
         assert_eq!(log.appended_lsn(), Lsn::ZERO);
         let frame = encode_record(&record(1, 0));
         let a = log.append_frame_ticketed(&frame);

@@ -274,6 +274,11 @@ mod tests {
     use crate::log::{encode_frame_into, open_log_range, LogOpRef, Lsn, RedoLogger, READ_CHUNK};
     use std::fs;
     use std::sync::Mutex;
+    use std::time::Duration;
+
+    /// A group-commit tick longer than any test here: the logs harden only
+    /// on explicit flushes and checkpoints.
+    const LONG_TICK: Duration = Duration::from_secs(3600);
 
     fn append(store: &CheckpointStore, end_ts: Timestamp, ops: &[LogOpRef<'_>]) {
         let mut frame = Vec::new();
@@ -307,7 +312,7 @@ mod tests {
     /// record that must be filtered out.
     fn build_chain_dir(tag: &str) -> std::path::PathBuf {
         let dir = scratch_dir(tag);
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         let t0 = TableId(0);
         let t1 = TableId(1);
 
@@ -361,7 +366,7 @@ mod tests {
     /// image spanning several op frames, and no log tail.
     fn build_multi_frame_chain_dir(tag: &str) -> std::path::PathBuf {
         let dir = scratch_dir(tag);
-        let store = CheckpointStore::create(&dir).unwrap();
+        let store = CheckpointStore::create_with_tick(&dir, LONG_TICK).unwrap();
         // 8 192 keys of 25-byte row ops: the base is ≈ 3 frames, each delta
         // (a quarter of the keys rewritten, a quarter deleted) ≈ 2.
         let keys = 2 * ROW_BATCH_TARGET as u64 / 16;

@@ -51,6 +51,9 @@ const KEY_SPACE: u64 = 24;
 const INITIAL_ROWS: u64 = 16;
 const DUMP_BOUND: u64 = KEY_SPACE * 2;
 const WORKERS: usize = 3;
+/// A group-commit tick longer than any test: a log built with it hardens
+/// only on explicit flushes, checkpoints and Sync commits.
+const LONG_TICK: Duration = Duration::from_secs(3600);
 
 const PARAMS: HistoryParams = HistoryParams {
     tables: TABLES,
@@ -210,7 +213,7 @@ struct LoggedRun {
 /// Run a seeded concurrent history on a file-logged engine of `kind`.
 fn logged_concurrent_run<E: Durable>(kind: &Kind<E>, seed: u64) -> LoggedRun {
     let path = scratch_log(&format!("{}-{seed:x}", kind.tag()));
-    let logger = Arc::new(GroupCommitLog::create(&path).expect("create log file"));
+    let logger = Arc::new(GroupCommitLog::with_tick(&path, LONG_TICK).expect("create log file"));
     logged_concurrent_run_on(kind, seed, &path, logger)
 }
 
@@ -520,7 +523,8 @@ fn log_replay_and_an_empty_chain_plan_recover_the_same_state_on<E: Durable>(kind
     // without a chain streams the same log from its file. Same torn log in,
     // same state and same byte accounting out.
     let dir = scratch_store_dir(&format!("empty-chain-{}", kind.tag()));
-    let store = CheckpointStore::create(&dir).expect("create checkpoint store");
+    let store =
+        CheckpointStore::create_with_tick(&dir, LONG_TICK).expect("create checkpoint store");
     let engine = kind.engine(store.logger().clone());
     let tables = engine.create_tables();
     engine.seed(&tables);
@@ -587,7 +591,8 @@ fn file_and_memory_loggers_agree_byte_for_byte_on<E: Durable>(kind: &Kind<E>) {
     // trace on the wire.
     for seed in seeds() {
         let path = scratch_log(&format!("bytes-{}-{seed:x}", kind.tag()));
-        let file_logger = Arc::new(GroupCommitLog::create(&path).expect("create log file"));
+        let file_logger =
+            Arc::new(GroupCommitLog::with_tick(&path, LONG_TICK).expect("create log file"));
         let memory_logger = Arc::new(MemoryLogger::new());
 
         let history = generate_history(seed, PARAMS);
@@ -937,7 +942,7 @@ fn sync_commits_survive_a_crash_that_drops_only_unflushed_async_tails() {
     // (simulated by reading the file *without* any final flush) can lose at
     // most the Async commits that followed the last hardened batch.
     let path = scratch_log("sync-survives");
-    let logger = Arc::new(GroupCommitLog::create(&path).expect("create gc log"));
+    let logger = Arc::new(GroupCommitLog::with_tick(&path, LONG_TICK).expect("create gc log"));
     let engine = MvEngine::with_logger(
         MvConfig::optimistic().with_deadlock_detector(false),
         logger.clone(),
@@ -1335,7 +1340,8 @@ fn crash_anywhere_inside_the_checkpoint_protocol_preserves_committed_state_on<E:
     let tag = format!("proto-{}", kind.tag());
     let dir = scratch_store_dir(&tag);
     let crash_dir = scratch_store_dir(&format!("{tag}-crash"));
-    let store = CheckpointStore::create(&dir).expect("create checkpoint store");
+    let store =
+        CheckpointStore::create_with_tick(&dir, LONG_TICK).expect("create checkpoint store");
     let engine = kind.engine(store.logger().clone());
     let tables = engine.create_tables();
     engine.seed(&tables);
@@ -1468,7 +1474,7 @@ fn crash_recover_continue_recover_round_trip_through_the_store() {
 }
 
 fn crash_recover_continue_recover_round_trip_through_the_store_on<E: Durable>(kind: &Kind<E>) {
-    // Satellite contract for `open_append`: crash with a torn tail, reopen
+    // The reopen contract of `open_with_tick`: crash with a torn tail, reopen
     // the store at the recovered valid prefix, keep committing on the same
     // segment, checkpoint, commit more — then a clean restart must land
     // exactly on the final state.
@@ -1809,7 +1815,8 @@ fn delta_checkpoints_skip_clean_tables_and_carry_tombstones_on<E: Durable>(kind:
     // state for all three schemes.
     let tag = format!("delta-skip-{}", kind.tag());
     let dir = scratch_store_dir(&tag);
-    let store = CheckpointStore::create(&dir).expect("create checkpoint store");
+    let store =
+        CheckpointStore::create_with_tick(&dir, LONG_TICK).expect("create checkpoint store");
     let engine = kind.engine(store.logger().clone());
     let tables = engine.create_tables();
     engine.seed(&tables);
@@ -1897,7 +1904,8 @@ fn a_delta_collapses_its_window_newest_wins_on<E: Durable>(kind: &Kind<E>) {
     let (a, b, c) = (2u64, INITIAL_ROWS + 10, 3u64);
     let label = kind.label;
     let dir = scratch_store_dir(&format!("delta-newest-{}", kind.tag()));
-    let store = CheckpointStore::create(&dir).expect("create checkpoint store");
+    let store =
+        CheckpointStore::create_with_tick(&dir, LONG_TICK).expect("create checkpoint store");
     let engine = kind.engine(store.logger().clone());
     let tables = engine.create_tables();
     engine.seed(&tables);
@@ -1971,7 +1979,8 @@ fn checkpoint_auto_compacts_a_full_chain_on<E: Durable>(kind: &Kind<E>) {
     let policy = CheckpointPolicy::delta(1, 3);
     let tag = format!("auto-compact-{}", kind.tag());
     let dir = scratch_store_dir(&tag);
-    let store = CheckpointStore::create(&dir).expect("create checkpoint store");
+    let store =
+        CheckpointStore::create_with_tick(&dir, LONG_TICK).expect("create checkpoint store");
     let engine = kind.engine(store.logger().clone());
     let tables = engine.create_tables();
     engine.seed(&tables);
@@ -2150,7 +2159,8 @@ fn crash_anywhere_inside_the_delta_protocol_preserves_committed_state_on<E: Dura
     let tag = format!("delta-proto-{}", kind.tag());
     let dir = scratch_store_dir(&tag);
     let crash_dir = scratch_store_dir(&format!("{tag}-crash"));
-    let store = CheckpointStore::create(&dir).expect("create checkpoint store");
+    let store =
+        CheckpointStore::create_with_tick(&dir, LONG_TICK).expect("create checkpoint store");
     let engine = kind.engine(store.logger().clone());
     let tables = engine.create_tables();
     engine.seed(&tables);
@@ -2292,7 +2302,8 @@ fn crash_mid_compaction_leaves_stale_chain_files_recovery_ignores_on<E: Durable>
     let tag = format!("compact-crash-{}", kind.tag());
     let dir = scratch_store_dir(&tag);
     let crash_dir = scratch_store_dir(&format!("{tag}-crash"));
-    let store = CheckpointStore::create(&dir).expect("create checkpoint store");
+    let store =
+        CheckpointStore::create_with_tick(&dir, LONG_TICK).expect("create checkpoint store");
     let engine = kind.engine(store.logger().clone());
     let tables = engine.create_tables();
     engine.seed(&tables);
