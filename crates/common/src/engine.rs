@@ -140,7 +140,7 @@ pub trait EngineTxn: Send {
 }
 
 /// A concurrency-control engine instance: owns tables, the clock, statistics
-/// and any background machinery (garbage collection, deadlock detection).
+/// and any maintenance machinery (garbage collection, checkpointing).
 pub trait Engine: Send + Sync + 'static {
     /// Concrete transaction type.
     type Txn: EngineTxn;

@@ -33,11 +33,7 @@ use crate::txn::race_hooks::{self, Gap};
 #[test]
 fn a_reader_parked_between_registration_and_its_begin_draw_keeps_its_versions() {
     const KEY: u64 = 3;
-    let engine = MvEngine::optimistic(
-        MvConfig::optimistic()
-            .with_gc_every(0)
-            .with_deadlock_detector(false),
-    );
+    let engine = MvEngine::optimistic(MvConfig::optimistic().with_gc_every(0));
     let table = engine
         .create_table(TableSpec::keyed_u64("t", 16))
         .expect("create table");

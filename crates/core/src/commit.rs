@@ -26,6 +26,8 @@
 //!    abort), hand old versions to the garbage collector, resolve dependents
 //!    and leave the transaction table.
 
+use std::time::{Duration, Instant};
+
 use mmdb_common::durability::Durability;
 use mmdb_common::error::{MmdbError, Result};
 use mmdb_common::ids::Timestamp;
@@ -42,6 +44,10 @@ use mmdb_storage::txn_table::TxnState;
 
 use crate::txn::MvTransaction;
 use crate::visibility::check_visibility;
+
+/// How long a transaction blocked on wait-for dependencies waits before it
+/// runs a deadlock-detection pass, and between passes.
+const DETECT_AFTER: Duration = Duration::from_millis(5);
 
 impl MvTransaction {
     // ------------------------------------------------------------------
@@ -86,28 +92,42 @@ impl MvTransaction {
     /// them precommits strictly after us — otherwise a blocked writer could
     /// draw an earlier end timestamp than the reader that delayed it, and
     /// commit-timestamp order would no longer be a valid serialization order
-    /// (caught by the cross-engine differential tests). Cycles this wait can
-    /// form while locks are held are broken by the deadlock detector.
+    /// (caught by the cross-engine differential tests).
+    ///
+    /// Waiting while holding locks can close a wait-for cycle (§4.4), and
+    /// every such cycle consists of transactions blocked right here. So the
+    /// wait runs in slices of [`DETECT_AFTER`]; after each slice that ends
+    /// still blocked, this transaction runs a detection pass itself, which
+    /// aborts the youngest member of every cycle it verifies. The whole wait
+    /// stays bounded by `wait_timeout`.
     fn end_normal_processing(&mut self) -> Result<()> {
         // No further incoming wait-for dependencies may be added: otherwise a
         // stream of new readers could postpone the precommit forever.
         self.ctx.handle.close_wait_fors();
-        if self.ctx.handle.wait_for_count() > 0 {
-            EngineStats::bump(&self.stats().commit_waits);
-            let handle = &self.ctx.handle;
+        if self.ctx.handle.wait_for_count() <= 0 {
+            return Ok(());
+        }
+        EngineStats::bump(&self.stats().commit_waits);
+        let handle = &self.ctx.handle;
+        let deadline = Instant::now() + self.inner.config.wait_timeout;
+        loop {
+            let slice = deadline.saturating_duration_since(Instant::now());
             let done = handle.wait_until(
                 || handle.wait_for_count() <= 0 || handle.abort_requested(),
-                self.inner.config.wait_timeout,
+                slice.min(DETECT_AFTER),
             );
-            if self.ctx.handle.abort_requested() {
+            if handle.abort_requested() {
                 return Err(MmdbError::Aborted);
             }
-            if !done {
+            if done {
+                return Ok(());
+            }
+            if slice <= DETECT_AFTER {
                 EngineStats::bump(&self.stats().deadlock_aborts);
                 return Err(MmdbError::DeadlockVictim);
             }
+            self.inner.detect_deadlocks();
         }
-        Ok(())
     }
 
     /// Release outgoing wait-for dependencies: every transaction in our
@@ -213,21 +233,42 @@ impl MvTransaction {
         if self.finished {
             return Err(MmdbError::TransactionClosed);
         }
+        let end_ts = self
+            .try_commit()
+            .inspect_err(|err| self.finish_abort(err))?;
+
+        // The transaction is committed.
+        self.ctx.handle.set_state(TxnState::Committed);
+        EngineStats::bump(&self.stats().commits);
+        self.stats()
+            .contention
+            .record(&self.ctx.bufs.touched, false);
+
+        // Step 6: postprocessing — propagate the end timestamp, retire old
+        // versions, resolve dependents, leave the transaction table.
+        self.postprocess_commit(end_ts);
+        self.resolve_dependents(true);
+        self.ctx.handle.set_state(TxnState::Terminated);
+        self.inner.store.txns().remove(self.ctx.handle.id());
+        self.finished = true;
+        self.ctx.recycle();
+
+        self.inner.after_commit();
+        Ok(end_ts)
+    }
+
+    /// Steps 1–5 of the commit, up to the point where the transaction is
+    /// committed; an error here means the caller must abort it.
+    fn try_commit(&mut self) -> Result<Timestamp> {
         if let Some(err) = self.must_abort.clone() {
-            self.finish_abort(&err);
             return Err(err);
         }
         if self.ctx.handle.abort_requested() {
-            let err = MmdbError::CommitDependencyFailed;
-            self.finish_abort(&err);
-            return Err(err);
+            return Err(MmdbError::CommitDependencyFailed);
         }
 
         // Step 1: wind down normal processing (locks, wait-for dependencies).
-        if let Err(err) = self.end_normal_processing() {
-            self.finish_abort(&err);
-            return Err(err);
-        }
+        self.end_normal_processing()?;
 
         // Step 2: precommit — acquire the end timestamp and enter Preparing.
         // The pending marker makes the draw-then-publish pair observable as
@@ -249,43 +290,30 @@ impl MvTransaction {
         if self.ctx.handle.mode() == ConcurrencyMode::Optimistic {
             let iso = self.ctx.handle.isolation();
             if iso.requires_read_stability() {
-                if let Err(err) = self.validate_reads(end_ts) {
-                    self.finish_abort(&err);
-                    return Err(err);
-                }
+                self.validate_reads(end_ts)?;
             }
             if iso.requires_phantom_protection() {
-                if let Err(err) = self.validate_scans(end_ts) {
-                    self.finish_abort(&err);
-                    return Err(err);
-                }
+                self.validate_scans(end_ts)?;
             }
         }
 
-        // Step 4: wait for outstanding commit dependencies (§2.7).
-        if self.ctx.handle.commit_dep_count() > 0 {
+        // Step 4: wait for outstanding commit dependencies (§2.7). A
+        // dependency that aborted sets `AbortNow`, which is checked whether
+        // or not there was anything to wait for.
+        let handle = &self.ctx.handle;
+        let resolved = handle.commit_dep_count() <= 0 || {
             EngineStats::bump(&self.stats().commit_waits);
-            let handle = &self.ctx.handle;
-            let done = handle.wait_until(
+            handle.wait_until(
                 || handle.commit_dep_count() <= 0 || handle.abort_requested(),
                 self.inner.config.wait_timeout,
-            );
-            if self.ctx.handle.abort_requested() {
-                let err = MmdbError::CommitDependencyFailed;
-                self.finish_abort(&err);
-                return Err(err);
-            }
-            if !done {
-                EngineStats::bump(&self.stats().deadlock_aborts);
-                let err = MmdbError::DeadlockVictim;
-                self.finish_abort(&err);
-                return Err(err);
-            }
+            )
+        };
+        if handle.abort_requested() {
+            return Err(MmdbError::CommitDependencyFailed);
         }
-        if self.ctx.handle.abort_requested() {
-            let err = MmdbError::CommitDependencyFailed;
-            self.finish_abort(&err);
-            return Err(err);
+        if !resolved {
+            EngineStats::bump(&self.stats().deadlock_aborts);
+            return Err(MmdbError::DeadlockVictim);
         }
 
         // Step 5: write the redo log record (§5). The frame is encoded into
@@ -304,30 +332,9 @@ impl MvTransaction {
             crate::txn::race_hooks::fire(crate::txn::race_hooks::Gap::EndTsAppend);
             let ticket = self.append_log_frame(end_ts);
             if self.durability == Durability::Sync {
-                if let Err(err) = self.inner.store.logger().wait_durable(ticket) {
-                    self.finish_abort(&err);
-                    return Err(err);
-                }
+                self.inner.store.logger().wait_durable(ticket)?;
             }
         }
-
-        // The transaction is committed.
-        self.ctx.handle.set_state(TxnState::Committed);
-        EngineStats::bump(&self.stats().commits);
-        self.stats()
-            .contention
-            .record(&self.ctx.bufs.touched, false);
-
-        // Step 6: postprocessing — propagate the end timestamp, retire old
-        // versions, resolve dependents, leave the transaction table.
-        self.postprocess_commit(end_ts);
-        self.resolve_dependents(true);
-        self.ctx.handle.set_state(TxnState::Terminated);
-        self.inner.store.txns().remove(self.ctx.handle.id());
-        self.finished = true;
-        self.ctx.recycle();
-
-        self.inner.after_commit();
         Ok(end_ts)
     }
 

@@ -61,17 +61,15 @@ pub struct MvConfig {
     pub cc: CcPolicy,
     /// Upper bound on the time a transaction will wait for outstanding
     /// wait-for or commit dependencies before giving up and aborting. This is
-    /// a safety net (the deadlock detector normally resolves cycles first).
+    /// a safety net: a transaction blocked on wait-for dependencies runs
+    /// deadlock detection itself while it waits (§4.4), which normally
+    /// breaks a cycle long before the timeout.
     pub wait_timeout: Duration,
     /// Run a cooperative garbage-collection step after this many commits on a
     /// worker thread (0 disables cooperative collection; call
     /// [`MvEngine::collect_garbage`](crate::engine::MvEngine::collect_garbage)
     /// manually instead).
     pub gc_every_n_commits: u64,
-    /// Whether to run the background deadlock detector thread. Wait-for
-    /// dependencies (pessimistic scheme) can deadlock; with the detector
-    /// disabled, cycles are broken only by `wait_timeout`.
-    pub deadlock_detector: bool,
     /// Default commit durability for transactions started on this engine
     /// ([`Durability::Async`] is the paper's model: commit never waits for
     /// log I/O). Individual transactions override it via
@@ -92,7 +90,6 @@ impl Default for MvConfig {
             cc: CcPolicy::Static(ConcurrencyMode::Optimistic),
             wait_timeout: Duration::from_secs(2),
             gc_every_n_commits: 128,
-            deadlock_detector: true,
             durability: Durability::Async,
             checkpoint: CheckpointPolicy::MANUAL,
         }
@@ -143,12 +140,6 @@ impl MvConfig {
         self
     }
 
-    /// Builder-style toggle for the deadlock detector.
-    pub fn with_deadlock_detector(mut self, enabled: bool) -> Self {
-        self.deadlock_detector = enabled;
-        self
-    }
-
     /// Builder-style override of the default commit durability.
     pub fn with_durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
@@ -172,7 +163,6 @@ mod tests {
         assert_eq!(c.cc, CcPolicy::Static(ConcurrencyMode::Optimistic));
         assert_eq!(c.cc.static_mode(), Some(ConcurrencyMode::Optimistic));
         assert!(c.wait_timeout > Duration::from_millis(100));
-        assert!(c.deadlock_detector);
         // Paper-faithful: transactions never wait for log I/O by default.
         assert_eq!(c.durability, Durability::Async);
         // Checkpoints are explicit unless a policy is configured.
@@ -184,13 +174,11 @@ mod tests {
         let c = MvConfig::pessimistic()
             .with_wait_timeout(Duration::from_millis(50))
             .with_gc_every(1)
-            .with_deadlock_detector(false)
             .with_durability(Durability::Sync)
             .with_checkpoint(CheckpointPolicy::every_log_bytes(1 << 20));
         assert_eq!(c.cc, CcPolicy::Static(ConcurrencyMode::Pessimistic));
         assert_eq!(c.wait_timeout, Duration::from_millis(50));
         assert_eq!(c.gc_every_n_commits, 1);
-        assert!(!c.deadlock_detector);
         assert_eq!(c.durability, Durability::Sync);
         assert!(c.checkpoint.due(1 << 20));
     }

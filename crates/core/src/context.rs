@@ -83,8 +83,8 @@ impl TxnContext {
             // `Arc::get_mut` is the reset guard: a handle still borrowed by
             // a lock-free lookup or walked through as an unlinked chain node
             // (the transaction table's reference is released through the
-            // epoch machinery), or held by a deadlock-detector snapshot, can
-            // never be reset.
+            // epoch machinery), or held by a transaction-table snapshot (a
+            // deadlock-detection pass, a delta barrier), can never be reset.
             if let Some(exclusive) = Arc::get_mut(&mut parts.handle) {
                 exclusive.reset_for(id, mode, isolation);
             } else if pool.len() + 1 < CONTEXTS_PER_THREAD {
@@ -143,9 +143,7 @@ mod tests {
     use crate::{MvConfig, MvEngine, MvTransaction};
 
     fn engine() -> (MvEngine, TableId) {
-        let mut config = MvConfig::optimistic();
-        config.deadlock_detector = false;
-        let engine = MvEngine::new(config);
+        let engine = MvEngine::new(MvConfig::optimistic());
         let table = engine.create_table(TableSpec::keyed_u64("t", 64)).unwrap();
         engine
             .populate(table, (0..16u64).map(|k| rowbuf::keyed_row(k, 16, 1)))

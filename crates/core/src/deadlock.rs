@@ -1,12 +1,14 @@
 //! Deadlock detection for wait-for dependencies (§4.4).
 //!
 //! Commit dependencies cannot deadlock (an older transaction never waits on a
-//! younger one), but wait-for dependencies can. The detector periodically
-//! builds a wait-for graph over the transactions that are currently blocked
-//! waiting for their `WaitForCounter` to drain, finds strongly connected
-//! components with Tarjan's algorithm, re-verifies that candidate cycles are
-//! still blocked (the graph is built while processing continues, so it can be
-//! imprecise), and aborts the youngest member of each genuine cycle.
+//! younger one), but wait-for dependencies can. Every cycle consists of
+//! transactions blocked waiting for their `WaitForCounter` to drain, so the
+//! waiting transaction builds a wait-for graph over the blocked transactions
+//! itself, every few milliseconds of its wait (one pass at a time, see
+//! `MvInner::detect_deadlocks`), finds strongly connected components with
+//! Tarjan's algorithm, re-verifies that candidate cycles are still blocked
+//! (the graph is built while processing continues, so it can be imprecise),
+//! and aborts the youngest member of each genuine cycle.
 //!
 //! Graph construction follows the paper:
 //!

@@ -40,7 +40,6 @@ fn config(mode: ConcurrencyMode) -> MvConfig {
         ConcurrencyMode::Optimistic => MvConfig::optimistic(),
         ConcurrencyMode::Pessimistic => MvConfig::pessimistic(),
     }
-    .with_deadlock_detector(false)
 }
 
 /// Run the pinned interleaving under `mode` and return whether chain + tail

@@ -27,9 +27,6 @@ use crate::txn::MvTransaction;
 /// Maximum number of versions examined per garbage-collection step.
 const GC_BATCH: usize = 256;
 
-/// How often the background deadlock detector wakes up.
-const DEADLOCK_INTERVAL: std::time::Duration = std::time::Duration::from_millis(5);
-
 thread_local! {
     /// This thread's commits not yet paid for by a cooperative GC step: a
     /// counter of its own, so counting is no write shared between threads.
@@ -43,7 +40,10 @@ pub(crate) struct MvInner {
     /// Held by the thread running a cooperative GC step
     /// ([`MvInner::after_commit`]).
     collector: parking_lot::Mutex<()>,
-    /// Tells the background deadlock detector to stop.
+    /// Held by the waiting transaction running a deadlock-detection pass
+    /// ([`MvInner::detect_deadlocks`]).
+    detector: parking_lot::Mutex<()>,
+    /// Tells the checkpoint tick to stop.
     stop: AtomicBool,
 }
 
@@ -78,6 +78,21 @@ impl MvInner {
         COMMITS.with(|commits| commits.set(owed - every));
         self.store.collect_garbage(GC_BATCH);
     }
+
+    /// One §4.4 deadlock-detection pass, run by a transaction that has been
+    /// blocked on its wait-for dependencies for a while: every deadlock
+    /// contains such a transaction, so the waiters find the cycles
+    /// themselves. Passes are serialized: a waiter that finds one running
+    /// skips its own and tries again after its next slice of waiting.
+    pub(crate) fn detect_deadlocks(&self) {
+        let Some(_detector) = self.detector.try_lock() else {
+            return;
+        };
+        let victims = deadlock::detect_and_resolve(&self.store);
+        if victims > 0 {
+            EngineStats::add(&self.store.stats().deadlock_aborts, victims as u64);
+        }
+    }
 }
 
 /// The multiversion engine ("MV/O", "MV/L" or adaptive "MV/A" depending on
@@ -87,8 +102,6 @@ impl MvInner {
 #[derive(Clone)]
 pub struct MvEngine {
     inner: Arc<MvInner>,
-    /// Join handle of the deadlock detector (shared; joined on last drop).
-    detector: Option<Arc<ServiceHandle>>,
     /// Join handle of the automatic checkpoint tick (shared; joined on last
     /// drop). Only present for engines created via
     /// [`MvEngine::with_checkpoint_store`] under a non-manual
@@ -96,9 +109,8 @@ pub struct MvEngine {
     checkpointer: Option<Arc<ServiceHandle>>,
 }
 
-/// Join-on-last-drop handle for a background service thread (the deadlock
-/// detector, the checkpoint tick). All services share `MvInner::stop`, so
-/// dropping the last engine clone stops every service before joining.
+/// Join-on-last-drop handle for the checkpoint tick's thread: dropping the
+/// last engine clone sets `MvInner::stop` and joins the thread.
 struct ServiceHandle {
     inner: Weak<MvInner>,
     thread: parking_lot::Mutex<Option<JoinHandle<()>>>,
@@ -146,15 +158,16 @@ impl MvEngine {
     pub fn with_logger(config: MvConfig, logger: Arc<dyn RedoLogger>) -> MvEngine {
         let inner = Arc::new(MvInner {
             store: MvStore::new(logger),
-            config: config.clone(),
+            config,
             collector: parking_lot::Mutex::new(()),
+            detector: parking_lot::Mutex::new(()),
             stop: AtomicBool::new(false),
         });
         if let CcPolicy::Adaptive {
             window,
             enter,
             exit,
-        } = config.cc
+        } = inner.config.cc
         {
             inner
                 .store
@@ -162,32 +175,8 @@ impl MvEngine {
                 .contention
                 .configure(window, enter, exit);
         }
-        let detector = if config.deadlock_detector {
-            let weak = Arc::downgrade(&inner);
-            let thread = std::thread::Builder::new()
-                .name("mmdb-deadlock-detector".into())
-                .spawn(move || loop {
-                    std::thread::sleep(DEADLOCK_INTERVAL);
-                    let Some(inner) = weak.upgrade() else { break };
-                    if inner.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let victims = deadlock::detect_and_resolve(&inner.store);
-                    if victims > 0 {
-                        EngineStats::add(&inner.store.stats().deadlock_aborts, victims as u64);
-                    }
-                })
-                .expect("spawn deadlock detector");
-            Some(Arc::new(ServiceHandle {
-                inner: Arc::downgrade(&inner),
-                thread: parking_lot::Mutex::new(Some(thread)),
-            }))
-        } else {
-            None
-        };
         MvEngine {
             inner,
-            detector,
             checkpointer: None,
         }
     }
@@ -230,7 +219,6 @@ impl MvEngine {
                 if store.checkpoint_due(&policy) {
                     let engine = MvEngine {
                         inner,
-                        detector: None,
                         checkpointer: None,
                     };
                     // A failed automatic checkpoint (e.g. disk error) is not
@@ -548,7 +536,6 @@ impl std::fmt::Debug for MvEngine {
         f.debug_struct("MvEngine")
             .field("cc", &self.inner.config.cc)
             .field("store", &self.inner.store)
-            .field("detector", &self.detector.is_some())
             .field("checkpointer", &self.checkpointer.is_some())
             .finish()
     }

@@ -30,9 +30,9 @@
 //! | Module | Paper | Contents |
 //! |---|---|---|
 //! | [`config`] | — | [`MvConfig`] |
-//! | [`engine`] | — | [`MvEngine`], background deadlock detector, cooperative GC hook |
+//! | [`engine`] | — | [`MvEngine`], cooperative GC hook, the deadlock-detection pass a blocked transaction runs, checkpoint tick |
 //! | [`txn`] | §2.4, §3.1, §4.3.1 | [`MvTransaction`], normal-processing operations, read/bucket locks, wait-for and commit dependencies |
-//! | [`commit`] | §3.2–3.3, §4.3.2–4.3.3 | precommit, optimistic validation, logging, postprocessing, abort |
+//! | [`commit`] | §3.2–3.3, §4.3.2–4.3.3, §4.4 | wait-for wait (with detection passes), precommit, optimistic validation, logging, postprocessing, abort |
 //! | [`visibility`] | §2.5, §2.6 | version visibility and updatability (Tables 1 & 2) |
 //! | [`deadlock`] | §4.4 | wait-for graph construction and Tarjan-based cycle detection |
 

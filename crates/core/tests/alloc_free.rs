@@ -29,12 +29,11 @@
 //!   path is allocation-free, which is part of why the paper's multiversion
 //!   schemes win.
 //!
-//! The counting allocator is thread-local, so background threads (GC,
-//! deadlock detector) cannot pollute the measurement; the detector is
-//! disabled anyway for determinism. The tests additionally serialize on one
-//! mutex: the write-path measurements depend on epoch-deferred recycling
-//! keeping its steady two-epoch lag, which a concurrently pinned sibling test
-//! would stretch.
+//! The counting allocator is thread-local, so background threads (the
+//! group-commit flusher) cannot pollute the measurement. The tests
+//! additionally serialize on one mutex: the write-path measurements depend
+//! on epoch-deferred recycling keeping its steady two-epoch lag, which a
+//! concurrently pinned sibling test would stretch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -101,10 +100,9 @@ use mmdb_common::row::rowbuf::{grouped_row, grouped_spec, GROUP_SIZE};
 
 fn warmed_mv_engine() -> (MvEngine, mmdb_common::ids::TableId) {
     let mut config = MvConfig::optimistic();
-    // Keep the measurement deterministic: no background detector thread, no
-    // cooperative GC kicking in mid-read (nothing would be enqueued anyway —
-    // the workload below is read-only on a populated table).
-    config.deadlock_detector = false;
+    // Keep the measurement deterministic: no cooperative GC kicking in
+    // mid-read (nothing would be enqueued anyway — the workload below is
+    // read-only on a populated table).
     config.gc_every_n_commits = 0;
     let engine = MvEngine::with_logger(
         config,
@@ -245,15 +243,14 @@ fn onev_secondary_scans_allocate_by_design() {
 use mmdb_common::isolation::ConcurrencyMode;
 use mmdb_common::row::Row;
 
-/// Warmed-write fixture: detector off, cooperative GC off (collection is
-/// driven explicitly between warmup and measurement so the measured region
-/// itself never runs a GC step).
+/// Warmed-write fixture: cooperative GC off (collection is driven explicitly
+/// between warmup and measurement so the measured region itself never runs
+/// a GC step).
 fn write_engine(mode: ConcurrencyMode) -> (MvEngine, mmdb_common::ids::TableId) {
     let mut config = match mode {
         ConcurrencyMode::Optimistic => MvConfig::optimistic(),
         ConcurrencyMode::Pessimistic => MvConfig::pessimistic(),
     };
-    config.deadlock_detector = false;
     config.gc_every_n_commits = 0;
     let engine = MvEngine::with_logger(
         config,
@@ -534,7 +531,6 @@ fn ordered_index_keeps_equality_paths_allocation_free() {
             ConcurrencyMode::Optimistic => MvConfig::optimistic(),
             ConcurrencyMode::Pessimistic => MvConfig::pessimistic(),
         };
-        config.deadlock_detector = false;
         config.gc_every_n_commits = 0;
         let engine = MvEngine::with_logger(
             config,
@@ -655,7 +651,6 @@ fn adaptive_policy_keeps_hot_paths_allocation_free() {
     use mmdb_core::CcPolicy;
     let config = MvConfig {
         cc: CcPolicy::ADAPTIVE,
-        deadlock_detector: false,
         gc_every_n_commits: 0,
         ..MvConfig::default()
     };
@@ -789,7 +784,6 @@ fn warmed_async_commits_through_group_commit_log_allocate_nothing() {
         std::process::id()
     ));
     let mut config = MvConfig::optimistic();
-    config.deadlock_detector = false;
     config.gc_every_n_commits = 0;
     let logger = std::sync::Arc::new(
         GroupCommitLog::with_tick(&path, std::time::Duration::from_millis(1)).unwrap(),

@@ -531,10 +531,7 @@ fn sync_commit_is_durable_on_return_while_async_commit_is_not_yet() {
     // (or an explicit flush) drives it — which makes the semantic
     // difference observable.
     let logger = Arc::new(GroupCommitLog::with_tick(&path, LONG_TICK).unwrap());
-    let engine = MvEngine::with_logger(
-        MvConfig::optimistic().with_deadlock_detector(false),
-        logger.clone(),
-    );
+    let engine = MvEngine::with_logger(MvConfig::optimistic(), logger.clone());
     let t = engine.create_table(TableSpec::keyed_u64("t", 16)).unwrap();
     engine
         .populate(t, (0..4u64).map(|k| rowbuf::keyed_row(k, FILLER, 1)))
@@ -585,8 +582,7 @@ fn sync_commit_on_a_failed_log_rolls_back_and_reports_log_io() {
     // confirmed, so the Sync commit must fail — and roll back in memory, so
     // the reported outcome matches the (empty) durable log.
     let logger = Arc::new(GroupCommitLog::with_tick("/dev/full", LONG_TICK).unwrap());
-    let engine =
-        MvEngine::with_logger(MvConfig::optimistic().with_deadlock_detector(false), logger);
+    let engine = MvEngine::with_logger(MvConfig::optimistic(), logger);
     let t = engine.create_table(TableSpec::keyed_u64("t", 16)).unwrap();
     engine
         .populate(t, (0..4u64).map(|k| rowbuf::keyed_row(k, FILLER, 1)))

@@ -73,8 +73,7 @@ fn no_wakeups_in_uncontended_transactions() {
             ConcurrencyMode::Pessimistic => MvConfig::pessimistic(),
         };
 
-        // Default configuration: discarding logger, deadlock detector and
-        // cooperative GC on.
+        // Default configuration: discarding logger, cooperative GC on.
         let engine = MvEngine::new(config.clone());
         let table = engine.create_table(TableSpec::keyed_u64("t", 256)).unwrap();
         engine

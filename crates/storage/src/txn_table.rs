@@ -152,8 +152,8 @@ pub struct TxnHandle {
     /// Transactions waiting on this one to complete normal processing.
     waiting_txn_list: Mutex<WaitingTxnList>,
     /// Versions this transaction currently holds read locks on (one entry
-    /// per lock): the list its lock release drains, and the one the
-    /// deadlock detector derives the *implicit* wait-for edges of §4.4 from
+    /// per lock): the list its lock release drains, and the one deadlock
+    /// detection derives the *implicit* wait-for edges of §4.4 from
     /// (an updater of a read-locked version waits on every reader of that
     /// version).
     read_lock_versions: Mutex<Vec<VersionPtr>>,

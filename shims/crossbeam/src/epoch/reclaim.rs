@@ -15,8 +15,10 @@
 //!   [`PINS_PER_COLLECT`] pins.
 //! * On the same cadence a thread that holds sealed bags tries to **advance**
 //!   the global epoch, which succeeds once every *pinned* participant has
-//!   observed the current one, and then runs the calls of every sealed bag
-//!   whose tag is at least two epochs old (`tag + 2 <= global`).
+//!   observed the current one, and then runs the calls of the sealed bags
+//!   whose tag is at least two epochs old (`tag + 2 <= global`): at most
+//!   [`COLLECT_BAGS`] of them while the thread holds no more than
+//!   [`MAX_SEALED`] sealed bags, else as many as bring it back to that.
 //! * A thread that exits hands its bags to a shared **orphan list**, which
 //!   every collecting thread also drains.
 //!
@@ -41,6 +43,12 @@
 //! pinned (a long scan, a thread descheduled mid-operation) holds the epoch
 //! back for everyone, and what is retired meanwhile accumulates until it
 //! unpins — that is inherent to the scheme.
+//! The per-pass cap keeps one pin from paying for a large retirement: a
+//! pass runs inside whatever operation happened to pin, and a burst of
+//! retirements (a garbage-collection step unlinks a few hundred versions)
+//! is run over the next few passes instead of by one of them. A thread that
+//! retires faster than capped passes run still holds at most
+//! [`MAX_SEALED`] sealed bags plus what is not yet two epochs old.
 //! A thread that stops pinning keeps its bags until it pins again or exits;
 //! nothing is shared in the steady state, so there is nothing for other
 //! threads to contend on.
@@ -68,6 +76,14 @@ const BAG_CAP: usize = 64;
 /// Every this many outermost pins a thread seals its open bag, tries to
 /// advance the global epoch and runs what has become reclaimable.
 const PINS_PER_COLLECT: usize = 64;
+
+/// Most sealed bags one collection pass runs while the thread holds at most
+/// [`MAX_SEALED`] of them.
+const COLLECT_BAGS: usize = 2;
+
+/// Sealed bags beyond which a collection pass keeps running reclaimable bags
+/// until the thread is back down to this many.
+const MAX_SEALED: usize = 16;
 
 /// Bags a thread keeps beyond the open one: allocated when it registers, so
 /// that sealing allocates nothing while the epoch keeps advancing (one bag
@@ -474,16 +490,19 @@ impl Local {
             return;
         }
         let global = try_advance();
+        let mut ran = 0;
         loop {
             // Take the bag out before running it: its calls may defer.
             let bag = {
                 let mut bags = self.bags.borrow_mut();
+                let capped = ran >= COLLECT_BAGS && bags.sealed.len() <= MAX_SEALED;
                 match bags.sealed.front() {
-                    Some(bag) if bag.epoch + 2 <= global => bags.sealed.pop_front(),
+                    Some(bag) if !capped && bag.epoch + 2 <= global => bags.sealed.pop_front(),
                     _ => None,
                 }
             };
             let Some(mut bag) = bag else { break };
+            ran += 1;
             self.add_pending(-(bag.items.len() as isize));
             for garbage in bag.items.drain(..) {
                 // SAFETY: `epoch + 2 <= global` (see the module docs).
@@ -586,9 +605,10 @@ impl Guard {
     }
 
     /// Seal this thread's open bag, try to advance the global epoch, and run
-    /// whatever has become reclaimable. One call moves the epoch at most one
-    /// step, so garbage retired just now needs a few pin-and-flush rounds
-    /// (and every other pinned thread to move on) before it is freed.
+    /// what has become reclaimable, up to the per-pass cap (module docs).
+    /// One call moves the epoch at most one step, so garbage retired just
+    /// now needs a few pin-and-flush rounds (and every other pinned thread
+    /// to move on) before it is freed.
     pub fn flush(&self) {
         self.local().collect();
     }

@@ -10,6 +10,9 @@
 //! 3. **Bounded memory**: threads whose pins overlap *continuously* — there
 //!    is never an instant without a pinned guard somewhere — still reclaim at
 //!    a steady two-epoch lag.
+//! 4. **Bounded pauses**: one collection pass runs at most two reclaimable
+//!    bags while the thread's backlog is short, and brings a long backlog
+//!    back down to sixteen bags.
 //!
 //! The epoch state is process-global and the assertions read the global
 //! pending count, so the tests serialize on a mutex.
@@ -263,5 +266,43 @@ fn concurrent_churn_does_not_leak() {
     assert!(flush_until(
         || DROPS.load(Ordering::SeqCst) == THREADS * PER_THREAD
     ));
+    assert_eq!(epoch::pending_deferred(), 0);
+}
+
+/// Retire `bags` full bags (64 calls each) under one guard, then pin and
+/// flush until something is freed; returns how many calls that round ran.
+fn first_freeing_round(drops: &'static AtomicUsize, bags: usize) -> usize {
+    {
+        let guard = epoch::pin();
+        for _ in 0..bags * 64 {
+            retire_one(drops, &guard);
+        }
+    }
+    assert!(flush_until(|| drops.load(Ordering::SeqCst) > 0));
+    drops.load(Ordering::SeqCst)
+}
+
+#[test]
+fn a_collection_pass_runs_two_bags_unless_the_backlog_is_long() {
+    let _x = exclusive();
+    static SHORT: AtomicUsize = AtomicUsize::new(0);
+    static LONG: AtomicUsize = AtomicUsize::new(0);
+
+    // A round is one `pin` (which may itself run a pass) and one `flush`:
+    // two passes at most.
+    let short = first_freeing_round(&SHORT, 6);
+    assert!(
+        short <= 4 * 64,
+        "one round ran {short} of 384 calls: a pass is capped at two bags"
+    );
+    assert!(flush_until(|| SHORT.load(Ordering::SeqCst) == 6 * 64));
+
+    let long = first_freeing_round(&LONG, 40);
+    assert!(
+        long >= (40 - 16) * 64,
+        "one round ran {long} of 2560 calls: a backlog of 40 bags must come \
+         back down to 16 in one pass"
+    );
+    assert!(flush_until(|| LONG.load(Ordering::SeqCst) == 40 * 64));
     assert_eq!(epoch::pending_deferred(), 0);
 }

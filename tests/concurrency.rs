@@ -454,10 +454,11 @@ fn sustained_update_load_keeps_versions_and_epoch_garbage_bounded() {
 
 #[test]
 fn reader_writer_wait_for_dependencies_resolve_without_deadlock() {
-    // Transactions read row A then update row B and vice versa. Because read
-    // locks are released at the end of normal processing *before* waiting,
-    // these wait-for dependencies resolve themselves and the system keeps
-    // committing (no deadlock-victim storm).
+    // Transactions read row A then update row B and vice versa. Read locks
+    // are held until the end timestamp is drawn, so two such transactions
+    // that overlap wait for each other (§4.4 implicit edges). The waiting
+    // transactions detect that cycle and abort the younger one, and the
+    // system keeps committing (no deadlock-victim storm).
     let engine =
         MvEngine::pessimistic(MvConfig::default().with_wait_timeout(Duration::from_secs(5)));
     let table = engine.create_table(TableSpec::keyed_u64("t", 16)).unwrap();
@@ -522,24 +523,22 @@ fn reader_writer_wait_for_dependencies_resolve_without_deadlock() {
 #[test]
 fn deadlock_detector_breaks_bucket_lock_cycles() {
     // A genuine wait-for cycle (§4.2.2): two serializable pessimistic
-    // transactions each scan a key the other then inserts. Each insert takes
-    // a wait-for dependency on the other transaction's bucket lock, and those
-    // dependencies are only released after the holder precommits — which it
-    // cannot do while it is itself waiting. Only the deadlock detector (or
-    // the wait timeout) can break the cycle; with the detector enabled both
+    // transactions each scan a key the other then inserts, both scans before
+    // either insert. Each insert takes a wait-for dependency on the other
+    // transaction's bucket lock, and those dependencies are only released
+    // after the holder precommits — which it cannot do while it is itself
+    // waiting. Only deadlock detection (or the wait timeout) can break the
+    // cycle; the waiting transactions run detection themselves, so both
     // threads keep making progress quickly.
-    let engine = MvEngine::pessimistic(
-        MvConfig::default()
-            .with_wait_timeout(Duration::from_secs(10))
-            .with_deadlock_detector(true),
-    );
+    let engine =
+        MvEngine::pessimistic(MvConfig::default().with_wait_timeout(Duration::from_secs(10)));
     let table = engine.create_table(TableSpec::keyed_u64("t", 64)).unwrap();
     engine
         .populate(table, (0..4u64).map(|k| rowbuf::keyed_row(k, FILLER, 1)))
         .unwrap();
 
     let committed = Arc::new(AtomicU64::new(0));
-    let aborted = Arc::new(AtomicU64::new(0));
+    let failures = Arc::new(std::sync::Mutex::new(Vec::new()));
     let rounds = 30u64;
     let start = std::time::Instant::now();
     std::thread::scope(|scope| {
@@ -547,7 +546,7 @@ fn deadlock_detector_breaks_bucket_lock_cycles() {
         for w in 0..2u64 {
             let engine = engine.clone();
             let committed = Arc::clone(&committed);
-            let aborted = Arc::clone(&aborted);
+            let failures = Arc::clone(&failures);
             let barrier = Arc::clone(&barrier);
             scope.spawn(move || {
                 for round in 0..rounds {
@@ -560,26 +559,27 @@ fn deadlock_detector_breaks_bucket_lock_cycles() {
                     };
                     barrier.wait();
                     let mut txn = engine.begin(IsolationLevel::Serializable);
-                    let result: Result<()> = (|| {
-                        // Scan (and bucket-lock) a key that does not exist.
-                        txn.read(table, IndexId(0), scan_key)?;
+                    // Scan (and bucket-lock) a key that does not exist.
+                    let scanned = txn.read(table, IndexId(0), scan_key);
+                    // Both scans precede both inserts, so every round forms
+                    // the cycle.
+                    barrier.wait();
+                    let result = scanned.and_then(|_| {
                         // Insert the key the other transaction scanned.
-                        txn.insert(table, rowbuf::keyed_row(insert_key, FILLER, w as u8))?;
-                        Ok(())
-                    })();
-                    match result {
-                        Ok(()) => match txn.commit() {
-                            Ok(_) => {
-                                committed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                aborted.fetch_add(1, Ordering::Relaxed);
-                            }
-                        },
-                        Err(_) => {
+                        txn.insert(table, rowbuf::keyed_row(insert_key, FILLER, w as u8))
+                    });
+                    let outcome = match result {
+                        Ok(_) => txn.commit().map(|_| ()),
+                        Err(err) => {
                             txn.abort();
-                            aborted.fetch_add(1, Ordering::Relaxed);
+                            Err(err)
                         }
+                    };
+                    match outcome {
+                        Ok(()) => {
+                            committed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(err) => failures.lock().unwrap().push(err),
                     }
                 }
             });
@@ -587,16 +587,82 @@ fn deadlock_detector_breaks_bucket_lock_cycles() {
     });
     let elapsed = start.elapsed();
     let committed = committed.load(Ordering::Relaxed);
-    let aborted = aborted.load(Ordering::Relaxed);
-    assert_eq!(committed + aborted, rounds * 2);
+    let failures = failures.lock().unwrap();
+    assert_eq!(committed + failures.len() as u64, rounds * 2);
     assert!(
-        committed >= rounds,
-        "at least one transaction per round commits: {committed}"
+        !failures.contains(&MmdbError::DeadlockVictim),
+        "a cycle fell through to the wait timeout: {failures:?}"
     );
-    // With a 10s wait timeout, finishing quickly proves the detector (not the
+    // Every round forms one cycle, and detection aborts exactly one member.
+    assert_eq!(committed, rounds, "one transaction per round commits");
+    assert!(
+        failures.iter().all(|err| *err == MmdbError::Aborted),
+        "every failure is a detection victim: {failures:?}"
+    );
+    assert_eq!(engine.stats().snapshot().deadlock_aborts, rounds);
+    // With a 10s wait timeout, finishing quickly proves detection (not the
     // timeout) resolved the conflicts.
     assert!(
         elapsed < Duration::from_secs(8),
-        "cycles should be broken by the detector well before the wait timeout (took {elapsed:?})"
+        "cycles should be broken by detection well before the wait timeout (took {elapsed:?})"
+    );
+}
+
+#[test]
+fn waiting_transactions_break_an_implicit_edge_cycle() {
+    // The §4.4 implicit edges, in one forced interleaving: T1 read-locks A and
+    // T2 read-locks B; T1 then updates B and T2 updates A, each taking a
+    // wait-for dependency on the other's read lock. Read locks are held
+    // until the end timestamp is drawn, so both commits block on each other.
+    // Detection, run by the blocked transactions themselves, must abort the
+    // younger one (T2) long before the wait timeout.
+    const TIMEOUT: Duration = Duration::from_secs(10);
+    let engine = MvEngine::pessimistic(MvConfig::default().with_wait_timeout(TIMEOUT));
+    let table = engine.create_table(TableSpec::keyed_u64("t", 16)).unwrap();
+    engine
+        .populate(table, (0..2u64).map(|k| rowbuf::keyed_row(k, FILLER, 1)))
+        .unwrap();
+
+    let begun = std::sync::Barrier::new(2);
+    let read = std::sync::Barrier::new(2);
+    let updated = std::sync::Barrier::new(2);
+    let start = std::time::Instant::now();
+    let outcomes: Vec<Result<Timestamp>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2u64)
+            .map(|w| {
+                let (engine, begun, read, updated) = (&engine, &begun, &read, &updated);
+                scope.spawn(move || {
+                    // T1 (worker 0) begins first, so T2 is the younger.
+                    if w == 1 {
+                        begun.wait();
+                    }
+                    let mut txn = engine.begin(IsolationLevel::RepeatableRead);
+                    if w == 0 {
+                        begun.wait();
+                    }
+                    let (read_key, write_key) = if w == 0 { (0, 1) } else { (1, 0) };
+                    assert!(txn.read(table, IndexId(0), read_key).unwrap().is_some());
+                    read.wait();
+                    let row = rowbuf::keyed_row(write_key, FILLER, 2 + w as u8);
+                    assert!(txn.update(table, IndexId(0), write_key, row).unwrap());
+                    updated.wait();
+                    txn.commit()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let elapsed = start.elapsed();
+
+    assert!(outcomes[0].is_ok(), "T1 commits: {:?}", outcomes[0]);
+    assert_eq!(
+        outcomes[1],
+        Err(MmdbError::Aborted),
+        "T2, the younger, is the victim (not a timeout)"
+    );
+    assert!(engine.stats().snapshot().deadlock_aborts >= 1);
+    assert!(
+        elapsed < TIMEOUT / 4,
+        "the cycle is broken by detection, not the wait timeout (took {elapsed:?})"
     );
 }

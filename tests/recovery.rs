@@ -78,22 +78,13 @@ struct Kind<E> {
     make: fn(Arc<dyn RedoLogger>) -> E,
 }
 
-// Recovery targets and workload sources alike are driven by at most a few
-// worker threads; the background deadlock detector only adds noise here.
 const MVO: Kind<MvEngine> = Kind {
     label: "MV/O",
-    make: |logger| {
-        MvEngine::with_logger(MvConfig::optimistic().with_deadlock_detector(false), logger)
-    },
+    make: |logger| MvEngine::with_logger(MvConfig::optimistic(), logger),
 };
 const MVL: Kind<MvEngine> = Kind {
     label: "MV/L",
-    make: |logger| {
-        MvEngine::with_logger(
-            MvConfig::pessimistic().with_deadlock_detector(false),
-            logger,
-        )
-    },
+    make: |logger| MvEngine::with_logger(MvConfig::pessimistic(), logger),
 };
 const SV: Kind<SvEngine> = Kind {
     label: "1V",
@@ -943,10 +934,7 @@ fn sync_commits_survive_a_crash_that_drops_only_unflushed_async_tails() {
     // most the Async commits that followed the last hardened batch.
     let path = scratch_log("sync-survives");
     let logger = Arc::new(GroupCommitLog::with_tick(&path, LONG_TICK).expect("create gc log"));
-    let engine = MvEngine::with_logger(
-        MvConfig::optimistic().with_deadlock_detector(false),
-        logger.clone(),
-    );
+    let engine = MvEngine::with_logger(MvConfig::optimistic(), logger.clone());
     let tables = create_diff_tables(&engine, TABLES, 128);
     populate(&engine, &tables, INITIAL_ROWS);
 
@@ -1586,9 +1574,7 @@ fn checkpoint_policy_drives_automatic_log_truncation() {
             .expect("create checkpoint store"),
     );
     let engine = MvEngine::with_checkpoint_store(
-        MvConfig::optimistic()
-            .with_deadlock_detector(false)
-            .with_checkpoint(CheckpointPolicy::every_log_bytes(BUDGET)),
+        MvConfig::optimistic().with_checkpoint(CheckpointPolicy::every_log_bytes(BUDGET)),
         store.clone(),
     );
     let tables = create_diff_tables(&engine, TABLES, 128);
@@ -1632,10 +1618,7 @@ fn checkpoint_policy_drives_automatic_log_truncation() {
     let ckpt = plan.last_checkpoint().expect("an image was installed");
     assert_eq!(plan.log_base, ckpt.lsn, "the live segment was rebased");
 
-    let target = MvEngine::with_logger(
-        MvConfig::optimistic().with_deadlock_detector(false),
-        Arc::new(NullLogger::new()),
-    );
+    let target = MvEngine::with_logger(MvConfig::optimistic(), Arc::new(NullLogger::new()));
     let t = create_diff_tables(&target, TABLES, 128);
     target
         .recover_from_checkpoint(&plan)
