@@ -41,10 +41,12 @@ impl Durability {
 }
 
 /// When the engine should take a checkpoint (and truncate the redo log to
-/// the checkpoint LSN). The policy itself is passive — the engines expose a
-/// `checkpoint()` entry point and consult the policy via
-/// [`CheckpointPolicy::due`]; whoever drives maintenance (a server loop, a
-/// bench harness, an operator) decides when to ask.
+/// the checkpoint LSN). The policy itself is passive: it only answers
+/// [`CheckpointPolicy::due`]. A multiversion engine built on a checkpoint
+/// store asks it in its cooperative maintenance step (run after commits and
+/// by [`Engine::maintenance`](crate::engine::Engine::maintenance)) and takes
+/// the checkpoint in the thread that asked; every engine also exposes an
+/// explicit `checkpoint()` entry point.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint once the redo log has grown this many bytes past the last

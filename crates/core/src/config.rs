@@ -65,22 +65,27 @@ pub struct MvConfig {
     /// deadlock detection itself while it waits (§4.4), which normally
     /// breaks a cycle long before the timeout.
     pub wait_timeout: Duration,
-    /// Run a cooperative garbage-collection step after this many commits on a
-    /// worker thread (0 disables cooperative collection; call
+    /// Run a cooperative maintenance step after this many commits on a
+    /// worker thread: a garbage-collection step, then an automatic
+    /// checkpoint if `checkpoint` calls for one. 0 turns off the whole step,
+    /// automatic checkpoints included; call
+    /// [`Engine::maintenance`](mmdb_common::engine::Engine::maintenance) (or
     /// [`MvEngine::collect_garbage`](crate::engine::MvEngine::collect_garbage)
-    /// manually instead).
+    /// and the explicit checkpoint calls) instead.
     pub gc_every_n_commits: u64,
     /// Default commit durability for transactions started on this engine
     /// ([`Durability::Async`] is the paper's model: commit never waits for
     /// log I/O). Individual transactions override it via
     /// [`MvTransaction::set_durability`](crate::txn::MvTransaction::set_durability).
     pub durability: Durability,
-    /// When checkpoints should be taken (the policy is consulted by whoever
-    /// drives maintenance through
-    /// `CheckpointStore::checkpoint_due`; the default is
-    /// manual-only). The engine itself never checkpoints spontaneously —
-    /// [`MvEngine::checkpoint`](crate::engine::MvEngine::checkpoint) is an
-    /// explicit entry point.
+    /// When automatic checkpoints are taken. It acts only on an engine made
+    /// by
+    /// [`MvEngine::with_checkpoint_store`](crate::engine::MvEngine::with_checkpoint_store):
+    /// there each cooperative maintenance step checks it after its GC step
+    /// and, once it is due, the committing thread takes the checkpoint. The
+    /// default, [`CheckpointPolicy::MANUAL`], leaves checkpoints to explicit
+    /// calls such as
+    /// [`MvEngine::checkpoint`](crate::engine::MvEngine::checkpoint).
     pub checkpoint: CheckpointPolicy,
 }
 

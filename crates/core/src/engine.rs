@@ -2,10 +2,9 @@
 //! and the two concurrency-control schemes together.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
+use mmdb_common::durability::CheckpointPolicy;
 use mmdb_common::engine::Engine;
 use mmdb_common::error::Result;
 use mmdb_common::ids::{IndexId, Key, TableId, Timestamp};
@@ -33,7 +32,8 @@ thread_local! {
     static COMMITS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Shared engine internals (store + configuration + background machinery).
+/// Shared engine internals (store + configuration + the locks that keep
+/// each kind of cooperative maintenance to one thread at a time).
 pub(crate) struct MvInner {
     pub(crate) store: MvStore,
     pub(crate) config: MvConfig,
@@ -43,15 +43,21 @@ pub(crate) struct MvInner {
     /// Held by the waiting transaction running a deadlock-detection pass
     /// ([`MvInner::detect_deadlocks`]).
     detector: parking_lot::Mutex<()>,
-    /// Tells the checkpoint tick to stop.
-    stop: AtomicBool,
+    /// Where automatic checkpoints go: set only by
+    /// [`MvEngine::with_checkpoint_store`] under a non-manual
+    /// `config.checkpoint`.
+    checkpoints: Option<Arc<CheckpointStore>>,
+    /// Held by the thread running an automatic checkpoint
+    /// ([`MvInner::checkpoint_if_due`]).
+    checkpointer: parking_lot::Mutex<()>,
 }
 
 impl MvInner {
     /// Cooperative maintenance performed by the committing thread itself: a
     /// bounded garbage-collection step every `gc_every_n_commits` of this
     /// thread's commits, so the total rate is one step per
-    /// `gc_every_n_commits` commits however they spread over threads.
+    /// `gc_every_n_commits` commits however they spread over threads, each
+    /// followed by [`MvInner::checkpoint_if_due`].
     ///
     /// Two steps at once contend on every item (the queue lock, the table's
     /// GC lock), and threads with equal commit rates fall due together and,
@@ -59,7 +65,7 @@ impl MvInner {
     /// runs waits for this thread's next commit, for one step's worth of
     /// commits at most: when collection falls behind, steps must run side by
     /// side.
-    pub(crate) fn after_commit(&self) {
+    pub(crate) fn after_commit(self: &Arc<Self>) {
         let every = self.config.gc_every_n_commits;
         if every == 0 {
             return;
@@ -77,6 +83,32 @@ impl MvInner {
         }
         COMMITS.with(|commits| commits.set(owed - every));
         self.store.collect_garbage(GC_BATCH);
+        drop(collector);
+        self.checkpoint_if_due();
+    }
+
+    /// Take an automatic checkpoint if the configured policy calls for one.
+    /// The log grows only inside commits, so a checkpoint can fall due only
+    /// there, and the committing thread takes it. One runs at a time: the
+    /// checkpoint's own snapshot transaction commits inside it, and that
+    /// nested call, like any thread arriving meanwhile, fails the `try_lock`
+    /// and returns.
+    fn checkpoint_if_due(self: &Arc<Self>) {
+        let Some(store) = &self.checkpoints else {
+            return;
+        };
+        let Some(_checkpointer) = self.checkpointer.try_lock() else {
+            return;
+        };
+        let policy = &self.config.checkpoint;
+        if store.checkpoint_due(policy) {
+            let engine = MvEngine {
+                inner: Arc::clone(self),
+            };
+            // A failed automatic checkpoint (e.g. disk error) is not fatal
+            // to the engine: the log keeps growing and the next step retries.
+            let _ = engine.checkpoint_auto(store, policy);
+        }
     }
 
     /// One §4.4 deadlock-detection pass, run by a transaction that has been
@@ -102,29 +134,6 @@ impl MvInner {
 #[derive(Clone)]
 pub struct MvEngine {
     inner: Arc<MvInner>,
-    /// Join handle of the automatic checkpoint tick (shared; joined on last
-    /// drop). Only present for engines created via
-    /// [`MvEngine::with_checkpoint_store`] under a non-manual
-    /// [`CheckpointPolicy`](mmdb_common::durability::CheckpointPolicy).
-    checkpointer: Option<Arc<ServiceHandle>>,
-}
-
-/// Join-on-last-drop handle for the checkpoint tick's thread: dropping the
-/// last engine clone sets `MvInner::stop` and joins the thread.
-struct ServiceHandle {
-    inner: Weak<MvInner>,
-    thread: parking_lot::Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Drop for ServiceHandle {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.upgrade() {
-            inner.stop.store(true, Ordering::Release);
-        }
-        if let Some(handle) = self.thread.lock().take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 impl MvEngine {
@@ -156,12 +165,36 @@ impl MvEngine {
 
     /// Create an engine writing redo records to `logger`.
     pub fn with_logger(config: MvConfig, logger: Arc<dyn RedoLogger>) -> MvEngine {
+        Self::build(config, logger, None)
+    }
+
+    /// Create an engine whose redo records go to `store`'s group-commit log
+    /// and whose [`CheckpointPolicy`] (from `config.checkpoint`) actually
+    /// drives checkpoints: after each cooperative GC step the committing
+    /// thread consults [`CheckpointStore::checkpoint_due`] and, once the
+    /// configured log growth has accrued, runs
+    /// [`Durable::checkpoint_auto`] — a delta image while the chain has room
+    /// under `policy.max_chain`, a full base image (compaction) otherwise.
+    /// [`Engine::maintenance`] runs the same step. Under
+    /// [`CheckpointPolicy::MANUAL`] checkpoints stay explicit calls.
+    pub fn with_checkpoint_store(config: MvConfig, store: Arc<CheckpointStore>) -> MvEngine {
+        let logger: Arc<dyn RedoLogger> = Arc::clone(store.logger()) as _;
+        let automatic = config.checkpoint != CheckpointPolicy::MANUAL;
+        Self::build(config, logger, automatic.then_some(store))
+    }
+
+    fn build(
+        config: MvConfig,
+        logger: Arc<dyn RedoLogger>,
+        checkpoints: Option<Arc<CheckpointStore>>,
+    ) -> MvEngine {
         let inner = Arc::new(MvInner {
             store: MvStore::new(logger),
             config,
             collector: parking_lot::Mutex::new(()),
             detector: parking_lot::Mutex::new(()),
-            stop: AtomicBool::new(false),
+            checkpoints,
+            checkpointer: parking_lot::Mutex::new(()),
         });
         if let CcPolicy::Adaptive {
             window,
@@ -175,64 +208,7 @@ impl MvEngine {
                 .contention
                 .configure(window, enter, exit);
         }
-        MvEngine {
-            inner,
-            checkpointer: None,
-        }
-    }
-
-    /// Create an engine whose redo records go to `store`'s group-commit log
-    /// and whose [`CheckpointPolicy`](mmdb_common::durability::CheckpointPolicy)
-    /// (from `config.checkpoint`) actually drives checkpoints: a background
-    /// tick consults [`CheckpointStore::checkpoint_due`] and runs
-    /// [`Durable::checkpoint_auto`] — delta images while the chain has
-    /// room under `policy.max_chain`, a full base image (compaction)
-    /// otherwise — automatically once the configured log growth accrues.
-    /// Under
-    /// [`CheckpointPolicy::MANUAL`](mmdb_common::durability::CheckpointPolicy::MANUAL)
-    /// no tick is spawned and `checkpoint()` remains an explicit call.
-    ///
-    /// [`CheckpointStore::checkpoint_due`]: mmdb_storage::checkpoint::CheckpointStore::checkpoint_due
-    pub fn with_checkpoint_store(
-        config: MvConfig,
-        store: Arc<mmdb_storage::checkpoint::CheckpointStore>,
-    ) -> MvEngine {
-        let logger: Arc<dyn RedoLogger> = Arc::clone(store.logger()) as _;
-        let mut engine = Self::with_logger(config, logger);
-        let policy = engine.inner.config.checkpoint;
-        if policy == mmdb_common::durability::CheckpointPolicy::MANUAL {
-            return engine;
-        }
-        let weak = Arc::downgrade(&engine.inner);
-        // The tick only *checks* a counter (cheap relaxed read through the
-        // group-commit log); actual checkpoints are rare, so a short period
-        // keeps the log bound tight without measurable overhead.
-        let interval = std::time::Duration::from_millis(10);
-        let thread = std::thread::Builder::new()
-            .name("mmdb-checkpointer".into())
-            .spawn(move || loop {
-                std::thread::sleep(interval);
-                let Some(inner) = weak.upgrade() else { break };
-                if inner.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if store.checkpoint_due(&policy) {
-                    let engine = MvEngine {
-                        inner,
-                        checkpointer: None,
-                    };
-                    // A failed automatic checkpoint (e.g. disk error) is not
-                    // fatal to the engine: the log keeps growing and the
-                    // next tick retries.
-                    let _ = engine.checkpoint_auto(&store, &policy);
-                }
-            })
-            .expect("spawn checkpointer");
-        engine.checkpointer = Some(Arc::new(ServiceHandle {
-            inner: Arc::downgrade(&engine.inner),
-            thread: parking_lot::Mutex::new(Some(thread)),
-        }));
-        engine
+        MvEngine { inner }
     }
 
     /// The engine configuration.
@@ -528,6 +504,7 @@ impl Engine for MvEngine {
 
     fn maintenance(&self) {
         self.inner.store.collect_garbage(GC_BATCH);
+        self.inner.checkpoint_if_due();
     }
 }
 
@@ -536,7 +513,6 @@ impl std::fmt::Debug for MvEngine {
         f.debug_struct("MvEngine")
             .field("cc", &self.inner.config.cc)
             .field("store", &self.inner.store)
-            .field("checkpointer", &self.checkpointer.is_some())
             .finish()
     }
 }

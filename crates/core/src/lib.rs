@@ -30,7 +30,7 @@
 //! | Module | Paper | Contents |
 //! |---|---|---|
 //! | [`config`] | — | [`MvConfig`] |
-//! | [`engine`] | — | [`MvEngine`], cooperative GC hook, the deadlock-detection pass a blocked transaction runs, checkpoint tick |
+//! | [`engine`] | — | [`MvEngine`], cooperative maintenance step (GC, then an automatic checkpoint when due), the deadlock-detection pass a blocked transaction runs |
 //! | [`txn`] | §2.4, §3.1, §4.3.1 | [`MvTransaction`], normal-processing operations, read/bucket locks, wait-for and commit dependencies |
 //! | [`commit`] | §3.2–3.3, §4.3.2–4.3.3, §4.4 | wait-for wait (with detection passes), precommit, optimistic validation, logging, postprocessing, abort |
 //! | [`visibility`] | §2.5, §2.6 | version visibility and updatability (Tables 1 & 2) |

@@ -48,9 +48,10 @@
 //!    is untagged) and re-searches; the search notices the tag and restarts,
 //!    so no insertion can be linked behind a node that is about to vanish.
 //! 3. Still under the lock, the collector unlinks the node from every tower
-//!    level top-down (upper levels cannot change concurrently — linking them
-//!    takes the same lock) and retires the allocation through the epoch
-//!    mechanism.
+//!    level top-down, behind the predecessors one search for its key reports
+//!    (upper levels cannot change concurrently — linking them takes the same
+//!    lock; a lost level-0 CAS searches again), and retires the allocation
+//!    through the epoch mechanism.
 
 use crossbeam::epoch::{self, Atomic, Guard, Owned, Shared};
 use parking_lot::Mutex;
@@ -394,40 +395,26 @@ impl<N: ChainNode> OrderedIndex<N> {
                 Err(err) => next0 = err.current,
             }
         }
-        // Step 3: unlink from every linked level, top-down. Upper levels are
-        // stable under `tower_lock`; level 0 retries around lock-free inserts
-        // landing on the predecessor.
+        // Step 3: unlink from every linked level, top-down, behind the
+        // predecessors one `find` reports. Upper levels are stable under
+        // `tower_lock`; a level-0 CAS that loses to a lock-free insert
+        // landing on the predecessor searches again. `find` stops at this
+        // node (its key is not below `key`), so it never loads the tagged
+        // level-0 next.
+        let mut pos = self.find(key, guard);
         for level in (0..kn_ref.height).rev() {
-            'level: loop {
-                let mut pred: Shared<'g, KeyNode<N>> = Shared::null();
-                let mut curr = self.level_link(pred, level).load(Ordering::Acquire, guard);
-                loop {
-                    if curr == kn {
-                        let next = kn_ref.tower[level]
-                            .load(Ordering::Acquire, guard)
-                            .with_tag(0);
-                        match self.level_link(pred, level).compare_exchange(
-                            kn,
-                            next,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                            guard,
-                        ) {
-                            Ok(_) => break 'level,
-                            Err(_) => continue 'level,
-                        }
-                    }
-                    let c = match unsafe { curr.as_ref() } {
-                        Some(c) => c,
-                        // Not linked at this level.
-                        None => break 'level,
-                    };
-                    if c.key > key {
-                        break 'level;
-                    }
-                    pred = curr;
-                    curr = c.tower[level].load(Ordering::Acquire, guard);
+            while pos.succs[level] == kn {
+                let next = kn_ref.tower[level]
+                    .load(Ordering::Acquire, guard)
+                    .with_tag(0);
+                if self
+                    .level_link(pos.preds[level], level)
+                    .compare_exchange(kn, next, Ordering::AcqRel, Ordering::Acquire, guard)
+                    .is_ok()
+                {
+                    break;
                 }
+                pos = self.find(key, guard);
             }
         }
         unsafe { guard.defer_destroy(kn) };
@@ -834,6 +821,46 @@ mod tests {
         let dropped = || (DROPS.load(Ordering::Relaxed) - start_drops) as u64;
         crate::test_support::flush_epochs_until(|| dropped() == rounds * keys_per_round);
         assert_eq!(dropped(), rounds * keys_per_round, "every version freed");
+    }
+
+    #[test]
+    fn retiring_the_last_key_node_of_a_long_index_costs_one_search() {
+        // Each cycle inserts a key above every loaded one and unlinks it,
+        // retiring its key node at the end of the list. Retirement takes
+        // the node's predecessors from one search; a walk of each level
+        // from the list head made a cycle cost ~100 000 hops. Pins are
+        // short, so the epoch keeps advancing for tests running beside it.
+        const LOADED: u64 = 100_000;
+        const CYCLES: u64 = 2_000;
+        let index = OrderedIndex::<TestNode>::new(0);
+        for k in 0..LOADED {
+            let guard = epoch::pin();
+            index.insert(TestNode::new(k, k).into_shared(&guard), &guard);
+        }
+        let started = std::time::Instant::now();
+        for cycle in 0..CYCLES {
+            let guard = epoch::pin();
+            let node = TestNode::new(LOADED + cycle, cycle).into_shared(&guard);
+            index.insert(node, &guard);
+            assert!(index.unlink(node, &guard), "cycle {cycle}: unlink");
+            // SAFETY: the node is unlinked and referenced by nothing else;
+            // readers that might still see it are pinned, and the epoch
+            // defers the free past them.
+            unsafe { guard.defer_destroy(node) };
+        }
+        let elapsed = started.elapsed();
+        assert_eq!(index.key_node_count(), LOADED as usize);
+        let bound = if cfg!(debug_assertions) {
+            std::time::Duration::from_secs(5)
+        } else {
+            std::time::Duration::from_millis(500)
+        };
+        assert!(
+            elapsed < bound,
+            "{CYCLES} insert-and-retire cycles at the end of {LOADED} keys took \
+             {elapsed:?} (bound {bound:?})"
+        );
+        free_all(&index);
     }
 
     #[test]

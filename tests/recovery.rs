@@ -27,6 +27,7 @@ mod support;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1562,9 +1563,10 @@ fn crash_recover_continue_recover_round_trip_through_the_store_on<E: Durable>(ki
 fn checkpoint_policy_drives_automatic_log_truncation() {
     // The checkpoint policy is wired, not advisory: an engine built with
     // `with_checkpoint_store` under `CheckpointPolicy::every_log_bytes`
-    // checkpoints *itself* — a background tick consults `checkpoint_due`
-    // and runs the snapshot + install + truncate protocol once the live
-    // segment outgrows the budget. This test never calls `checkpoint()`:
+    // checkpoints *itself* — the committing thread's cooperative
+    // maintenance step consults `checkpoint_due` and runs the snapshot +
+    // install + truncate protocol once the live segment outgrows the
+    // budget. This test never calls `checkpoint()`:
     // a long committed write run alone must produce an installed image and
     // a truncated (rebased) log, and a restart must land on the final state.
     const BUDGET: u64 = 64 * 1024;
@@ -1581,8 +1583,8 @@ fn checkpoint_policy_drives_automatic_log_truncation() {
     populate(&engine, &tables, INITIAL_ROWS);
     assert_eq!(store.generation(), 0, "no checkpoint before any log growth");
 
-    // Keep committing until the tick has demonstrably checkpointed at least
-    // once (install + truncate each advance a generation). Bounded by wall
+    // Keep committing until the engine has demonstrably checkpointed at
+    // least once (install + truncate each advance a generation). Bounded by wall
     // clock so a wiring regression fails loudly instead of hanging.
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     let mut round = 0u64;
@@ -1606,7 +1608,9 @@ fn checkpoint_policy_drives_automatic_log_truncation() {
         run_sequential(&engine, &tables, IsolationLevel::Serializable, &history);
     store.logger().flush().expect("flush tail");
     let final_state = dump(&engine, &tables, DUMP_BOUND);
-    drop(engine); // joins the checkpointer tick before the store is read
+    // Every automatic checkpoint ran inside one of the commits above, so
+    // none is in flight while the store is read.
+    drop(engine);
     drop(store);
 
     let names: Vec<String> = dir_snapshot(&dir).into_iter().map(|(n, _)| n).collect();
@@ -1634,6 +1638,114 @@ fn checkpoint_policy_drives_automatic_log_truncation() {
 }
 
 #[test]
+fn cooperative_checkpoints_under_two_writers_keep_the_chain_bounded() {
+    // Two threads commit through an engine built with `with_checkpoint_store`
+    // under a delta policy, each on a table of its own, and nothing calls
+    // `checkpoint()`: the committing threads take every checkpoint in their
+    // maintenance steps, one at a time. A step runs after every commit, so
+    // the snapshot transaction of each base image commits into a nested
+    // step that must return, not wait for the checkpoint around it. The
+    // run must get past one compaction (base, two deltas, compacting base:
+    // two generations each, install and truncate), never hold more than
+    // `max_chain` images, and restart to the live final state.
+    const MAX_CHAIN: u32 = 3;
+    let compacted = 2 * (u64::from(MAX_CHAIN) + 1);
+    let dir = scratch_store_dir("auto-two-writers");
+    let store = Arc::new(
+        CheckpointStore::create_with_tick(&dir, Duration::from_micros(BATCH_TICK_US))
+            .expect("create checkpoint store"),
+    );
+    let engine = MvEngine::with_checkpoint_store(
+        MvConfig::optimistic()
+            .with_gc_every(1)
+            .with_checkpoint(CheckpointPolicy::delta(16 * 1024, MAX_CHAIN)),
+        store.clone(),
+    );
+    let tables = create_diff_tables(&engine, TABLES, 128);
+    populate(&engine, &tables, INITIAL_ROWS);
+
+    // The writers stop at the deadline; one that has not reported well
+    // after it is stuck, and the test fails instead of hanging.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let longest_chain = Arc::new(AtomicUsize::new(0));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let writers: Vec<_> = (0..2usize)
+        .map(|writer| {
+            let (engine, store, own) = (engine.clone(), store.clone(), vec![tables[writer]]);
+            let (longest_chain, done_tx) = (longest_chain.clone(), done_tx.clone());
+            std::thread::spawn(move || {
+                let params = HistoryParams {
+                    tables: 1,
+                    ..PARAMS
+                };
+                let mut round = 0u64;
+                while store.generation() < compacted && std::time::Instant::now() < deadline {
+                    let seed = seeds()[0] ^ ((writer as u64) << 32) ^ round;
+                    let history = generate_history(seed, params);
+                    let _: Vec<TxnRecord> =
+                        run_sequential(&engine, &own, IsolationLevel::Serializable, &history);
+                    longest_chain.fetch_max(store.chain_len(), Ordering::Relaxed);
+                    round += 1;
+                }
+                let _ = done_tx.send(());
+            })
+        })
+        .collect();
+    drop(done_tx);
+    let mut finished = 0;
+    while finished < writers.len() {
+        longest_chain.fetch_max(store.chain_len(), Ordering::Relaxed);
+        match done_rx.recv_timeout(Duration::from_micros(200)) {
+            Ok(()) => finished += 1,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => assert!(
+                std::time::Instant::now() < deadline + Duration::from_secs(30),
+                "a writer is stuck inside a commit (generation={}, chain={})",
+                store.generation(),
+                store.chain_len()
+            ),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("a writer panicked")
+            }
+        }
+    }
+    for writer in writers {
+        writer.join().expect("writer thread");
+    }
+    assert!(
+        store.generation() >= compacted,
+        "no compaction before the deadline: generation={}, chain={}, log bytes \
+         since checkpoint={}",
+        store.generation(),
+        store.chain_len(),
+        store.log_bytes_since_checkpoint()
+    );
+    let longest = longest_chain.load(Ordering::Relaxed);
+    assert!(
+        longest <= MAX_CHAIN as usize,
+        "a sample saw {longest} images in the chain (max_chain={MAX_CHAIN})"
+    );
+    store.logger().flush().expect("flush tail");
+    let final_state = dump(&engine, &tables, DUMP_BOUND);
+    drop(engine);
+    drop(store);
+
+    let plan = CheckpointStore::plan(&dir).expect("plan after automatic checkpoints");
+    let target = MvEngine::with_logger(MvConfig::optimistic(), Arc::new(NullLogger::new()));
+    let t = create_diff_tables(&target, TABLES, 128);
+    target
+        .recover_from_checkpoint(&plan)
+        .expect("restart from the automatic checkpoints");
+    assert_eq!(
+        dump(&target, &t, DUMP_BOUND),
+        final_state,
+        "restart from the chain the committing threads wrote diverges from \
+         the live engine's final state"
+    );
+    assert_indexes_consistent("two-writer restart", &target, &t, DUMP_BOUND);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn mid_run_crash_snapshots_recover_at_least_the_durable_watermark() {
     for_all_engines!(mid_run_crash_snapshots_recover_at_least_the_durable_watermark_on);
 }
@@ -1654,16 +1766,37 @@ fn mid_run_crash_snapshots_recover_at_least_the_durable_watermark_on<E: Durable>
     let tables = engine.create_tables();
     engine.seed(&tables);
 
-    let parts = worker_parts(seed);
+    let mut first_half = worker_parts(seed);
+    let second_half: Vec<_> = first_half
+        .iter_mut()
+        .map(|part| part.split_off(part.len() / 2))
+        .collect();
+    let capture = || {
+        let durable_before = logger.durable_lsn().0;
+        let bytes = std::fs::read(&path).expect("read live log");
+        (durable_before, bytes)
+    };
+    // The writers stop halfway for one capture, so every run has a mid-run
+    // capture however the threads are scheduled; more are taken while the
+    // second half runs. A writer that panics drops its sender instead of
+    // leaving the capture waiting.
+    let (halfway_tx, halfway_rx) = std::sync::mpsc::channel::<()>();
+    let (resume_tx, resume_rx) = std::sync::mpsc::channel::<()>();
     let mut snapshots: Vec<(u64, Vec<u8>)> = Vec::new();
     std::thread::scope(|scope| {
-        let engine_ref = &engine;
-        let tables_ref = &tables;
-        let handle = scope.spawn(move || engine_ref.run_concurrent(tables_ref, parts));
+        let (engine_ref, tables_ref) = (&engine, &tables);
+        let handle = scope.spawn(move || {
+            engine_ref.run_concurrent(tables_ref, first_half);
+            let _ = halfway_tx.send(());
+            let _ = resume_rx.recv();
+            engine_ref.run_concurrent(tables_ref, second_half);
+        });
+        if halfway_rx.recv().is_ok() {
+            snapshots.push(capture());
+        }
+        drop(resume_tx);
         while !handle.is_finished() {
-            let durable_before = logger.durable_lsn().0;
-            let bytes = std::fs::read(&path).expect("read live log");
-            snapshots.push((durable_before, bytes));
+            snapshots.push(capture());
             std::thread::sleep(Duration::from_micros(BATCH_TICK_US / 4));
         }
     });
