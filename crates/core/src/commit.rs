@@ -238,7 +238,7 @@ impl MvTransaction {
             .inspect_err(|err| self.finish_abort(err))?;
 
         // The transaction is committed.
-        self.ctx.handle.set_state(TxnState::Committed);
+        self.ctx.handle.set_state(TxnState::Committed(end_ts));
         EngineStats::bump(&self.stats().commits);
         self.stats()
             .contention
@@ -248,7 +248,6 @@ impl MvTransaction {
         // versions, resolve dependents, leave the transaction table.
         self.postprocess_commit(end_ts);
         self.resolve_dependents(true);
-        self.ctx.handle.set_state(TxnState::Terminated);
         self.inner.store.txns().remove(self.ctx.handle.id());
         self.finished = true;
         self.ctx.recycle();
@@ -271,14 +270,15 @@ impl MvTransaction {
         self.end_normal_processing()?;
 
         // Step 2: precommit — acquire the end timestamp and enter Preparing.
-        // The pending marker makes the draw-then-publish pair observable as
-        // one atomic step: without it, a thread preempted between the two
-        // looks like a plain Active transaction while its timestamp is
-        // already ordered in the past (see `TxnHandle::begin_precommit`).
-        self.ctx.handle.begin_precommit();
+        // `Precommitting` goes out before the draw: a thread preempted
+        // between the draw and the publication must not look Active while
+        // its timestamp is already ordered in the past (see
+        // `TxnHandle::set_state`).
+        self.ctx.handle.set_state(TxnState::Precommitting);
         let end_ts = self.inner.store.clock().next_timestamp();
-        self.ctx.handle.set_end_ts(end_ts);
-        self.ctx.handle.set_state(TxnState::Preparing);
+        #[cfg(test)]
+        crate::txn::race_hooks::fire(crate::txn::race_hooks::Gap::EndTsPublish);
+        self.ctx.handle.set_state(TxnState::Preparing(end_ts));
         // Only now release read/bucket locks and outgoing wait-for
         // dependencies: every transaction we delayed obtains an end timestamp
         // later than ours, so its position in the serial order is after us.
@@ -475,7 +475,6 @@ impl MvTransaction {
         self.release_outgoing_wait_fors();
         self.resolve_dependents(false);
 
-        self.ctx.handle.set_state(TxnState::Terminated);
         self.inner.store.txns().remove(self.ctx.handle.id());
         self.finished = true;
         self.ctx.recycle();

@@ -9,9 +9,9 @@
 //! skips as already inside the chain. The commit would be lost.
 //!
 //! **The guard**: the barrier runs `quiesce_precommits(R)` between drawing
-//! `R` and taking `read_limit_lsn`. It waits for every transaction with an
-//! end timestamp at or below `R` to reach `Terminated`, which comes after its
-//! frame is appended.
+//! `R` and taking `read_limit_lsn`. It waits until every transaction with an
+//! end timestamp at or below `R` reads `Committed` or `Aborted`; a commit
+//! stores `Committed` only after its frame is appended.
 //!
 //! **Why the test is deterministic**: same device as
 //! [`crate::read_time_regression`]. The writer parks on a

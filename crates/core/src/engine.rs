@@ -305,33 +305,25 @@ impl MvEngine {
     }
 
     /// Wait until every registered transaction that holds — or may still
-    /// claim — an end timestamp at or below `read_ts` has finished
-    /// postprocessing (reached `Terminated`).
+    /// claim — an end timestamp at or below `read_ts` has appended its redo
+    /// frame or aborted: `try_commit` appends before `Committed` is stored.
     ///
-    /// `read_ts` must already be drawn: a transaction observed without an
-    /// end timestamp can only draw one *after* this point, and the monotone
+    /// `read_ts` must already be drawn: a transaction observed Active can
+    /// only draw its end timestamp *after* this point, and the monotone
     /// clock puts that draw above `read_ts`. The bucket sweep misses only
     /// transactions registering concurrently, whose end timestamps are
     /// likewise above `read_ts`. Waits are short (a precommit's fate
     /// resolves within its validation + log append) and resolve among the
     /// waited-on transactions themselves, never on this thread.
     fn quiesce_precommits(&self, read_ts: Timestamp) {
-        use mmdb_storage::txn_table::EndTs;
         for handle in self.inner.store.txns().snapshot() {
             loop {
-                match handle.end_ts_state() {
-                    // Any future end timestamp postdates `read_ts`.
-                    EndTs::None => break,
-                    EndTs::At(end) if end > read_ts => break,
-                    // Pending, or committed/aborting inside the window:
-                    // wait for postprocessing to publish its words.
-                    _ => {
-                        if handle.state() == TxnState::Terminated {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
+                match handle.state() {
+                    TxnState::Precommitting => {}
+                    TxnState::Preparing(end) if end <= read_ts => {}
+                    _ => break,
                 }
+                std::thread::yield_now();
             }
         }
     }
@@ -438,7 +430,7 @@ impl Durable for MvEngine {
     /// 2. `read_ts` = a fresh clock draw. No transaction is registered and
     ///    nothing is pinned: the delta reads the log, not versions.
     /// 3. `quiesce_precommits(read_ts)`. A commit appends its frame before
-    ///    it reaches `Terminated`, so afterwards every commit at or below
+    ///    it stores `Committed`, so afterwards every commit at or below
     ///    `read_ts` has appended; anything that draws its end timestamp
     ///    later lands above `read_ts` and belongs to the tail.
     /// 4. `read_limit_lsn` = the appended LSN again.

@@ -51,6 +51,8 @@ pub mod engine;
 #[cfg(test)]
 mod phantom_regression;
 #[cfg(test)]
+mod precommit_regression;
+#[cfg(test)]
 mod read_time_regression;
 pub mod txn;
 pub mod visibility;

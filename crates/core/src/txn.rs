@@ -1002,13 +1002,10 @@ impl MvTransaction {
                 BeginWord::Timestamp(_) => return None,
                 BeginWord::Txn(tb) if tb == self.me() => return None,
                 BeginWord::Txn(tb) => match self.inner.store.txns().get_in(tb, guard) {
-                    Some(h) => {
-                        return (!matches!(h.state(), TxnState::Aborted | TxnState::Terminated))
-                            .then_some(tb)
-                    }
+                    Some(h) => return (h.state() != TxnState::Aborted).then_some(tb),
                     None => {
-                        // Terminated and removed: the Begin field is being
-                        // finalized — re-read it.
+                        // Not found: the Begin field is finalized — re-read
+                        // it.
                         rereads += 1;
                         if rereads > 64 {
                             return None;
@@ -1219,7 +1216,7 @@ impl std::fmt::Debug for MvTransaction {
 
 /// Deterministic-interleaving hooks for the regression tests
 /// (`phantom_regression.rs`, `read_time_regression.rs`,
-/// `delta_regression.rs`).
+/// `delta_regression.rs`, `precommit_regression.rs`, `begin_regression.rs`).
 ///
 /// The window the §4.3 bugfix closes is a handful of instructions wide; on
 /// this project's single-core CI runner no stochastic schedule ever lands a
@@ -1247,6 +1244,9 @@ pub(crate) mod race_hooks {
         /// In every writing commit, after the end timestamp is drawn and
         /// before the redo frame is appended.
         EndTsAppend,
+        /// In every commit, after the end timestamp is drawn and before it
+        /// is published as `Preparing`.
+        EndTsPublish,
         /// In every `begin`, after the handle is registered and before its
         /// begin timestamp is drawn.
         BeginDraw,
@@ -1257,7 +1257,7 @@ pub(crate) mod race_hooks {
     thread_local! {
         /// One slot per [`Gap`], each its own cell, so a hook may pass
         /// through another gap.
-        static HOOKS: [Hook; 4] = const { [const { RefCell::new(None) }; 4] };
+        static HOOKS: [Hook; 5] = const { [const { RefCell::new(None) }; 5] };
     }
 
     /// Install `hook` on the current thread; it fires every time this

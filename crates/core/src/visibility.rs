@@ -12,7 +12,7 @@ use crossbeam::epoch::Guard;
 use mmdb_common::ids::{Timestamp, TxnId};
 use mmdb_common::word::{BeginWord, EndWord};
 
-use mmdb_storage::txn_table::{EndTs, TxnState, TxnTable};
+use mmdb_storage::txn_table::{TxnState, TxnTable};
 use mmdb_storage::version::Version;
 
 /// Outcome of a visibility test.
@@ -62,13 +62,16 @@ pub enum Updatability {
 }
 
 /// How many times visibility re-reads a field whose owning transaction has
-/// terminated before concluding something is wrong. Termination finalizes the
-/// field first, so one or two retries always suffice in practice.
+/// left the transaction table before concluding something is wrong. Leaving
+/// the table comes after finalizing the field, so one or two retries always
+/// suffice in practice.
 const MAX_REREADS: u32 = 64;
 
 /// Check whether `version` is visible to transaction `me` at read time `rt`.
 ///
 /// `me` identifies the reading transaction so its own writes resolve correctly.
+/// A transaction found [`TxnState::Precommitting`] is drawing its end
+/// timestamp right now; both halves re-read until it is published.
 pub fn check_visibility(
     version: &Version,
     rt: Timestamp,
@@ -80,15 +83,13 @@ pub fn check_visibility(
     let mut begin_dep: Option<TxnId> = None;
     let mut rereads = 0;
     loop {
-        match version.begin_word() {
-            BeginWord::Timestamp(bts) => {
-                if bts > rt {
-                    // Not yet born at the read time (also covers aborted
-                    // versions whose Begin was set to infinity).
-                    return Visibility::INVISIBLE;
-                }
-                break;
+        let tb = match version.begin_word() {
+            BeginWord::Timestamp(bts) if bts > rt => {
+                // Not yet born at the read time (also covers aborted
+                // versions whose Begin was set to infinity).
+                return Visibility::INVISIBLE;
             }
+            BeginWord::Timestamp(_) => break,
             BeginWord::Txn(tb) if tb == me => {
                 // My own uncommitted version: visible only if it is my latest
                 // (End still infinity / not superseded by me).
@@ -98,179 +99,80 @@ pub fn check_visibility(
                     _ => Visibility::INVISIBLE,
                 };
             }
-            BeginWord::Txn(tb) => match txns.get_in(tb, guard) {
-                None => {
-                    // TB terminated and was removed: it has finalized the
-                    // Begin field, so re-read it.
-                    rereads += 1;
-                    if rereads > MAX_REREADS {
-                        return Visibility::INVISIBLE;
-                    }
-                    std::hint::spin_loop();
-                    continue;
-                }
-                Some(tb_handle) => {
-                    let (state, end) = tb_handle.state_and_end();
-                    match state {
-                        // Plain Active (no end timestamp drawn, none pending):
-                        // TB's writes are simply uncommitted.
-                        TxnState::Active if end == EndTs::None => return Visibility::INVISIBLE,
-                        // A transaction whose end timestamp is drawn (or being
-                        // drawn right now) is logically preparing even if its
-                        // state still reads Active: `do_commit` publishes the
-                        // timestamp and flips the state in separate stores,
-                        // and a preemption can stretch that window
-                        // arbitrarily. Treating it as plain Active made
-                        // committed-any-moment versions invisible while their
-                        // superseded predecessors were already finalized —
-                        // reads of permanently-present keys transiently
-                        // returned nothing (caught by the concurrency stress
-                        // tests).
-                        TxnState::Active | TxnState::Preparing => {
-                            let EndTs::At(ts) = end else {
-                                // Pending (or Preparing published out of
-                                // order): the timestamp appears within a few
-                                // instructions — re-read.
-                                std::hint::spin_loop();
-                                continue;
-                            };
-                            if ts > rt {
-                                return Visibility::INVISIBLE;
-                            }
-                            // Speculatively readable: proceed, remembering the
-                            // dependency on TB committing.
-                            begin_dep = Some(tb);
-                            break;
-                        }
-                        TxnState::Committed => {
-                            let EndTs::At(ts) = end else {
-                                std::hint::spin_loop();
-                                continue;
-                            };
-                            if ts > rt {
-                                return Visibility::INVISIBLE;
-                            }
-                            break;
-                        }
-                        TxnState::Aborted => return Visibility::INVISIBLE,
-                        TxnState::Terminated => {
-                            rereads += 1;
-                            if rereads > MAX_REREADS {
-                                return Visibility::INVISIBLE;
-                            }
-                            continue;
-                        }
-                    }
-                }
-            },
+            BeginWord::Txn(tb) => tb,
+        };
+        let Some(tb_handle) = txns.get_in(tb, guard) else {
+            // TB is not found: it finished postprocessing, which finalized
+            // the Begin field, so re-read it.
+            rereads += 1;
+            if rereads > MAX_REREADS {
+                return Visibility::INVISIBLE;
+            }
+            std::hint::spin_loop();
+            continue;
+        };
+        match tb_handle.state() {
+            // TB's writes are uncommitted, or garbage.
+            TxnState::Active | TxnState::Aborted => return Visibility::INVISIBLE,
+            TxnState::Precommitting => std::hint::spin_loop(),
+            TxnState::Preparing(ts) | TxnState::Committed(ts) if ts > rt => {
+                return Visibility::INVISIBLE
+            }
+            // Speculatively readable: proceed, remembering the dependency
+            // on TB committing.
+            TxnState::Preparing(_) => {
+                begin_dep = Some(tb);
+                break;
+            }
+            TxnState::Committed(_) => break,
         }
     }
 
     // ---- Step 2: the End field (Table 2). ----
+    let visible = Visibility {
+        visible: true,
+        dependency: begin_dep,
+    };
     let mut rereads = 0;
     loop {
-        match version.end_word() {
+        let te = match version.end_word() {
             EndWord::Timestamp(ets) => {
                 return if rt < ets {
-                    Visibility {
-                        visible: true,
-                        dependency: begin_dep,
-                    }
+                    visible
                 } else {
                     Visibility::INVISIBLE
                 };
             }
-            EndWord::Lock(lock) => {
-                let Some(te) = lock.writer else {
-                    // Read locks only — the version is still the latest.
-                    return Visibility {
-                        visible: true,
-                        dependency: begin_dep,
-                    };
-                };
-                if te == me {
-                    // I superseded or deleted this version myself; my reads
-                    // must observe my newer version instead.
-                    return Visibility::INVISIBLE;
-                }
-                match txns.get_in(te, guard) {
-                    None => {
-                        rereads += 1;
-                        if rereads > MAX_REREADS {
-                            return Visibility {
-                                visible: true,
-                                dependency: begin_dep,
-                            };
-                        }
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    Some(te_handle) => {
-                        let (state, end) = te_handle.state_and_end();
-                        match state {
-                            // TE's update is uncommitted and TE has not yet
-                            // precommitted: V is still the latest committed
-                            // version, hence visible.
-                            TxnState::Active if end == EndTs::None => {
-                                return Visibility {
-                                    visible: true,
-                                    dependency: begin_dep,
-                                }
-                            }
-                            // An end timestamp (drawn or being drawn) means TE
-                            // is logically preparing even while its state
-                            // still reads Active (see the Begin-field twin of
-                            // this arm above).
-                            TxnState::Active | TxnState::Preparing => {
-                                let EndTs::At(ts) = end else {
-                                    std::hint::spin_loop();
-                                    continue;
-                                };
-                                if ts > rt {
-                                    // Whatever TE does, V remains visible at rt.
-                                    return Visibility {
-                                        visible: true,
-                                        dependency: begin_dep,
-                                    };
-                                }
-                                // TS < RT: if TE commits V is invisible; if TE
-                                // aborts it stays visible. Speculatively ignore.
-                                return Visibility::speculative(false, te);
-                            }
-                            TxnState::Committed => {
-                                let EndTs::At(ts) = end else {
-                                    std::hint::spin_loop();
-                                    continue;
-                                };
-                                return if rt < ts {
-                                    Visibility {
-                                        visible: true,
-                                        dependency: begin_dep,
-                                    }
-                                } else {
-                                    Visibility::INVISIBLE
-                                };
-                            }
-                            TxnState::Aborted => {
-                                return Visibility {
-                                    visible: true,
-                                    dependency: begin_dep,
-                                }
-                            }
-                            TxnState::Terminated => {
-                                rereads += 1;
-                                if rereads > MAX_REREADS {
-                                    return Visibility {
-                                        visible: true,
-                                        dependency: begin_dep,
-                                    };
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                }
+            EndWord::Lock(lock) => match lock.writer {
+                // Read locks only — the version is still the latest.
+                None => return visible,
+                // I superseded or deleted this version myself; my reads
+                // must observe my newer version instead.
+                Some(te) if te == me => return Visibility::INVISIBLE,
+                Some(te) => te,
+            },
+        };
+        let Some(te_handle) = txns.get_in(te, guard) else {
+            // TE is not found: it finalized the End field (commit) or reset
+            // it (abort) — re-read it.
+            rereads += 1;
+            if rereads > MAX_REREADS {
+                return visible;
             }
+            std::hint::spin_loop();
+            continue;
+        };
+        match te_handle.state() {
+            // TE's update is uncommitted, or rolled back: V is still the
+            // latest committed version.
+            TxnState::Active | TxnState::Aborted => return visible,
+            TxnState::Precommitting => std::hint::spin_loop(),
+            // Whatever TE does, V remains visible at rt.
+            TxnState::Preparing(ts) | TxnState::Committed(ts) if ts > rt => return visible,
+            // TS ≤ RT: if TE commits V is invisible; if TE aborts it stays
+            // visible. Speculatively ignore.
+            TxnState::Preparing(_) => return Visibility::speculative(false, te),
+            TxnState::Committed(_) => return Visibility::INVISIBLE,
         }
     }
 }
@@ -318,7 +220,7 @@ pub fn check_updatable(
                         }
                     }
                     None => {
-                        // Holder terminated: it finalized the End field
+                        // Holder not found: it finalized the End field
                         // (commit) or reset it (abort) — re-read.
                         rereads += 1;
                         if rereads > MAX_REREADS {
@@ -343,6 +245,7 @@ mod tests {
     use mmdb_common::row::rowbuf;
     use mmdb_common::word::LockWord;
     use mmdb_storage::txn_table::TxnHandle;
+    use std::sync::Arc;
 
     /// Test shorthand: pin a guard per call so the table-driven cases below
     /// keep the paper's 4-argument shape.
@@ -369,19 +272,23 @@ mod tests {
         v
     }
 
-    fn register(txns: &TxnTable, id: u64, begin: u64, state: TxnState, end: Option<u64>) {
-        let h = TxnHandle::new(
+    fn handle(id: u64, begin: u64) -> Arc<TxnHandle> {
+        TxnHandle::new(
             TxnId(id),
             Timestamp(begin),
             ConcurrencyMode::Optimistic,
             IsolationLevel::Serializable,
-        );
-        if let Some(e) = end {
-            h.set_end_ts(Timestamp(e));
-        }
+        )
+    }
+
+    fn register(txns: &TxnTable, id: u64, begin: u64, state: TxnState) {
+        let h = handle(id, begin);
         h.set_state(state);
         txns.register(h);
     }
+
+    const PREPARING_60: TxnState = TxnState::Preparing(Timestamp(60));
+    const COMMITTED_60: TxnState = TxnState::Committed(Timestamp(60));
 
     const ME: TxnId = TxnId(500);
 
@@ -410,7 +317,7 @@ mod tests {
         let v = Version::new(ME, rowbuf::keyed_row(1, 16, 0), &[1]);
         assert!(check_visibility(&v, Timestamp(100), ME, &txns).visible);
         // Another transaction (begin word holds an ID of an Active txn).
-        register(&txns, ME.0, 50, TxnState::Active, None);
+        register(&txns, ME.0, 50, TxnState::Active);
         assert!(!check_visibility(&v, Timestamp(100), TxnId(7), &txns).visible);
     }
 
@@ -426,7 +333,7 @@ mod tests {
     #[test]
     fn begin_id_of_preparing_txn_is_speculative() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Preparing, Some(60));
+        register(&txns, 9, 50, PREPARING_60);
         let v = Version::new(TxnId(9), rowbuf::keyed_row(1, 16, 0), &[1]);
         // Read time after TB's end timestamp: speculatively visible.
         let vis = check_visibility(&v, Timestamp(70), ME, &txns);
@@ -441,7 +348,7 @@ mod tests {
     #[test]
     fn begin_id_of_committed_txn_uses_its_end_ts() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Committed, Some(60));
+        register(&txns, 9, 50, COMMITTED_60);
         let v = Version::new(TxnId(9), rowbuf::keyed_row(1, 16, 0), &[1]);
         assert!(check_visibility(&v, Timestamp(61), ME, &txns).visible);
         assert!(!check_visibility(&v, Timestamp(59), ME, &txns).visible);
@@ -455,7 +362,7 @@ mod tests {
     #[test]
     fn begin_id_of_aborted_txn_is_garbage() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Aborted, None);
+        register(&txns, 9, 50, TxnState::Aborted);
         let v = Version::new(TxnId(9), rowbuf::keyed_row(1, 16, 0), &[1]);
         assert!(!check_visibility(&v, Timestamp(100), ME, &txns).visible);
     }
@@ -463,7 +370,7 @@ mod tests {
     #[test]
     fn end_id_of_active_txn_keeps_version_visible() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Active, None);
+        register(&txns, 9, 50, TxnState::Active);
         let v = committed_version(10, None);
         v.set_end(EndWord::write_locked(TxnId(9)));
         let vis = check_visibility(&v, Timestamp(100), ME, &txns);
@@ -474,7 +381,7 @@ mod tests {
     #[test]
     fn end_id_of_preparing_txn_splits_on_read_time() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Preparing, Some(60));
+        register(&txns, 9, 50, PREPARING_60);
         let v = committed_version(10, None);
         v.set_end(EndWord::write_locked(TxnId(9)));
         // RT < TS: visible regardless of TE's outcome, no dependency.
@@ -490,7 +397,7 @@ mod tests {
     #[test]
     fn end_id_of_aborted_txn_means_visible() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Aborted, Some(60));
+        register(&txns, 9, 50, TxnState::Aborted);
         let v = committed_version(10, None);
         v.set_end(EndWord::write_locked(TxnId(9)));
         assert!(check_visibility(&v, Timestamp(100), ME, &txns).visible);
@@ -520,7 +427,7 @@ mod tests {
             Updatability::Conflict { .. }
         ));
         // Write-locked by an active transaction: conflict identifying the holder.
-        register(&txns, 9, 50, TxnState::Active, None);
+        register(&txns, 9, 50, TxnState::Active);
         let v = committed_version(10, None);
         v.set_end(EndWord::write_locked(TxnId(9)));
         assert_eq!(
@@ -530,7 +437,7 @@ mod tests {
             }
         );
         // Write-locked by an aborted transaction: updatable again.
-        register(&txns, 11, 50, TxnState::Aborted, None);
+        register(&txns, 11, 50, TxnState::Aborted);
         let v = committed_version(10, None);
         v.set_end(EndWord::write_locked(TxnId(11)));
         assert!(matches!(
@@ -590,7 +497,7 @@ mod tests {
     #[test]
     fn table1_begin_other_active_txn() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Active, None);
+        register(&txns, 9, 50, TxnState::Active);
         let v = Version::new(TxnId(9), rowbuf::keyed_row(1, 16, 0), &[1]);
         assert!(!check_visibility(&v, Timestamp(u64::MAX >> 2), ME, &txns).visible);
     }
@@ -602,7 +509,7 @@ mod tests {
     #[test]
     fn table1_begin_preparing_boundary() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Preparing, Some(60));
+        register(&txns, 9, 50, PREPARING_60);
         let v = Version::new(TxnId(9), rowbuf::keyed_row(1, 16, 0), &[1]);
         let vis = check_visibility(&v, Timestamp(60), ME, &txns);
         assert!(vis.visible, "TS == RT: speculatively visible");
@@ -614,7 +521,7 @@ mod tests {
     #[test]
     fn table1_begin_committed_boundary() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Committed, Some(60));
+        register(&txns, 9, 50, COMMITTED_60);
         let v = Version::new(TxnId(9), rowbuf::keyed_row(1, 16, 0), &[1]);
         let at_ts = check_visibility(&v, Timestamp(60), ME, &txns);
         assert!(at_ts.visible, "TS == RT is visible");
@@ -628,13 +535,14 @@ mod tests {
     #[test]
     fn table1_begin_aborted() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Aborted, Some(60));
+        register(&txns, 9, 50, TxnState::Aborted);
         let v = Version::new(TxnId(9), rowbuf::keyed_row(1, 16, 0), &[1]);
         assert!(!check_visibility(&v, Timestamp(1_000), ME, &txns).visible);
     }
 
-    /// Table 1 row 7 — TB is Terminated (or gone from the transaction
-    /// table): TB has finalized the Begin field, so the checker re-reads it.
+    /// Table 1 row 7 — TB is not found in the transaction table (the
+    /// paper's "Terminated or not found"): TB has finalized the Begin
+    /// field, so the checker re-reads it.
     /// When the field genuinely never changes (stale ID), the checker gives
     /// up after bounded re-reads and reports invisible rather than spinning.
     #[test]
@@ -681,7 +589,7 @@ mod tests {
     #[test]
     fn table2_end_other_active_txn() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Active, None);
+        register(&txns, 9, 50, TxnState::Active);
         let v = committed_version(10, None);
         v.set_end(EndWord::write_locked(TxnId(9)));
         let vis = check_visibility(&v, Timestamp(1_000), ME, &txns);
@@ -696,7 +604,7 @@ mod tests {
     #[test]
     fn table2_end_preparing_boundary() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Preparing, Some(60));
+        register(&txns, 9, 50, PREPARING_60);
         let v = committed_version(10, None);
         v.set_end(EndWord::write_locked(TxnId(9)));
         let vis = check_visibility(&v, Timestamp(60), ME, &txns);
@@ -709,7 +617,7 @@ mod tests {
     #[test]
     fn table2_end_committed_boundary() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Committed, Some(60));
+        register(&txns, 9, 50, COMMITTED_60);
         let v = committed_version(10, None);
         v.set_end(EndWord::write_locked(TxnId(9)));
         assert!(check_visibility(&v, Timestamp(59), ME, &txns).visible);
@@ -724,14 +632,15 @@ mod tests {
     #[test]
     fn table2_end_aborted() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Aborted, None);
+        register(&txns, 9, 50, TxnState::Aborted);
         let v = committed_version(10, None);
         v.set_end(EndWord::write_locked(TxnId(9)));
         assert!(check_visibility(&v, Timestamp(1_000), ME, &txns).visible);
     }
 
-    /// Table 2 row 7 — TE is Terminated / gone: TE finalized the End field,
-    /// so the checker re-reads; with a genuinely stale writer ID it fails
+    /// Table 2 row 7 — TE is not found in the transaction table (the
+    /// paper's "Terminated or not found"): TE finalized the End field, so
+    /// the checker re-reads; with a genuinely stale writer ID it fails
     /// *open* (the version stays visible — a committed writer would have
     /// finalized the field to a timestamp, an aborted one would have cleared
     /// it).
@@ -773,7 +682,7 @@ mod tests {
     #[test]
     fn updatability_preparing_holder_conflicts() {
         let txns = TxnTable::new();
-        register(&txns, 9, 50, TxnState::Preparing, Some(60));
+        register(&txns, 9, 50, PREPARING_60);
         let v = committed_version(10, None);
         v.set_end(EndWord::write_locked(TxnId(9)));
         assert_eq!(
@@ -797,32 +706,38 @@ mod tests {
         );
     }
 
-    /// A transaction whose end timestamp is published while its state still
-    /// reads Active (the `do_commit` window between `set_end_ts` and
-    /// `set_state(Preparing)`) must be treated as Preparing: its versions are
-    /// speculatively visible/ignorable by timestamp, never plain-Active.
+    /// A transaction caught between drawing its end timestamp and
+    /// publishing it reads `Precommitting`: the checker re-reads until
+    /// `Preparing(60)` appears (here from another thread, 20 ms later) and
+    /// then answers speculatively, on both tables — never as if the
+    /// transaction were still plain Active.
     #[test]
-    fn active_with_published_end_ts_is_treated_as_preparing() {
+    fn precommitting_txn_is_waited_out_then_treated_as_preparing() {
         let txns = TxnTable::new();
-        // Register an Active transaction that has drawn end timestamp 60.
-        let h = TxnHandle::new(
-            TxnId(9),
-            Timestamp(50),
-            ConcurrencyMode::Optimistic,
-            IsolationLevel::Serializable,
-        );
-        h.set_end_ts(Timestamp(60));
-        txns.register(h); // state stays Active
-                          // Table 1: its new version is speculatively visible past ts 60 ...
-        let v = Version::new(TxnId(9), rowbuf::keyed_row(1, 16, 0), &[1]);
-        let vis = check_visibility(&v, Timestamp(70), ME, &txns);
-        assert!(vis.visible);
-        assert_eq!(vis.dependency, Some(TxnId(9)));
-        // ... and plainly invisible before it.
-        assert!(!check_visibility(&v, Timestamp(55), ME, &txns).visible);
-        // Table 2: a version it is superseding splits on the read time.
+        let h = handle(9, 50);
+        h.set_state(TxnState::Precommitting);
+        txns.register(Arc::clone(&h));
+        let new = Version::new(TxnId(9), rowbuf::keyed_row(1, 16, 0), &[1]);
         let old = committed_version(10, None);
         old.set_end(EndWord::write_locked(TxnId(9)));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                h.set_state(PREPARING_60);
+            });
+            // Table 1: its new version is speculatively visible past ts 60.
+            let vis = check_visibility(&new, Timestamp(70), ME, &txns);
+            assert_eq!(
+                h.state(),
+                PREPARING_60,
+                "the checker answered while TB was Precommitting"
+            );
+            assert!(vis.visible);
+            assert_eq!(vis.dependency, Some(TxnId(9)));
+        });
+        // ... and plainly invisible before it.
+        assert!(!check_visibility(&new, Timestamp(55), ME, &txns).visible);
+        // Table 2: a version it is superseding splits on the read time.
         assert!(check_visibility(&old, Timestamp(55), ME, &txns).visible);
         let vis = check_visibility(&old, Timestamp(70), ME, &txns);
         assert!(

@@ -3,8 +3,9 @@
 //! notification — on the `std` condition variable underneath the
 //! `parking_lot` shim each of those is a `futex` system call.
 //!
-//! `TxnHandle::set_state` is a plain store (its doc comment says who sleeps
-//! on a handle and on what), and the shim's `Condvar` forwards a
+//! A state transition (`TxnHandle::set_state`) is one plain store to the
+//! handle's status word (its doc comment says who sleeps on a handle and on
+//! what), and the shim's `Condvar` forwards a
 //! notification only when a waiter is registered, which also covers the
 //! wait-for releases, the commit-dependency resolutions and the group-commit
 //! flusher's `durable_cv`. Before that change every commit made at least

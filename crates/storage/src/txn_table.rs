@@ -10,9 +10,12 @@
 //!
 //! A handle carries exactly the per-transaction fields the paper describes:
 //!
-//! * `State` — Active, Preparing, Committed, Aborted (plus Terminated once
-//!   postprocessing finished and the entry is about to disappear).
-//! * `BeginTs` / `EndTs`.
+//! * `BeginTs`.
+//! * `State` and `EndTs` in one status word, read and written whole:
+//!   Active, Precommitting (the end timestamp is being drawn), Preparing
+//!   and Committed (each with its end timestamp) and Aborted. A handle
+//!   leaves the table once postprocessing finished; the paper's Terminated
+//!   state is that absence.
 //! * `CommitDepCounter`, `AbortNow`, `CommitDepSet` (§2.7).
 //! * `WaitForCounter`, `NoMoreWaitFors`, `WaitingTxnList` (§4.2).
 //!
@@ -22,7 +25,7 @@
 //! the transitions a sleeper waits for wake it (see [`TxnHandle::set_state`]),
 //! so a transaction that meets no other transaction makes no system call.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,59 +38,52 @@ use mmdb_index::chain::{ChainNode, HashIndex};
 
 use crate::table::VersionPtr;
 
-/// Lifecycle states of a transaction (Figure 2 of the paper).
+/// Lifecycle state of a transaction (Figure 2 of the paper), with the end
+/// timestamp the state carries.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum TxnState {
     /// Normal processing; the transaction has a begin timestamp only.
-    Active = 0,
-    /// The transaction has acquired its end timestamp and is validating /
+    Active,
+    /// The end timestamp is being drawn right now and appears in a few
+    /// instructions: observers re-read (see [`TxnHandle::set_state`]).
+    Precommitting,
+    /// The transaction holds this end timestamp and is validating /
     /// waiting for dependencies / writing its log record.
-    Preparing = 1,
-    /// The commit is durable and visible; postprocessing may still be
-    /// propagating timestamps into versions.
-    Committed = 2,
+    Preparing(Timestamp),
+    /// Committed at this end timestamp; postprocessing may still be
+    /// propagating it into versions.
+    Committed(Timestamp),
     /// The transaction aborted; its new versions are garbage.
-    Aborted = 3,
-    /// Postprocessing finished; the handle is about to leave the table.
-    Terminated = 4,
+    Aborted,
 }
 
+/// Status-word bit of a final outcome. The low 63 bits hold the end
+/// timestamp, which lies strictly between 0 and
+/// [`INFINITY_TS`](mmdb_common::ids::INFINITY_TS), so three words are free
+/// for the states without one: 0 is Active, the bit alone is Aborted and
+/// all bits set is Precommitting.
+const FINAL: u64 = 1 << 63;
+
 impl TxnState {
-    fn from_u8(v: u8) -> TxnState {
-        match v {
-            0 => TxnState::Active,
-            1 => TxnState::Preparing,
-            2 => TxnState::Committed,
-            3 => TxnState::Aborted,
-            _ => TxnState::Terminated,
+    fn encode(self) -> u64 {
+        match self {
+            TxnState::Active => 0,
+            TxnState::Precommitting => u64::MAX,
+            TxnState::Preparing(ts) => ts.raw(),
+            TxnState::Committed(ts) => FINAL | ts.raw(),
+            TxnState::Aborted => FINAL,
         }
     }
 
-    /// Has the transaction reached a final outcome (committed or aborted)?
-    pub fn is_final(self) -> bool {
-        matches!(
-            self,
-            TxnState::Committed | TxnState::Aborted | TxnState::Terminated
-        )
+    fn decode(word: u64) -> TxnState {
+        match word {
+            0 => TxnState::Active,
+            u64::MAX => TxnState::Precommitting,
+            FINAL => TxnState::Aborted,
+            ts if ts & FINAL == 0 => TxnState::Preparing(Timestamp(ts)),
+            ts => TxnState::Committed(Timestamp(ts & !FINAL)),
+        }
     }
-}
-
-/// Sentinel stored in the end-timestamp slot while the owning thread is
-/// between drawing the timestamp and publishing it (see
-/// [`TxnHandle::begin_precommit`]).
-const END_TS_PENDING: u64 = u64::MAX;
-
-/// Observed state of a transaction's end timestamp.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum EndTs {
-    /// Precommit has not started.
-    None,
-    /// The end timestamp is being drawn right now; it will appear in a few
-    /// instructions (observers should re-read).
-    Pending,
-    /// The published end timestamp.
-    At(Timestamp),
 }
 
 /// Outcome reported when registering a commit dependency on a transaction
@@ -131,9 +127,8 @@ pub struct TxnHandle {
     begin_ts: AtomicU64,
     mode: ConcurrencyMode,
     isolation: IsolationLevel,
-    state: AtomicU8,
-    /// End timestamp; 0 means "not yet acquired".
-    end_ts: AtomicU64,
+    /// The [`TxnState`], end timestamp included, in one word.
+    status: AtomicU64,
 
     // --- Commit dependencies (§2.7) ---
     /// Number of unresolved commit dependencies this transaction still has.
@@ -180,8 +175,7 @@ impl TxnHandle {
             begin_ts: AtomicU64::new(begin_ts.raw()),
             mode,
             isolation,
-            state: AtomicU8::new(TxnState::Active as u8),
-            end_ts: AtomicU64::new(0),
+            status: AtomicU64::new(0),
             commit_dep_counter: AtomicI64::new(0),
             abort_now: AtomicBool::new(false),
             commit_dep_set: Mutex::new(CommitDepSet::default()),
@@ -226,13 +220,25 @@ impl TxnHandle {
         self.isolation
     }
 
-    /// Current lifecycle state.
+    /// Current lifecycle state, with its end timestamp: one acquire load,
+    /// pairing with the release store of [`TxnHandle::set_state`].
     #[inline]
     pub fn state(&self) -> TxnState {
-        TxnState::from_u8(self.state.load(Ordering::Acquire))
+        TxnState::decode(self.status.load(Ordering::Acquire))
     }
 
-    /// Transition to a new state: a release store and nothing else.
+    /// Transition to a new state: one release store by the owning thread,
+    /// and nothing else.
+    ///
+    /// Precommit stores [`TxnState::Precommitting`] *before* it draws the
+    /// end timestamp and [`TxnState::Preparing`] after. Between the draw and
+    /// the second store the timestamp is already ordered in the global clock
+    /// but unpublished; a thread preempted there must not look Active, or
+    /// readers that draw later would treat its writes as uncommitted, and it
+    /// would then finish committing *in the logical past* of those readers
+    /// (torn snapshots). Observers of `Precommitting` re-read instead. The
+    /// store is sequenced before the clock's `SeqCst` draw, so a thread
+    /// whose own draw comes later finds `Precommitting` or a later state.
     ///
     /// **No wake-up, on purpose.** The only thread that ever sleeps on a
     /// handle is the transaction's own, inside [`TxnHandle::wait_until`], and
@@ -240,12 +246,11 @@ impl TxnHandle {
     /// precommit), [`commit_dep_count`] (before commit) and
     /// [`abort_requested`] (both). Those are changed by
     /// [`release_wait_for`], [`resolve_incoming_commit_dep`] and
-    /// [`request_abort`], which do notify. Nobody sleeps on `state`:
+    /// [`request_abort`], which do notify. Nobody sleeps on the state:
     /// observers of another transaction's state (visibility checks, the
     /// checkpoint walk, `quiesce_precommits`) re-read or yield. A `notify()`
     /// here costs a mutex round trip and, on a `std` condition variable, a
-    /// `futex` system call per transition — three per commit — to wake
-    /// nobody.
+    /// `futex` system call per transition to wake nobody.
     ///
     /// [`wait_for_count`]: TxnHandle::wait_for_count
     /// [`commit_dep_count`]: TxnHandle::commit_dep_count
@@ -255,63 +260,7 @@ impl TxnHandle {
     /// [`request_abort`]: TxnHandle::request_abort
     #[inline]
     pub fn set_state(&self, state: TxnState) {
-        self.state.store(state as u8, Ordering::Release);
-    }
-
-    /// End timestamp, if the transaction has precommitted (and the
-    /// timestamp is published — a pending precommit reads as `None` here;
-    /// use [`TxnHandle::end_ts_state`] to distinguish).
-    #[inline]
-    pub fn end_ts(&self) -> Option<Timestamp> {
-        match self.end_ts.load(Ordering::Acquire) {
-            0 | END_TS_PENDING => None,
-            raw => Some(Timestamp(raw)),
-        }
-    }
-
-    /// Three-state view of the end timestamp.
-    #[inline]
-    pub fn end_ts_state(&self) -> EndTs {
-        match self.end_ts.load(Ordering::Acquire) {
-            0 => EndTs::None,
-            END_TS_PENDING => EndTs::Pending,
-            raw => EndTs::At(Timestamp(raw)),
-        }
-    }
-
-    /// Announce that the end timestamp is about to be drawn. **Must** be
-    /// called before `clock.next_timestamp()` at precommit: between the
-    /// draw and [`TxnHandle::set_end_ts`] the timestamp is already ordered
-    /// in the global clock but unpublished, and a thread preempted there
-    /// would look like a plain Active transaction — readers would treat its
-    /// writes as uncommitted, then the transaction finishes committing *in
-    /// the logical past* of those readers (torn snapshots, caught by the
-    /// concurrency stress tests). With the marker set, observers know a
-    /// timestamp is coming and wait the few instructions until it appears.
-    pub fn begin_precommit(&self) {
-        self.end_ts.store(END_TS_PENDING, Ordering::Release);
-    }
-
-    /// Record the end timestamp acquired at precommit.
-    pub fn set_end_ts(&self, ts: Timestamp) {
-        self.end_ts.store(ts.raw(), Ordering::Release);
-    }
-
-    /// Atomically read the state and end timestamp. The paper's visibility
-    /// rules need both; reading the state *after* the timestamp guarantees
-    /// that if we observe Preparing/Committed the timestamp we read is the
-    /// final one (the end timestamp is always written before the state
-    /// switches to Preparing).
-    pub fn state_and_end(&self) -> (TxnState, EndTs) {
-        let ts = self.end_ts_state();
-        let state = self.state();
-        // If the state advanced past Active after we read a missing
-        // timestamp, re-read the timestamp: it must be set by now.
-        if !matches!(ts, EndTs::At(_)) && state != TxnState::Active {
-            (state, self.end_ts_state())
-        } else {
-            (state, ts)
-        }
+        self.status.store(state.encode(), Ordering::Release);
     }
 
     // ------------------------------------------------------------------
@@ -514,8 +463,7 @@ impl TxnHandle {
         *self.begin_ts.get_mut() = 0;
         self.mode = mode;
         self.isolation = isolation;
-        *self.state.get_mut() = TxnState::Active as u8;
-        *self.end_ts.get_mut() = 0;
+        *self.status.get_mut() = 0;
         *self.commit_dep_counter.get_mut() = 0;
         *self.abort_now.get_mut() = false;
         let deps = self.commit_dep_set.get_mut();
@@ -647,9 +595,9 @@ impl TxnTable {
     /// caller's epoch guard. This is the §2.5 visibility-path entry point —
     /// one lookup per version whose Begin/End field holds a transaction id.
     ///
-    /// Returns `None` if the transaction has terminated and been removed —
-    /// per the paper that means its version timestamps have been finalized,
-    /// so callers re-read the version field.
+    /// Returns `None` if the transaction finished and was removed — per the
+    /// paper ("Terminated or not found") that means its version timestamps
+    /// have been finalized, so callers re-read the version field.
     #[inline]
     pub fn get_in<'g>(&self, id: TxnId, guard: &'g Guard) -> Option<&'g TxnHandle> {
         self.index
@@ -661,7 +609,7 @@ impl TxnTable {
             .find(|handle| handle.id() == id)
     }
 
-    /// Remove a terminated transaction: unlink its handle under the bucket's
+    /// Remove a finished transaction: unlink its handle under the bucket's
     /// stripe and release the chain's strong reference through the epoch
     /// machinery, so lookups standing on the handle stay sound. The handle
     /// keeps its next pointer, and nobody resets it before that release ran
@@ -701,7 +649,7 @@ impl TxnTable {
             .map(|node| unsafe { node.deref() })
     }
 
-    /// Number of registered (non-terminated) transactions.
+    /// Number of registered (unfinished) transactions.
     pub fn len(&self) -> usize {
         self.handles(&epoch::pin()).count()
     }
@@ -765,7 +713,7 @@ impl std::fmt::Debug for TxnTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_common::ids::MAX_TXN_ID;
+    use mmdb_common::ids::{INFINITY_TS, MAX_TXN_ID};
     use mmdb_index::test_support::flush_epochs_until;
     use std::sync::atomic::AtomicUsize;
 
@@ -778,19 +726,36 @@ mod tests {
         )
     }
 
+    /// Every state survives the trip through the status word, end
+    /// timestamps at both ends of their range included.
     #[test]
-    fn lifecycle_states() {
+    fn every_state_round_trips_through_the_status_word() {
+        let last = Timestamp(INFINITY_TS.raw() - 1);
+        let states = [
+            TxnState::Active,
+            TxnState::Precommitting,
+            TxnState::Preparing(Timestamp(1)),
+            TxnState::Preparing(Timestamp(20)),
+            TxnState::Preparing(last),
+            TxnState::Committed(Timestamp(1)),
+            TxnState::Committed(Timestamp(20)),
+            TxnState::Committed(last),
+            TxnState::Aborted,
+        ];
         let h = handle(1, 10);
-        assert_eq!(h.state(), TxnState::Active);
-        assert_eq!(h.end_ts(), None);
-        h.set_end_ts(Timestamp(20));
-        h.set_state(TxnState::Preparing);
-        assert_eq!(
-            h.state_and_end(),
-            (TxnState::Preparing, EndTs::At(Timestamp(20)))
+        assert_eq!(h.state(), TxnState::Active, "a new handle is Active");
+        for state in states {
+            h.set_state(state);
+            assert_eq!(h.state(), state);
+        }
+        let mut recycled = handle(2, 10);
+        recycled.set_state(TxnState::Committed(Timestamp(20)));
+        Arc::get_mut(&mut recycled).unwrap().reset_for(
+            TxnId(3),
+            ConcurrencyMode::Optimistic,
+            IsolationLevel::Serializable,
         );
-        h.set_state(TxnState::Committed);
-        assert!(h.state().is_final());
+        assert_eq!(recycled.state(), TxnState::Active, "reset_for clears it");
     }
 
     #[test]
@@ -1164,25 +1129,5 @@ mod tests {
         );
         mid_begin.set_begin_ts(Timestamp(600));
         assert_eq!(table.min_active_begin(), Some(Timestamp(500)));
-    }
-
-    #[test]
-    fn precommit_pending_is_not_a_published_timestamp() {
-        let h = handle(1, 10);
-        assert_eq!(h.end_ts_state(), EndTs::None);
-        h.begin_precommit();
-        assert_eq!(h.end_ts_state(), EndTs::Pending);
-        assert_eq!(
-            h.end_ts(),
-            None,
-            "a pending draw must not read as a timestamp"
-        );
-        assert_eq!(h.state_and_end(), (TxnState::Active, EndTs::Pending));
-        h.set_end_ts(Timestamp(20));
-        assert_eq!(h.end_ts_state(), EndTs::At(Timestamp(20)));
-        assert_eq!(
-            h.state_and_end(),
-            (TxnState::Active, EndTs::At(Timestamp(20)))
-        );
     }
 }
