@@ -70,7 +70,7 @@ impl GlobalClock {
 
     /// Current value of the timestamp counter — the *next* timestamp to be
     /// issued — without advancing it. An upper bound on everything issued so
-    /// far (GC sweep floors, uniqueness probes); reads that want "the latest
+    /// far (GC sweep floors); reads that want "the latest
     /// committed version" (§3.4) use [`Self::last_issued`] instead.
     #[inline]
     pub fn now(&self) -> Timestamp {

@@ -43,6 +43,10 @@ pub trait EngineTxn: Send {
     fn set_durability(&mut self, _durability: Durability) {}
 
     /// Insert a new row. The row must satisfy every index's key extractor.
+    /// A `DuplicateKey` found before anything is linked leaves the
+    /// transaction usable; found after the link, it aborts it. A
+    /// `WriteWriteConflict` (a live transaction holds the key) is retryable
+    /// and aborts the transaction.
     fn insert(&mut self, table: TableId, row: Row) -> Result<()>;
 
     /// Visitor-style point lookup: invoke `visit` on the visible row with the
@@ -122,7 +126,8 @@ pub trait EngineTxn: Send {
     }
 
     /// Replace the visible row with key `key` (located through `index`) by
-    /// `new_row`. Returns `Ok(false)` if no visible row matched.
+    /// `new_row`. Returns `Ok(false)` if no visible row matched. Unique keys
+    /// that `new_row` changes are enforced as by [`EngineTxn::insert`].
     fn update(&mut self, table: TableId, index: IndexId, key: Key, new_row: Row) -> Result<bool>;
 
     /// Delete the visible row with key `key`. Returns `Ok(false)` if no

@@ -33,7 +33,7 @@
 //! | [`engine`] | — | [`MvEngine`], cooperative maintenance step (GC, then an automatic checkpoint when due), the deadlock-detection pass a blocked transaction runs |
 //! | [`txn`] | §2.4, §3.1, §4.3.1 | [`MvTransaction`], normal-processing operations, read/bucket locks, wait-for and commit dependencies |
 //! | [`commit`] | §3.2–3.3, §4.3.2–4.3.3, §4.4 | wait-for wait (with detection passes), precommit, optimistic validation, logging, postprocessing, abort |
-//! | [`visibility`] | §2.5, §2.6 | version visibility and updatability (Tables 1 & 2) |
+//! | [`visibility`] | §2.5, §2.6 | version visibility and updatability (Tables 1 & 2), uniqueness on the latest state |
 //! | [`deadlock`] | §4.4 | wait-for graph construction and Tarjan-based cycle detection |
 
 #![warn(missing_docs)]
@@ -55,6 +55,8 @@ mod precommit_regression;
 #[cfg(test)]
 mod read_time_regression;
 pub mod txn;
+#[cfg(test)]
+mod unique_regression;
 pub mod visibility;
 
 pub use config::{CcPolicy, MvConfig};

@@ -26,15 +26,17 @@ use mmdb_common::ids::{IndexId, Key, TableId, Timestamp, TxnId};
 use mmdb_common::isolation::{ConcurrencyMode, IsolationLevel};
 use mmdb_common::row::{KeyScratch, Row, SearchPred};
 use mmdb_common::stats::EngineStats;
-use mmdb_common::word::{BeginWord, EndWord, LockWord};
+use mmdb_common::word::{EndWord, LockWord};
 
 use mmdb_storage::table::{Table, VersionPtr};
-use mmdb_storage::txn_table::{DepRegistration, TxnState};
+use mmdb_storage::txn_table::DepRegistration;
 use mmdb_storage::version::Version;
 
 use crate::context::TxnContext;
 use crate::engine::MvInner;
-use crate::visibility::{check_updatable, check_visibility, Updatability, Visibility};
+use crate::visibility::{
+    check_uniqueness, check_updatable, check_visibility, Uniqueness, Updatability, Visibility,
+};
 
 /// A pointer to a version the transaction read (checked again during
 /// optimistic validation).
@@ -269,6 +271,15 @@ impl MvTransaction {
             self.must_abort = Some(err.clone());
         }
         err
+    }
+
+    /// Count a first-writer-wins conflict with `holder` and fail with it.
+    fn write_conflict(&mut self, holder: Option<TxnId>) -> MmdbError {
+        EngineStats::bump(&self.stats().write_conflicts);
+        self.fail(MmdbError::WriteWriteConflict {
+            txn: self.me(),
+            holder,
+        })
     }
 
     fn ensure_open(&self) -> Result<()> {
@@ -555,11 +566,7 @@ impl MvTransaction {
             }
         };
         if !version.cas_end(observed, new_word) {
-            EngineStats::bump(&self.stats().write_conflicts);
-            return Err(self.fail(MmdbError::WriteWriteConflict {
-                txn: self.me(),
-                holder: version.write_locker(),
-            }));
+            return Err(self.write_conflict(version.write_locker()));
         }
         if let EndWord::Lock(lock) = observed {
             // Counted and dropped from our list in one step; the lock word
@@ -894,13 +901,7 @@ impl MvTransaction {
     fn write_lock_target(&mut self, ptr: VersionPtr, guard: &epoch::Guard) -> Result<()> {
         match check_updatable(ptr.get(), self.me(), self.inner.store.txns(), guard) {
             Updatability::Updatable { observed } => self.install_write_lock(ptr, observed),
-            Updatability::Conflict { holder } => {
-                EngineStats::bump(&self.stats().write_conflicts);
-                Err(self.fail(MmdbError::WriteWriteConflict {
-                    txn: self.me(),
-                    holder,
-                }))
-            }
+            Updatability::Conflict { holder } => Err(self.write_conflict(holder)),
         }
     }
 
@@ -915,7 +916,6 @@ impl MvTransaction {
         row: Row,
         keys: &[Key],
         old: Option<VersionPtr>,
-        delete_key: Option<Key>,
     ) -> Result<VersionPtr> {
         let owned = table.make_version_with(self.me(), row, keys)?;
         let guard = epoch::pin();
@@ -927,7 +927,7 @@ impl MvTransaction {
             table: table.id(),
             old,
             new: Some(ptr),
-            delete_key,
+            delete_key: None,
         });
         // Store→load fence, writer side (pairs with `scan_lock_fence`): the
         // link stores above must be globally visible before the lock-table
@@ -951,122 +951,41 @@ impl MvTransaction {
         Ok(ptr)
     }
 
-    /// Enforce uniqueness for `insert` on every unique index of the table.
-    fn check_unique(&mut self, table: &Table, keys: &[Key]) -> Result<()> {
-        let rt = self.inner.store.clock().now();
-        let guard = epoch::pin();
-        for (slot, key) in keys.iter().enumerate() {
-            let index = IndexId(slot as u32);
-            if !table.is_unique(index)? {
-                continue;
-            }
-            for ptr in table.candidate_ptrs(index, *key, &guard)? {
-                let version = ptr.get();
-                let vis = check_visibility(version, rt, self.me(), self.inner.store.txns(), &guard);
-                if self.resolve_visibility(version, vis, rt)? {
-                    // A committed (or committing) duplicate: the constraint
-                    // violation is real and permanent.
-                    return Err(MmdbError::DuplicateKey {
-                        table: table.id(),
-                        index,
-                    });
-                }
-                if let Some(holder) = self.pending_unique_conflict(version, &guard) {
-                    // A racing inserter that has not committed yet: the
-                    // outcome is unresolved (it may still abort), so report a
-                    // retryable conflict rather than a permanent duplicate.
-                    EngineStats::bump(&self.stats().write_conflicts);
-                    return Err(self.fail(MmdbError::WriteWriteConflict {
-                        txn: self.me(),
-                        holder: Some(holder),
-                    }));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Does this same-key version — though not visible to us — doom our
-    /// insert under uniqueness? Returns the creator when the version is being
-    /// inserted by another live transaction: unless that transaction aborts,
-    /// its version becomes a committed duplicate, so the first inserter wins
-    /// and we must not proceed (a visibility-only check would let two
-    /// concurrent inserters of one key both commit, which the differential
-    /// tests catch as a non-serializable outcome).
-    fn pending_unique_conflict(&self, version: &Version, guard: &epoch::Guard) -> Option<TxnId> {
-        let mut rereads = 0;
-        loop {
-            match version.begin_word() {
-                // Our own (the caller filters what it wants before this) or a
-                // committed / aborted version: visibility already judged it.
-                BeginWord::Timestamp(_) => return None,
-                BeginWord::Txn(tb) if tb == self.me() => return None,
-                BeginWord::Txn(tb) => match self.inner.store.txns().get_in(tb, guard) {
-                    Some(h) => return (h.state() != TxnState::Aborted).then_some(tb),
-                    None => {
-                        // Not found: the Begin field is finalized — re-read
-                        // it.
-                        rereads += 1;
-                        if rereads > 64 {
-                            return None;
-                        }
-                        std::hint::spin_loop();
-                    }
-                },
-            }
-        }
-    }
-
-    /// Re-verify uniqueness after our new version is linked. Two inserters
-    /// of the same key can both pass `check_unique` before either version is
-    /// reachable; once both are linked, at least one of them is guaranteed to
-    /// observe the other here (bucket chains are published with
-    /// acquire/release ordering) and gives way. When both observe each other,
-    /// both abort with a *retryable* conflict — safe, and a retry of either
-    /// resolves the race.
-    fn verify_unique_after_link(
+    /// Judge every other version of each unique key in `keys` by
+    /// [`check_uniqueness`], except keys that `old` (the row an update
+    /// supersedes) holds too. Before the link (`mine` is `None`) a duplicate
+    /// leaves the transaction usable; after it, every error fails it. Of two
+    /// inserters of one key, the one whose link CAS comes second meets the
+    /// other's version in its after-link walk.
+    fn check_unique(
         &mut self,
         table: &Table,
         keys: &[Key],
-        mine: VersionPtr,
+        mine: Option<VersionPtr>,
+        old: Option<&Row>,
     ) -> Result<()> {
-        let rt = self.inner.store.clock().now();
         let guard = epoch::pin();
-        for (slot, key) in keys.iter().enumerate() {
+        for (slot, &key) in keys.iter().enumerate() {
             let index = IndexId(slot as u32);
-            if !table.is_unique(index)? {
+            if !table.is_unique(index)?
+                || old.map(|row| table.key_of(index, row)).transpose()? == Some(key)
+            {
                 continue;
             }
-            for ptr in table.candidate_ptrs(index, *key, &guard)? {
-                if ptr == mine {
+            for ptr in table.candidate_ptrs(index, key, &guard)? {
+                if Some(ptr) == mine {
                     continue;
                 }
-                let version = ptr.get();
-                // Versions we superseded or deleted ourselves are expected.
-                if version.end_word().writer() == Some(self.me()) {
-                    continue;
-                }
-                let vis = check_visibility(version, rt, self.me(), self.inner.store.txns(), &guard);
-                if vis.visible && vis.dependency.is_none() {
-                    // A duplicate committed between our check and our link.
-                    EngineStats::bump(&self.stats().write_conflicts);
-                    return Err(self.fail(MmdbError::DuplicateKey {
-                        table: table.id(),
-                        index,
-                    }));
-                }
-                if let Some(holder) = self.pending_unique_conflict(version, &guard) {
-                    // A racing inserter: both of us may land here and both
-                    // give way (symmetric, safe — no tie-break can let one
-                    // side proceed soundly, because the winner may already
-                    // have passed its own re-verification without seeing us).
-                    // The conflict is retryable: no version of the key has
-                    // committed.
-                    EngineStats::bump(&self.stats().write_conflicts);
-                    return Err(self.fail(MmdbError::WriteWriteConflict {
-                        txn: self.me(),
-                        holder: Some(holder),
-                    }));
+                match check_uniqueness(ptr.get(), self.me(), self.inner.store.txns(), &guard) {
+                    Uniqueness::Free => {}
+                    Uniqueness::Pending(holder) => return Err(self.write_conflict(Some(holder))),
+                    Uniqueness::Duplicate => {
+                        let err = MmdbError::DuplicateKey {
+                            table: table.id(),
+                            index,
+                        };
+                        return Err(if mine.is_some() { self.fail(err) } else { err });
+                    }
                 }
             }
         }
@@ -1097,11 +1016,13 @@ impl EngineTxn for MvTransaction {
         let mut keys = std::mem::take(&mut self.ctx.bufs.scratch.keys);
         let result = (|| {
             table.keys_into(&row, &mut keys)?;
-            self.check_unique(table, keys.keys())?;
-            let new_ptr = self.add_new_version(table, row, keys.keys(), None, None)?;
-            // Close the check-then-link race between concurrent inserters of
-            // the same key: now that our version is reachable, look again.
-            self.verify_unique_after_link(table, keys.keys(), new_ptr)
+            self.check_unique(table, keys.keys(), None, None)?;
+            #[cfg(test)]
+            race_hooks::fire(race_hooks::Gap::UniqueLink);
+            let new_ptr = self.add_new_version(table, row, keys.keys(), None)?;
+            #[cfg(test)]
+            race_hooks::fire(race_hooks::Gap::UniqueWalk);
+            self.check_unique(table, keys.keys(), Some(new_ptr), None)
         })();
         keys.clear();
         self.ctx.bufs.scratch.keys = keys;
@@ -1157,7 +1078,9 @@ impl EngineTxn for MvTransaction {
         let mut keys = std::mem::take(&mut self.ctx.bufs.scratch.keys);
         let result = (|| {
             table.keys_into(&new_row, &mut keys)?;
-            self.add_new_version(table, new_row, keys.keys(), Some(old_ptr), None)
+            let new_ptr = self.add_new_version(table, new_row, keys.keys(), Some(old_ptr))?;
+            let old_row = Some(old_ptr.get().data());
+            self.check_unique(table, keys.keys(), Some(new_ptr), old_row)
         })();
         keys.clear();
         self.ctx.bufs.scratch.keys = keys;
@@ -1216,7 +1139,8 @@ impl std::fmt::Debug for MvTransaction {
 
 /// Deterministic-interleaving hooks for the regression tests
 /// (`phantom_regression.rs`, `read_time_regression.rs`,
-/// `delta_regression.rs`, `precommit_regression.rs`, `begin_regression.rs`).
+/// `delta_regression.rs`, `precommit_regression.rs`, `begin_regression.rs`,
+/// `unique_regression.rs`).
 ///
 /// The window the §4.3 bugfix closes is a handful of instructions wide; on
 /// this project's single-core CI runner no stochastic schedule ever lands a
@@ -1250,6 +1174,12 @@ pub(crate) mod race_hooks {
         /// In every `begin`, after the handle is registered and before its
         /// begin timestamp is drawn.
         BeginDraw,
+        /// In every `insert`, after the uniqueness early-out and before the
+        /// new version is linked.
+        UniqueLink,
+        /// In every `insert`, after the link and before the uniqueness walk
+        /// that follows it.
+        UniqueWalk,
     }
 
     type Hook = RefCell<Option<Box<dyn FnMut()>>>;
@@ -1257,7 +1187,7 @@ pub(crate) mod race_hooks {
     thread_local! {
         /// One slot per [`Gap`], each its own cell, so a hook may pass
         /// through another gap.
-        static HOOKS: [Hook; 5] = const { [const { RefCell::new(None) }; 5] };
+        static HOOKS: [Hook; 7] = const { [const { RefCell::new(None) }; 7] };
     }
 
     /// Install `hook` on the current thread; it fires every time this

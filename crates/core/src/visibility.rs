@@ -1,4 +1,4 @@
-//! Version visibility and updatability (§2.5, §2.6 and Tables 1 & 2).
+//! Version visibility, updatability and uniqueness (§2.5, §2.6, Tables 1–2).
 //!
 //! A read specifies a logical read time `RT`; only versions whose valid time
 //! overlaps `RT` are visible. The complication is that a version's Begin or
@@ -59,6 +59,17 @@ pub enum Updatability {
         /// The conflicting transaction, when identifiable.
         holder: Option<TxnId>,
     },
+}
+
+/// Outcome of a uniqueness test ([`check_uniqueness`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Uniqueness {
+    /// Its creator aborted, or a committed transaction or the tester ended it.
+    Free,
+    /// The version holds its key in the latest state.
+    Duplicate,
+    /// The named live transaction is creating or ending the version.
+    Pending(TxnId),
 }
 
 /// How many times visibility re-reads a field whose owning transaction has
@@ -234,6 +245,41 @@ pub fn check_updatable(
                 },
             },
         }
+    }
+}
+
+/// Judge a version holding a key that `me` writes into a unique index by the
+/// latest state, with no read time: the Begin word and its creator's state,
+/// then §2.6's first-writer-wins judgment of the End word. A creator missing
+/// from the transaction table past the re-reads is `Pending` (fail closed).
+pub(crate) fn check_uniqueness(
+    version: &Version,
+    me: TxnId,
+    txns: &TxnTable,
+    guard: &Guard,
+) -> Uniqueness {
+    let mut rereads = 0;
+    loop {
+        let tb = match version.begin_word() {
+            // An aborted creator sets Begin to infinity.
+            BeginWord::Timestamp(ts) if ts.is_infinity() => return Uniqueness::Free,
+            BeginWord::Timestamp(_) => break,
+            BeginWord::Txn(tb) if tb == me => break,
+            BeginWord::Txn(tb) => tb,
+        };
+        match txns.get_in(tb, guard).map(|h| h.state()) {
+            Some(TxnState::Aborted) => return Uniqueness::Free,
+            Some(TxnState::Committed(_)) => break,
+            Some(_) => return Uniqueness::Pending(tb),
+            // TB finalized the Begin field and left: re-read it.
+            None if rereads < MAX_REREADS => rereads += 1,
+            None => return Uniqueness::Pending(tb),
+        }
+    }
+    match check_updatable(version, me, txns, guard) {
+        Updatability::Updatable { .. } => Uniqueness::Duplicate,
+        Updatability::Conflict { holder: Some(h) } if h != me => Uniqueness::Pending(h),
+        Updatability::Conflict { .. } => Uniqueness::Free,
     }
 }
 
@@ -451,6 +497,71 @@ mod tests {
             check_updatable(&v, ME, &txns),
             Updatability::Updatable { .. }
         ));
+    }
+
+    /// One row per rule of `check_uniqueness`. No row has a read time:
+    /// the first one is the shape a read-time judgment let through.
+    #[test]
+    fn uniqueness_rules() {
+        let txns = TxnTable::new();
+        register(&txns, 9, 50, PREPARING_60);
+        register(&txns, 11, 50, TxnState::Aborted);
+        register(&txns, 12, 50, TxnState::Active);
+        let own_deleted = committed_version(10, None);
+        own_deleted.set_end(EndWord::write_locked(ME));
+        let live_deleter = committed_version(10, None);
+        live_deleter.set_end(EndWord::write_locked(TxnId(12)));
+        let rows = [
+            (
+                "Begin finalized above any read time",
+                committed_version(1 << 40, None),
+                Uniqueness::Duplicate,
+            ),
+            (
+                "own version, End infinity",
+                Version::new(ME, rowbuf::keyed_row(1, 16, 0), &[1]),
+                Uniqueness::Duplicate,
+            ),
+            ("own-deleted version", own_deleted, Uniqueness::Free),
+            (
+                "Preparing creator",
+                Version::new(TxnId(9), rowbuf::keyed_row(1, 16, 0), &[1]),
+                Uniqueness::Pending(TxnId(9)),
+            ),
+            (
+                "End held by a live deleter",
+                live_deleter,
+                Uniqueness::Pending(TxnId(12)),
+            ),
+            (
+                "committed End",
+                committed_version(10, Some(20)),
+                Uniqueness::Free,
+            ),
+            (
+                "aborted creator",
+                Version::new(TxnId(11), rowbuf::keyed_row(1, 16, 0), &[1]),
+                Uniqueness::Free,
+            ),
+            (
+                "Begin infinity",
+                committed_version(INFINITY_TS.raw(), None),
+                Uniqueness::Free,
+            ),
+            (
+                "creator not found",
+                Version::new(TxnId(424_242), rowbuf::keyed_row(1, 16, 0), &[1]),
+                Uniqueness::Pending(TxnId(424_242)),
+            ),
+        ];
+        let guard = crossbeam::epoch::pin();
+        for (case, version, expected) in rows {
+            assert_eq!(
+                check_uniqueness(&version, ME, &txns, &guard),
+                expected,
+                "{case}"
+            );
+        }
     }
 
     #[test]

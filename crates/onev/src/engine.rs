@@ -585,16 +585,7 @@ impl EngineTxn for SvTransaction {
         let mut keys = std::mem::take(&mut self.keys);
         let result = (|| {
             table.keys_into(&row, &mut keys)?;
-            // Uniqueness under the exclusive locks.
-            for (slot, key) in keys.keys().iter().enumerate() {
-                let index = IndexId(slot as u32);
-                if table.is_unique(index)? && !table.lookup(index, *key)?.is_empty() {
-                    return Err(MmdbError::DuplicateKey {
-                        table: table_id,
-                        index,
-                    });
-                }
-            }
+            table.check_unique(&row, None)?;
             table.insert_row(row.clone())?;
             EngineStats::bump(&self.inner.stats.versions_created);
             self.undo.push(UndoOp::Insert {
@@ -668,6 +659,7 @@ impl EngineTxn for SvTransaction {
         };
         self.lock_row_exclusive(&table, &target)?;
         self.lock_row_exclusive(&table, &new_row)?;
+        table.check_unique(&new_row, Some(&target))?;
         let pk = table.key_of(IndexId(0), &target)?;
         let new_pk = table.key_of(IndexId(0), &new_row)?;
         if new_pk != pk {

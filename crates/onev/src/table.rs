@@ -310,8 +310,29 @@ impl SvTable {
         Ok(visited)
     }
 
+    /// `DuplicateKey` if another row holds one of `row`'s unique keys, on
+    /// each unique index where `old`, the row an update replaces, holds a
+    /// different key. Exact only under exclusive locks on those buckets.
+    pub fn check_unique(&self, row: &[u8], old: Option<&[u8]>) -> Result<()> {
+        for slot in 0..self.spec.indexes.len() {
+            let index = IndexId(slot as u32);
+            if !self.is_unique(index)? {
+                continue;
+            }
+            let key = self.key_of(index, row)?;
+            let kept = old.map(|old| self.key_of(index, old)).transpose()? == Some(key);
+            if !kept && !self.lookup(index, key)?.is_empty() {
+                return Err(MmdbError::DuplicateKey {
+                    table: self.id,
+                    index,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Insert a new row (physically). The caller has already checked
-    /// uniqueness under the appropriate locks.
+    /// uniqueness (`check_unique`) under the appropriate locks.
     pub fn insert_row(&self, row: Row) -> Result<()> {
         let mut keys = KeyScratch::new();
         self.keys_into(&row, &mut keys)?;

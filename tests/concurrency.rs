@@ -666,3 +666,120 @@ fn waiting_transactions_break_an_implicit_edge_cycle() {
         "the cycle is broken by detection, not the wait timeout (took {elapsed:?})"
     );
 }
+
+/// Fill bytes of every row a read-committed key scan of `key` returns.
+fn fills_of_key<E: Engine>(engine: &E, table: TableId, key: u64) -> Vec<u8> {
+    let mut check = engine.begin(IsolationLevel::ReadCommitted);
+    let fills = check
+        .scan_key(table, IndexId(0), key)
+        .unwrap()
+        .iter()
+        .map(|row| rowbuf::fill_of(row))
+        .collect();
+    check.commit().unwrap();
+    fills
+}
+
+#[test]
+fn concurrent_inserts_and_deletes_keep_a_unique_key_unique() {
+    const KEYS: u64 = 4;
+    const THREADS: u64 = 4;
+    const ROUNDS: u64 = 50;
+    const OPS: usize = 60;
+
+    // Each round, every thread inserts and deletes random keys of the
+    // primary (unique) index at serializable and read committed; between
+    // rounds no key may have more than one row.
+    fn drive<E: Engine + Clone + Send + Sync + 'static>(engine: E, label: &str) {
+        let table = engine
+            .create_table(TableSpec::keyed_u64("unique", 16))
+            .unwrap();
+        for round in 0..ROUNDS {
+            std::thread::scope(|scope| {
+                for worker in 0..THREADS {
+                    let engine = engine.clone();
+                    scope.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(round * THREADS + worker);
+                        for _ in 0..OPS {
+                            let key = rng.gen_range(0..KEYS);
+                            let iso = if rng.gen_bool(0.5) {
+                                IsolationLevel::Serializable
+                            } else {
+                                IsolationLevel::ReadCommitted
+                            };
+                            let mut txn = engine.begin(iso);
+                            let result = if rng.gen_bool(0.5) {
+                                txn.insert(table, rowbuf::keyed_row(key, FILLER, worker as u8))
+                            } else {
+                                txn.delete(table, IndexId(0), key).map(|_| ())
+                            };
+                            match result {
+                                Ok(()) => {
+                                    let _ = txn.commit();
+                                }
+                                Err(_) => txn.abort(),
+                            }
+                        }
+                    });
+                }
+            });
+            for key in 0..KEYS {
+                let fills = fills_of_key(&engine, table, key);
+                assert!(
+                    fills.len() <= 1,
+                    "{label}: after round {round}, key {key} has rows {fills:?}"
+                );
+            }
+        }
+    }
+
+    drive(MvEngine::optimistic(MvConfig::default()), "MV/O");
+    drive(MvEngine::pessimistic(MvConfig::default()), "MV/L");
+    drive(
+        SvEngine::new(SvConfig::default().with_lock_timeout(Duration::from_millis(30))),
+        "1V",
+    );
+}
+
+#[test]
+fn an_update_onto_a_live_unique_key_is_a_duplicate() {
+    fn drive<E: Engine>(engine: E, label: &str) {
+        let table = engine.create_table(TableSpec::keyed_u64("t", 16)).unwrap();
+        let mut setup = engine.begin(IsolationLevel::ReadCommitted);
+        setup
+            .insert(table, rowbuf::keyed_row(1, FILLER, 1))
+            .unwrap();
+        setup
+            .insert(table, rowbuf::keyed_row(2, FILLER, 2))
+            .unwrap();
+        setup.commit().unwrap();
+        for iso in [IsolationLevel::ReadCommitted, IsolationLevel::Serializable] {
+            let mut txn = engine.begin(iso);
+            let err = txn
+                .update(table, IndexId(0), 1, rowbuf::keyed_row(2, FILLER, 3))
+                .unwrap_err();
+            assert!(
+                matches!(err, MmdbError::DuplicateKey { .. }),
+                "{label} {iso:?}: moving key 1 onto live key 2 gave {err:?}"
+            );
+            txn.abort();
+            assert_eq!(fills_of_key(&engine, table, 1), [1], "{label} {iso:?}");
+            assert_eq!(fills_of_key(&engine, table, 2), [2], "{label} {iso:?}");
+        }
+        // Moving onto a free key still works.
+        let mut txn = engine.begin(IsolationLevel::Serializable);
+        assert!(txn
+            .update(table, IndexId(0), 1, rowbuf::keyed_row(9, FILLER, 4))
+            .unwrap());
+        txn.commit().unwrap();
+        assert!(fills_of_key(&engine, table, 1).is_empty(), "{label}");
+        assert_eq!(fills_of_key(&engine, table, 9), [4], "{label}");
+    }
+
+    drive(MvEngine::optimistic(MvConfig::default()), "MV/O");
+    drive(MvEngine::pessimistic(MvConfig::default()), "MV/L");
+    drive(
+        SvEngine::new(SvConfig::default().with_lock_timeout(Duration::from_millis(30))),
+        "1V",
+    );
+}
